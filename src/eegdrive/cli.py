@@ -43,7 +43,6 @@ def _parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser, needs_session: bool = False):
         p.add_argument("--config", type=Path, default=None, help="JSON config file")
         p.add_argument("--out", type=Path, required=True, help="workspace directory")
-        p.add_argument("--jobs", type=int, default=1, help="parallel worker bound")
         p.add_argument("--seed", type=int, default=None, help="override global seed")
         if needs_session:
             p.add_argument(
@@ -62,7 +61,9 @@ def _parser() -> argparse.ArgumentParser:
     common(sub.add_parser("train", help="train configured models"), True)
     common(sub.add_parser("eval", help="score checkpoints on test windows"), True)
     common(sub.add_parser("report", help="aggregate scores into report files"))
-    common(sub.add_parser("run-all", help="full pipeline plus report"))
+    run = sub.add_parser("run-all", help="full pipeline plus report")
+    common(run)
+    run.add_argument("--jobs", type=int, default=1, help="parallel worker bound")
     cfg = sub.add_parser("config", help="configuration utilities")
     cfg.add_argument(
         "--print-defaults", action="store_true", help="dump the default JSON config"

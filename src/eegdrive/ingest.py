@@ -145,10 +145,12 @@ def _parse_eeg_csv(path: Path, manifest: SessionManifest) -> EegRecording:
             )
         timestamps: list[int] = []
         rows: list[list[float]] = []
+        blank_lines: list[int] = []
         prev = None
         for lineno, line in enumerate(fh, start=2):
             line = line.rstrip("\r\n")
             if not line:
+                blank_lines.append(lineno)
                 continue
             parts = line.split(",")
             if len(parts) != n_ch + 1:
@@ -172,6 +174,17 @@ def _parse_eeg_csv(path: Path, manifest: SessionManifest) -> EegRecording:
     if not timestamps:
         raise DataError(f"{path}: no samples")
     samples = np.array(rows, dtype=np.float64).T
+    finite = np.isfinite(samples)
+    if not finite.all():
+        i, ch = np.argwhere(~finite.T)[0]  # first bad row, then its channel
+        lineno = int(i) + 2
+        for blank in blank_lines:  # ascending; each one at or before shifts the row
+            if blank <= lineno:
+                lineno += 1
+        raise DataError(
+            f"{path}:{lineno}: non-finite sample {samples[ch, i]} "
+            f"in channel {names[ch]}"
+        )
     return EegRecording(
         channels=list(manifest.montage),
         timestamps=np.array(timestamps, dtype=np.int64),

@@ -72,16 +72,6 @@ def classify_commands(v_x: np.ndarray, omega_z: np.ndarray, rule: LabelRule) -> 
     return out
 
 
-@dataclass(frozen=True)
-class LabeledSample:
-    """One labelled EEG sample under a specific horizon."""
-
-    t_ns: int
-    label: CommandLabel
-    delta_ms: int
-    index: int  # sample column in the source recording
-
-
 @dataclass
 class LabeledSamples:
     """All labelled samples of one recording under one horizon, time-ordered.
@@ -105,12 +95,6 @@ class LabeledSamples:
 
     def __len__(self) -> int:
         return len(self.indices)
-
-    def __getitem__(self, i: int) -> LabeledSample:
-        return LabeledSample(
-            int(self.t_ns[i]), CommandLabel(int(self.labels[i])),
-            self.delta_ms, int(self.indices[i]),
-        )
 
     def class_counts(self, n_classes: int = len(CommandLabel)) -> np.ndarray:
         return np.bincount(self.labels, minlength=n_classes)

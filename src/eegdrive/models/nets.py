@@ -315,17 +315,3 @@ def build_model(name: str, n_channels: int, n_samples: int,
         return ShallowConvNet(n_channels, n_samples, spec)
     raise ValueError(f"unknown model {name!r} (expected 'linear' or 'shallow')")
 
-
-def forward_linear(params, x):
-    """Convenience wrapper: probabilities of the linear baseline."""
-    model = LinearSoftmax(x.shape[1], x.shape[2], params["w"].shape[0])
-    return model.forward(params, x)[0]
-
-
-def forward_shallow(params, x, spec: ShallowConvNetSpec | None = None,
-                    train_mode: bool = False, dropout_key: int = 0, step: int = 0):
-    """Convenience wrapper: probabilities of the convolutional model."""
-    if spec is None:
-        spec = ShallowConvNetSpec(n_classes=params["w_dense"].shape[0])
-    model = ShallowConvNet(x.shape[1], x.shape[2], spec)
-    return model.forward(params, x, train_mode, dropout_key, step)[0][0]

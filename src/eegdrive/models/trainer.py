@@ -276,31 +276,48 @@ def save_checkpoint(path, model, params: dict[str, np.ndarray],
 
 
 def load_checkpoint(path):
-    """Returns (model, params, header)."""
-    with open(path, "rb") as fh:
+    """Returns (model, params, header).
+
+    A missing, truncated or malformed file raises ``DataError`` naming it.
+    """
+    try:
+        fh = open(path, "rb")
+    except FileNotFoundError as e:
+        raise DataError(
+            f"{path}: no checkpoint; train this model at this horizon first"
+        ) from e
+    except OSError as e:
+        raise DataError(f"{path}: cannot read checkpoint: {e}") from e
+    with fh:
         magic = fh.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
             raise DataError(f"{path}: not a model checkpoint")
-        (hlen,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(hlen).decode("utf-8"))
-        params: dict[str, np.ndarray] = {}
-        for t in header["tensors"]:
-            dt = np.dtype(t["dtype"]).newbyteorder("<")
-            count = int(np.prod(t["shape"], dtype=np.int64)) if t["shape"] else 1
-            raw = fh.read(count * dt.itemsize)
-            if len(raw) != count * dt.itemsize:
-                raise DataError(f"{path}: truncated tensor {t['name']!r}")
-            arr = np.frombuffer(raw, dtype=dt).reshape(t["shape"])
-            params[t["name"]] = arr.astype(arr.dtype.newbyteorder("="))
+        try:
+            (hlen,) = struct.unpack("<I", fh.read(4))
+            header = json.loads(fh.read(hlen).decode("utf-8"))
+            params: dict[str, np.ndarray] = {}
+            for t in header["tensors"]:
+                dt = np.dtype(t["dtype"]).newbyteorder("<")
+                count = int(np.prod(t["shape"], dtype=np.int64)) if t["shape"] else 1
+                raw = fh.read(count * dt.itemsize)
+                if len(raw) != count * dt.itemsize:
+                    raise DataError(f"{path}: truncated tensor {t['name']!r}")
+                arr = np.frombuffer(raw, dtype=dt).reshape(t["shape"])
+                params[t["name"]] = arr.astype(arr.dtype.newbyteorder("="))
+            spec = header["spec"]
+            model = build_model(
+                header["model"],
+                header["n_channels"],
+                header["n_samples"],
+                ShallowConvNetSpec(**spec) if spec else None,
+                header["n_classes"],
+            )
+        except (struct.error, ValueError, KeyError, TypeError) as e:
+            # ValueError covers UnicodeDecodeError and JSONDecodeError
+            raise DataError(
+                f"{path}: corrupt checkpoint header: {type(e).__name__}: {e}"
+            ) from e
         trailing = fh.read(1)
         if trailing:
             raise DataError(f"{path}: trailing bytes after tensor data")
-    spec = header["spec"]
-    model = build_model(
-        header["model"],
-        header["n_channels"],
-        header["n_samples"],
-        ShallowConvNetSpec(**spec) if spec else None,
-        header["n_classes"],
-    )
     return model, params, header

@@ -24,6 +24,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -57,8 +58,6 @@ SPLIT_STATS = "split_stats.json"
 CHECKPOINT_FILE = "checkpoint.bin"
 LOSS_FILE = "loss.csv"
 SCORE_FILE = "score.json"
-
-_SEED_MASK = (1 << 64) - 1
 
 
 class Workspace:
@@ -107,23 +106,14 @@ class Workspace:
         return self.root / REPORT_DIR
 
 
+@contextmanager
 def _stage(stage: str, detail: str):
-    """Decorator-free error context: re-raise with stage and subject."""
-
-    class _Ctx:
-        def __enter__(self):
-            return self
-
-        def __exit__(self, exc_type, exc, tb):
-            if exc is not None and isinstance(exc, EegDriveError):
-                exc.args = (f"[{stage}] {detail}: {exc}",)
-            return False
-
-    return _Ctx()
-
-
-def _u64(*parts) -> int:
-    return derive_seed(*parts) & _SEED_MASK
+    """Error context: re-raise this package's errors with stage and subject."""
+    try:
+        yield
+    except EegDriveError as exc:
+        exc.args = (f"[{stage}] {detail}: {exc}",)
+        raise
 
 
 # ---------------------------------------------------------------- simulate
@@ -166,7 +156,7 @@ def stage_preprocess(cfg: RunConfig, ws: Workspace, session_id: str) -> Path:
             session.eeg,
             cfg.filters,
             cfg.bad_channels,
-            seed=_u64(cfg.seed, session_id, "preprocess"),
+            seed=derive_seed(cfg.seed, session_id, "preprocess"),
         )
         out_dir = ws.preprocessed_dir(session_id)
         write_session_dir(
@@ -223,13 +213,13 @@ def stage_split(cfg: RunConfig, ws: Workspace, session_id: str) -> None:
                 raise DataError(f"missing labels file {labels_path}; run label first")
             labelled = read_labels_csv(labels_path, delta, session.eeg.timestamps)
             split_cfg = dataclasses.replace(
-                cfg.split, rng_seed=_u64(cfg.seed, session_id, delta, "split")
+                cfg.split, rng_seed=derive_seed(cfg.seed, session_id, delta, "split")
             )
-            ds = build_split(session.eeg, labelled, split_cfg)
+            ds = build_split(labelled, split_cfg)
             out_dir = ws.windows_dir(session_id, delta)
             out_dir.mkdir(parents=True, exist_ok=True)
             for partition, windows in (("train", ds.train), ("test", ds.test)):
-                data, labels = windows_to_arrays(windows)
+                data, labels = windows_to_arrays(session.eeg.samples, windows)
                 write_windows(
                     ws.windows_base(session_id, delta, partition),
                     data,
@@ -245,10 +235,10 @@ def stage_split(cfg: RunConfig, ws: Workspace, session_id: str) -> None:
                 "n_train": len(ds.train),
                 "n_test": len(ds.test),
                 "train_histogram": np.bincount(
-                    [w.label for w in ds.train], minlength=N_CLASSES
+                    ds.train.labels, minlength=N_CLASSES
                 ).tolist(),
                 "test_histogram": np.bincount(
-                    [w.label for w in ds.test], minlength=N_CLASSES
+                    ds.test.labels, minlength=N_CLASSES
                 ).tolist(),
             }
             ws.split_stats(session_id, delta).write_text(
@@ -287,7 +277,8 @@ def stage_train(
         n_channels, n_samples = data.shape[1], data.shape[2]
         model = build_model(model_name, n_channels, n_samples)
         train_cfg = dataclasses.replace(
-            cfg.train, rng_seed=_u64(cfg.seed, session_id, delta_ms, model_name, "train")
+            cfg.train,
+            rng_seed=derive_seed(cfg.seed, session_id, delta_ms, model_name, "train"),
         )
         result = train_model(model, data, labels, weights, train_cfg)
 

@@ -215,24 +215,6 @@ class EegRecording:
         return EegRecording(self.channels, self.timestamps, samples, self.sample_rate_hz)
 
 
-@dataclass(frozen=True)
-class JoystickSample:
-    """One joystick reading: linear and angular velocity, both in [-1, 1]."""
-
-    t_ns: int
-    v_x: float
-    omega_z: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.v_x) and math.isfinite(self.omega_z)):
-            raise ValueError("joystick values must be finite")
-        if abs(self.v_x) > 1.0 or abs(self.omega_z) > 1.0:
-            raise ValueError(
-                f"joystick sample at t={self.t_ns} outside [-1, 1]: "
-                f"v_x={self.v_x}, omega_z={self.omega_z}"
-            )
-
-
 @dataclass
 class JoystickStream:
     """Column-oriented joystick stream with strictly increasing timestamps."""
@@ -266,9 +248,6 @@ class JoystickStream:
 
     def __len__(self) -> int:
         return len(self.t_ns)
-
-    def __getitem__(self, i: int) -> JoystickSample:
-        return JoystickSample(int(self.t_ns[i]), float(self.v_x[i]), float(self.omega_z[i]))
 
 
 @dataclass(frozen=True)

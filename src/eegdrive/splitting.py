@@ -7,10 +7,16 @@ re-sorted globally by time, windowed with a sliding window over the
 partition's own sample sequence, and the train windows are optionally
 rebalanced by random oversampling with replacement.
 
+Each partition's windows are one ``Windows`` record of arrays. Its ``src``
+rows are the provenance: row i lists the recording columns window i
+covers. Windowing, majority labelling and oversampling work on those index
+rows only, and ``windows_to_arrays`` gathers the sample data once, at write
+time.
+
 Train/test windows can never share a source sample: the partitions are
-disjoint index sets and a window only draws from its own partition. The
-provenance carried by every window lets ``check_no_leakage`` verify that
-directly, and ``build_split`` runs the check on every invocation.
+disjoint index sets and a window only draws from its own partition.
+``check_no_leakage`` verifies that directly on the ``src`` rows, and
+``build_split`` runs the check on every invocation.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ import numpy as np
 
 from .errors import DataError
 from .labels import LabeledSamples
-from .session import CommandLabel, EegRecording, N_CLASSES
+from .session import N_CLASSES
 
 
 @dataclass(frozen=True)
@@ -125,34 +131,41 @@ def stratified_temporal_split(
     return train_pos, test_pos
 
 
-def majority_label(codes: np.ndarray) -> int:
-    """Most frequent code; ties resolve to the lowest code."""
-    counts = np.bincount(codes, minlength=N_CLASSES)
-    return int(np.argmax(counts))
+def majority_label(codes: np.ndarray) -> np.ndarray:
+    """Most frequent code along the last axis; ties resolve to the lowest code.
+
+    A 1-D input gives one code, an (n, S) input one code per row.
+    """
+    codes = np.asarray(codes, dtype=np.int64)
+    rows = codes.reshape(-1, codes.shape[-1])
+    offsets = np.arange(len(rows))[:, None] * N_CLASSES
+    counts = np.bincount((rows + offsets).ravel(), minlength=len(rows) * N_CLASSES)
+    return counts.reshape(-1, N_CLASSES).argmax(axis=1).reshape(codes.shape[:-1])
 
 
 @dataclass(frozen=True)
-class LabeledWindow:
-    """One training example: a (C, window_len) slab plus its majority label.
+class Windows:
+    """One partition's windows as arrays; row i describes window i.
 
-    ``source_indices`` records exactly which recording columns the window
-    was cut from; that is the provenance used for leakage checks.
+    ``src[i]`` lists the recording columns window i covers: that is its
+    provenance, used for the leakage check and for the one gather in
+    ``windows_to_arrays``.
     """
 
-    data: np.ndarray  # float32 (C, S)
-    label: CommandLabel
-    start_t_ns: int
-    partition: str  # "train" | "test"
-    source_indices: np.ndarray
+    src: np.ndarray  # int64 (n, S)
+    labels: np.ndarray  # int64 (n,), majority code of the covered samples
+    start_t_ns: np.ndarray  # int64 (n,)
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def take(self, rows: np.ndarray) -> Windows:
+        return Windows(self.src[rows], self.labels[rows], self.start_t_ns[rows])
 
 
 def extract_windows(
-    rec: EegRecording,
-    labeled: LabeledSamples,
-    positions: np.ndarray,
-    cfg: SplitConfig,
-    partition: str,
-) -> list[LabeledWindow]:
+    labeled: LabeledSamples, positions: np.ndarray, cfg: SplitConfig
+) -> Windows:
     """Slide a window over one partition's time-ordered sample sequence.
 
     Windows of ``window_len`` partition samples advance by ``cfg.hop``; each
@@ -162,94 +175,73 @@ def extract_windows(
     """
     positions = np.asarray(positions, dtype=np.int64)
     s = cfg.window_len
-    out: list[LabeledWindow] = []
-    if len(positions) < s:
-        return out
-    src_all = labeled.indices[positions]
-    t_all = labeled.t_ns[positions]
-    lab_all = labeled.labels[positions]
-    for start in range(0, len(positions) - s + 1, cfg.hop):
-        t = t_all[start : start + s]
-        if cfg.gap_break_ns is not None and int(np.diff(t).max()) > cfg.gap_break_ns:
-            continue
-        src = src_all[start : start + s]
-        data = rec.samples[:, src].astype(np.float32)
-        out.append(
-            LabeledWindow(
-                data=data,
-                label=CommandLabel(majority_label(lab_all[start : start + s])),
-                start_t_ns=int(t[0]),
-                partition=partition,
-                source_indices=src.copy(),
-            )
-        )
-    return out
+    starts = np.arange(0, len(positions) - s + 1, cfg.hop)
+    rows = positions[starts[:, None] + np.arange(s)]  # (n, S) into ``labeled``
+    t = labeled.t_ns[rows]
+    if cfg.gap_break_ns is not None:
+        keep = np.diff(t, axis=1).max(axis=1, initial=0) <= cfg.gap_break_ns
+        rows, t = rows[keep], t[keep]
+    return Windows(
+        src=labeled.indices[rows],
+        labels=majority_label(labeled.labels[rows]),
+        start_t_ns=t[:, 0],
+    )
 
 
-def oversample_train(
-    train: list[LabeledWindow], seed: int
-) -> list[LabeledWindow]:
+def oversample_train(train: Windows, seed: int) -> Windows:
     """Duplicate minority-class windows until every present class matches the
     largest one. Originals are all retained; duplicates are drawn uniformly
-    with replacement, deterministically for a given seed."""
-    if not train:
+    with replacement, deterministically for a given seed, and the result is
+    stably sorted by start time, so each original precedes its duplicates."""
+    if len(train) == 0:
         raise DataError("cannot oversample an empty train partition")
     rng = np.random.default_rng(seed)
-    by_class: dict[int, list[LabeledWindow]] = {}
-    for w in train:
-        by_class.setdefault(int(w.label), []).append(w)
-    target = max(len(v) for v in by_class.values())
-    additions: list[LabeledWindow] = []
-    for code in sorted(by_class):
-        pool = by_class[code]
-        need = target - len(pool)
+    counts = np.bincount(train.labels, minlength=N_CLASSES)
+    target = counts.max()
+    picks = [np.arange(len(train))]
+    for code in np.nonzero(counts)[0]:
+        need = target - counts[code]
         if need > 0:
-            picks = rng.integers(0, len(pool), size=need)
-            additions.extend(pool[int(p)] for p in picks)
-    return train + additions
+            pool = np.nonzero(train.labels == code)[0]
+            picks.append(pool[rng.integers(0, len(pool), size=need)])
+    rows = np.concatenate(picks)
+    return train.take(rows[np.argsort(train.start_t_ns[rows], kind="stable")])
 
 
 @dataclass
 class SplitDataset:
     """Windowed train/test partitions, each chronological by window start."""
 
-    train: list[LabeledWindow]
-    test: list[LabeledWindow]
+    train: Windows
+    test: Windows
     absent_classes: tuple[int, ...] = ()
     pre_oversample_counts: np.ndarray = field(
         default_factory=lambda: np.zeros(N_CLASSES, dtype=np.int64)
     )
 
-    def source_index_set(self, partition: str) -> set[int]:
-        windows = self.train if partition == "train" else self.test
-        out: set[int] = set()
-        for w in windows:
-            out.update(int(i) for i in w.source_indices)
-        return out
-
 
 def check_no_leakage(ds: SplitDataset) -> None:
     """Raise if any recording sample appears in both partitions."""
-    overlap = ds.source_index_set("train") & ds.source_index_set("test")
-    if overlap:
+    overlap = np.intersect1d(ds.train.src, ds.test.src)
+    if len(overlap):
         raise DataError(
             f"train/test leakage: {len(overlap)} shared source samples "
-            f"(first: {sorted(overlap)[:5]})"
+            f"(first: {overlap[:5].tolist()})"
         )
 
 
-def windows_to_arrays(windows: list[LabeledWindow]) -> tuple[np.ndarray, np.ndarray]:
-    """Stack windows into a (n, C, S) float32 tensor and an int64 label vector."""
-    if not windows:
+def windows_to_arrays(
+    samples: np.ndarray, windows: Windows
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gather windows from a (C, T) recording matrix into a (n, C, S) float32
+    tensor and an int64 label vector."""
+    if len(windows) == 0:
         raise DataError("no windows to stack")
-    data = np.stack([w.data for w in windows]).astype(np.float32)
-    labels = np.array([int(w.label) for w in windows], dtype=np.int64)
-    return data, labels
+    data = samples.astype(np.float32, copy=False)[:, windows.src]  # (C, n, S)
+    return np.ascontiguousarray(data.transpose(1, 0, 2)), windows.labels.copy()
 
 
-def build_split(
-    rec: EegRecording, labeled: LabeledSamples, cfg: SplitConfig
-) -> SplitDataset:
+def build_split(labeled: LabeledSamples, cfg: SplitConfig) -> SplitDataset:
     """Full pipeline: split, window both partitions, oversample train.
 
     The returned dataset notes which classes were absent from the labelled
@@ -257,18 +249,15 @@ def build_split(
     basis for training), and is verified leakage-free before returning.
     """
     train_pos, test_pos = stratified_temporal_split(labeled, cfg)
-    train_w = extract_windows(rec, labeled, train_pos, cfg, "train")
-    test_w = extract_windows(rec, labeled, test_pos, cfg, "test")
-    pre_counts = np.bincount(
-        [int(w.label) for w in train_w], minlength=N_CLASSES
-    ).astype(np.int64)
-    if cfg.oversample and train_w:
-        train_w = oversample_train(train_w, cfg.rng_seed)
-        train_w = sorted(train_w, key=lambda w: w.start_t_ns)  # stable: originals first
+    train = extract_windows(labeled, train_pos, cfg)
+    test = extract_windows(labeled, test_pos, cfg)
+    pre_counts = np.bincount(train.labels, minlength=N_CLASSES)
+    if cfg.oversample and len(train):
+        train = oversample_train(train, cfg.rng_seed)
     counts = labeled.class_counts()
     ds = SplitDataset(
-        train=train_w,
-        test=test_w,
+        train=train,
+        test=test,
         absent_classes=tuple(int(c) for c in np.nonzero(counts == 0)[0]),
         pre_oversample_counts=pre_counts,
     )

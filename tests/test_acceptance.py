@@ -44,7 +44,12 @@ from eegdrive.preprocess import (
     filter_zero_phase,
 )
 from eegdrive.session import EegRecording, synthetic_montage
-from eegdrive.splitting import SplitConfig, build_split, stratified_temporal_split
+from eegdrive.splitting import (
+    SplitConfig,
+    build_split,
+    stratified_temporal_split,
+    windows_to_arrays,
+)
 
 FS = 125.0
 PERIOD_NS = 8_000_000
@@ -264,9 +269,9 @@ def test_criterion_04_split_integrity():
             rng.standard_normal((4, n)),
             FS,
         )
-        ds = build_split(rec, labeled, cfg)
+        ds = build_split(labeled, cfg)
 
-        overlap = ds.source_index_set("train") & ds.source_index_set("test")
+        overlap = set(ds.train.src.ravel().tolist()) & set(ds.test.src.ravel().tolist())
         if overlap:
             problems.append(f"trial {trial}: {len(overlap)} shared samples")
 
@@ -280,22 +285,23 @@ def test_criterion_04_split_integrity():
                 if not 0.68 <= frac <= 0.72:
                     problems.append(f"trial {trial}: class {code} fraction {frac:.3f}")
 
-        for w in ds.train + ds.test:
-            want = _majority_oracle(labeled.labels[w.source_indices])
-            if int(w.label) != want:
-                problems.append(f"trial {trial}: majority {int(w.label)} != {want}")
-                break
+        for part in (ds.train, ds.test):
+            data, labels = windows_to_arrays(rec.samples, part)
+            for src, slab, label in zip(part.src, data, labels):
+                want = _majority_oracle(labeled.labels[src])
+                if int(label) != want:
+                    problems.append(f"trial {trial}: majority {int(label)} != {want}")
+                    break
+                if not np.array_equal(slab, rec.samples[:, src].astype(np.float32)):
+                    problems.append(f"trial {trial}: window data is not its source")
+                    break
 
-        counts = Counter(int(w.label) for w in ds.train)
+        counts = Counter(ds.train.labels.tolist())
         if len(set(counts.values())) != 1:
             problems.append(f"trial {trial}: oversampled histogram {dict(counts)}")
 
-        plain = build_split(
-            rec, labeled, SplitConfig(oversample=False)
-        )
-        if Counter(int(w.label) for w in ds.test) != Counter(
-            int(w.label) for w in plain.test
-        ):
+        plain = build_split(labeled, SplitConfig(oversample=False))
+        if Counter(ds.test.labels.tolist()) != Counter(plain.test.labels.tolist()):
             problems.append(f"trial {trial}: oversampling touched test")
     elapsed = time.perf_counter() - t0
     ok = not problems and elapsed < 30.0

@@ -189,6 +189,19 @@ class TestSessionDirIO:
         with pytest.raises(DataError, match=rf"{EEG_NAME}:6"):
             load_session(root)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_eeg_non_finite_value_reports_line_and_channel(self, tmp_path, value):
+        root = write_session_dir(tmp_path / "sess", _toy_session())
+        lines = (root / EEG_NAME).read_text().splitlines()
+        lines.insert(12, "")  # blank lines still count toward line numbers,
+        lines.insert(3, "")  # but only those before the bad row shift it
+        parts = lines[8].split(",")
+        parts[3] = value
+        lines[8] = ",".join(parts)
+        (root / EEG_NAME).write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=rf"{EEG_NAME}:9: non-finite .* ch02"):
+            load_session(root)
+
     def test_joystick_bad_json_reports_line(self, tmp_path):
         root = write_session_dir(tmp_path / "sess", _toy_session())
         lines = (root / JOYSTICK_NAME).read_text().splitlines()

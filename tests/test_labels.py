@@ -222,18 +222,18 @@ class TestLabelsCsv:
 
 
 class TestLabeledSamples:
-    def test_getitem(self):
+    def test_columns(self):
         ls = LabeledSamples(
             delta_ms=300,
-            indices=np.array([4, 9]),
-            t_ns=np.array([32 * MS, 72 * MS]),
-            labels=np.array([0, 4]),
+            indices=[4, 9],
+            t_ns=[32 * MS, 72 * MS],
+            labels=[0, 4],
         )
-        s = ls[1]
-        assert s.t_ns == 72 * MS
-        assert s.label is CommandLabel.STOP
-        assert s.delta_ms == 300
-        assert s.index == 9
+        assert len(ls) == 2
+        assert ls.indices.dtype == np.int64 and ls.indices.tolist() == [4, 9]
+        assert ls.t_ns.dtype == np.int64 and ls.t_ns.tolist() == [32 * MS, 72 * MS]
+        assert ls.labels.dtype == np.int8
+        assert ls.labels[1] == CommandLabel.STOP
 
     def test_mismatched_columns_rejected(self):
         with pytest.raises(ValueError):

@@ -426,6 +426,30 @@ class TestCheckpoint:
         with pytest.raises(DataError, match="truncated"):
             load_checkpoint(path)
 
+    def test_missing_file_names_path(self, tmp_path):
+        path = tmp_path / "none.bin"
+        with pytest.raises(DataError, match=f"{path}: no checkpoint"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "mangle",
+        [
+            lambda blob: blob[:10],  # length prefix cut short
+            lambda blob: blob[:12] + b"\xff\xfe" + blob[14:],  # header not UTF-8
+            lambda blob: blob.replace(b"{", b"#", 1),  # header not JSON
+            lambda blob: blob.replace(b'"tensors"', b'"tensorz"', 1),  # key missing
+            lambda blob: blob.replace(b'"float32"', b'"object" ', 1),  # no buffer dtype
+        ],
+        ids=["short-prefix", "not-utf8", "not-json", "missing-key", "object-dtype"],
+    )
+    def test_corrupt_header_names_path(self, tmp_path, mangle):
+        model = LinearSoftmax(2, 10)
+        path = tmp_path / "ck.bin"
+        save_checkpoint(path, model, model.init_params(seed=0))
+        path.write_bytes(mangle(path.read_bytes()))
+        with pytest.raises(DataError, match=f"{path}: corrupt checkpoint header"):
+            load_checkpoint(path)
+
     def test_trailing_bytes(self, tmp_path):
         model = LinearSoftmax(2, 10)
         path = tmp_path / "ck.bin"

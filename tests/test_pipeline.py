@@ -7,6 +7,7 @@ entire workspace tree, not just the report.
 
 import hashlib
 import json
+import shutil
 
 import pytest
 
@@ -90,6 +91,18 @@ class TestRunAll:
             assert main([stage] + base) == 0, stage
         assert _tree(ws) == _tree(out)
 
+    def test_jobs_2_matches_jobs_1(self, tmp_path):
+        doc = dict(SMALL, models=["linear", "shallow"], train={"epochs": 2})
+        cfg = _write_cfg(tmp_path, doc)
+        trees = []
+        for jobs in ("1", "2"):
+            ws = tmp_path / f"jobs{jobs}"
+            rc = main(["run-all", "--config", str(cfg), "--out", str(ws), "--jobs", jobs])
+            assert rc == 0
+            trees.append(_tree(ws))
+        assert len(trees[0]) > 20
+        assert trees[0] == trees[1]
+
     def test_seed_override_changes_training(self, baseline, tmp_path):
         cfg, out = baseline
         ws = tmp_path / "seeded"
@@ -112,6 +125,29 @@ class TestSubcommands:
         assert rc == 3
         err = capsys.readouterr().err
         assert "data error" in err and "[validate]" in err
+
+    def test_validate_rejects_non_finite_eeg(self, baseline, tmp_path, capsys):
+        _, out = baseline
+        session = tmp_path / "synth-0000"
+        shutil.copytree(out / "sessions" / "synth-0000", session)
+        eeg = session / "eeg.csv"
+        lines = eeg.read_text().splitlines()
+        for lineno, value in ((7, "nan"), (9, "inf")):
+            parts = lines[lineno - 1].split(",")
+            parts[3] = value
+            lines[lineno - 1] = ",".join(parts)
+        eeg.write_text("\n".join(lines) + "\n")
+        rc = main(["validate", str(session)])
+        assert rc == 3
+        captured = capsys.readouterr()
+        assert not captured.out.startswith("ok")
+        channel = lines[0].split(",")[3]
+        assert f"eeg.csv:7: non-finite sample nan in channel {channel}" in captured.err
+
+    def test_jobs_only_on_run_all(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["split", "--out", str(tmp_path), "--jobs", "2"])
+        assert exc.value.code == 2
 
     def test_print_defaults_matches_runconfig(self, capsys):
         assert main(["config", "--print-defaults"]) == 0
@@ -179,6 +215,28 @@ class TestExitCodes:
         assert rc == 3
         err = capsys.readouterr().err
         assert "[preprocess]" in err and "synth-0000" in err
+
+    def test_corrupt_checkpoint_header_is_3(self, baseline, tmp_path, capsys):
+        cfg, out = baseline
+        ws = tmp_path / "ws"
+        shutil.copytree(out, ws)
+        ckpt = ws / "work" / "synth-0000" / "runs" / "linear_300" / "checkpoint.bin"
+        blob = ckpt.read_bytes()
+        ckpt.write_bytes(blob.replace(b"{", b"#", 1))
+        rc = main(["eval", "--config", str(cfg), "--out", str(ws)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "[eval]" in err and str(ckpt) in err and "corrupt checkpoint header" in err
+
+    def test_eval_untrained_horizon_is_3(self, baseline, tmp_path, capsys):
+        _, out = baseline
+        ws = tmp_path / "ws"
+        shutil.copytree(out, ws)
+        # the default config asks for horizons the workspace never trained
+        rc = main(["eval", "--out", str(ws)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "[eval]" in err and "linear_0" in err and "no checkpoint" in err
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")

@@ -166,13 +166,14 @@ class TestJoystickStream:
                 np.array([0, 0]), np.array([0.0, 0.0]), np.array([0.0, 0.0])
             )
 
-    def test_getitem(self):
+    def test_len_and_read_only_columns(self):
         joy = JoystickStream(
             np.array([0, 100]), np.array([0.5, -0.5]), np.array([0.0, 0.25])
         )
-        s = joy[1]
-        assert (s.t_ns, s.v_x, s.omega_z) == (100, -0.5, 0.25)
         assert len(joy) == 2
+        assert (joy.t_ns[1], joy.v_x[1], joy.omega_z[1]) == (100, -0.5, 0.25)
+        with pytest.raises(ValueError):
+            joy.v_x[0] = 0.0
 
 
 class TestSessionManifest:

@@ -1,17 +1,24 @@
-"""Temporal-split invariants on randomized label streams."""
+"""Temporal-split invariants on randomized label streams.
+
+``TestScalarOracle`` holds the per-window windowing and oversampling loops
+the array code replaced, kept as the ground truth: the index-array gather
+must reproduce their tensors byte for byte, with the same labels in the
+same order.
+"""
 
 import collections
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from eegdrive.errors import DataError
 from eegdrive.labels import LabeledSamples
-from eegdrive.session import EegRecording, N_CLASSES, synthetic_montage
+from eegdrive.session import CommandLabel, EegRecording, N_CLASSES, synthetic_montage
 from eegdrive.splitting import (
-    LabeledWindow,
     SplitConfig,
     SplitDataset,
+    Windows,
     build_split,
     check_no_leakage,
     extract_windows,
@@ -19,7 +26,6 @@ from eegdrive.splitting import (
     oversample_train,
     stratified_temporal_split,
     windows_to_arrays,
-
 )
 
 PERIOD_NS = 8_000_000
@@ -144,6 +150,160 @@ class TestStratifiedTemporalSplit:
             stratified_temporal_split(bad, SplitConfig())
 
 
+# ------------------------------------------------ scalar per-window oracle
+
+
+def oracle_majority_label(codes: np.ndarray) -> int:
+    """Most frequent code; ties resolve to the lowest code."""
+    counts = np.bincount(codes, minlength=N_CLASSES)
+    return int(np.argmax(counts))
+
+
+@dataclass(frozen=True)
+class LabeledWindow:
+    """One training example: a (C, window_len) slab plus its majority label.
+
+    ``source_indices`` records exactly which recording columns the window
+    was cut from; that is the provenance used for leakage checks.
+    """
+
+    data: np.ndarray  # float32 (C, S)
+    label: CommandLabel
+    start_t_ns: int
+    partition: str  # "train" | "test"
+    source_indices: np.ndarray
+
+
+def oracle_extract_windows(
+    rec: EegRecording,
+    labeled: LabeledSamples,
+    positions: np.ndarray,
+    cfg: SplitConfig,
+    partition: str,
+) -> list[LabeledWindow]:
+    positions = np.asarray(positions, dtype=np.int64)
+    s = cfg.window_len
+    out: list[LabeledWindow] = []
+    if len(positions) < s:
+        return out
+    src_all = labeled.indices[positions]
+    t_all = labeled.t_ns[positions]
+    lab_all = labeled.labels[positions]
+    for start in range(0, len(positions) - s + 1, cfg.hop):
+        t = t_all[start : start + s]
+        if cfg.gap_break_ns is not None and int(np.diff(t).max()) > cfg.gap_break_ns:
+            continue
+        src = src_all[start : start + s]
+        data = rec.samples[:, src].astype(np.float32)
+        out.append(
+            LabeledWindow(
+                data=data,
+                label=CommandLabel(oracle_majority_label(lab_all[start : start + s])),
+                start_t_ns=int(t[0]),
+                partition=partition,
+                source_indices=src.copy(),
+            )
+        )
+    return out
+
+
+def oracle_oversample_train(
+    train: list[LabeledWindow], seed: int
+) -> list[LabeledWindow]:
+    if not train:
+        raise DataError("cannot oversample an empty train partition")
+    rng = np.random.default_rng(seed)
+    by_class: dict[int, list[LabeledWindow]] = {}
+    for w in train:
+        by_class.setdefault(int(w.label), []).append(w)
+    target = max(len(v) for v in by_class.values())
+    additions: list[LabeledWindow] = []
+    for code in sorted(by_class):
+        pool = by_class[code]
+        need = target - len(pool)
+        if need > 0:
+            picks = rng.integers(0, len(pool), size=need)
+            additions.extend(pool[int(p)] for p in picks)
+    return train + additions
+
+
+def oracle_split(rec, labeled, cfg):
+    """The per-window pipeline: split, loop-window, oversample, stack."""
+    train_pos, test_pos = stratified_temporal_split(labeled, cfg)
+    train_w = oracle_extract_windows(rec, labeled, train_pos, cfg, "train")
+    test_w = oracle_extract_windows(rec, labeled, test_pos, cfg, "test")
+    if cfg.oversample and train_w:
+        train_w = oracle_oversample_train(train_w, cfg.rng_seed)
+        train_w = sorted(train_w, key=lambda w: w.start_t_ns)  # stable: originals first
+    return train_w, test_w
+
+
+def gappy_labeled(rng, n):
+    """A segment-structured stream with unlabelled samples dropped, so the
+    kept columns and their timestamps have holes."""
+    full = random_labeled(rng, n)
+    keep = rng.random(n) > 0.02
+    return LabeledSamples(
+        300, full.indices[keep], full.t_ns[keep], full.labels[keep]
+    )
+
+
+class TestScalarOracle:
+    @pytest.mark.parametrize("oversample", [False, True])
+    @pytest.mark.parametrize("gap_break", [False, True])
+    def test_gather_matches_per_window_loops(self, oversample, gap_break):
+        rng = np.random.default_rng(100 + 2 * oversample + gap_break)
+        for _ in range(6):
+            labeled = gappy_labeled(rng, int(rng.integers(1500, 5000)))
+            n_channels = int(rng.integers(2, 6))
+            n = int(labeled.indices.max()) + 1
+            rec = EegRecording(
+                channels=synthetic_montage(n_channels),
+                timestamps=np.arange(n, dtype=np.int64) * PERIOD_NS,
+                samples=rng.standard_normal((n_channels, n)) * 30.0,
+                sample_rate_hz=125.0,
+            )
+            cfg = SplitConfig(
+                n_chunks=int(rng.choice([4, 10, 100])),
+                window_len=int(rng.choice([16, 50, 125])),
+                overlap_fraction=float(rng.choice([0.0, 0.5, 0.8])),
+                oversample=oversample,
+                rng_seed=int(rng.integers(0, 2**63)),
+                gap_break_ns=3 * PERIOD_NS if gap_break else None,
+            )
+            want_train, want_test = oracle_split(rec, labeled, cfg)
+            ds = build_split(labeled, cfg)
+            for want, got in ((want_train, ds.train), (want_test, ds.test)):
+                assert len(got) == len(want)
+                if not want:
+                    continue
+                data, labels = windows_to_arrays(rec.samples, got)
+                assert data.tobytes() == np.stack([w.data for w in want]).tobytes()
+                assert data.shape == (len(want), n_channels, cfg.window_len)
+                assert labels.tolist() == [int(w.label) for w in want]
+                assert got.start_t_ns.tolist() == [w.start_t_ns for w in want]
+                assert np.array_equal(
+                    got.src, np.stack([w.source_indices for w in want])
+                )
+
+    def test_oversample_draws_match(self):
+        rng = np.random.default_rng(110)
+        labeled = random_labeled(rng, 3000)
+        rec = _recording_for(labeled)
+        cfg = SplitConfig(oversample=False)
+        train_pos, _ = stratified_temporal_split(labeled, cfg)
+        loop = oracle_extract_windows(rec, labeled, train_pos, cfg, "train")
+        rows = extract_windows(labeled, train_pos, cfg)
+        for seed in range(5):
+            want = sorted(oracle_oversample_train(loop, seed), key=lambda w: w.start_t_ns)
+            got = oversample_train(rows, seed)
+            assert got.labels.tolist() == [int(w.label) for w in want]
+            assert np.array_equal(got.src, np.stack([w.source_indices for w in want]))
+
+
+# ------------------------------------------------------------- array API
+
+
 class TestMajorityLabel:
     def test_matches_counter_oracle(self):
         rng = np.random.default_rng(4)
@@ -157,6 +317,12 @@ class TestMajorityLabel:
     def test_tie_takes_lowest_code(self):
         assert majority_label(np.array([4, 4, 1, 1])) == 1
 
+    def test_rows_match_scalar_oracle(self):
+        rng = np.random.default_rng(13)
+        codes = rng.integers(0, N_CLASSES, size=(300, 8))
+        want = [oracle_majority_label(row) for row in codes]
+        assert majority_label(codes).tolist() == want
+
 
 class TestExtractWindows:
     def test_window_content_and_majority(self):
@@ -165,14 +331,14 @@ class TestExtractWindows:
         rec = _recording_for(labeled)
         cfg = SplitConfig(window_len=125, overlap_fraction=0.5)
         positions = np.arange(len(labeled))
-        wins = extract_windows(rec, labeled, positions, cfg, "train")
+        wins = extract_windows(labeled, positions, cfg)
         assert len(wins) == (1500 - 125) // cfg.hop + 1
-        for w in wins[:: max(1, len(wins) // 7)]:
-            src = w.source_indices
-            assert np.array_equal(w.data, rec.samples[:, src].astype(np.float32))
+        data, labels = windows_to_arrays(rec.samples, wins)
+        for i in range(0, len(wins), max(1, len(wins) // 7)):
+            src = wins.src[i]
+            assert np.array_equal(data[i], rec.samples[:, src].astype(np.float32))
             covered = labeled.labels[np.searchsorted(labeled.indices, src)]
-            assert int(w.label) == majority_label(covered)
-            assert w.partition == "train"
+            assert labels[i] == oracle_majority_label(covered)
 
     def test_hop_geometry(self):
         cfg = SplitConfig(window_len=10, overlap_fraction=0.25)
@@ -183,69 +349,66 @@ class TestExtractWindows:
     def test_short_partition_yields_nothing(self):
         rng = np.random.default_rng(6)
         labeled = random_labeled(rng, 200)
-        rec = _recording_for(labeled)
         cfg = SplitConfig(window_len=125)
-        assert extract_windows(rec, labeled, np.arange(60), cfg, "t") == []
+        wins = extract_windows(labeled, np.arange(60), cfg)
+        assert len(wins) == 0
+        assert wins.src.shape == (0, 125)
 
     def test_gap_break_drops_spanning_windows(self):
         indices = np.arange(300, dtype=np.int64)
         t_ns = indices * PERIOD_NS
         t_ns = np.where(indices >= 150, t_ns + 10 * PERIOD_NS, t_ns)  # rift
         labeled = LabeledSamples(0, indices, t_ns, np.zeros(300, dtype=np.int8))
-        rec = _recording_for(labeled)
         pos = np.arange(300)
-        free = extract_windows(
-            rec, labeled, pos, SplitConfig(window_len=50, gap_break_ns=None), "x"
-        )
+        free = extract_windows(labeled, pos, SplitConfig(window_len=50, gap_break_ns=None))
         broken = extract_windows(
-            rec,
-            labeled,
-            pos,
-            SplitConfig(window_len=50, gap_break_ns=2 * PERIOD_NS),
-            "x",
+            labeled, pos, SplitConfig(window_len=50, gap_break_ns=2 * PERIOD_NS)
         )
-        dropped = {w.start_t_ns for w in free} - {w.start_t_ns for w in broken}
+        dropped = set(free.start_t_ns.tolist()) - set(broken.start_t_ns.tolist())
         assert dropped  # the rift-spanning starts are gone
-        for w in broken:
-            t = t_ns[np.searchsorted(t_ns, w.start_t_ns) + np.arange(50)]
+        for start in broken.start_t_ns:
+            t = t_ns[np.searchsorted(t_ns, start) + np.arange(50)]
             assert int(np.diff(t).max()) <= 2 * PERIOD_NS
+
+
+def _pairs(windows):
+    return list(zip(windows.labels.tolist(), windows.start_t_ns.tolist()))
 
 
 class TestOversample:
     def test_exact_balance_and_originals_kept(self):
         rng = np.random.default_rng(7)
         labeled = random_labeled(rng, 3000)
-        rec = _recording_for(labeled)
         cfg = SplitConfig(oversample=False)
-        ds = build_split(rec, labeled, cfg)
+        ds = build_split(labeled, cfg)
         balanced = oversample_train(ds.train, seed=3)
-        counts = collections.Counter(int(w.label) for w in balanced)
+        counts = collections.Counter(balanced.labels.tolist())
         assert len(set(counts.values())) == 1
         assert max(counts.values()) == max(
-            collections.Counter(int(w.label) for w in ds.train).values()
+            collections.Counter(ds.train.labels.tolist()).values()
         )
         # every original window instance is still present
-        orig = collections.Counter(
-            (int(w.label), w.start_t_ns) for w in ds.train
-        )
-        new = collections.Counter((int(w.label), w.start_t_ns) for w in balanced)
+        orig = collections.Counter(_pairs(ds.train))
+        new = collections.Counter(_pairs(balanced))
         for key, cnt in orig.items():
             assert new[key] >= cnt
+        # chronological, and each original precedes its duplicates
+        assert np.all(np.diff(balanced.start_t_ns) >= 0)
 
     def test_deterministic(self):
         rng = np.random.default_rng(8)
         labeled = random_labeled(rng, 2000)
-        rec = _recording_for(labeled)
-        ds = build_split(rec, labeled, SplitConfig(oversample=False))
+        ds = build_split(labeled, SplitConfig(oversample=False))
         a = oversample_train(ds.train, seed=5)
         b = oversample_train(ds.train, seed=5)
-        assert [(int(w.label), w.start_t_ns) for w in a] == [
-            (int(w.label), w.start_t_ns) for w in b
-        ]
+        assert _pairs(a) == _pairs(b)
 
     def test_empty_rejected(self):
+        empty = Windows(
+            np.empty((0, 4), np.int64), np.empty(0, np.int64), np.empty(0, np.int64)
+        )
         with pytest.raises(DataError):
-            oversample_train([], seed=0)
+            oversample_train(empty, seed=0)
 
 
 class TestBuildSplit:
@@ -253,28 +416,23 @@ class TestBuildSplit:
         rng = np.random.default_rng(9)
         for _ in range(5):
             labeled = random_labeled(rng, int(rng.integers(1500, 4000)))
-            rec = _recording_for(labeled)
-            plain = build_split(rec, labeled, SplitConfig(oversample=False))
-            balanced = build_split(rec, labeled, SplitConfig(oversample=True))
+            plain = build_split(labeled, SplitConfig(oversample=False))
+            balanced = build_split(labeled, SplitConfig(oversample=True))
             # oversampling must not move, add, or drop a single test window
-            key = lambda ws: [(int(w.label), w.start_t_ns) for w in ws]
-            assert key(balanced.test) == key(plain.test)
-            assert not (
-                balanced.source_index_set("train")
-                & balanced.source_index_set("test")
+            assert _pairs(balanced.test) == _pairs(plain.test)
+            assert np.array_equal(balanced.test.src, plain.test.src)
+            assert not set(balanced.train.src.ravel().tolist()) & set(
+                balanced.test.src.ravel().tolist()
             )
-            counts = collections.Counter(int(w.label) for w in balanced.train)
+            counts = collections.Counter(balanced.train.labels.tolist())
             assert len(set(counts.values())) == 1
 
     def test_pre_oversample_counts_recorded(self):
         rng = np.random.default_rng(10)
         labeled = random_labeled(rng, 2500)
-        rec = _recording_for(labeled)
-        plain = build_split(rec, labeled, SplitConfig(oversample=False))
-        balanced = build_split(rec, labeled, SplitConfig(oversample=True))
-        want = np.bincount(
-            [int(w.label) for w in plain.train], minlength=N_CLASSES
-        )
+        plain = build_split(labeled, SplitConfig(oversample=False))
+        balanced = build_split(labeled, SplitConfig(oversample=True))
+        want = np.bincount(plain.train.labels, minlength=N_CLASSES)
         assert np.array_equal(balanced.pre_oversample_counts, want)
 
     def test_absent_classes_reported(self):
@@ -284,51 +442,40 @@ class TestBuildSplit:
             np.arange(1200, dtype=np.int64) * PERIOD_NS,
             np.where(np.arange(1200) < 600, 0, 2).astype(np.int8),
         )
-        rec = _recording_for(labeled)
-        ds = build_split(rec, labeled, SplitConfig())
+        ds = build_split(labeled, SplitConfig())
         assert ds.absent_classes == (1, 3, 4)
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(11)
         labeled = random_labeled(rng, 2000)
         rec = _recording_for(labeled)
-        a = build_split(rec, labeled, SplitConfig(rng_seed=4))
-        b = build_split(rec, labeled, SplitConfig(rng_seed=4))
-        data_a, labels_a = windows_to_arrays(a.train)
-        data_b, labels_b = windows_to_arrays(b.train)
+        a = build_split(labeled, SplitConfig(rng_seed=4))
+        b = build_split(labeled, SplitConfig(rng_seed=4))
+        data_a, labels_a = windows_to_arrays(rec.samples, a.train)
+        data_b, labels_b = windows_to_arrays(rec.samples, b.train)
         assert np.array_equal(data_a, data_b)
         assert np.array_equal(labels_a, labels_b)
 
     def test_check_no_leakage_raises_on_overlap(self):
-        w = LabeledWindow(
-            data=np.zeros((1, 4), np.float32),
-            label=0,
-            start_t_ns=0,
-            partition="train",
-            source_indices=np.array([1, 2, 3, 4]),
-        )
-        v = LabeledWindow(
-            data=np.zeros((1, 4), np.float32),
-            label=0,
-            start_t_ns=99,
-            partition="test",
-            source_indices=np.array([4, 5, 6, 7]),
-        )
-        with pytest.raises(DataError, match="leakage"):
-            check_no_leakage(SplitDataset(train=[w], test=[v]))
+        w = Windows(np.array([[1, 2, 3, 4]]), np.array([0]), np.array([0]))
+        v = Windows(np.array([[4, 5, 6, 7]]), np.array([0]), np.array([99]))
+        with pytest.raises(DataError, match=r"leakage: 1 shared .*\[4\]"):
+            check_no_leakage(SplitDataset(train=w, test=v))
+        check_no_leakage(SplitDataset(train=w, test=w.take(np.array([], int))))
 
     def test_windows_to_arrays_shapes(self):
         rng = np.random.default_rng(12)
         labeled = random_labeled(rng, 1500)
         rec = _recording_for(labeled, n_channels=3)
-        ds = build_split(rec, labeled, SplitConfig())
-        data, labels = windows_to_arrays(ds.train)
+        ds = build_split(labeled, SplitConfig())
+        data, labels = windows_to_arrays(rec.samples, ds.train)
         assert data.dtype == np.float32
         assert labels.dtype == np.int64
         assert data.shape[1:] == (3, 125)
+        assert data.flags.c_contiguous
         assert len(data) == len(labels) == len(ds.train)
         with pytest.raises(DataError):
-            windows_to_arrays([])
+            windows_to_arrays(rec.samples, ds.train.take(np.array([], int)))
 
 
 class TestSplitConfig:

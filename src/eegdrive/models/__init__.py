@@ -8,7 +8,6 @@ from .nets import (
     build_model,
     log_softmax,
     loss_weighted_ce,
-    softmax,
     weighted_ce_from_logprobs,
 )
 from .trainer import (
@@ -32,7 +31,6 @@ __all__ = [
     "build_model",
     "log_softmax",
     "loss_weighted_ce",
-    "softmax",
     "weighted_ce_from_logprobs",
     "Adam",
     "TrainConfig",

@@ -30,10 +30,6 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
     return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    return np.exp(log_softmax(logits))
-
-
 def weighted_ce_from_logprobs(
     logp: np.ndarray, labels: np.ndarray, class_weights: np.ndarray
 ) -> float:

@@ -219,6 +219,13 @@ def stage_split(cfg: RunConfig, ws: Workspace, session_id: str) -> None:
             out_dir = ws.windows_dir(session_id, delta)
             out_dir.mkdir(parents=True, exist_ok=True)
             for partition, windows in (("train", ds.train), ("test", ds.test)):
+                if len(windows) == 0:
+                    raise DataError(
+                        f"delta={delta}: the {partition} partition has no windows: "
+                        f"no run of {cfg.split.window_len} gap-free samples "
+                        f"(gap_break_ns={cfg.split.gap_break_ns}, "
+                        f"n_chunks={cfg.split.n_chunks})"
+                    )
                 data, labels = windows_to_arrays(session.eeg.samples, windows)
                 write_windows(
                     ws.windows_base(session_id, delta, partition),

@@ -28,6 +28,8 @@ from .session import EegRecording
 # Fractions of windows that must misbehave before a channel is flagged.
 CORRELATION_BAD_WINDOW_FRAC = 0.01
 RANSAC_BAD_WINDOW_FRAC = 0.4
+# Bad-channel detections the robust reference runs before it stops.
+MAX_REFERENCE_ITERATIONS = 4
 
 _MAD_SCALE = 1.4826  # consistent estimator of sigma for normal data
 
@@ -38,7 +40,6 @@ class FilterSpec:
     highpass_order: int = 4
     notch_hz: float = 50.0
     notch_q: float = 30.0
-    zero_phase: bool = True
     edge_trim_s: float = 1.0  # filter transient margin excluded from windowing
 
     def __post_init__(self):
@@ -278,13 +279,6 @@ class PreprocessReport:
     interpolated: tuple[str, ...] = ()
 
     @property
-    def all_bad(self) -> set[str]:
-        out: set[str] = set()
-        for it in self.bad_channels:
-            out.update(it)
-        return out
-
-    @property
     def final_bad(self) -> dict[str, tuple[str, ...]]:
         return dict(self.bad_channels[-1]) if self.bad_channels else {}
 
@@ -302,15 +296,15 @@ class PreprocessReport:
 def robust_average_reference(
     rec: EegRecording,
     criteria: BadChannelCriteria,
-    max_iter: int = 4,
     seed: int = 0,
 ) -> tuple[EegRecording, PreprocessReport]:
     """Average-reference the recording using only channels that test clean.
 
     Iterates {subtract the mean of the currently-good channels, re-detect}
     until the flagged set repeats. A newly seen set continues the loop (up
-    to ``max_iter`` detections); revisiting an earlier, non-adjacent set is
-    an oscillation and resolves to the union of everything seen.
+    to ``MAX_REFERENCE_ITERATIONS`` detections); revisiting an earlier,
+    non-adjacent set is an oscillation and resolves to the union of
+    everything seen.
     """
     report = PreprocessReport()
     x = rec.samples
@@ -340,7 +334,7 @@ def robust_average_reference(
             break
         seen.append(frozenset(bad))
         bad = new_bad
-        if report.reference_iterations >= max_iter:
+        if report.reference_iterations >= MAX_REFERENCE_ITERATIONS:
             break
     good_idx = [i for i, n in enumerate(names) if n not in bad]
     if not good_idx:
@@ -399,8 +393,6 @@ def preprocess_session(
     rec: EegRecording,
     spec: FilterSpec,
     criteria: BadChannelCriteria,
-    max_iter: int = 4,
-    zscore: bool = True,
     seed: int = 0,
 ) -> tuple[EegRecording, PreprocessReport]:
     """Run the full cleaning chain; returns the cleaned recording and report."""
@@ -408,15 +400,9 @@ def preprocess_session(
     x = filter_zero_phase(rec.samples, design_highpass(spec, fs))
     x = filter_zero_phase(x, design_notch(spec, fs))
     filtered = rec.with_samples(x)
-    referenced, report = robust_average_reference(
-        filtered, criteria, max_iter=max_iter, seed=seed
-    )
-    report.stages = ["highpass", "notch", "robust_reference"]
+    referenced, report = robust_average_reference(filtered, criteria, seed=seed)
     bad = sorted(report.final_bad)
-    out = interpolate_channels(referenced, bad)
-    report.stages.append("interpolate")
+    out = zscore_channels(interpolate_channels(referenced, bad))
+    report.stages = ["highpass", "notch", "robust_reference", "interpolate", "zscore"]
     report.interpolated = tuple(bad)
-    if zscore:
-        out = zscore_channels(out)
-        report.stages.append("zscore")
     return out, report

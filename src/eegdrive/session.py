@@ -10,12 +10,10 @@ scalar records are small dataclasses.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
-
-from .errors import DataError
 
 NS_PER_MS = 1_000_000
 NS_PER_S = 1_000_000_000
@@ -35,22 +33,6 @@ N_CLASSES = len(CommandLabel)
 
 #: Anticipation horizons (ms) supported by the labelling protocol.
 HORIZONS_MS = (0, 300, 400, 500, 600, 700, 800, 900, 1000)
-
-
-def validate_horizon(delta_ms: int) -> int:
-    """Return ``delta_ms`` unchanged if it is a supported horizon, else raise."""
-    if delta_ms not in HORIZONS_MS:
-        raise ValueError(f"horizon {delta_ms} ms not one of {HORIZONS_MS}")
-    return int(delta_ms)
-
-
-def duration_between(a: int, b: int) -> int:
-    """Signed duration ``b - a`` in nanoseconds.
-
-    Inputs are converted to Python ints first, so the subtraction is exact
-    for any representable timestamp (no silent int64 wraparound).
-    """
-    return int(b) - int(a)
 
 
 # --------------------------------------------------------------------------
@@ -204,12 +186,6 @@ class EegRecording:
     def channel_names(self) -> list[str]:
         return [c.name for c in self.channels]
 
-    def channel_index(self, name: str) -> int:
-        for i, c in enumerate(self.channels):
-            if c.name == name:
-                return i
-        raise KeyError(name)
-
     def with_samples(self, samples: np.ndarray) -> "EegRecording":
         """Same metadata and timestamps, new sample matrix."""
         return EegRecording(self.channels, self.timestamps, samples, self.sample_rate_hz)
@@ -217,7 +193,7 @@ class EegRecording:
 
 @dataclass
 class JoystickStream:
-    """Column-oriented joystick stream with strictly increasing timestamps."""
+    """Column-oriented joystick stream; ``ingest`` enforces its stream rules."""
 
     t_ns: np.ndarray
     v_x: np.ndarray
@@ -231,18 +207,6 @@ class JoystickStream:
             raise ValueError("joystick stream columns must share one length")
         if self.t_ns.ndim != 1:
             raise ValueError("joystick stream columns must be 1-D")
-        if len(self.t_ns) and np.any(np.diff(self.t_ns) <= 0):
-            raise DataError("joystick timestamps must be strictly increasing")
-        bad = np.nonzero(
-            ~np.isfinite(self.v_x) | ~np.isfinite(self.omega_z)
-            | (np.abs(self.v_x) > 1.0) | (np.abs(self.omega_z) > 1.0)
-        )[0]
-        if len(bad):
-            i = int(bad[0])
-            raise DataError(
-                f"joystick sample {i} outside [-1, 1]: "
-                f"v_x={self.v_x[i]}, omega_z={self.omega_z[i]}"
-            )
         for a in (self.t_ns, self.v_x, self.omega_z):
             a.setflags(write=False)
 
@@ -270,80 +234,3 @@ class SessionManifest:
         names = [c.name for c in self.montage]
         if len(set(names)) != len(names):
             raise ValueError("montage channel names must be unique")
-
-
-# --------------------------------------------------------------------------
-# Validation
-# --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ValidationIssue:
-    kind: str  # "monotonicity" | "nonfinite" | "drift"
-    message: str
-    index: int | None = None
-    channel: str | None = None
-
-
-@dataclass
-class ValidationReport:
-    issues: list[ValidationIssue] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.issues
-
-    def by_kind(self, kind: str) -> list[ValidationIssue]:
-        return [i for i in self.issues if i.kind == kind]
-
-
-def validate_recording(
-    rec: EegRecording, drift_tolerance: float = 0.01
-) -> ValidationReport:
-    """Check a recording against its stream invariants.
-
-    Reports, per issue kind:
-
-    * ``monotonicity``: every index i where timestamps[i] <= timestamps[i-1];
-    * ``nonfinite``: every channel containing NaN or infinity, with the first
-      offending sample index and a count;
-    * ``drift``: the median inter-sample gap disagrees with the nominal
-      sample period by more than ``drift_tolerance`` (fractional).
-    """
-    report = ValidationReport()
-    ts = rec.timestamps
-    if len(ts) >= 2:
-        gaps = np.diff(ts)
-        for i in np.nonzero(gaps <= 0)[0]:
-            report.issues.append(
-                ValidationIssue(
-                    "monotonicity",
-                    f"timestamp at index {i + 1} does not increase "
-                    f"({ts[i]} -> {ts[i + 1]})",
-                    index=int(i + 1),
-                )
-            )
-        nominal = 1e9 / rec.sample_rate_hz
-        median_gap = float(np.median(gaps))
-        if abs(median_gap - nominal) > drift_tolerance * nominal:
-            report.issues.append(
-                ValidationIssue(
-                    "drift",
-                    f"median gap {median_gap / 1e6:.3f} ms vs nominal "
-                    f"{nominal / 1e6:.3f} ms at {rec.sample_rate_hz} Hz",
-                )
-            )
-    finite = np.isfinite(rec.samples)
-    for c in np.nonzero(~finite.all(axis=1))[0]:
-        bad = np.nonzero(~finite[c])[0]
-        name = rec.channels[c].name
-        report.issues.append(
-            ValidationIssue(
-                "nonfinite",
-                f"channel {name} has {len(bad)} non-finite samples "
-                f"(first at index {int(bad[0])})",
-                index=int(bad[0]),
-                channel=name,
-            )
-        )
-    return report

@@ -39,6 +39,7 @@ from scipy import signal
 
 from .errors import DataError
 from .ingest import SessionDir, write_session_dir
+from .labels import LabeledSamples, write_labels_csv
 from .session import (
     N_CLASSES,
     NS_PER_MS,
@@ -129,17 +130,6 @@ class SynthConfig:
         return self.tone_rms_uv * 10.0 ** (-self.snr_db / 20.0)
 
 
-@dataclass(frozen=True)
-class TruthTrack:
-    """Ground-truth class code for every EEG sample, by the generator."""
-
-    t_ns: np.ndarray
-    codes: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.t_ns)
-
-
 def _pink_filter(white: np.ndarray) -> np.ndarray:
     """Paul Kellet's economy pink approximation: three parallel one-pole
     low-passes plus a direct term, applied along the last axis."""
@@ -203,7 +193,10 @@ def _class_gains(cfg: SynthConfig, positions: np.ndarray) -> np.ndarray:
     return positions @ dirs
 
 
-def generate_session(cfg: SynthConfig) -> tuple[SessionDir, TruthTrack]:
+def generate_session(cfg: SynthConfig) -> tuple[SessionDir, LabeledSamples]:
+    """One session plus its ground truth: every EEG sample labelled with the
+    command at the joystick tick nearest t + lag, as a ``LabeledSamples``
+    at delta = the generative lag."""
     period_ns = round(NS_PER_S / cfg.sample_rate_hz)
     tick_ns = round(NS_PER_S / cfg.joystick_rate_hz)
     lag_ns = round(cfg.label_lag_ms * NS_PER_MS)
@@ -220,7 +213,12 @@ def generate_session(cfg: SynthConfig) -> tuple[SessionDir, TruthTrack]:
     intent = _codes_at(starts, seg_codes, eeg_t + lag_ns)
     # ground truth quantized to the joystick clock, nearest tick to t + lag
     nearest_tick = (eeg_t + lag_ns + tick_ns // 2) // tick_ns
-    truth = _codes_at(starts, seg_codes, nearest_tick * tick_ns)
+    truth = LabeledSamples(
+        delta_ms=round(cfg.label_lag_ms),
+        indices=np.arange(n_eeg),
+        t_ns=eeg_t,
+        labels=_codes_at(starts, seg_codes, nearest_tick * tick_ns),
+    )
 
     montage = synthetic_montage(cfg.n_channels)
     names = [c.name for c in montage]
@@ -299,42 +297,12 @@ def generate_session(cfg: SynthConfig) -> tuple[SessionDir, TruthTrack]:
         eeg=EegRecording(montage, eeg_t, x, cfg.sample_rate_hz),
         joystick=JoystickStream(joy_t, v_x, omega_z),
     )
-    return session, TruthTrack(t_ns=eeg_t, codes=truth)
-
-
-def write_truth_csv(path: str | Path, truth: TruthTrack) -> Path:
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        fh.write("t_ns,label_code\n")
-        for t, c in zip(truth.t_ns.tolist(), truth.codes.tolist()):
-            fh.write(f"{t},{c}\n")
-    return path
-
-
-def read_truth_csv(path: str | Path) -> TruthTrack:
-    path = Path(path)
-    t_list: list[int] = []
-    c_list: list[int] = []
-    with path.open() as fh:
-        header = fh.readline().rstrip("\n")
-        if header != "t_ns,label_code":
-            raise DataError(f"{path}: unexpected header {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            try:
-                t_str, c_str = line.rstrip("\n").split(",")
-                t_list.append(int(t_str))
-                c_list.append(int(c_str))
-            except ValueError as e:
-                raise DataError(f"{path}:{lineno}: {e}") from e
-    return TruthTrack(
-        t_ns=np.asarray(t_list, dtype=np.int64),
-        codes=np.asarray(c_list, dtype=np.int8),
-    )
+    return session, truth
 
 
 def write_synthetic_session(out_dir: str | Path, cfg: SynthConfig) -> Path:
     """Generate and persist one session; returns its directory."""
     session, truth = generate_session(cfg)
     root = write_session_dir(out_dir, session)
-    write_truth_csv(root / TRUTH_NAME, truth)
+    write_labels_csv(root / TRUTH_NAME, truth)
     return root

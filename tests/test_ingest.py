@@ -1,9 +1,13 @@
 """Alignment against an exhaustive oracle, plus session-directory IO."""
 
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from eegdrive.errors import DataError
 from eegdrive.ingest import (
@@ -149,10 +153,11 @@ class TestSessionDirIO:
     def test_manifest_bad_version(self, tmp_path):
         root = write_session_dir(tmp_path / "sess", _toy_session())
         raw = json.loads((root / MANIFEST_NAME).read_text())
-        raw["format_version"] = 99
-        (root / MANIFEST_NAME).write_text(json.dumps(raw))
-        with pytest.raises(DataError, match="format_version"):
-            load_session(root)
+        for version in (99, True, 1.0):  # JSON true and 1.0 are not the integer 1
+            raw["format_version"] = version
+            (root / MANIFEST_NAME).write_text(json.dumps(raw))
+            with pytest.raises(DataError, match="format_version"):
+                load_session(root)
 
     def test_eeg_wrong_field_count_reports_line(self, tmp_path):
         root = write_session_dir(tmp_path / "sess", _toy_session())
@@ -230,3 +235,48 @@ class TestSessionDirIO:
         )
         with pytest.raises(DataError, match="montage"):
             SessionDir(other, sess.eeg, sess.joystick)
+
+
+class TestReadersUnderCorruption:
+    """Whatever happens to one session file, ``load_session`` either returns
+    or raises ``DataError``: no other exception escapes."""
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        root = write_session_dir(
+            tmp_path_factory.mktemp("clean") / "sess", _toy_session(n_samples=30)
+        )
+        return {name: (root / name).read_bytes()
+                for name in (MANIFEST_NAME, EEG_NAME, JOYSTICK_NAME)}
+
+    @seed(20261018)
+    @settings(
+        derandomize=True,
+        max_examples=300,
+        deadline=None,
+    )
+    @given(
+        name=st.sampled_from([MANIFEST_NAME, EEG_NAME, JOYSTICK_NAME]),
+        mutation=st.sampled_from(["truncate", "byte", "line"]),
+        where=st.floats(0.0, 1.0, exclude_max=True),
+        byte=st.integers(0, 255),
+        text=st.text(max_size=40),
+    )
+    def test_only_data_error_escapes(self, files, name, mutation, where, byte, text):
+        blob = bytearray(files[name])
+        if mutation == "truncate":
+            blob = blob[: int(where * len(blob))]
+        elif mutation == "byte":
+            blob[int(where * len(blob))] = byte
+        else:
+            lines = bytes(blob).split(b"\n")
+            lines[int(where * len(lines))] = text.encode("utf-8")
+            blob = bytearray(b"\n".join(lines))
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            for other, content in files.items():
+                (root / other).write_bytes(bytes(blob) if other == name else content)
+            try:
+                load_session(root)
+            except DataError:
+                pass

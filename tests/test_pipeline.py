@@ -23,6 +23,11 @@ SMALL = {
 }
 
 
+# the timestamps of the third line of a simulated session's stream files
+JOY_T3 = b'"t_ns": 200000000'
+EEG_T3 = b"\n8000000,"
+
+
 def _write_cfg(tmp_path, doc=SMALL, name="cfg.json"):
     p = tmp_path / name
     p.write_text(json.dumps(doc))
@@ -144,6 +149,51 @@ class TestSubcommands:
         channel = lines[0].split(",")[3]
         assert f"eeg.csv:7: non-finite sample nan in channel {channel}" in captured.err
 
+    @pytest.mark.parametrize(
+        "name, lineno, old, new, rule",
+        [
+            ("joystick.jsonl", 3, JOY_T3, b'"t_ns": true', "JSON integer"),
+            ("joystick.jsonl", 3, JOY_T3, b'"t_ns": 100000000.5', "JSON integer"),
+            ("joystick.jsonl", 3, JOY_T3, b'"t_ns": "200000000"', "JSON integer"),
+            ("joystick.jsonl", 3, JOY_T3, b'"t_ns": 1e400', "JSON integer"),
+            ("joystick.jsonl", 3, JOY_T3, b'"t_ns": 9223372036854775808', "2^63"),
+            ("eeg.csv", 3, EEG_T3, b"\n9223372036854775808,", "not below 2^63"),
+            ("eeg.csv", 3, EEG_T3, b"\n8\xff00000,", "not UTF-8"),
+            ("joystick.jsonl", 3, JOY_T3, b'"t_ns": 2\xff0000000', "not UTF-8"),
+            ("manifest.json", 3, b"synthetic", b"synth\xe9tic", "not UTF-8"),
+        ],
+    )
+    def test_validate_reports_file_and_line(
+        self, baseline, tmp_path, capsys, name, lineno, old, new, rule
+    ):
+        _, out = baseline
+        session = tmp_path / "synth-0000"
+        shutil.copytree(out / "sessions" / "synth-0000", session)
+        path = session / name
+        blob = path.read_bytes()
+        assert old in blob
+        path.write_bytes(blob.replace(old, new, 1))
+        assert main(["validate", str(session)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{path}:{lineno}: " in captured.err and rule in captured.err
+
+    @pytest.mark.parametrize(
+        "edit, rule",
+        [
+            ({"channels": 5}, "channels must be a list"),
+            ({"sample_rate_hz": 128.0}, "median sample gap"),
+        ],
+    )
+    def test_validate_rejects_manifest(self, baseline, tmp_path, capsys, edit, rule):
+        _, out = baseline
+        session = tmp_path / "synth-0000"
+        shutil.copytree(out / "sessions" / "synth-0000", session)
+        manifest = session / "manifest.json"
+        manifest.write_text(json.dumps(dict(json.loads(manifest.read_text()), **edit)))
+        assert main(["validate", str(session)]) == 3
+        assert rule in capsys.readouterr().err
+
     def test_jobs_only_on_run_all(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["split", "--out", str(tmp_path), "--jobs", "2"])
@@ -237,6 +287,24 @@ class TestExitCodes:
         assert rc == 3
         err = capsys.readouterr().err
         assert "[eval]" in err and "linear_0" in err and "no checkpoint" in err
+
+    def test_removed_zero_phase_knob_is_2(self, tmp_path, capsys):
+        cfg = _write_cfg(tmp_path, {"filters": {"zero_phase": False}})
+        rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "ws")])
+        assert rc == 2
+        assert "zero_phase" in capsys.readouterr().err
+
+    def test_empty_split_partition_names_its_cause(self, tmp_path, capsys):
+        # 20 ms gap breaks: the short test chunks of a 60 s session hold no
+        # gap-free run of one window, so every test window is dropped
+        doc = dict(SMALL, n_sessions=1, synth={"duration_s": 60.0},
+                   split={"gap_break_ns": 20_000_000})
+        cfg = _write_cfg(tmp_path, doc)
+        rc = main(["run-all", "--config", str(cfg), "--out", str(tmp_path / "ws")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "[split] synth-0000: delta=300: the test partition has no windows" in err
+        assert "gap_break_ns=20000000, n_chunks=100" in err
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")

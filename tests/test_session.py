@@ -1,4 +1,5 @@
-"""Core data-model and stream-validation tests."""
+"""Core data-model tests, and the stream rules ``load_session`` enforces on a
+written session directory."""
 
 import math
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from eegdrive.errors import DataError
+from eegdrive.ingest import DRIFT_TOLERANCE, SessionDir, load_session, write_session_dir
 from eegdrive.session import (
     DEFAULT_MONTAGE_NAMES,
     HORIZONS_MS,
@@ -15,10 +17,7 @@ from eegdrive.session import (
     JoystickStream,
     SessionManifest,
     default_montage,
-    duration_between,
     synthetic_montage,
-    validate_horizon,
-    validate_recording,
 )
 
 PERIOD_NS = 8_000_000  # 125 Hz
@@ -34,6 +33,18 @@ def _recording(n_channels=4, n_samples=400, fs=125.0, period_ns=PERIOD_NS, seed=
     )
 
 
+def _joystick(t_ns=(0, 100_000_000), v_x=(0.5, -0.5)):
+    return JoystickStream(np.array(t_ns), np.array(v_x), np.zeros(len(t_ns)))
+
+
+def _write_and_load(tmp_path, rec=None, joy=None):
+    """Write a session directory and parse it back, rules and all."""
+    rec = _recording() if rec is None else rec
+    manifest = SessionManifest("s01", "r01", rec.sample_rate_hz, tuple(rec.channels))
+    session = SessionDir(manifest, rec, _joystick() if joy is None else joy)
+    return load_session(write_session_dir(tmp_path / "sess", session))
+
+
 class TestConstants:
     def test_command_codes(self):
         assert CommandLabel.FORWARD == 0
@@ -45,16 +56,6 @@ class TestConstants:
 
     def test_horizon_ladder(self):
         assert HORIZONS_MS == (0, 300, 400, 500, 600, 700, 800, 900, 1000)
-
-    def test_validate_horizon(self):
-        for h in HORIZONS_MS:
-            assert validate_horizon(h) == h
-        for h in (150, -300, 1100):
-            with pytest.raises(ValueError):
-                validate_horizon(h)
-
-    def test_duration_between(self):
-        assert duration_between(1_000, 3_500) == 2_500
 
 
 class TestMontage:
@@ -95,12 +96,6 @@ class TestEegRecording:
         assert np.array_equal(out.timestamps, rec.timestamps)
         assert float(np.abs(out.samples).max()) == 0.0
 
-    def test_channel_index(self):
-        rec = _recording(n_channels=16)
-        assert rec.channel_index("C3") == DEFAULT_MONTAGE_NAMES.index("C3")
-        with pytest.raises(KeyError):
-            rec.channel_index("Cz")
-
     def test_shape_validation(self):
         mont = synthetic_montage(4)
         ts = np.arange(10, dtype=np.int64)
@@ -111,60 +106,58 @@ class TestEegRecording:
 
 
 class TestValidateRecording:
-    def test_clean_recording_passes(self):
-        report = validate_recording(_recording())
-        assert report.ok
-        assert report.issues == []
+    """The EEG stream rules, reported by file and line (header = line 1)."""
 
-    def test_duplicate_timestamp_flagged(self):
+    def test_clean_recording_passes(self, tmp_path):
+        rec = _recording()
+        back = _write_and_load(tmp_path, rec)
+        assert np.array_equal(back.eeg.timestamps, rec.timestamps)
+
+    def test_duplicate_timestamp_flagged(self, tmp_path):
         rec = _recording()
         ts = rec.timestamps.copy()
         ts[10] = ts[9]
         bad = EegRecording(rec.channels, ts, rec.samples, rec.sample_rate_hz)
-        report = validate_recording(bad)
-        issues = report.by_kind("monotonicity")
-        assert len(issues) == 1
-        assert issues[0].index == 10  # the sample that failed to advance
-        assert not report.ok
+        # the sample that failed to advance is row 10, on line 12
+        with pytest.raises(DataError, match=r"eeg\.csv:12: .* does not increase past"):
+            _write_and_load(tmp_path, bad)
 
-    def test_nonfinite_channel_flagged_by_name(self):
+    def test_nonfinite_channel_flagged_by_name(self, tmp_path):
         rec = _recording()
         samples = rec.samples.copy()
         samples[2, 5] = np.nan
         samples[2, 6] = np.inf
-        bad = rec.with_samples(samples)
-        report = validate_recording(bad)
-        issues = report.by_kind("nonfinite")
-        assert len(issues) == 1
-        assert issues[0].channel == rec.channel_names[2]
-        assert issues[0].index == 5
+        name = rec.channel_names[2]
+        with pytest.raises(
+            DataError, match=rf"eeg\.csv:7: non-finite sample nan in channel {name}"
+        ):
+            _write_and_load(tmp_path, rec.with_samples(samples))
 
-    def test_clock_drift_flagged(self):
+    def test_clock_drift_flagged(self, tmp_path):
         # stamps tick at 4 ms while the manifest claims 125 Hz
-        rec = _recording(period_ns=4_000_000)
-        report = validate_recording(rec)
-        assert len(report.by_kind("drift")) == 1
+        with pytest.raises(DataError, match="median sample gap 4.000 ms"):
+            _write_and_load(tmp_path, _recording(period_ns=4_000_000))
 
-    def test_drift_tolerance_is_fractional(self):
-        rec = _recording(period_ns=int(PERIOD_NS * 1.005))
-        assert validate_recording(rec, drift_tolerance=0.01).ok
-        assert not validate_recording(rec, drift_tolerance=0.001).ok
+    def test_drift_tolerance_is_fractional(self, tmp_path):
+        within = int(PERIOD_NS * (1 + DRIFT_TOLERANCE / 2))
+        _write_and_load(tmp_path, _recording(period_ns=within))
+        beyond = int(PERIOD_NS * (1 + 2 * DRIFT_TOLERANCE))
+        with pytest.raises(DataError, match="median sample gap"):
+            _write_and_load(tmp_path, _recording(period_ns=beyond))
 
 
 class TestJoystickStream:
-    def test_value_range_enforced(self):
-        with pytest.raises(DataError, match=r"outside \[-1, 1\]"):
-            JoystickStream(np.array([0]), np.array([1.2]), np.array([0.0]))
+    def test_value_range_enforced(self, tmp_path):
+        with pytest.raises(DataError, match=r"jsonl:2: vx value 1.2 outside \[-1, 1\]"):
+            _write_and_load(tmp_path, joy=_joystick(v_x=(0.0, 1.2)))
 
-    def test_nonfinite_rejected(self):
-        with pytest.raises(DataError):
-            JoystickStream(np.array([0]), np.array([np.nan]), np.array([0.0]))
+    def test_nonfinite_rejected(self, tmp_path):
+        with pytest.raises(DataError, match=r"joystick\.jsonl:1: non-finite sample nan"):
+            _write_and_load(tmp_path, joy=_joystick(v_x=(np.nan, 0.0)))
 
-    def test_strictly_increasing_timestamps(self):
-        with pytest.raises(DataError, match="increasing"):
-            JoystickStream(
-                np.array([0, 0]), np.array([0.0, 0.0]), np.array([0.0, 0.0])
-            )
+    def test_strictly_increasing_timestamps(self, tmp_path):
+        with pytest.raises(DataError, match="does not increase past 0"):
+            _write_and_load(tmp_path, joy=_joystick(t_ns=(0, 0)))
 
     def test_len_and_read_only_columns(self):
         joy = JoystickStream(

@@ -7,16 +7,19 @@ import pytest
 
 from eegdrive.errors import DataError
 from eegdrive.ingest import AlignmentConfig, load_session
-from eegdrive.labels import LabelRule, label_at_horizon
+from eegdrive.labels import (
+    LabelRule,
+    label_at_horizon,
+    read_labels_csv,
+    write_labels_csv,
+)
 from eegdrive.preprocess import tone_power
 from eegdrive.session import NS_PER_S
 from eegdrive.synth import (
     TRUTH_NAME,
     SynthConfig,
     generate_session,
-    read_truth_csv,
     write_synthetic_session,
-    write_truth_csv,
 )
 
 FS = 125.0
@@ -42,7 +45,7 @@ class TestPureToneSession:
     def test_every_channel_is_a_pure_forward_tone(self):
         session, truth = generate_session(self.CFG)
         x = session.eeg.samples
-        assert np.all(truth.codes == 0)
+        assert np.all(truth.labels == 0)
         for i in range(x.shape[0]):
             total = 2.0 * float(np.mean(np.square(x[i])))
             at_tone = tone_power(x[i], 30.0, FS)
@@ -123,10 +126,10 @@ class TestSpectralContent:
         x = session.eeg.samples
         floor = None
         for seg, code in enumerate(c for _, c in self.SCHEDULE):
-            mask = np.zeros(len(truth.codes), dtype=bool)
+            mask = np.zeros(len(truth.labels), dtype=bool)
             lo = round(seg * 4.0 * FS)
             mask[lo : lo + round(4.0 * FS)] = True
-            idx = _interior(mask & (truth.codes == code))
+            idx = _interior(mask & (truth.labels == code))
             powers = np.array(
                 [sum(tone_power(x[i, idx], f, FS) for i in range(x.shape[0]))
                  for f in CLASS_FREQS]
@@ -159,7 +162,7 @@ class TestSchedule:
     def test_markov_dwell_times_bounded(self):
         cfg = SynthConfig(duration_s=240.0, rng_seed=7)
         _, truth = generate_session(cfg)
-        changes = np.nonzero(np.diff(truth.codes) != 0)[0]
+        changes = np.nonzero(np.diff(truth.labels) != 0)[0]
         runs_s = np.diff(changes) / FS
         assert len(runs_s) >= 30
         # dwell = segment_len * U(0.5, 1.5), quantized to the joystick tick
@@ -168,7 +171,7 @@ class TestSchedule:
 
     def test_all_classes_appear_in_a_long_walk(self):
         _, truth = generate_session(SynthConfig(duration_s=240.0, rng_seed=3))
-        assert set(np.unique(truth.codes)) == {0, 1, 2, 3, 4}
+        assert set(np.unique(truth.labels)) == {0, 1, 2, 3, 4}
 
     def test_explicit_schedule_too_short_rejected(self):
         cfg = SynthConfig(duration_s=20.0, schedule=((5.0, 0),))
@@ -188,7 +191,7 @@ class TestSchedule:
         safe = labeled.t_ns + 300_000_000 <= last_tick + tick_ns // 2
         assert safe.sum() > 7000
         assert np.array_equal(
-            labeled.labels[safe], truth.codes[labeled.indices[safe]]
+            labeled.labels[safe], truth.labels[labeled.indices[safe]]
         )
 
     def test_joystick_values_come_from_the_sign_table(self):
@@ -229,7 +232,7 @@ class TestDeterminism:
         b, tb = generate_session(SynthConfig(duration_s=12.0, rng_seed=11))
         assert np.array_equal(a.eeg.samples, b.eeg.samples)
         assert np.array_equal(a.joystick.v_x, b.joystick.v_x)
-        assert np.array_equal(ta.codes, tb.codes)
+        assert np.array_equal(ta.labels, tb.labels)
 
     def test_different_seed_differs(self):
         a, _ = generate_session(SynthConfig(duration_s=12.0, rng_seed=11))
@@ -249,9 +252,10 @@ class TestDeterminism:
         session = load_session(root)
         assert session.eeg.n_channels == 16
         assert session.eeg.n_samples == 1250
-        truth = read_truth_csv(root / TRUTH_NAME)
+        truth = read_labels_csv(root / TRUTH_NAME, 300, session.eeg.timestamps)
         assert len(truth) == 1250
         assert np.array_equal(truth.t_ns, session.eeg.timestamps)
+        assert np.array_equal(truth.indices, np.arange(1250))
 
     def test_pink_noise_variant_runs(self):
         white, _ = generate_session(SynthConfig(duration_s=8.0))
@@ -261,24 +265,29 @@ class TestDeterminism:
 
 
 class TestTruthCsv:
+    """The truth track is a labels file covering every sample at delta = lag."""
+
     def test_round_trip(self, tmp_path):
-        _, truth = generate_session(SynthConfig(duration_s=8.0))
-        p = write_truth_csv(tmp_path / "t.csv", truth)
-        back = read_truth_csv(p)
+        session, truth = generate_session(SynthConfig(duration_s=8.0))
+        assert truth.delta_ms == 300
+        assert np.array_equal(truth.t_ns, session.eeg.timestamps)
+        p = write_labels_csv(tmp_path / "t.csv", truth)
+        back = read_labels_csv(p, truth.delta_ms, session.eeg.timestamps)
         assert np.array_equal(back.t_ns, truth.t_ns)
-        assert np.array_equal(back.codes, truth.codes)
+        assert np.array_equal(back.indices, truth.indices)
+        assert np.array_equal(back.labels, truth.labels)
 
     def test_bad_header_rejected(self, tmp_path):
         p = tmp_path / "t.csv"
         p.write_text("time,code\n0,0\n")
         with pytest.raises(DataError, match="header"):
-            read_truth_csv(p)
+            read_labels_csv(p, 300, np.array([0]))
 
     def test_bad_row_reports_line(self, tmp_path):
         p = tmp_path / "t.csv"
         p.write_text("t_ns,label_code\n0,0\noops,1\n")
         with pytest.raises(DataError, match=":3"):
-            read_truth_csv(p)
+            read_labels_csv(p, 300, np.array([0, 1]))
 
 
 class TestConfigValidation:

@@ -81,12 +81,6 @@ def metrics_from_confusion(cm: np.ndarray) -> EvalResult:
     )
 
 
-def evaluate(
-    y_true: np.ndarray, y_pred: np.ndarray, n_classes: int = N_CLASSES
-) -> EvalResult:
-    return metrics_from_confusion(confusion_matrix(y_true, y_pred, n_classes))
-
-
 def mean_and_std(values) -> tuple[float, float]:
     """Mean and sample standard deviation (ddof=1); std is 0 for one value."""
     arr = np.asarray(values, dtype=np.float64)

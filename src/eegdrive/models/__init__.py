@@ -7,7 +7,6 @@ from .nets import (
     ShallowConvNetSpec,
     build_model,
     log_softmax,
-    loss_weighted_ce,
     weighted_ce_from_logprobs,
 )
 from .trainer import (
@@ -18,7 +17,6 @@ from .trainer import (
     gradient_check,
     load_checkpoint,
     predict,
-    predict_proba,
     save_checkpoint,
     train_model,
 )
@@ -30,7 +28,6 @@ __all__ = [
     "ShallowConvNetSpec",
     "build_model",
     "log_softmax",
-    "loss_weighted_ce",
     "weighted_ce_from_logprobs",
     "Adam",
     "TrainConfig",
@@ -39,7 +36,6 @@ __all__ = [
     "gradient_check",
     "load_checkpoint",
     "predict",
-    "predict_proba",
     "save_checkpoint",
     "train_model",
 ]

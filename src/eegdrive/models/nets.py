@@ -6,6 +6,8 @@ Everything here is plain numpy with hand-derived gradients. Convolutions
 are laid out as matrix products: the temporal and spatial stages are both
 linear, so their composition is evaluated as one effective kernel per
 forward pass. Parameters stay separate tensors; the composition is exact.
+Mean pooling is a matrix product too, by one fixed averaging matrix built
+with the net; its backward pass is the product by the same matrix.
 
 Training runs in float32. Passing float64 parameters and inputs switches
 the whole computation to float64, which is what the finite-difference
@@ -43,13 +45,6 @@ def weighted_ce_from_logprobs(
         logp[np.arange(n), labels], dtype=np.float64
     )
     return float(np.sort(per).sum() / n)
-
-
-def loss_weighted_ce(
-    probs: np.ndarray, labels: np.ndarray, class_weights: np.ndarray
-) -> float:
-    """Weighted cross-entropy from probabilities (rows must sum to one)."""
-    return weighted_ce_from_logprobs(np.log(probs), labels, class_weights)
 
 
 def _ce_dlogits(
@@ -175,6 +170,12 @@ class ShallowConvNet:
         self.conv_len = self.spec.conv_len(n_samples)
         self.n_frames = self.spec.n_frames(n_samples)
         self.n_features = self.spec.n_spatial_filters * self.n_frames
+        # (conv_len, n_frames) mean pool: column f holds 1 / pool_len on
+        # conv frames [f * pool_stride, f * pool_stride + pool_len)
+        s = self.spec
+        rows = np.arange(self.conv_len)[:, None]
+        starts = np.arange(self.n_frames) * s.pool_stride
+        self.pool = ((rows >= starts) & (rows < starts + s.pool_len)) / s.pool_len
 
     def param_shapes(self) -> dict[str, tuple[int, ...]]:
         s = self.spec
@@ -236,11 +237,9 @@ class ShallowConvNet:
         g, l, p = s.n_spatial_filters, self.conv_len, self.n_frames
         xw = self._windowed(x)
         w_eff, b_eff = self._effective_kernel(params)
-        z = (xw @ w_eff.T + b_eff).reshape(b, l, g).transpose(0, 2, 1)  # (B, G, L)
-        sq = z * z
-        pooled = sliding_window_view(sq, s.pool_len, axis=2)[
-            :, :, :: s.pool_stride, :
-        ].mean(axis=3)  # (B, G, P)
+        z = xw @ w_eff.T + b_eff  # (B * L, G)
+        pool = self.pool.astype(x.dtype, copy=False)
+        pooled = (pool.T @ (z * z).reshape(b, l, g)).transpose(0, 2, 1)  # (B, G, P)
         logf = np.log(np.maximum(pooled, LOG_FLOOR))
         if train_mode and s.dropout_p > 0.0:
             mask = _dropout_mask((b, g, p), s.dropout_p, dropout_key, step, x.dtype)
@@ -266,26 +265,22 @@ class ShallowConvNet:
     ) -> dict[str, np.ndarray]:
         s = self.spec
         z, pooled = cache["z"], cache["pooled"]
-        b, g, l = z.shape
+        b, g, p = pooled.shape
         dlogits = _ce_dlogits(cache["probs"], labels, class_weights)
         grads: dict[str, np.ndarray] = {
             "w_dense": dlogits.T @ cache["flat"],
             "b_dense": dlogits.sum(axis=0),
         }
-        dh = (dlogits @ params["w_dense"]).reshape(b, g, self.n_frames)
+        dh = (dlogits @ params["w_dense"]).reshape(b, g, p)
         if cache["mask"] is not None:
             dh = dh * cache["mask"]
         # log(max(u, floor)): zero slope on the clamped flat
         dpooled = dh * (pooled > LOG_FLOOR) / np.maximum(pooled, LOG_FLOOR)
-        dsq = np.zeros_like(z)
-        inv = 1.0 / s.pool_len
-        for frame in range(self.n_frames):
-            lo = frame * s.pool_stride
-            dsq[:, :, lo : lo + s.pool_len] += dpooled[:, :, frame : frame + 1] * inv
-        dz = 2.0 * z * dsq
-        dz2 = np.ascontiguousarray(dz.transpose(0, 2, 1)).reshape(b * l, g)
-        dw_eff = dz2.T @ cache["xw"]  # (G, C*K)
-        db_eff = dz2.sum(axis=0)
+        pool = self.pool.astype(z.dtype, copy=False)
+        dsq = pool @ dpooled.transpose(0, 2, 1)  # (B, L, G)
+        dz = 2.0 * z * dsq.reshape(z.shape)  # (B * L, G)
+        dw_eff = dz.T @ cache["xw"]  # (G, C*K)
+        db_eff = dz.sum(axis=0)
         dw_eff = dw_eff.reshape(g, self.n_channels, s.temporal_kernel)
         wt, ws = params["w_temporal"], params["w_spatial"]
         bt = params["b_temporal"]

@@ -1,7 +1,7 @@
 """Minibatch training loop with a hand-rolled Adam optimizer.
 
-Determinism contract: a fixed (config seed, data) pair reproduces the same
-parameters bit for bit. The seed fans out into three independent streams
+Determinism contract: a fixed (seed, config, data) triple reproduces the
+same parameters bit for bit. The seed fans out into three independent streams
 (init, shuffling, dropout) so changing the epoch count does not disturb
 initialization, and dropout masks depend only on the global step index.
 """
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,7 +60,6 @@ class TrainConfig:
     adam_beta2: float = 0.999
     adam_eps: float = 1e-8
     class_weights: tuple[float, ...] | None = None
-    rng_seed: int = 0
 
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
@@ -106,8 +105,6 @@ class Adam:
 class TrainResult:
     params: dict[str, np.ndarray]
     epoch_losses: list[float]
-    config: TrainConfig
-    class_weights: np.ndarray = field(repr=False)
 
 
 def _fanout_seed(seed: int) -> tuple[np.random.SeedSequence, np.random.Generator, int]:
@@ -122,7 +119,10 @@ def train_model(
     labels: np.ndarray,
     class_weights: np.ndarray,
     cfg: TrainConfig,
+    seed: int,
 ) -> TrainResult:
+    """Train ``model`` from ``seed``, which fans out into the init, shuffle
+    and dropout streams."""
     n = len(data)
     if n == 0:
         raise DataError("cannot train on an empty window set")
@@ -132,7 +132,7 @@ def train_model(
     labels = np.asarray(labels, dtype=np.int64)
     weights32 = np.asarray(class_weights, dtype=np.float32)
 
-    init_ss, shuffle_rng, dropout_key = _fanout_seed(cfg.rng_seed)
+    init_ss, shuffle_rng, dropout_key = _fanout_seed(seed)
     params = model.init_params(init_ss, dtype=np.float32)
     opt = Adam(params, cfg)
 
@@ -158,7 +158,7 @@ def train_model(
             total += loss * len(idx)
             step += 1
         epoch_losses.append(total / n)
-    return TrainResult(params, epoch_losses, cfg, np.asarray(class_weights, np.float64))
+    return TrainResult(params, epoch_losses)
 
 
 def predict(model, params: dict[str, np.ndarray], data: np.ndarray,
@@ -170,16 +170,6 @@ def predict(model, params: dict[str, np.ndarray], data: np.ndarray,
         probs, _ = model.forward(params, data[lo : lo + batch_size])
         out[lo : lo + len(probs)] = probs.argmax(axis=1)
     return out
-
-
-def predict_proba(model, params: dict[str, np.ndarray], data: np.ndarray,
-                  batch_size: int = 512) -> np.ndarray:
-    data = np.ascontiguousarray(data, dtype=np.float32)
-    chunks = []
-    for lo in range(0, len(data), batch_size):
-        probs, _ = model.forward(params, data[lo : lo + batch_size])
-        chunks.append(probs)
-    return np.concatenate(chunks, axis=0)
 
 
 def gradient_check(

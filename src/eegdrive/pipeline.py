@@ -123,16 +123,17 @@ def stage_simulate(cfg: RunConfig, ws: Workspace) -> list[str]:
     """Generate cfg.n_sessions synthetic sessions into sessions/.
 
     Session i uses rng_seed = cfg.synth.rng_seed + i so a config pins the
-    whole batch; ids embed the seed for later identification.
+    whole batch; the simulator names each session after its seed.
     """
     ws.sessions_root().mkdir(parents=True, exist_ok=True)
     ids = []
     for i in range(cfg.n_sessions):
         seed = cfg.synth.rng_seed + i
         session_id = f"synth-{seed:04d}"
-        synth_cfg = dataclasses.replace(cfg.synth, rng_seed=seed, session_id=session_id)
         with _stage("simulate", session_id):
-            write_synthetic_session(ws.session_dir(session_id), synth_cfg)
+            write_synthetic_session(
+                ws.session_dir(session_id), dataclasses.replace(cfg.synth, rng_seed=seed)
+            )
         ids.append(session_id)
     return ids
 
@@ -212,10 +213,9 @@ def stage_split(cfg: RunConfig, ws: Workspace, session_id: str) -> None:
             if not labels_path.is_file():
                 raise DataError(f"missing labels file {labels_path}; run label first")
             labelled = read_labels_csv(labels_path, delta, session.eeg.timestamps)
-            split_cfg = dataclasses.replace(
-                cfg.split, rng_seed=derive_seed(cfg.seed, session_id, delta, "split")
+            ds = build_split(
+                labelled, cfg.split, derive_seed(cfg.seed, session_id, delta, "split")
             )
-            ds = build_split(labelled, split_cfg)
             out_dir = ws.windows_dir(session_id, delta)
             out_dir.mkdir(parents=True, exist_ok=True)
             for partition, windows in (("train", ds.train), ("test", ds.test)):
@@ -256,11 +256,24 @@ def stage_split(cfg: RunConfig, ws: Workspace, session_id: str) -> None:
 # ------------------------------------------------------------------ train
 
 
-def _read_split_stats(path: Path) -> dict:
+def _read_split_stats(path: Path) -> np.ndarray:
+    """The pre-oversampling train window counts per class of a split."""
     try:
-        return json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        doc = json.loads(path.read_text())
+    except (OSError, ValueError) as exc:  # ValueError covers bad JSON and UTF-8
         raise DataError(f"{path}: cannot read split stats: {exc}") from exc
+    counts = doc.get("pre_oversample_counts") if isinstance(doc, dict) else None
+    if not (
+        isinstance(counts, list)
+        and len(counts) == N_CLASSES
+        and all(type(v) is int and 0 <= v < 2**63 for v in counts)
+        and any(counts)
+    ):
+        raise DataError(
+            f"{path}: pre_oversample_counts must be {N_CLASSES} non-negative JSON "
+            f"integers, at least one positive; got {counts!r}"
+        )
+    return np.asarray(counts, dtype=np.int64)
 
 
 def stage_train(
@@ -274,20 +287,15 @@ def stage_train(
             raise DataError(
                 f"window sidecar says delta {delta_read}, expected {delta_ms}"
             )
-        stats = _read_split_stats(ws.split_stats(session_id, delta_ms))
+        counts = _read_split_stats(ws.split_stats(session_id, delta_ms))
         if cfg.train.class_weights is not None:
             weights = np.asarray(cfg.train.class_weights, dtype=np.float64)
         else:
-            weights = compute_class_weights(
-                np.asarray(stats["pre_oversample_counts"], dtype=np.int64)
-            )
+            weights = compute_class_weights(counts)
         n_channels, n_samples = data.shape[1], data.shape[2]
         model = build_model(model_name, n_channels, n_samples)
-        train_cfg = dataclasses.replace(
-            cfg.train,
-            rng_seed=derive_seed(cfg.seed, session_id, delta_ms, model_name, "train"),
-        )
-        result = train_model(model, data, labels, weights, train_cfg)
+        seed = derive_seed(cfg.seed, session_id, delta_ms, model_name, "train")
+        result = train_model(model, data, labels, weights, cfg.train, seed)
 
         run_dir = ws.run_dir(session_id, delta_ms, model_name)
         run_dir.mkdir(parents=True, exist_ok=True)
@@ -300,7 +308,7 @@ def stage_train(
                 "session_id": session_id,
                 "delta_ms": delta_ms,
                 "model": model_name,
-                "rng_seed": train_cfg.rng_seed,
+                "rng_seed": seed,
             },
         )
         loss_lines = ["epoch,mean_loss"]

@@ -38,7 +38,6 @@ class SplitConfig:
     window_len: int = 125
     overlap_fraction: float = 0.5
     oversample: bool = True
-    rng_seed: int = 0
     gap_break_ns: int | None = None
 
     def __post_init__(self):
@@ -241,8 +240,9 @@ def windows_to_arrays(
     return np.ascontiguousarray(data.transpose(1, 0, 2)), windows.labels.copy()
 
 
-def build_split(labeled: LabeledSamples, cfg: SplitConfig) -> SplitDataset:
-    """Full pipeline: split, window both partitions, oversample train.
+def build_split(labeled: LabeledSamples, cfg: SplitConfig, seed: int) -> SplitDataset:
+    """Full pipeline: split, window both partitions, oversample train from
+    ``seed``.
 
     The returned dataset notes which classes were absent from the labelled
     stream, keeps the pre-oversampling train window counts (the class-weight
@@ -253,7 +253,7 @@ def build_split(labeled: LabeledSamples, cfg: SplitConfig) -> SplitDataset:
     test = extract_windows(labeled, test_pos, cfg)
     pre_counts = np.bincount(train.labels, minlength=N_CLASSES)
     if cfg.oversample and len(train):
-        train = oversample_train(train, cfg.rng_seed)
+        train = oversample_train(train, seed)
     counts = labeled.class_counts()
     ds = SplitDataset(
         train=train,

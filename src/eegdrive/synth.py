@@ -83,7 +83,6 @@ class SynthConfig:
     stop_silent: bool = True
     line_noise_amp: float = 0.0  # 50 Hz amplitude as a multiple of tone amplitude
     corrupt_channel: str | None = None
-    session_id: str = "synth-000"
     # explicit (length_s, class_code) segments; replaces the Markov walk
     schedule: tuple[tuple[float, int], ...] | None = None
 
@@ -288,7 +287,7 @@ def generate_session(cfg: SynthConfig) -> tuple[SessionDir, LabeledSamples]:
 
     manifest = SessionManifest(
         subject_id="synthetic",
-        session_id=cfg.session_id,
+        session_id=f"synth-{cfg.rng_seed:04d}",
         sample_rate_hz=cfg.sample_rate_hz,
         montage=tuple(montage),
     )

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
+from .session import N_CLASSES
 
 DTYPE_TAG = "f32le"
 _DTYPE = np.dtype("<f4")
@@ -61,17 +62,24 @@ def read_windows(base: str | Path) -> tuple[np.ndarray, np.ndarray, int, str]:
             raise DataError(f"missing window tensor file {p}")
     try:
         sidecar = json.loads(json_path.read_text())
-        shape = tuple(int(v) for v in sidecar["shape"])
-        dtype = sidecar["dtype"]
-        labels = np.asarray([int(v) for v in sidecar["labels"]], dtype=np.int64)
-        delta_ms = int(sidecar["delta_ms"])
+        shape, labels = list(sidecar["shape"]), list(sidecar["labels"])
+        delta_ms, dtype = sidecar["delta_ms"], sidecar["dtype"]
         partition = str(sidecar["partition"])
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
-        raise DataError(f"{json_path}: invalid sidecar: {e}") from e
+    except (KeyError, TypeError, ValueError) as e:
+        # ValueError covers JSONDecodeError and UnicodeDecodeError
+        raise DataError(f"{json_path}: invalid sidecar: {e!r}") from e
+    for key, values in (("shape", shape), ("labels", labels), ("delta_ms", [delta_ms])):
+        bad = [v for v in values if type(v) is not int]  # bool and float refused
+        if bad:
+            raise DataError(f"{json_path}: {key} must be JSON integers, got {bad[0]!r}")
+    bad = [v for v in labels if not 0 <= v < N_CLASSES]
+    if bad:
+        raise DataError(f"{json_path}: label {bad[0]} outside [0, {N_CLASSES})")
+    labels = np.asarray(labels, dtype=np.int64)
     if dtype != DTYPE_TAG:
         raise DataError(f"{json_path}: unsupported dtype {dtype!r}")
-    if len(shape) != 3:
-        raise DataError(f"{json_path}: shape must have 3 dims, got {shape}")
+    if len(shape) != 3 or min(shape) < 0:
+        raise DataError(f"{json_path}: shape must have 3 dims, none negative, got {shape}")
     if len(labels) != shape[0]:
         raise DataError(f"{json_path}: {len(labels)} labels for {shape[0]} windows")
     raw = np.fromfile(bin_path, dtype=_DTYPE)

@@ -269,7 +269,7 @@ def test_criterion_04_split_integrity():
             rng.standard_normal((4, n)),
             FS,
         )
-        ds = build_split(labeled, cfg)
+        ds = build_split(labeled, cfg, 0)
 
         overlap = set(ds.train.src.ravel().tolist()) & set(ds.test.src.ravel().tolist())
         if overlap:
@@ -300,7 +300,7 @@ def test_criterion_04_split_integrity():
         if len(set(counts.values())) != 1:
             problems.append(f"trial {trial}: oversampled histogram {dict(counts)}")
 
-        plain = build_split(labeled, SplitConfig(oversample=False))
+        plain = build_split(labeled, SplitConfig(oversample=False), 0)
         if Counter(ds.test.labels.tolist()) != Counter(plain.test.labels.tolist()):
             problems.append(f"trial {trial}: oversampling touched test")
     elapsed = time.perf_counter() - t0

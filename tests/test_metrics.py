@@ -7,7 +7,6 @@ import pytest
 
 from eegdrive.metrics import (
     confusion_matrix,
-    evaluate,
     mean_and_std,
     metrics_from_confusion,
 )
@@ -90,12 +89,12 @@ class TestMetricsFromConfusion:
     def test_constant_predictor_macro_f1_is_exactly_one_fifteenth(self):
         y_true = np.repeat(np.arange(5), 24)
         y_pred = np.zeros_like(y_true)
-        res = evaluate(y_true, y_pred)
+        res = metrics_from_confusion(confusion_matrix(y_true, y_pred))
         assert res.macro_f1 == 1 / 15
 
     def test_perfect_predictor(self):
         y = np.tile(np.arange(5), 10)
-        res = evaluate(y, y)
+        res = metrics_from_confusion(confusion_matrix(y, y))
         assert res.accuracy == 1.0
         assert res.macro_f1 == 1.0
         assert np.array_equal(res.confusion, np.eye(5, dtype=np.int64) * 10)
@@ -104,13 +103,13 @@ class TestMetricsFromConfusion:
         # class 4 never occurs in truth and is never predicted
         y_true = [0, 0, 1, 2, 3]
         y_pred = [0, 0, 1, 2, 3]
-        res = evaluate(y_true, y_pred)
+        res = metrics_from_confusion(confusion_matrix(y_true, y_pred))
         assert res.macro_f1 == 1.0
 
     def test_spurious_prediction_of_absent_class(self):
         # class 4 never occurs in truth but is predicted once: recall of the
         # mispredicted true class drops, absent class stays out of the macro
-        res = evaluate([0, 0, 1], [0, 4, 1])
+        res = metrics_from_confusion(confusion_matrix([0, 0, 1], [0, 4, 1]))
         assert res.f1[4] == 0.0
         p, r, f1, acc, mp, mr, mf = oracle_scores(res.confusion.tolist())
         assert math.isclose(res.macro_f1, mf, abs_tol=1e-15)

@@ -21,11 +21,10 @@ from eegdrive.models import (
     gradient_check,
     load_checkpoint,
     predict,
-    predict_proba,
     save_checkpoint,
     train_model,
 )
-from eegdrive.models.nets import LOG_FLOOR, loss_weighted_ce, weighted_ce_from_logprobs
+from eegdrive.models.nets import LOG_FLOOR, weighted_ce_from_logprobs
 
 # small enough for scalar loops, large enough to exercise every stage
 SMALL_SPEC = ShallowConvNetSpec(
@@ -36,6 +35,23 @@ SMALL_SPEC = ShallowConvNetSpec(
     pool_stride=4,
     dropout_p=0.0,
 )
+
+# (n_samples, spec) for the pooling geometries the oracle and gradient tests
+# cover: windows ending on the last conv frame (26 frames, 5 windows of 10 at
+# stride 4), an uncovered last frame (27 frames), and gap frames between
+# windows (stride 6 > pool_len 4)
+POOL_GEOMETRIES = [
+    pytest.param(30, SMALL_SPEC, id="exact"),
+    pytest.param(31, SMALL_SPEC, id="uncovered-tail"),
+    pytest.param(
+        30,
+        ShallowConvNetSpec(
+            n_temporal_filters=4, temporal_kernel=5, n_spatial_filters=3,
+            pool_len=4, pool_stride=6, dropout_p=0.0,
+        ),
+        id="stride-gaps",
+    ),
+]
 
 
 def oracle_linear_probs(params, x):
@@ -110,12 +126,13 @@ class TestForwardOracles:
         probs, _ = model.forward(params, x)
         assert np.allclose(probs, oracle_linear_probs(params, x), atol=1e-12, rtol=0)
 
-    def test_shallow_matches_scalar_loops(self):
-        model = ShallowConvNet(n_channels=3, n_samples=30, spec=SMALL_SPEC)
+    @pytest.mark.parametrize("n_samples, spec", POOL_GEOMETRIES)
+    def test_shallow_matches_scalar_loops(self, n_samples, spec):
+        model = ShallowConvNet(n_channels=3, n_samples=n_samples, spec=spec)
         params = model.init_params(seed=7, dtype=np.float64)
-        x = np.random.default_rng(8).standard_normal((3, 3, 30))
+        x = np.random.default_rng(8).standard_normal((3, 3, n_samples))
         probs, _ = model.forward(params, x)
-        want = oracle_shallow_probs(params, x, SMALL_SPEC)
+        want = oracle_shallow_probs(params, x, spec)
         assert np.allclose(probs, want, atol=1e-9, rtol=0)
 
     def test_shallow_feature_geometry(self):
@@ -136,20 +153,20 @@ class TestLoss:
     def test_uniform_predictor_scores_ln5(self):
         probs = np.full((10, 5), 0.2)
         labels = np.arange(10) % 5
-        loss = loss_weighted_ce(probs, labels, np.ones(5))
+        loss = weighted_ce_from_logprobs(np.log(probs), labels, np.ones(5))
         assert math.isclose(loss, math.log(5), rel_tol=1e-12)
 
     def test_class_weights_scale_linearly(self):
         probs = np.full((10, 5), 0.2)
         labels = np.arange(10) % 5
-        loss = loss_weighted_ce(probs, labels, np.full(5, 2.0))
+        loss = weighted_ce_from_logprobs(np.log(probs), labels, np.full(5, 2.0))
         assert math.isclose(loss, 2 * math.log(5), rel_tol=1e-12)
 
     def test_confident_correct_predictor_scores_near_zero(self):
         labels = np.arange(8) % 5
         probs = np.full((8, 5), 1e-9)
         probs[np.arange(8), labels] = 1.0 - 4e-9
-        loss = loss_weighted_ce(probs, labels, np.ones(5))
+        loss = weighted_ce_from_logprobs(np.log(probs), labels, np.ones(5))
         assert 0 <= loss < 1e-8
 
     def test_batch_permutation_invariance_is_exact(self):
@@ -175,10 +192,11 @@ class TestGradients:
         for name, err in errs.items():
             assert err < 1e-4, f"{name}: {err}"
 
-    def test_shallow_every_tensor(self):
-        model = ShallowConvNet(n_channels=3, n_samples=30, spec=SMALL_SPEC)
+    @pytest.mark.parametrize("n_samples, spec", POOL_GEOMETRIES)
+    def test_shallow_every_tensor(self, n_samples, spec):
+        model = ShallowConvNet(n_channels=3, n_samples=n_samples, spec=spec)
         rng = np.random.default_rng(11)
-        x = rng.standard_normal((4, 3, 30))
+        x = rng.standard_normal((4, 3, n_samples))
         labels = rng.integers(0, 5, size=4)
         errs = gradient_check(model, x, labels, np.full(5, 1.3), seed=1)
         assert set(errs) == {
@@ -216,7 +234,6 @@ class TestGradients:
                 want[k] += w[labels[i]] * (probs[i, k] - (k == labels[i])) / 6
         assert np.allclose(grads["b"], want, atol=1e-12, rtol=0)
 
-    @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
     def test_zero_loss_means_zero_gradients(self):
         model = LinearSoftmax(n_channels=1, n_samples=5)
         params = {"w": np.zeros((5, 5)), "b": np.zeros(5)}
@@ -225,7 +242,7 @@ class TestGradients:
         x = np.eye(5).reshape(5, 1, 5)
         labels = np.arange(5)
         probs, cache = model.forward(params, x)
-        loss = loss_weighted_ce(probs, labels, np.ones(5))
+        loss = weighted_ce_from_logprobs(cache["logp"], labels, np.ones(5))
         assert loss <= 1e-8
         grads = model.backward(params, cache, labels, np.ones(5))
         for name, g in grads.items():
@@ -245,8 +262,8 @@ class TestTrainModel:
     def test_learns_separable_toy_problem(self):
         data, labels = _toy_dataset()
         model = LinearSoftmax(n_channels=2, n_samples=10)
-        cfg = TrainConfig(epochs=60, batch_size=32, learning_rate=0.01, rng_seed=0)
-        res = train_model(model, data, labels, np.ones(5), cfg)
+        cfg = TrainConfig(epochs=60, batch_size=32, learning_rate=0.01)
+        res = train_model(model, data, labels, np.ones(5), cfg, 0)
         acc = float((predict(model, res.params, data) == labels).mean())
         assert acc >= 0.99
         assert res.epoch_losses[-1] < res.epoch_losses[0]
@@ -254,9 +271,9 @@ class TestTrainModel:
     def test_same_seed_reproduces_bitwise(self):
         data, labels = _toy_dataset(seed=1)
         model = LinearSoftmax(n_channels=2, n_samples=10)
-        cfg = TrainConfig(epochs=5, batch_size=32, rng_seed=9)
-        a = train_model(model, data, labels, np.ones(5), cfg)
-        b = train_model(model, data, labels, np.ones(5), cfg)
+        cfg = TrainConfig(epochs=5, batch_size=32)
+        a = train_model(model, data, labels, np.ones(5), cfg, 9)
+        b = train_model(model, data, labels, np.ones(5), cfg, 9)
         assert a.epoch_losses == b.epoch_losses
         for k in a.params:
             assert np.array_equal(a.params[k], b.params[k])
@@ -264,24 +281,24 @@ class TestTrainModel:
     def test_different_seed_differs(self):
         data, labels = _toy_dataset(seed=1)
         model = LinearSoftmax(n_channels=2, n_samples=10)
-        a = train_model(model, data, labels, np.ones(5), TrainConfig(epochs=2, rng_seed=0))
-        b = train_model(model, data, labels, np.ones(5), TrainConfig(epochs=2, rng_seed=1))
+        a = train_model(model, data, labels, np.ones(5), TrainConfig(epochs=2), 0)
+        b = train_model(model, data, labels, np.ones(5), TrainConfig(epochs=2), 1)
         assert not np.array_equal(a.params["w"], b.params["w"])
 
     def test_zero_learning_rate_keeps_initialization(self):
         data, labels = _toy_dataset(seed=2)
         model = LinearSoftmax(n_channels=2, n_samples=10)
         short = train_model(model, data, labels, np.ones(5),
-                            TrainConfig(epochs=1, learning_rate=0.0, rng_seed=4))
+                            TrainConfig(epochs=1, learning_rate=0.0), 4)
         long = train_model(model, data, labels, np.ones(5),
-                           TrainConfig(epochs=6, learning_rate=0.0, rng_seed=4))
+                           TrainConfig(epochs=6, learning_rate=0.0), 4)
         for k in short.params:
             assert np.array_equal(short.params[k], long.params[k])
 
     def test_epoch_losses_length(self):
         data, labels = _toy_dataset(seed=3)
         model = LinearSoftmax(n_channels=2, n_samples=10)
-        res = train_model(model, data, labels, np.ones(5), TrainConfig(epochs=7))
+        res = train_model(model, data, labels, np.ones(5), TrainConfig(epochs=7), 0)
         assert len(res.epoch_losses) == 7
 
     def test_shallow_trains_end_to_end(self):
@@ -292,8 +309,8 @@ class TestTrainModel:
         data = np.sin(2 * np.pi * freqs[labels][:, None] * t)[:, None, :]
         data = np.repeat(data, 3, axis=1) + 0.01 * rng.standard_normal((40, 3, 30))
         model = ShallowConvNet(3, 30, SMALL_SPEC)
-        cfg = TrainConfig(epochs=30, batch_size=16, rng_seed=0)
-        res = train_model(model, data.astype(np.float32), labels, np.ones(5), cfg)
+        cfg = TrainConfig(epochs=30, batch_size=16)
+        res = train_model(model, data.astype(np.float32), labels, np.ones(5), cfg, 0)
         assert res.epoch_losses[-1] < res.epoch_losses[0]
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
@@ -305,19 +322,19 @@ class TestTrainModel:
         model = LinearSoftmax(n_channels=2, n_samples=10)
         cfg = TrainConfig(epochs=4, batch_size=8, learning_rate=1e30)
         with pytest.raises(TrainingDiverged, match="epoch"):
-            train_model(model, data, labels, np.ones(5), cfg)
+            train_model(model, data, labels, np.ones(5), cfg, 0)
 
     def test_empty_data_rejected(self):
         model = LinearSoftmax(2, 10)
         with pytest.raises(DataError):
             train_model(model, np.zeros((0, 2, 10)), np.zeros(0, dtype=int),
-                        np.ones(5), TrainConfig(epochs=1))
+                        np.ones(5), TrainConfig(epochs=1), 0)
 
     def test_length_mismatch_rejected(self):
         model = LinearSoftmax(2, 10)
         with pytest.raises(DataError):
             train_model(model, np.zeros((3, 2, 10)), np.zeros(2, dtype=int),
-                        np.ones(5), TrainConfig(epochs=1))
+                        np.ones(5), TrainConfig(epochs=1), 0)
 
 
 class TestPredict:
@@ -327,14 +344,13 @@ class TestPredict:
         x = np.random.default_rng(0).standard_normal((7, 1, 4))
         assert np.array_equal(predict(model, params, x), np.zeros(7, dtype=np.int64))
 
-    def test_predict_proba_matches_forward(self):
+    def test_batched_predict_matches_one_forward(self):
         model = LinearSoftmax(n_channels=2, n_samples=6)
         params = model.init_params(seed=0)
         x = np.random.default_rng(1).standard_normal((700, 2, 6)).astype(np.float32)
-        probs = predict_proba(model, params, x, batch_size=256)
         want, _ = model.forward(params, x)
-        assert np.allclose(probs, want, atol=1e-7)
-        assert np.array_equal(predict(model, params, x), probs.argmax(axis=1))
+        got = predict(model, params, x, batch_size=256)
+        assert np.array_equal(got, want.argmax(axis=1))
 
 
 class TestDropout:

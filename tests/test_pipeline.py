@@ -294,6 +294,47 @@ class TestExitCodes:
         assert rc == 2
         assert "zero_phase" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("split", "rng_seed", 7),
+        ("train", "rng_seed", 5),
+        ("synth", "session_id", "mine"),
+    ])
+    def test_removed_seed_knobs_are_2(self, tmp_path, capsys, section, key, value):
+        # the pipeline derives these per session and run; a config cannot set them
+        doc = dict(SMALL, n_sessions=1, **{section: {**SMALL.get(section, {}), key: value}})
+        cfg = _write_cfg(tmp_path, doc)
+        rc = main(["run-all", "--config", str(cfg), "--out", str(tmp_path / "ws")])
+        assert rc == 2
+        assert f"config.{section}: unknown keys ['{key}']" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, name, edit, rule", [
+        ("train", "train.json", lambda d: {**d, "labels": [-1] + d["labels"][1:]},
+         "label -1 outside [0, 5)"),
+        ("eval", "test.json", lambda d: {**d, "labels": [1.7] + d["labels"][1:]},
+         "labels must be JSON integers, got 1.7"),
+        ("eval", "test.json", lambda d: {**d, "labels": [9] + d["labels"][1:]},
+         "label 9 outside [0, 5)"),
+        ("train", "split_stats.json",
+         lambda d: {k: v for k, v in d.items() if k != "pre_oversample_counts"},
+         "pre_oversample_counts must be 5 non-negative JSON integers"),
+        ("train", "split_stats.json", lambda d: {**d, "pre_oversample_counts": [0] * 5},
+         "at least one positive; got [0, 0, 0, 0, 0]"),
+    ], ids=["train-label-negative", "test-label-float", "test-label-9",
+            "stats-missing-counts", "stats-all-zero"])
+    def test_bad_window_files_are_3(
+        self, baseline, tmp_path, capsys, command, name, edit, rule
+    ):
+        cfg, out = baseline
+        ws = tmp_path / "ws"
+        shutil.copytree(out, ws)
+        path = ws / "work" / "synth-0000" / "windows" / "300" / name
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        rc = main([command, "--config", str(cfg), "--out", str(ws),
+                   "--session", "synth-0000"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert f"[{command}]" in err and str(path) in err and rule in err
+
     def test_empty_split_partition_names_its_cause(self, tmp_path, capsys):
         # 20 ms gap breaks: the short test chunks of a 60 s session hold no
         # gap-free run of one window, so every test window is dropped

@@ -227,13 +227,13 @@ def oracle_oversample_train(
     return train + additions
 
 
-def oracle_split(rec, labeled, cfg):
+def oracle_split(rec, labeled, cfg, seed):
     """The per-window pipeline: split, loop-window, oversample, stack."""
     train_pos, test_pos = stratified_temporal_split(labeled, cfg)
     train_w = oracle_extract_windows(rec, labeled, train_pos, cfg, "train")
     test_w = oracle_extract_windows(rec, labeled, test_pos, cfg, "test")
     if cfg.oversample and train_w:
-        train_w = oracle_oversample_train(train_w, cfg.rng_seed)
+        train_w = oracle_oversample_train(train_w, seed)
         train_w = sorted(train_w, key=lambda w: w.start_t_ns)  # stable: originals first
     return train_w, test_w
 
@@ -268,11 +268,11 @@ class TestScalarOracle:
                 window_len=int(rng.choice([16, 50, 125])),
                 overlap_fraction=float(rng.choice([0.0, 0.5, 0.8])),
                 oversample=oversample,
-                rng_seed=int(rng.integers(0, 2**63)),
                 gap_break_ns=3 * PERIOD_NS if gap_break else None,
             )
-            want_train, want_test = oracle_split(rec, labeled, cfg)
-            ds = build_split(labeled, cfg)
+            seed = int(rng.integers(0, 2**63))
+            want_train, want_test = oracle_split(rec, labeled, cfg, seed)
+            ds = build_split(labeled, cfg, seed)
             for want, got in ((want_train, ds.train), (want_test, ds.test)):
                 assert len(got) == len(want)
                 if not want:
@@ -380,7 +380,7 @@ class TestOversample:
         rng = np.random.default_rng(7)
         labeled = random_labeled(rng, 3000)
         cfg = SplitConfig(oversample=False)
-        ds = build_split(labeled, cfg)
+        ds = build_split(labeled, cfg, 0)
         balanced = oversample_train(ds.train, seed=3)
         counts = collections.Counter(balanced.labels.tolist())
         assert len(set(counts.values())) == 1
@@ -398,7 +398,7 @@ class TestOversample:
     def test_deterministic(self):
         rng = np.random.default_rng(8)
         labeled = random_labeled(rng, 2000)
-        ds = build_split(labeled, SplitConfig(oversample=False))
+        ds = build_split(labeled, SplitConfig(oversample=False), 0)
         a = oversample_train(ds.train, seed=5)
         b = oversample_train(ds.train, seed=5)
         assert _pairs(a) == _pairs(b)
@@ -416,8 +416,8 @@ class TestBuildSplit:
         rng = np.random.default_rng(9)
         for _ in range(5):
             labeled = random_labeled(rng, int(rng.integers(1500, 4000)))
-            plain = build_split(labeled, SplitConfig(oversample=False))
-            balanced = build_split(labeled, SplitConfig(oversample=True))
+            plain = build_split(labeled, SplitConfig(oversample=False), 0)
+            balanced = build_split(labeled, SplitConfig(oversample=True), 0)
             # oversampling must not move, add, or drop a single test window
             assert _pairs(balanced.test) == _pairs(plain.test)
             assert np.array_equal(balanced.test.src, plain.test.src)
@@ -430,8 +430,8 @@ class TestBuildSplit:
     def test_pre_oversample_counts_recorded(self):
         rng = np.random.default_rng(10)
         labeled = random_labeled(rng, 2500)
-        plain = build_split(labeled, SplitConfig(oversample=False))
-        balanced = build_split(labeled, SplitConfig(oversample=True))
+        plain = build_split(labeled, SplitConfig(oversample=False), 0)
+        balanced = build_split(labeled, SplitConfig(oversample=True), 0)
         want = np.bincount(plain.train.labels, minlength=N_CLASSES)
         assert np.array_equal(balanced.pre_oversample_counts, want)
 
@@ -442,15 +442,15 @@ class TestBuildSplit:
             np.arange(1200, dtype=np.int64) * PERIOD_NS,
             np.where(np.arange(1200) < 600, 0, 2).astype(np.int8),
         )
-        ds = build_split(labeled, SplitConfig())
+        ds = build_split(labeled, SplitConfig(), 0)
         assert ds.absent_classes == (1, 3, 4)
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(11)
         labeled = random_labeled(rng, 2000)
         rec = _recording_for(labeled)
-        a = build_split(labeled, SplitConfig(rng_seed=4))
-        b = build_split(labeled, SplitConfig(rng_seed=4))
+        a = build_split(labeled, SplitConfig(), 4)
+        b = build_split(labeled, SplitConfig(), 4)
         data_a, labels_a = windows_to_arrays(rec.samples, a.train)
         data_b, labels_b = windows_to_arrays(rec.samples, b.train)
         assert np.array_equal(data_a, data_b)
@@ -467,7 +467,7 @@ class TestBuildSplit:
         rng = np.random.default_rng(12)
         labeled = random_labeled(rng, 1500)
         rec = _recording_for(labeled, n_channels=3)
-        ds = build_split(labeled, SplitConfig())
+        ds = build_split(labeled, SplitConfig(), 0)
         data, labels = windows_to_arrays(rec.samples, ds.train)
         assert data.dtype == np.float32
         assert labels.dtype == np.int64

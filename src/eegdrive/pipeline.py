@@ -153,12 +153,7 @@ def stage_preprocess(cfg: RunConfig, ws: Workspace, session_id: str) -> Path:
     """Clean one session; emits a session-dir copy plus the JSON report."""
     with _stage("preprocess", session_id):
         session = load_session(ws.session_dir(session_id))
-        cleaned, report = preprocess_session(
-            session.eeg,
-            cfg.filters,
-            cfg.bad_channels,
-            seed=derive_seed(cfg.seed, session_id, "preprocess"),
-        )
+        cleaned, report = preprocess_session(session.eeg, cfg.filters, cfg.bad_channels)
         out_dir = ws.preprocessed_dir(session_id)
         write_session_dir(
             out_dir, SessionDir(session.manifest, cleaned, session.joystick)

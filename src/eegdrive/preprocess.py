@@ -27,7 +27,6 @@ from .session import EegRecording
 
 # Fractions of windows that must misbehave before a channel is flagged.
 CORRELATION_BAD_WINDOW_FRAC = 0.01
-RANSAC_BAD_WINDOW_FRAC = 0.4
 # Bad-channel detections the robust reference runs before it stops.
 MAX_REFERENCE_ITERATIONS = 4
 
@@ -89,21 +88,6 @@ def filter_zero_phase(x: np.ndarray, sos: np.ndarray) -> np.ndarray:
     return signal.sosfiltfilt(sos, x, axis=-1)
 
 
-def tone_power(x: np.ndarray, freq_hz: float, fs: float) -> float:
-    """Power of the single-frequency component of ``x`` (Goertzel bin).
-
-    Returns |c|^2 where c is the complex amplitude of the bin, i.e. the
-    mean-square contribution of that frequency. Used for narrow-band
-    before/after comparisons; only ratios are meaningful.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    n = x.shape[-1]
-    t = np.arange(n)
-    e = np.exp(-2j * np.pi * freq_hz / fs * t)
-    c = (x * e).sum(axis=-1) * (2.0 / n)
-    return float(np.mean(np.abs(c) ** 2))
-
-
 # --------------------------------------------------------------------------
 # Bad-channel detection
 # --------------------------------------------------------------------------
@@ -114,9 +98,6 @@ class BadChannelCriteria:
     deviation_z: float = 5.0
     correlation_min: float = 0.4
     correlation_window_s: float = 1.0
-    ransac_frac: float = 0.25
-    ransac_corr_min: float = 0.75
-    ransac_samples: int = 50
 
     def __post_init__(self):
         if not (self.deviation_z > 0):
@@ -125,12 +106,6 @@ class BadChannelCriteria:
             raise ValueError("correlation_min must lie in (0, 1)")
         if not (self.correlation_window_s > 0):
             raise ValueError("correlation_window_s must be positive")
-        if not (0 < self.ransac_frac < 1):
-            raise ValueError("ransac_frac must lie in (0, 1)")
-        if not (0 < self.ransac_corr_min < 1):
-            raise ValueError("ransac_corr_min must lie in (0, 1)")
-        if self.ransac_samples < 1:
-            raise ValueError("ransac_samples must be >= 1")
 
 
 def _robust_std(x: np.ndarray) -> np.ndarray:
@@ -181,18 +156,13 @@ def detect_bad_channels(
     rec: EegRecording,
     criteria: BadChannelCriteria,
     exclude: Iterable[str] = (),
-    seed: int = 0,
 ) -> dict[str, tuple[str, ...]]:
-    """Flag channels by amplitude deviation, flat correlation, and RANSAC.
+    """Flag channels by amplitude deviation and flat correlation (PREP).
 
     * deviation: the robust z-score of the channel's MAD amplitude across
       channels exceeds ``deviation_z`` in magnitude;
     * correlation: in more than 1% of windows the channel's best absolute
-      correlation with any other channel falls below ``correlation_min``;
-    * ransac: in more than 40% of windows the channel correlates below
-      ``ransac_corr_min`` with its spatial prediction from random channel
-      subsets (median over ``ransac_samples`` draws, inverse-distance
-      weights over the 3 nearest subset members).
+      correlation with any other channel falls below ``correlation_min``.
 
     ``exclude`` removes channels from consideration entirely (they are
     neither tested nor used as evidence). Returns {name: (reasons...)}.
@@ -206,7 +176,6 @@ def detect_bad_channels(
         )
     x = rec.samples[usable]
     names = [rec.channels[i].name for i in usable]
-    positions = np.array([rec.channels[i].position for i in usable])
     n_ch, n_samp = x.shape
     reasons: dict[str, list[str]] = {}
 
@@ -234,32 +203,6 @@ def detect_bad_channels(
         frac = low_counts / seg.shape[0]
         for i in np.nonzero(frac > CORRELATION_BAD_WINDOW_FRAC)[0]:
             _flag(int(i), "correlation")
-
-        # RANSAC: predict each channel from random subsets of the others.
-        rng = np.random.default_rng(seed)
-        subset_size = max(2, round(criteria.ransac_frac * n_ch))
-        n_win = seg.shape[0]
-        t_used = n_win * win
-        for i in range(n_ch):
-            others = np.array([j for j in range(n_ch) if j != i])
-            preds = np.empty((criteria.ransac_samples, t_used))
-            for s in range(criteria.ransac_samples):
-                subset = rng.choice(others, size=min(subset_size, len(others)), replace=False)
-                sel, w = _idw_weights(positions[i], positions[subset])
-                preds[s] = w @ x[subset[sel], :t_used]
-            pred = np.median(preds, axis=0)
-            pw = pred.reshape(n_win, win)
-            pw = pw - pw.mean(axis=1, keepdims=True)
-            pn = np.linalg.norm(pw, axis=1)
-            cw = x[i, :t_used].reshape(n_win, win)
-            cw = cw - cw.mean(axis=1, keepdims=True)
-            cn = np.linalg.norm(cw, axis=1)
-            denom = pn * cn
-            corr = np.zeros(n_win)
-            ok = denom > 0
-            corr[ok] = (pw[ok] * cw[ok]).sum(axis=1) / denom[ok]
-            if (corr < criteria.ransac_corr_min).mean() > RANSAC_BAD_WINDOW_FRAC:
-                _flag(i, "ransac")
 
     return {name: tuple(why) for name, why in reasons.items()}
 
@@ -296,7 +239,6 @@ class PreprocessReport:
 def robust_average_reference(
     rec: EegRecording,
     criteria: BadChannelCriteria,
-    seed: int = 0,
 ) -> tuple[EegRecording, PreprocessReport]:
     """Average-reference the recording using only channels that test clean.
 
@@ -316,21 +258,20 @@ def robust_average_reference(
         if not good_idx:
             raise DataError("all channels flagged bad; cannot build a reference")
         referenced = x - x[good_idx].mean(axis=0, keepdims=True)
-        new_bad = detect_bad_channels(
-            rec.with_samples(referenced), criteria, seed=seed
-        )
+        new_bad = detect_bad_channels(rec.with_samples(referenced), criteria)
         report.reference_iterations += 1
         report.bad_channels.append(dict(new_bad))
         key = frozenset(new_bad)
         if key == frozenset(bad):
             bad = new_bad
             break
-        if key in seen:  # oscillation: settle on the union
-            union: dict[str, tuple[str, ...]] = dict(new_bad)
+        if key in seen:  # oscillation: settle on the union, reported last
+            bad = dict(new_bad)
             for it in report.bad_channels:
                 for name, why in it.items():
-                    union.setdefault(name, why)
-            bad = union
+                    bad.setdefault(name, why)
+            if frozenset(bad) != key:
+                report.bad_channels.append(dict(bad))
             break
         seen.append(frozenset(bad))
         bad = new_bad
@@ -340,10 +281,6 @@ def robust_average_reference(
     if not good_idx:
         raise DataError("all channels flagged bad; cannot build a reference")
     out = x - x[good_idx].mean(axis=0, keepdims=True)
-    # Keep the final verdict as the last report entry even when the loop hit
-    # the iteration cap between disagreeing detections.
-    if report.bad_channels and frozenset(report.bad_channels[-1]) != frozenset(bad):
-        report.bad_channels.append(dict(bad))
     return rec.with_samples(out), report
 
 
@@ -393,14 +330,13 @@ def preprocess_session(
     rec: EegRecording,
     spec: FilterSpec,
     criteria: BadChannelCriteria,
-    seed: int = 0,
 ) -> tuple[EegRecording, PreprocessReport]:
     """Run the full cleaning chain; returns the cleaned recording and report."""
     fs = rec.sample_rate_hz
     x = filter_zero_phase(rec.samples, design_highpass(spec, fs))
     x = filter_zero_phase(x, design_notch(spec, fs))
     filtered = rec.with_samples(x)
-    referenced, report = robust_average_reference(filtered, criteria, seed=seed)
+    referenced, report = robust_average_reference(filtered, criteria)
     bad = sorted(report.final_bad)
     out = zscore_channels(interpolate_channels(referenced, bad))
     report.stages = ["highpass", "notch", "robust_reference", "interpolate", "zscore"]

@@ -55,7 +55,7 @@ TRUTH_NAME = "truth_labels.csv"
 # background noise variance split: common mode / dipole sources / per-sensor.
 # Common mode dominates real scalp recordings and is what robust average
 # referencing exists to remove; the spatially smooth dipole part keeps
-# inter-channel correlations realistic for the RANSAC predictability check.
+# inter-channel correlations realistic.
 NOISE_COMMON_FRAC = 0.45
 NOISE_DIPOLE_FRAC = 0.5
 NOISE_SENSOR_FRAC = 0.05

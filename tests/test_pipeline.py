@@ -298,9 +298,13 @@ class TestExitCodes:
         ("split", "rng_seed", 7),
         ("train", "rng_seed", 5),
         ("synth", "session_id", "mine"),
+        ("bad_channels", "ransac_frac", 0.25),
+        ("bad_channels", "ransac_corr_min", 0.75),
+        ("bad_channels", "ransac_samples", 50),
     ])
     def test_removed_seed_knobs_are_2(self, tmp_path, capsys, section, key, value):
-        # the pipeline derives these per session and run; a config cannot set them
+        # the pipeline derives the seeds per session and run, and bad-channel
+        # detection draws nothing random; a config can set neither
         doc = dict(SMALL, n_sessions=1, **{section: {**SMALL.get(section, {}), key: value}})
         cfg = _write_cfg(tmp_path, doc)
         rc = main(["run-all", "--config", str(cfg), "--out", str(tmp_path / "ws")])

@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from eegdrive import preprocess
 from eegdrive.errors import DataError
 from eegdrive.preprocess import (
     BadChannelCriteria,
@@ -22,10 +23,11 @@ from eegdrive.preprocess import (
     interpolate_channels,
     preprocess_session,
     robust_average_reference,
-    tone_power,
     zscore_channels,
 )
 from eegdrive.session import EegRecording, default_montage
+from eegdrive.synth import SynthConfig, generate_session
+from tones import tone_power
 
 FS = 125.0
 PERIOD_NS = 8_000_000
@@ -222,8 +224,6 @@ class TestDetectBadChannels:
             BadChannelCriteria(deviation_z=0.0)
         with pytest.raises(ValueError):
             BadChannelCriteria(correlation_min=1.0)
-        with pytest.raises(ValueError):
-            BadChannelCriteria(ransac_frac=0.0)
 
 
 class TestReferenceAndRepair:
@@ -232,6 +232,42 @@ class TestReferenceAndRepair:
         out, report = robust_average_reference(rec, BadChannelCriteria())
         assert report.reference_iterations >= 1
         good = [i for i, n in enumerate(rec.channel_names) if n not in report.final_bad]
+        want = rec.samples - rec.samples[good].mean(axis=0, keepdims=True)
+        assert np.allclose(out.samples, want, atol=1e-12)
+
+    @staticmethod
+    def _scripted(monkeypatch, verdicts):
+        calls = []
+
+        def fake(rec, criteria, exclude=()):
+            calls.append(rec.samples)
+            return verdicts[len(calls) - 1]
+
+        monkeypatch.setattr(preprocess, "detect_bad_channels", fake)
+        return calls
+
+    def test_oscillation_settles_on_union(self, monkeypatch):
+        rec = _structured_recording()
+        a, b = {"F3": ("deviation",)}, {"P4": ("correlation",)}
+        calls = self._scripted(monkeypatch, [a, b, a])
+        out, report = robust_average_reference(rec, BadChannelCriteria())
+        union = {**a, **b}
+        assert len(calls) == report.reference_iterations == 3
+        assert report.bad_channels == [a, b, a, union]
+        assert report.final_bad == union
+        good = [i for i, n in enumerate(rec.channel_names) if n not in union]
+        want = rec.samples - rec.samples[good].mean(axis=0, keepdims=True)
+        assert np.allclose(out.samples, want, atol=1e-12)
+
+    def test_iteration_cap_keeps_last_verdict(self, monkeypatch):
+        rec = _structured_recording()
+        verdicts = [{name: ("correlation",)} for name in ("F3", "F4", "P3", "P4")]
+        calls = self._scripted(monkeypatch, verdicts + [{}])
+        out, report = robust_average_reference(rec, BadChannelCriteria())
+        assert len(calls) == report.reference_iterations == preprocess.MAX_REFERENCE_ITERATIONS
+        assert report.bad_channels == verdicts
+        assert report.final_bad == verdicts[-1]
+        good = [i for i, n in enumerate(rec.channel_names) if n != "P4"]
         want = rec.samples - rec.samples[good].mean(axis=0, keepdims=True)
         assert np.allclose(out.samples, want, atol=1e-12)
 
@@ -314,9 +350,36 @@ class TestPreprocessSession:
 
     def test_deterministic(self):
         rec = _structured_recording()
-        a, _ = preprocess_session(rec, FilterSpec(), BadChannelCriteria(), seed=3)
-        b, _ = preprocess_session(rec, FilterSpec(), BadChannelCriteria(), seed=3)
+        a, _ = preprocess_session(rec, FilterSpec(), BadChannelCriteria())
+        b, _ = preprocess_session(rec, FilterSpec(), BadChannelCriteria())
         assert np.array_equal(a.samples, b.samples)
+
+
+class TestSimulatedSessions:
+    """Default simulated sessions: the clean motor channels carry the class
+    tones, so nothing may be repaired unless a channel is actually dead."""
+
+    @pytest.mark.parametrize("dead", [
+        pytest.param(d, id=d or "clean") for d in (None, "C3", "O2")
+    ])
+    @pytest.mark.parametrize("seed", range(100, 108))
+    def test_only_the_dead_channel_is_interpolated(self, seed, dead, request):
+        if (seed, dead) == (107, "C3"):
+            # The reference without C3 puts clean C4 at deviation z = -5.3
+            # and the one without C3 and C4 does not, so the detections
+            # cycle {C3} -> {C3, C4} -> {C3} and settle on the union.
+            request.applymarker(pytest.mark.xfail(
+                strict=True, reason="oscillation union also interpolates clean C4"
+            ))
+        session, _ = generate_session(SynthConfig(duration_s=180.0, rng_seed=seed))
+        rec = session.eeg
+        x = rec.samples.copy()
+        if dead is not None:
+            x[rec.channel_names.index(dead)] = 0.0
+        _, report = preprocess_session(
+            rec.with_samples(x), FilterSpec(), BadChannelCriteria()
+        )
+        assert report.interpolated == (() if dead is None else (dead,))
 
 
 class TestGeometryHelpers:

@@ -13,7 +13,6 @@ from eegdrive.labels import (
     read_labels_csv,
     write_labels_csv,
 )
-from eegdrive.preprocess import tone_power
 from eegdrive.session import NS_PER_S
 from eegdrive.synth import (
     TRUTH_NAME,
@@ -21,6 +20,7 @@ from eegdrive.synth import (
     generate_session,
     write_synthetic_session,
 )
+from tones import tone_power
 
 FS = 125.0
 CLASS_FREQS = (30.0, 15.0, 10.0, 20.0, 5.0)

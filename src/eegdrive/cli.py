@@ -104,7 +104,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "validate":
             session = stage_validate(args.path)
             print(
-                f"ok: {session.manifest.session_id}: "
+                f"ok: {session.session_id}: "
                 f"{session.eeg.n_channels} channels, "
                 f"{session.eeg.n_samples} samples, "
                 f"{len(session.joystick.t_ns)} joystick rows"

@@ -6,11 +6,13 @@ A session directory holds exactly three files::
     eeg.csv          header ``timestamp_ns,<ch1>,...,<chC>``, microvolt samples
     joystick.jsonl   one JSON object per line: {"t_ns": ..., "vx": ..., "wz": ...}
 
-All three must be UTF-8, and the EEG header must match the manifest montage
-exactly. Each file's row loop only splits rows into fields and checks their
-syntax (field count; integer, float or JSON), recording the file line of
-every row. ``_check_stream`` then applies every stream rule to the parsed
-columns at once and reports the first broken row as ``path:line``:
+All three must be UTF-8. The manifest's channels must form a valid
+``session.Montage`` (the fault names the channel), and the EEG header must
+match that montage exactly. Each file's row loop only splits rows into
+fields and checks their syntax (field count; integer, float or JSON),
+recording the file line of every row. ``_check_stream`` then applies every
+stream rule to the parsed columns at once and reports the first broken row
+as ``path:line``:
 
 - timestamps are integers in [0, 2^63) and strictly increase;
 - EEG samples are finite;
@@ -26,19 +28,12 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import DataError
-from .session import (
-    NS_PER_MS,
-    NS_PER_S,
-    ChannelMeta,
-    EegRecording,
-    JoystickStream,
-    SessionManifest,
-)
+from .session import NS_PER_MS, NS_PER_S, EegRecording, JoystickStream, Montage
 
 MANIFEST_NAME = "manifest.json"
 EEG_NAME = "eeg.csv"
@@ -48,6 +43,9 @@ MAX_TIMESTAMP_NS = 2**63 - 1
 #: Largest fractional difference allowed between the median EEG sample gap
 #: and the period the manifest's sample rate implies.
 DRIFT_TOLERANCE = 0.01
+#: EEG rows formatted per block when writing: converting a whole recording
+#: to Python floats at once would add ~13 MB to peak memory for 200 s.
+EEG_ROWS_PER_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -93,17 +91,17 @@ def align_nearest(
 
 @dataclass
 class SessionDir:
-    """A fully parsed session: manifest plus both validated streams."""
+    """A fully parsed session: its identifiers plus both validated streams.
 
-    manifest: SessionManifest
+    The montage and the sample rate are owned by ``eeg``; the manifest file
+    is written from, and parsed back into, these fields and that recording.
+    """
+
+    subject_id: str
+    session_id: str
     eeg: EegRecording
     joystick: JoystickStream
-
-    def __post_init__(self):
-        if [c.name for c in self.manifest.montage] != self.eeg.channel_names:
-            raise DataError("EEG channels do not match the manifest montage")
-        if self.manifest.sample_rate_hz != self.eeg.sample_rate_hz:
-            raise DataError("EEG sample rate does not match the manifest")
+    reserved_streams: tuple[str, ...] = ()
 
 
 def _lines(path: Path) -> Iterator[tuple[int, str]]:
@@ -117,7 +115,8 @@ def _lines(path: Path) -> Iterator[tuple[int, str]]:
                 raise DataError(f"{path}:{lineno}: not UTF-8: {e}") from e
 
 
-def _parse_manifest(path: Path) -> SessionManifest:
+def _parse_manifest(path: Path) -> tuple[dict, Montage, float]:
+    """Returns the SessionDir identifier fields, the montage and the rate."""
     try:
         raw = json.loads("\n".join(line for _, line in _lines(path)))
     except (ValueError, RecursionError) as e:
@@ -133,22 +132,33 @@ def _parse_manifest(path: Path) -> SessionManifest:
         raise DataError(f"{path}: manifest missing keys {sorted(missing)}")
     if not isinstance(raw["channels"], list):
         raise DataError(f"{path}: channels must be a list")
-    montage = []
+    names, positions = [], []
     for k, ch in enumerate(raw["channels"]):
         try:
-            montage.append(ChannelMeta(str(ch["name"]), tuple(float(v) for v in ch["pos"])))
-        except (KeyError, TypeError, ValueError) as e:
+            names.append(str(ch["name"]))
+            positions.append([float(v) for v in ch["pos"]])
+        except (KeyError, TypeError, ValueError, OverflowError) as e:
             raise DataError(f"{path}: channel entry {k} invalid: {e}") from e
+        if len(positions[-1]) != 3:
+            raise DataError(
+                f"{path}: channel {names[-1]!r}: pos has {len(positions[-1])} "
+                "coordinates, expected 3"
+            )
     try:
-        return SessionManifest(
-            subject_id=str(raw["subject_id"]),
-            session_id=str(raw["session_id"]),
-            sample_rate_hz=float(raw["sample_rate_hz"]),
-            montage=tuple(montage),
-            reserved_streams=tuple(str(s) for s in raw.get("reserved_streams", ())),
-        )
-    except (TypeError, ValueError) as e:
+        ids = {
+            "subject_id": str(raw["subject_id"]),
+            "session_id": str(raw["session_id"]),
+            "reserved_streams": tuple(str(s) for s in raw.get("reserved_streams", ())),
+        }
+        rate = float(raw["sample_rate_hz"])
+        montage = Montage(tuple(names), positions)
+    except (TypeError, ValueError, OverflowError) as e:
         raise DataError(f"{path}: {e}") from e
+    if not ids["subject_id"] or not ids["session_id"]:
+        raise DataError(f"{path}: subject_id and session_id must be non-empty")
+    if not (rate > 0):
+        raise DataError(f"{path}: sample_rate_hz must be positive")
+    return ids, montage, rate
 
 
 def _check_stream(
@@ -156,7 +166,7 @@ def _check_stream(
     lines: list[int],
     t: list[int],
     values: np.ndarray,
-    names: list[str],
+    names: Sequence[str],
     limit: float = math.inf,
     rate_hz: float | None = None,
 ) -> np.ndarray:
@@ -215,8 +225,8 @@ def _check_stream(
     return ts
 
 
-def _parse_eeg_csv(path: Path, manifest: SessionManifest) -> EegRecording:
-    names = [c.name for c in manifest.montage]
+def _parse_eeg_csv(path: Path, montage: Montage, rate_hz: float) -> EegRecording:
+    names = montage.names
     rows = _lines(path)
     header = next(rows, (1, ""))[1]
     expected = "timestamp_ns," + ",".join(names)
@@ -245,15 +255,8 @@ def _parse_eeg_csv(path: Path, manifest: SessionManifest) -> EegRecording:
     if not lines:
         raise DataError(f"{path}: no samples")
     samples = np.array(values, dtype=np.float64)
-    timestamps = _check_stream(
-        path, lines, t, samples, names, rate_hz=manifest.sample_rate_hz
-    )
-    return EegRecording(
-        channels=list(manifest.montage),
-        timestamps=timestamps,
-        samples=samples.T,
-        sample_rate_hz=manifest.sample_rate_hz,
-    )
+    timestamps = _check_stream(path, lines, t, samples, names, rate_hz=rate_hz)
+    return EegRecording(montage, timestamps, samples.T, rate_hz)
 
 
 def _parse_joystick_jsonl(path: Path) -> JoystickStream:
@@ -296,10 +299,10 @@ def load_session(path: str | Path) -> SessionDir:
     for name in (MANIFEST_NAME, EEG_NAME, JOYSTICK_NAME):
         if not (root / name).is_file():
             raise DataError(f"{root}: missing {name}")
-    manifest = _parse_manifest(root / MANIFEST_NAME)
-    eeg = _parse_eeg_csv(root / EEG_NAME, manifest)
+    ids, montage, rate_hz = _parse_manifest(root / MANIFEST_NAME)
+    eeg = _parse_eeg_csv(root / EEG_NAME, montage, rate_hz)
     joystick = _parse_joystick_jsonl(root / JOYSTICK_NAME)
-    return SessionDir(manifest, eeg, joystick)
+    return SessionDir(eeg=eeg, joystick=joystick, **ids)
 
 
 # --------------------------------------------------------------------------
@@ -312,25 +315,28 @@ def write_session_dir(path: str | Path, session: SessionDir) -> Path:
     """Write a session to disk in the exact on-disk formats parsed above."""
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
-    m = session.manifest
+    eeg = session.eeg
+    montage = eeg.montage
     manifest = {
         "format_version": FORMAT_VERSION,
-        "subject_id": m.subject_id,
-        "session_id": m.session_id,
-        "sample_rate_hz": m.sample_rate_hz,
+        "subject_id": session.subject_id,
+        "session_id": session.session_id,
+        "sample_rate_hz": eeg.sample_rate_hz,
         "channels": [
-            {"name": c.name, "pos": [float(v) for v in c.position]} for c in m.montage
+            {"name": n, "pos": p}
+            for n, p in zip(montage.names, montage.positions.tolist())
         ],
-        "reserved_streams": list(m.reserved_streams),
+        "reserved_streams": list(session.reserved_streams),
     }
     (root / MANIFEST_NAME).write_text(json.dumps(manifest, indent=2) + "\n")
 
-    names = [c.name for c in m.montage]
+    row = "%d" + ",%.6f" * eeg.n_channels + "\n"
     with (root / EEG_NAME).open("w", newline="") as fh:
-        fh.write("timestamp_ns," + ",".join(names) + "\n")
-        cols = session.eeg.samples  # (C, T)
-        for i, t in enumerate(session.eeg.timestamps.tolist()):
-            fh.write(f"{t}," + ",".join(f"{v:.6f}" for v in cols[:, i]) + "\n")
+        fh.write("timestamp_ns," + ",".join(montage.names) + "\n")
+        for start in range(0, eeg.n_samples, EEG_ROWS_PER_BLOCK):
+            cols = slice(start, start + EEG_ROWS_PER_BLOCK)
+            ts, x = eeg.timestamps[cols].tolist(), eeg.samples[:, cols].tolist()
+            fh.writelines(row % r for r in zip(ts, *x))
 
     with (root / JOYSTICK_NAME).open("w") as fh:
         joy = session.joystick

@@ -13,7 +13,7 @@ whose reading is contradictory, are omitted.
 
 from __future__ import annotations
 
-import csv
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -141,26 +141,43 @@ def write_labels_csv(path: str | Path, labeled: LabeledSamples) -> Path:
     return path
 
 
+def _int_pairs(lines) -> np.ndarray:
+    """(n, 2) int64 rows from lines of two comma-separated integers; blank
+    lines are skipped. Raises ValueError on any other line."""
+    with warnings.catch_warnings():
+        # a file with no rows holds zero labels, which is no fault
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        rows = np.loadtxt(lines, delimiter=",", dtype=np.int64, ndmin=2, comments=None)
+    if len(rows) and rows.shape[1] != 2:
+        raise ValueError(f"expected 2 fields per row, found {rows.shape[1]}")
+    return rows.reshape(-1, 2)
+
+
+def _first_bad_line(path: Path) -> int:
+    """The file line of the first row ``_int_pairs`` rejects; 1 when every
+    body row parses alone, so the fault lies in the header."""
+    with path.open(errors="replace") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                if lineno > 1:
+                    _int_pairs([line])
+            except ValueError:
+                return lineno
+    return 1
+
+
 def read_labels_csv(path: str | Path, delta_ms: int, eeg_ts: np.ndarray) -> LabeledSamples:
     """Load a labels file back, recovering sample indices from timestamps."""
     path = Path(path)
-    t_list: list[int] = []
-    code_list: list[int] = []
-    with path.open("r", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["t_ns", "label_code"]:
-            raise DataError(f"{path}:1: expected header t_ns,label_code")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                t_list.append(int(row[0]))
-                code_list.append(int(row[1]))
-            except (IndexError, ValueError) as e:
-                raise DataError(f"{path}:{lineno}: {e}") from e
+    try:
+        with path.open("r") as fh:
+            if fh.readline().rstrip("\n") != "t_ns,label_code":
+                raise DataError(f"{path}:1: expected header t_ns,label_code")
+            rows = _int_pairs(fh)
+    except ValueError as e:  # parsed in bulk; the bad line is found only now
+        raise DataError(f"{path}:{_first_bad_line(path)}: {e}") from e
+    t_arr, codes = rows[:, 0], rows[:, 1]
     eeg_ts = np.asarray(eeg_ts, dtype=np.int64)
-    t_arr = np.asarray(t_list, dtype=np.int64)
     pos = np.searchsorted(eeg_ts, t_arr)
     bad = (pos >= len(eeg_ts)) | (eeg_ts[np.minimum(pos, len(eeg_ts) - 1)] != t_arr)
     if np.any(bad):
@@ -168,7 +185,6 @@ def read_labels_csv(path: str | Path, delta_ms: int, eeg_ts: np.ndarray) -> Labe
         raise DataError(
             f"{path}: label timestamp {t_arr[i]} not present in the recording"
         )
-    codes = np.asarray(code_list, dtype=np.int8)
     if len(codes) and (codes.min() < 0 or codes.max() >= len(CommandLabel)):
         raise DataError(f"{path}: label codes must lie in [0, {len(CommandLabel) - 1}]")
     return LabeledSamples(delta_ms=delta_ms, indices=pos, t_ns=t_arr, labels=codes)

@@ -81,9 +81,6 @@ class LinearSoftmax:
         self.n_classes = n_classes
         self.n_features = n_channels * n_samples
 
-    def param_shapes(self) -> dict[str, tuple[int, ...]]:
-        return {"w": (self.n_classes, self.n_features), "b": (self.n_classes,)}
-
     def init_params(self, seed: int, dtype=np.float32) -> dict[str, np.ndarray]:
         rng = np.random.default_rng(seed)
         return {
@@ -176,17 +173,6 @@ class ShallowConvNet:
         rows = np.arange(self.conv_len)[:, None]
         starts = np.arange(self.n_frames) * s.pool_stride
         self.pool = ((rows >= starts) & (rows < starts + s.pool_len)) / s.pool_len
-
-    def param_shapes(self) -> dict[str, tuple[int, ...]]:
-        s = self.spec
-        return {
-            "w_temporal": (s.n_temporal_filters, s.temporal_kernel),
-            "b_temporal": (s.n_temporal_filters,),
-            "w_spatial": (s.n_spatial_filters, s.n_temporal_filters, self.n_channels),
-            "b_spatial": (s.n_spatial_filters,),
-            "w_dense": (self.n_classes, self.n_features),
-            "b_dense": (self.n_classes,),
-        }
 
     def init_params(self, seed: int, dtype=np.float32) -> dict[str, np.ndarray]:
         s = self.spec

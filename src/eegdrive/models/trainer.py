@@ -50,7 +50,6 @@ class TrainConfig:
     The 150-epoch default keeps a full benchmark run at desk scale; raise it
     for longer schedules. learning_rate 0 is allowed and leaves parameters
     at their initialization, which the determinism tests rely on.
-    class_weights, when given, overrides the inverse-frequency computation.
     """
 
     epochs: int = 150
@@ -59,7 +58,6 @@ class TrainConfig:
     adam_beta1: float = 0.9
     adam_beta2: float = 0.999
     adam_eps: float = 1e-8
-    class_weights: tuple[float, ...] | None = None
 
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
@@ -70,10 +68,6 @@ class TrainConfig:
             raise ValueError("adam betas must lie in [0, 1)")
         if self.adam_eps <= 0.0:
             raise ValueError("adam_eps must be positive")
-        if self.class_weights is not None and any(
-            w <= 0 for w in self.class_weights
-        ):
-            raise ValueError("explicit class_weights must all be positive")
 
 
 class Adam:

@@ -155,9 +155,7 @@ def stage_preprocess(cfg: RunConfig, ws: Workspace, session_id: str) -> Path:
         session = load_session(ws.session_dir(session_id))
         cleaned, report = preprocess_session(session.eeg, cfg.filters, cfg.bad_channels)
         out_dir = ws.preprocessed_dir(session_id)
-        write_session_dir(
-            out_dir, SessionDir(session.manifest, cleaned, session.joystick)
-        )
+        write_session_dir(out_dir, dataclasses.replace(session, eeg=cleaned))
         ws.preprocess_report(session_id).write_text(
             json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
         )
@@ -283,10 +281,7 @@ def stage_train(
                 f"window sidecar says delta {delta_read}, expected {delta_ms}"
             )
         counts = _read_split_stats(ws.split_stats(session_id, delta_ms))
-        if cfg.train.class_weights is not None:
-            weights = np.asarray(cfg.train.class_weights, dtype=np.float64)
-        else:
-            weights = compute_class_weights(counts)
+        weights = compute_class_weights(counts)
         n_channels, n_samples = data.shape[1], data.shape[2]
         model = build_model(model_name, n_channels, n_samples)
         seed = derive_seed(cfg.seed, session_id, delta_ms, model_name, "train")

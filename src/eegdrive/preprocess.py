@@ -168,14 +168,15 @@ def detect_bad_channels(
     neither tested nor used as evidence). Returns {name: (reasons...)}.
     """
     exclude = set(exclude)
-    usable = [i for i, ch in enumerate(rec.channels) if ch.name not in exclude]
+    all_names = rec.montage.names
+    usable = [i for i, n in enumerate(all_names) if n not in exclude]
     if len(usable) < 4:
         raise DataError(
             f"only {len(usable)} usable channels, need at least 4 for "
             "bad-channel detection"
         )
     x = rec.samples[usable]
-    names = [rec.channels[i].name for i in usable]
+    names = [all_names[i] for i in usable]
     n_ch, n_samp = x.shape
     reasons: dict[str, list[str]] = {}
 
@@ -250,7 +251,7 @@ def robust_average_reference(
     """
     report = PreprocessReport()
     x = rec.samples
-    names = rec.channel_names
+    names = rec.montage.names
     bad: dict[str, tuple[str, ...]] = {}
     seen: list[frozenset[str]] = []
     while True:
@@ -291,22 +292,23 @@ def interpolate_channels(rec: EegRecording, bad: Iterable[str]) -> EegRecording:
     channels (great-circle distance on the unit sphere, weights 1/d^2).
     """
     bad = set(bad)
-    unknown = bad - set(rec.channel_names)
+    names, positions = rec.montage.names, rec.montage.positions
+    unknown = bad - set(names)
     if unknown:
         raise DataError(f"cannot interpolate unknown channels {sorted(unknown)}")
     if not bad:
         return rec.with_samples(rec.samples.copy())
-    good_idx = [i for i, c in enumerate(rec.channels) if c.name not in bad]
+    good_idx = [i for i, n in enumerate(names) if n not in bad]
     if len(good_idx) < 3:
         raise DataError(
             f"only {len(good_idx)} good channels left; interpolation needs 3"
         )
     x = rec.samples.copy()
-    good_pos = np.array([rec.channels[i].position for i in good_idx])
-    for i, ch in enumerate(rec.channels):
-        if ch.name not in bad:
+    good_pos = positions[good_idx]
+    for i, name in enumerate(names):
+        if name not in bad:
             continue
-        sel, w = _idw_weights(np.array(ch.position), good_pos)
+        sel, w = _idw_weights(positions[i], good_pos)
         src = [good_idx[int(s)] for s in sel]
         x[i] = w @ rec.samples[src]
     return rec.with_samples(x)
@@ -320,7 +322,7 @@ def zscore_channels(rec: EegRecording) -> EegRecording:
     flat = np.nonzero(var[:, 0] == 0)[0]
     if len(flat):
         raise DataError(
-            f"channel {rec.channels[int(flat[0])].name} has zero variance; "
+            f"channel {rec.montage.names[int(flat[0])]} has zero variance; "
             "cannot z-score"
         )
     return rec.with_samples((x - mean) / np.sqrt(var))

@@ -3,8 +3,11 @@
 Every timestamp in this package is an integer count of nanoseconds, never a
 float: alignment, labelling and splitting all compare timestamps for order
 and equality, and those comparisons must stay exact no matter how long a
-recording runs. Bulk data (timestamps, samples) lives in numpy arrays;
-scalar records are small dataclasses.
+recording runs. Bulk data (timestamps, samples, electrode positions) lives
+in numpy arrays; scalar records are small dataclasses. Each fact about a
+session has one owner: the recording holds its montage and sample rate,
+and ``ingest.SessionDir`` adds only the identifiers and the joystick
+stream.
 """
 
 from __future__ import annotations
@@ -90,36 +93,57 @@ DEFAULT_MONTAGE_NAMES = (
 )
 
 
-@dataclass(frozen=True)
-class ChannelMeta:
-    """One electrode: a unique name plus its unit-sphere position."""
+@dataclass(frozen=True, eq=False)
+class Montage:
+    """The electrode layout of a recording, one row per channel.
 
-    name: str
-    position: tuple[float, float, float]
+    ``names`` are the channel names in row order; ``positions`` is a
+    read-only float64 (C, 3) array of unit vectors on the head sphere.
+    """
+
+    names: tuple[str, ...]
+    positions: np.ndarray
 
     def __post_init__(self):
-        if not self.name:
-            raise ValueError("channel name must be non-empty")
-        norm = math.sqrt(sum(c * c for c in self.position))
-        if not math.isfinite(norm) or abs(norm - 1.0) > 1e-9:
+        names = tuple(self.names)
+        pos = np.array(self.positions, dtype=np.float64)
+        if len(names) < 2:
+            raise ValueError("montage must list at least 2 channels")
+        if pos.shape != (len(names), 3):
             raise ValueError(
-                f"channel {self.name!r}: |position| = {norm!r}, expected unit norm"
+                f"positions must have shape ({len(names)}, 3), got {pos.shape}"
             )
+        for i, name in enumerate(names):
+            if not name:
+                raise ValueError(f"channel {i}: name must be non-empty")
+            if name in names[:i]:
+                raise ValueError(f"channel {i}: name {name!r} is not unique")
+        norm = np.sqrt((pos * pos).sum(axis=1))
+        off = ~(np.abs(norm - 1.0) <= 1e-9)  # NaN norms count as off
+        if off.any():
+            i = int(np.argmax(off))
+            raise ValueError(
+                f"channel {names[i]!r}: |position| = {float(norm[i])!r}, "
+                "expected unit norm"
+            )
+        pos.setflags(write=False)
+        object.__setattr__(self, "names", names)
+        object.__setattr__(self, "positions", pos)
 
 
-def default_montage() -> list[ChannelMeta]:
+def default_montage() -> Montage:
     """The built-in 16-channel montage in rig order."""
-    return [ChannelMeta(n, ELECTRODE_POSITIONS[n]) for n in DEFAULT_MONTAGE_NAMES]
+    return Montage(
+        DEFAULT_MONTAGE_NAMES, [ELECTRODE_POSITIONS[n] for n in DEFAULT_MONTAGE_NAMES]
+    )
 
 
-def synthetic_montage(n_channels: int) -> list[ChannelMeta]:
+def synthetic_montage(n_channels: int) -> Montage:
     """A montage for simulation: the rig layout at 16 channels, otherwise a
     deterministic spread of points over the upper hemisphere."""
     if n_channels == len(DEFAULT_MONTAGE_NAMES):
         return default_montage()
-    if n_channels < 2:
-        raise ValueError("need at least 2 channels")
-    chans = []
+    positions = []
     golden = math.pi * (3.0 - math.sqrt(5.0))
     for i in range(n_channels):
         z = 1.0 - (i + 0.5) / n_channels  # upper hemisphere only
@@ -127,8 +151,8 @@ def synthetic_montage(n_channels: int) -> list[ChannelMeta]:
         a = golden * i
         v = (r * math.cos(a), r * math.sin(a), z)
         n = math.sqrt(sum(c * c for c in v))
-        chans.append(ChannelMeta(f"ch{i:02d}", (v[0] / n, v[1] / n, v[2] / n)))
-    return chans
+        positions.append((v[0] / n, v[1] / n, v[2] / n))
+    return Montage(tuple(f"ch{i:02d}" for i in range(n_channels)), positions)
 
 
 # --------------------------------------------------------------------------
@@ -138,15 +162,16 @@ def synthetic_montage(n_channels: int) -> list[ChannelMeta]:
 
 @dataclass
 class EegRecording:
-    """A multichannel EEG recording.
+    """A multichannel EEG recording: the one owner of its montage and rate.
 
-    ``samples`` is (n_channels, n_samples) in microvolts; ``timestamps`` is
-    int64 nanoseconds, one per sample column. Arrays are adopted (not
-    copied) and marked read-only so downstream stages can share them safely;
-    operations that transform a recording always allocate new arrays.
+    ``samples`` is (n_channels, n_samples) in microvolts, one row per
+    montage channel; ``timestamps`` is int64 nanoseconds, one per sample
+    column. Arrays are adopted (not copied) and marked read-only so
+    downstream stages can share them safely; operations that transform a
+    recording always allocate new arrays.
     """
 
-    channels: list[ChannelMeta]
+    montage: Montage
     timestamps: np.ndarray
     samples: np.ndarray
     sample_rate_hz: float
@@ -156,13 +181,10 @@ class EegRecording:
         self.samples = np.asarray(self.samples, dtype=np.float64)
         if self.timestamps.ndim != 1 or self.samples.ndim != 2:
             raise ValueError("timestamps must be 1-D and samples 2-D")
-        names = [c.name for c in self.channels]
-        if len(set(names)) != len(names):
-            raise ValueError("channel names must be unique")
-        if self.samples.shape[0] != len(self.channels):
+        n_names = len(self.montage.names)
+        if self.samples.shape[0] != n_names:
             raise ValueError(
-                f"{len(self.channels)} channels but samples has "
-                f"{self.samples.shape[0]} rows"
+                f"{n_names} channels but samples has {self.samples.shape[0]} rows"
             )
         if self.samples.shape[1] != self.timestamps.shape[0]:
             raise ValueError(
@@ -182,13 +204,9 @@ class EegRecording:
     def n_samples(self) -> int:
         return self.samples.shape[1]
 
-    @property
-    def channel_names(self) -> list[str]:
-        return [c.name for c in self.channels]
-
     def with_samples(self, samples: np.ndarray) -> "EegRecording":
-        """Same metadata and timestamps, new sample matrix."""
-        return EegRecording(self.channels, self.timestamps, samples, self.sample_rate_hz)
+        """Same montage, rate and timestamps, new sample matrix."""
+        return EegRecording(self.montage, self.timestamps, samples, self.sample_rate_hz)
 
 
 @dataclass
@@ -212,25 +230,3 @@ class JoystickStream:
 
     def __len__(self) -> int:
         return len(self.t_ns)
-
-
-@dataclass(frozen=True)
-class SessionManifest:
-    """Identity and layout of one recorded session."""
-
-    subject_id: str
-    session_id: str
-    sample_rate_hz: float
-    montage: tuple[ChannelMeta, ...]
-    reserved_streams: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        if not self.subject_id or not self.session_id:
-            raise ValueError("subject_id and session_id must be non-empty")
-        if not (self.sample_rate_hz > 0):
-            raise ValueError("sample_rate_hz must be positive")
-        if len(self.montage) < 2:
-            raise ValueError("montage must list at least 2 channels")
-        names = [c.name for c in self.montage]
-        if len(set(names)) != len(names):
-            raise ValueError("montage channel names must be unique")

@@ -46,7 +46,6 @@ from .session import (
     NS_PER_S,
     EegRecording,
     JoystickStream,
-    SessionManifest,
     synthetic_montage,
 )
 
@@ -220,8 +219,7 @@ def generate_session(cfg: SynthConfig) -> tuple[SessionDir, LabeledSamples]:
     )
 
     montage = synthetic_montage(cfg.n_channels)
-    names = [c.name for c in montage]
-    positions = np.asarray([c.position for c in montage])
+    names, positions = montage.names, montage.positions
 
     t_sec = eeg_t.astype(np.float64) / NS_PER_S
     amp = cfg.tone_rms_uv * math.sqrt(2.0)
@@ -285,14 +283,9 @@ def generate_session(cfg: SynthConfig) -> tuple[SessionDir, LabeledSamples]:
     v_x = mag * np.asarray(_VX_SIGN, dtype=np.float64)[joy_codes]
     omega_z = mag * np.asarray(_WZ_SIGN, dtype=np.float64)[joy_codes]
 
-    manifest = SessionManifest(
+    session = SessionDir(
         subject_id="synthetic",
         session_id=f"synth-{cfg.rng_seed:04d}",
-        sample_rate_hz=cfg.sample_rate_hz,
-        montage=tuple(montage),
-    )
-    session = SessionDir(
-        manifest=manifest,
         eeg=EegRecording(montage, eeg_t, x, cfg.sample_rate_hz),
         joystick=JoystickStream(joy_t, v_x, omega_z),
     )

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from eegdrive.errors import DataError
 from eegdrive.ingest import (
     EEG_NAME,
+    EEG_ROWS_PER_BLOCK,
     JOYSTICK_NAME,
     MANIFEST_NAME,
     AlignmentConfig,
@@ -20,12 +21,7 @@ from eegdrive.ingest import (
     load_session,
     write_session_dir,
 )
-from eegdrive.session import (
-    EegRecording,
-    JoystickStream,
-    SessionManifest,
-    synthetic_montage,
-)
+from eegdrive.session import EegRecording, JoystickStream, synthetic_montage
 
 
 def oracle_align(targets, times, max_gap_ns):
@@ -94,10 +90,9 @@ class TestAlignNearest:
 
 
 def _toy_session(n_channels=4, n_samples=50, n_joy=5):
-    montage = synthetic_montage(n_channels)
     rng = np.random.default_rng(3)
     eeg = EegRecording(
-        channels=montage,
+        montage=synthetic_montage(n_channels),
         timestamps=np.arange(n_samples, dtype=np.int64) * 8_000_000,
         samples=rng.standard_normal((n_channels, n_samples)),
         sample_rate_hz=125.0,
@@ -107,13 +102,7 @@ def _toy_session(n_channels=4, n_samples=50, n_joy=5):
         v_x=np.linspace(-0.8, 0.8, n_joy),
         omega_z=np.zeros(n_joy),
     )
-    manifest = SessionManifest(
-        subject_id="s01",
-        session_id="sess-a",
-        sample_rate_hz=125.0,
-        montage=tuple(montage),
-    )
-    return SessionDir(manifest, eeg, joy)
+    return SessionDir("s01", "sess-a", eeg, joy)
 
 
 class TestSessionDirIO:
@@ -121,13 +110,39 @@ class TestSessionDirIO:
         sess = _toy_session()
         root = write_session_dir(tmp_path / "sess", sess)
         back = load_session(root)
-        assert back.manifest == sess.manifest
+        assert (back.subject_id, back.session_id) == (sess.subject_id, sess.session_id)
+        assert back.reserved_streams == sess.reserved_streams
+        assert back.eeg.sample_rate_hz == sess.eeg.sample_rate_hz
+        assert back.eeg.montage.names == sess.eeg.montage.names
+        assert np.array_equal(back.eeg.montage.positions, sess.eeg.montage.positions)
         assert np.array_equal(back.eeg.timestamps, sess.eeg.timestamps)
         # samples are serialized at microvolt-microdecimal precision
         assert np.allclose(back.eeg.samples, sess.eeg.samples, atol=5e-7, rtol=0)
         assert np.array_equal(back.joystick.t_ns, sess.joystick.t_ns)
         assert np.array_equal(back.joystick.v_x, sess.joystick.v_x)
         assert np.array_equal(back.joystick.omega_z, sess.joystick.omega_z)
+
+    def test_eeg_rows_match_the_per_value_oracle(self, tmp_path):
+        # the writer formats rows in blocks; this is the per-value loop it
+        # replaced, on values at the edges of %.6f rounding, placed on both
+        # sides of a block boundary
+        n = 2 * EEG_ROWS_PER_BLOCK + 5
+        samples = np.random.default_rng(4).standard_normal((2, n)) * 100.0
+        edges = [-0.0, 4e-7, -4e-7, 5e-7, -5e-7, 1e12, -1e12, 0.1234565]
+        for at in (0, EEG_ROWS_PER_BLOCK - 4, n - len(edges)):
+            samples[0, at : at + len(edges)] = edges
+            samples[1, at : at + len(edges)] = edges[::-1]
+        ts = np.arange(n, dtype=np.int64)
+        ts[-1] = 2**63 - 1
+        rec = EegRecording(synthetic_montage(2), ts, samples, 125.0)
+        root = write_session_dir(
+            tmp_path / "sess", SessionDir("s01", "sess-a", rec, _toy_session().joystick)
+        )
+        want = "timestamp_ns,ch00,ch01\n"
+        for i, t in enumerate(rec.timestamps.tolist()):
+            want += f"{t}," + ",".join(f"{v:.6f}" for v in rec.samples[:, i]) + "\n"
+        assert (root / EEG_NAME).read_bytes() == want.encode()
+        assert want.endswith("\n9223372036854775807,0.123456,-0.000000\n")
 
     def test_rewrite_is_byte_identical(self, tmp_path):
         sess = _toy_session()
@@ -224,17 +239,6 @@ class TestSessionDirIO:
         (root / JOYSTICK_NAME).write_text("\n".join(lines) + "\n")
         with pytest.raises(DataError, match=r"outside \[-1, 1\]"):
             load_session(root)
-
-    def test_mismatched_montage_and_eeg(self):
-        sess = _toy_session()
-        other = SessionManifest(
-            subject_id="s01",
-            session_id="sess-a",
-            sample_rate_hz=125.0,
-            montage=tuple(synthetic_montage(6)),
-        )
-        with pytest.raises(DataError, match="montage"):
-            SessionDir(other, sess.eeg, sess.joystick)
 
 
 class TestReadersUnderCorruption:

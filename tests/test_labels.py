@@ -214,11 +214,28 @@ class TestLabelsCsv:
         with pytest.raises(DataError, match="header"):
             read_labels_csv(path, 0, np.array([0]))
 
+    @pytest.mark.parametrize("body", ["12,x\n", "12\n", "1.5,2\n", "1,2,3\n"])
+    def test_malformed_body_names_file_and_line(self, tmp_path, body):
+        path = tmp_path / "labels.csv"
+        path.write_text("t_ns,label_code\n12,0\n\n" + body)
+        with pytest.raises(DataError) as e:
+            read_labels_csv(path, 0, np.array([1, 12]))
+        assert str(e.value).startswith(f"{path}:4: ")
+
+    def test_header_only_is_zero_samples(self, tmp_path, recwarn):
+        path = tmp_path / "labels.csv"
+        path.write_text("t_ns,label_code\n")
+        back = read_labels_csv(path, 300, np.array([0, 8 * MS]))
+        assert len(back) == 0 and back.delta_ms == 300
+        assert back.indices.dtype == np.int64 and back.labels.dtype == np.int8
+        assert len(recwarn) == 0
+
     def test_rejects_out_of_range_code(self, tmp_path):
         path = tmp_path / "labels.csv"
-        path.write_text("t_ns,label_code\n0,7\n")
-        with pytest.raises(DataError, match="codes"):
-            read_labels_csv(path, 0, np.array([0]))
+        for code in (7, -1, 300):  # 300 does not fit the int8 label column
+            path.write_text(f"t_ns,label_code\n0,{code}\n")
+            with pytest.raises(DataError, match="codes"):
+                read_labels_csv(path, 0, np.array([0]))
 
 
 class TestLabeledSamples:

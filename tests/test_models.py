@@ -497,8 +497,6 @@ class TestSpecsAndConfigs:
             TrainConfig(adam_beta1=1.0)
         with pytest.raises(ValueError):
             TrainConfig(adam_eps=0.0)
-        with pytest.raises(ValueError):
-            TrainConfig(class_weights=(1.0, -1.0, 1.0, 1.0, 1.0))
 
     def test_build_model_rejects_unknown_name(self):
         with pytest.raises(ValueError, match="resnet"):

@@ -183,6 +183,7 @@ class TestSubcommands:
         [
             ({"channels": 5}, "channels must be a list"),
             ({"sample_rate_hz": 128.0}, "median sample gap"),
+            ({"sample_rate_hz": 10**400}, "int too large to convert to float"),
         ],
     )
     def test_validate_rejects_manifest(self, baseline, tmp_path, capsys, edit, rule):
@@ -193,6 +194,32 @@ class TestSubcommands:
         manifest.write_text(json.dumps(dict(json.loads(manifest.read_text()), **edit)))
         assert main(["validate", str(session)]) == 3
         assert rule in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field, value, rule",
+        [
+            ("name", "Fp1", "channel 7: name 'Fp1' is not unique"),
+            ("name", "", "channel 7: name must be non-empty"),
+            ("pos", [0.0, 0.0, 1.5], "channel 'C4': |position| = 1.5, expected unit norm"),
+            ("pos", [0.6, 0.8], "channel 'C4': pos has 2 coordinates, expected 3"),
+            ("pos", [0, 0, 10**400], "channel entry 7 invalid: int too large"),
+        ],
+    )
+    def test_validate_rejects_montage(
+        self, baseline, tmp_path, capsys, field, value, rule
+    ):
+        _, out = baseline
+        session = tmp_path / "synth-0000"
+        shutil.copytree(out / "sessions" / "synth-0000", session)
+        manifest = session / "manifest.json"
+        raw = json.loads(manifest.read_text())
+        assert raw["channels"][7]["name"] == "C4"
+        raw["channels"][7][field] = value
+        manifest.write_text(json.dumps(raw))
+        assert main(["validate", str(session)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{manifest}: {rule}" in captured.err
 
     def test_jobs_only_on_run_all(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -301,10 +328,12 @@ class TestExitCodes:
         ("bad_channels", "ransac_frac", 0.25),
         ("bad_channels", "ransac_corr_min", 0.75),
         ("bad_channels", "ransac_samples", 50),
+        ("train", "class_weights", [1, 1, 1, 1, 1]),
     ])
     def test_removed_seed_knobs_are_2(self, tmp_path, capsys, section, key, value):
-        # the pipeline derives the seeds per session and run, and bad-channel
-        # detection draws nothing random; a config can set neither
+        # the pipeline derives the seeds per session and run, bad-channel
+        # detection draws nothing random, and class weights follow the
+        # training split's class counts; a config can set none of them
         doc = dict(SMALL, n_sessions=1, **{section: {**SMALL.get(section, {}), key: value}})
         cfg = _write_cfg(tmp_path, doc)
         rc = main(["run-all", "--config", str(cfg), "--out", str(tmp_path / "ws")])

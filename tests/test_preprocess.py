@@ -25,7 +25,7 @@ from eegdrive.preprocess import (
     robust_average_reference,
     zscore_channels,
 )
-from eegdrive.session import EegRecording, default_montage
+from eegdrive.session import EegRecording, Montage, default_montage
 from eegdrive.synth import SynthConfig, generate_session
 from tones import tone_power
 
@@ -62,8 +62,9 @@ def _structured_recording(n=3000, seed=0, n_channels=16):
     with electrode position, which the spatial consistency checks rely on.
     """
     rng = np.random.default_rng(seed)
-    mont = default_montage()[:n_channels]
-    pos = np.array([ch.position for ch in mont])
+    rig = default_montage()
+    mont = Montage(rig.names[:n_channels], rig.positions[:n_channels])
+    pos = mont.positions
     gains = rng.permuted(np.linspace(0.75, 1.25, n_channels))
     coef = gains[:, None] * pos
     coef = coef - coef.mean(axis=0, keepdims=True)
@@ -77,7 +78,7 @@ def _structured_recording(n=3000, seed=0, n_channels=16):
     )
     samples = 5.0 * (coef @ bases) + 0.3 * rng.standard_normal((n_channels, n))
     return EegRecording(
-        channels=mont,
+        montage=mont,
         timestamps=np.arange(n, dtype=np.int64) * PERIOD_NS,
         samples=samples,
         sample_rate_hz=FS,
@@ -181,7 +182,7 @@ class TestDetectBadChannels:
         x = rec.samples.copy()
         x[5] = 0.0
         flagged = detect_bad_channels(rec.with_samples(x), BadChannelCriteria())
-        name = rec.channel_names[5]
+        name = rec.montage.names[5]
         assert name in flagged
         assert "correlation" in flagged[name]
 
@@ -190,7 +191,7 @@ class TestDetectBadChannels:
         x = rec.samples.copy()
         x[2] *= 80.0
         flagged = detect_bad_channels(rec.with_samples(x), BadChannelCriteria())
-        name = rec.channel_names[2]
+        name = rec.montage.names[2]
         assert name in flagged
         assert "deviation" in flagged[name]
 
@@ -200,13 +201,13 @@ class TestDetectBadChannels:
         scale = float(np.std(x[7]))
         x[7] = np.random.default_rng(9).standard_normal(x.shape[1]) * scale
         flagged = detect_bad_channels(rec.with_samples(x), BadChannelCriteria())
-        assert rec.channel_names[7] in flagged
+        assert rec.montage.names[7] in flagged
 
     def test_exclude_removes_channel_from_consideration(self):
         rec = _structured_recording()
         x = rec.samples.copy()
         x[5] = 0.0
-        name = rec.channel_names[5]
+        name = rec.montage.names[5]
         flagged = detect_bad_channels(
             rec.with_samples(x), BadChannelCriteria(), exclude=[name]
         )
@@ -216,7 +217,7 @@ class TestDetectBadChannels:
         rec = _structured_recording(n_channels=5)
         with pytest.raises(DataError, match="at least 4"):
             detect_bad_channels(
-                rec, BadChannelCriteria(), exclude=rec.channel_names[:2]
+                rec, BadChannelCriteria(), exclude=rec.montage.names[:2]
             )
 
     def test_criteria_validation(self):
@@ -231,7 +232,7 @@ class TestReferenceAndRepair:
         rec = _structured_recording()
         out, report = robust_average_reference(rec, BadChannelCriteria())
         assert report.reference_iterations >= 1
-        good = [i for i, n in enumerate(rec.channel_names) if n not in report.final_bad]
+        good = [i for i, n in enumerate(rec.montage.names) if n not in report.final_bad]
         want = rec.samples - rec.samples[good].mean(axis=0, keepdims=True)
         assert np.allclose(out.samples, want, atol=1e-12)
 
@@ -255,7 +256,7 @@ class TestReferenceAndRepair:
         assert len(calls) == report.reference_iterations == 3
         assert report.bad_channels == [a, b, a, union]
         assert report.final_bad == union
-        good = [i for i, n in enumerate(rec.channel_names) if n not in union]
+        good = [i for i, n in enumerate(rec.montage.names) if n not in union]
         want = rec.samples - rec.samples[good].mean(axis=0, keepdims=True)
         assert np.allclose(out.samples, want, atol=1e-12)
 
@@ -267,7 +268,7 @@ class TestReferenceAndRepair:
         assert len(calls) == report.reference_iterations == preprocess.MAX_REFERENCE_ITERATIONS
         assert report.bad_channels == verdicts
         assert report.final_bad == verdicts[-1]
-        good = [i for i, n in enumerate(rec.channel_names) if n != "P4"]
+        good = [i for i, n in enumerate(rec.montage.names) if n != "P4"]
         want = rec.samples - rec.samples[good].mean(axis=0, keepdims=True)
         assert np.allclose(out.samples, want, atol=1e-12)
 
@@ -278,7 +279,7 @@ class TestReferenceAndRepair:
         shared = rec.samples[0]
         x = np.tile(shared, (rec.n_channels, 1))
         x[4] = 0.0
-        bad_name = rec.channel_names[4]
+        bad_name = rec.montage.names[4]
         out = interpolate_channels(rec.with_samples(x), [bad_name])
         assert np.allclose(out.samples[4], shared, atol=1e-9)
         for i in range(rec.n_channels):
@@ -287,7 +288,7 @@ class TestReferenceAndRepair:
 
     def test_interpolation_weights_favor_near_channels(self):
         rec = _structured_recording()
-        out = interpolate_channels(rec, [rec.channel_names[3]])
+        out = interpolate_channels(rec, [rec.montage.names[3]])
         # the repaired row is a convex blend: bounded by the source extremes
         lo = rec.samples.min(axis=0) - 1e-9
         hi = rec.samples.max(axis=0) + 1e-9
@@ -331,7 +332,7 @@ class TestPreprocessSession:
         x[7] = np.random.default_rng(9).standard_normal(x.shape[1]) * float(
             np.std(x[7])
         )
-        name = rec.channel_names[7]
+        name = rec.montage.names[7]
         out, report = preprocess_session(
             rec.with_samples(x), FilterSpec(), BadChannelCriteria()
         )
@@ -375,7 +376,7 @@ class TestSimulatedSessions:
         rec = session.eeg
         x = rec.samples.copy()
         if dead is not None:
-            x[rec.channel_names.index(dead)] = 0.0
+            x[rec.montage.names.index(dead)] = 0.0
         _, report = preprocess_session(
             rec.with_samples(x), FilterSpec(), BadChannelCriteria()
         )

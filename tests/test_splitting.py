@@ -52,7 +52,7 @@ def _recording_for(labeled, n_channels=2):
     n = int(labeled.indices.max()) + 1
     samples = np.tile(np.arange(n, dtype=np.float64), (n_channels, 1))
     return EegRecording(
-        channels=synthetic_montage(n_channels),
+        montage=synthetic_montage(n_channels),
         timestamps=np.arange(n, dtype=np.int64) * PERIOD_NS,
         samples=samples,
         sample_rate_hz=125.0,
@@ -258,7 +258,7 @@ class TestScalarOracle:
             n_channels = int(rng.integers(2, 6))
             n = int(labeled.indices.max()) + 1
             rec = EegRecording(
-                channels=synthetic_montage(n_channels),
+                montage=synthetic_montage(n_channels),
                 timestamps=np.arange(n, dtype=np.int64) * PERIOD_NS,
                 samples=rng.standard_normal((n_channels, n)) * 30.0,
                 sample_rate_hz=125.0,

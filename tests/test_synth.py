@@ -215,7 +215,7 @@ class TestArtifacts:
     def test_corrupt_channel_is_flat(self):
         cfg = SynthConfig(duration_s=16.0, corrupt_channel="C3", line_noise_amp=10.0)
         session, _ = generate_session(cfg)
-        k = session.eeg.channel_names.index("C3")
+        k = session.eeg.montage.names.index("C3")
         assert np.all(session.eeg.samples[k] == 0.0)
         others = [i for i in range(session.eeg.n_channels) if i != k]
         assert np.abs(session.eeg.samples[others]).max() > 0.0

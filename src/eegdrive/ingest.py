@@ -6,13 +6,13 @@ A session directory holds exactly three files::
     eeg.csv          header ``timestamp_ns,<ch1>,...,<chC>``, microvolt samples
     joystick.jsonl   one JSON object per line: {"t_ns": ..., "vx": ..., "wz": ...}
 
-All three must be UTF-8. The manifest's channels must form a valid
-``session.Montage`` (the fault names the channel), and the EEG header must
-match that montage exactly. Each file's row loop only splits rows into
-fields and checks their syntax (field count; integer, float or JSON),
-recording the file line of every row. ``_check_stream`` then applies every
-stream rule to the parsed columns at once and reports the first broken row
-as ``path:line``:
+All three must be UTF-8, and each is decoded once (``read_lines``). The
+manifest's channels must form a valid ``session.Montage`` (the fault names
+the channel), and the EEG header must match that montage exactly. The EEG
+body is parsed in one bulk call (``parse_rows``) and the joystick stream one
+JSON line at a time; both check only syntax and keep each row's file line.
+``_check_stream`` then applies every stream rule to the parsed columns at
+once and reports the first broken row as ``path:line``:
 
 - timestamps are integers in [0, 2^63) and strictly increase;
 - EEG samples are finite;
@@ -26,9 +26,10 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -104,21 +105,51 @@ class SessionDir:
     reserved_streams: tuple[str, ...] = ()
 
 
-def _lines(path: Path) -> Iterator[tuple[int, str]]:
-    """Yield (line number, text without its line ending) for each line of a
-    UTF-8 file."""
-    with path.open("rb") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            try:
-                yield lineno, raw.decode("utf-8").rstrip("\r\n")
-            except UnicodeDecodeError as e:
-                raise DataError(f"{path}:{lineno}: not UTF-8: {e}") from e
+def read_lines(path: Path) -> list[str]:
+    """The lines of a UTF-8 file, split at each LF only: a CR before it stays.
+
+    The file is decoded once; a byte that is not UTF-8 is reported as
+    ``path:line``, the line found by counting the newlines before it.
+    """
+    raw = path.read_bytes()
+    try:
+        return raw.decode("utf-8").split("\n")
+    except UnicodeDecodeError as e:
+        lineno = raw.count(b"\n", 0, e.start) + 1
+        raise DataError(f"{path}:{lineno}: not UTF-8: {e}") from e
+
+
+def parse_rows(path: Path, lines: list[str], dtype) -> tuple[np.ndarray, list[int]]:
+    """Parse the comma-separated body ``lines[1:]`` into a structured array
+    of ``dtype`` in one bulk call; returns it and the file line of each row.
+
+    Like ``np.loadtxt``, lines that are empty or a lone CR are skipped. When
+    the bulk parse fails, the lines are parsed one at a time and the first
+    that fails is reported as ``path:line`` with numpy's message.
+    """
+    def load(body: list[str]) -> np.ndarray:
+        return np.loadtxt(body, delimiter=",", dtype=dtype, ndmin=1, comments=None)
+
+    body = lines[1:]
+    with warnings.catch_warnings():
+        # an empty body is zero rows, for the caller to judge
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        try:
+            rows = load(body)
+        except ValueError as bulk:
+            for lineno, line in enumerate(body, start=2):
+                try:
+                    load([line])
+                except ValueError as e:
+                    raise DataError(f"{path}:{lineno}: {e}") from e
+            raise DataError(f"{path}: {bulk}") from bulk
+    return rows, [n for n, line in enumerate(body, start=2) if line not in ("", "\r")]
 
 
 def _parse_manifest(path: Path) -> tuple[dict, Montage, float]:
     """Returns the SessionDir identifier fields, the montage and the rate."""
     try:
-        raw = json.loads("\n".join(line for _, line in _lines(path)))
+        raw = json.loads("\n".join(read_lines(path)))
     except (ValueError, RecursionError) as e:
         raise DataError(f"{path}: invalid JSON: {e}") from e
     if not isinstance(raw, dict):
@@ -164,7 +195,7 @@ def _parse_manifest(path: Path) -> tuple[dict, Montage, float]:
 def _check_stream(
     path: Path,
     lines: list[int],
-    t: list[int],
+    ts: np.ndarray,
     values: np.ndarray,
     names: Sequence[str],
     limit: float = math.inf,
@@ -172,18 +203,15 @@ def _check_stream(
 ) -> np.ndarray:
     """Apply every stream rule to one parsed file at once.
 
-    ``lines`` holds the file line of each row, ``t`` its timestamp as parsed
-    and ``values`` its (n_rows, len(names)) data. Row rules: timestamps lie
-    in [0, 2^63) and strictly increase, and values are finite and within
-    [-limit, limit]. The first row that breaks a rule is reported as
-    ``path:line``. With ``rate_hz`` set, the median timestamp gap must also
-    lie within DRIFT_TOLERANCE of the period that rate implies. Returns the
-    timestamps as int64.
+    ``lines`` holds the file line of each row, ``ts`` its timestamp as parsed
+    (uint64 from a CSV, so 2^63 still reaches the range rule) and ``values``
+    its (n_rows, len(names)) data. Row rules: timestamps lie in [0, 2^63)
+    and strictly increase, and values are finite and within [-limit, limit].
+    The first row that breaks a rule is reported as ``path:line``. With
+    ``rate_hz`` set, the median timestamp gap must also lie within
+    DRIFT_TOLERANCE of the period that rate implies. Returns the timestamps
+    as int64.
     """
-    try:
-        ts = np.array(t, dtype=np.int64)
-    except OverflowError:
-        ts = np.array(t, dtype=object)  # exact Python ints, for the range rule
     rising = np.ones(len(ts), dtype=bool)
     rising[1:] = ts[1:] > ts[:-1]
     nonfinite = ~np.isfinite(values)
@@ -227,35 +255,21 @@ def _check_stream(
 
 def _parse_eeg_csv(path: Path, montage: Montage, rate_hz: float) -> EegRecording:
     names = montage.names
-    rows = _lines(path)
-    header = next(rows, (1, ""))[1]
+    lines = read_lines(path)
+    header = lines[0].rstrip("\r")
     expected = "timestamp_ns," + ",".join(names)
     if header != expected:
         raise DataError(
             f"{path}:1: header does not match the manifest montage\n"
             f"  expected: {expected}\n  found:    {header}"
         )
-    lines: list[int] = []
-    t: list[int] = []
-    values: list[list[float]] = []
-    for lineno, line in rows:
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != len(names) + 1:
-            raise DataError(
-                f"{path}:{lineno}: expected {len(names) + 1} fields, found {len(parts)}"
-            )
-        try:
-            t.append(int(parts[0]))
-            values.append([float(p) for p in parts[1:]])
-        except ValueError as e:
-            raise DataError(f"{path}:{lineno}: {e}") from e
-        lines.append(lineno)
-    if not lines:
+    rows, numbered = parse_rows(
+        path, lines, [("t", np.uint64), ("x", np.float64, (len(names),))]
+    )
+    if not len(rows):
         raise DataError(f"{path}: no samples")
-    samples = np.array(values, dtype=np.float64)
-    timestamps = _check_stream(path, lines, t, samples, names, rate_hz=rate_hz)
+    samples = rows["x"]
+    timestamps = _check_stream(path, numbered, rows["t"], samples, names, rate_hz=rate_hz)
     return EegRecording(montage, timestamps, samples.T, rate_hz)
 
 
@@ -263,7 +277,7 @@ def _parse_joystick_jsonl(path: Path) -> JoystickStream:
     lines: list[int] = []
     t: list[int] = []
     values: list[list[float]] = []
-    for lineno, line in _lines(path):
+    for lineno, line in enumerate(read_lines(path), start=1):
         if not line.strip():
             continue
         try:
@@ -288,8 +302,12 @@ def _parse_joystick_jsonl(path: Path) -> JoystickStream:
         lines.append(lineno)
     if not lines:
         raise DataError(f"{path}: no joystick samples")
+    try:
+        ts = np.array(t, dtype=np.int64)
+    except OverflowError:
+        ts = np.array(t, dtype=object)  # exact Python ints, for the range rule
     v = np.array(values, dtype=np.float64)
-    timestamps = _check_stream(path, lines, t, v, ["vx", "wz"], limit=1.0)
+    timestamps = _check_stream(path, lines, ts, v, ["vx", "wz"], limit=1.0)
     return JoystickStream(timestamps, v[:, 0], v[:, 1])
 
 

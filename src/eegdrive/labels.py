@@ -13,14 +13,13 @@ whose reading is contradictory, are omitted.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DataError
-from .ingest import AlignmentConfig, align_nearest
+from .ingest import AlignmentConfig, align_nearest, parse_rows, read_lines
 from .session import NS_PER_MS, CommandLabel, JoystickStream
 
 #: Code used in bulk arrays for "no label" (contradictory or unmatched).
@@ -136,47 +135,25 @@ def write_labels_csv(path: str | Path, labeled: LabeledSamples) -> Path:
     path = Path(path)
     with path.open("w", newline="") as fh:
         fh.write("t_ns,label_code\n")
-        for t, code in zip(labeled.t_ns.tolist(), labeled.labels.tolist()):
-            fh.write(f"{t},{code}\n")
+        fh.writelines(
+            "%d,%d\n" % r for r in zip(labeled.t_ns.tolist(), labeled.labels.tolist())
+        )
     return path
 
 
-def _int_pairs(lines) -> np.ndarray:
-    """(n, 2) int64 rows from lines of two comma-separated integers; blank
-    lines are skipped. Raises ValueError on any other line."""
-    with warnings.catch_warnings():
-        # a file with no rows holds zero labels, which is no fault
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-        rows = np.loadtxt(lines, delimiter=",", dtype=np.int64, ndmin=2, comments=None)
-    if len(rows) and rows.shape[1] != 2:
-        raise ValueError(f"expected 2 fields per row, found {rows.shape[1]}")
-    return rows.reshape(-1, 2)
-
-
-def _first_bad_line(path: Path) -> int:
-    """The file line of the first row ``_int_pairs`` rejects; 1 when every
-    body row parses alone, so the fault lies in the header."""
-    with path.open(errors="replace") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            try:
-                if lineno > 1:
-                    _int_pairs([line])
-            except ValueError:
-                return lineno
-    return 1
-
-
 def read_labels_csv(path: str | Path, delta_ms: int, eeg_ts: np.ndarray) -> LabeledSamples:
-    """Load a labels file back, recovering sample indices from timestamps."""
+    """Load a labels file back, recovering sample indices from timestamps.
+
+    The body parses in one bulk call (``ingest.parse_rows``): a row that is
+    not two integers is reported as ``path:line``. A header-only file holds
+    zero samples.
+    """
     path = Path(path)
-    try:
-        with path.open("r") as fh:
-            if fh.readline().rstrip("\n") != "t_ns,label_code":
-                raise DataError(f"{path}:1: expected header t_ns,label_code")
-            rows = _int_pairs(fh)
-    except ValueError as e:  # parsed in bulk; the bad line is found only now
-        raise DataError(f"{path}:{_first_bad_line(path)}: {e}") from e
-    t_arr, codes = rows[:, 0], rows[:, 1]
+    lines = read_lines(path)
+    if lines[0].rstrip("\r") != "t_ns,label_code":
+        raise DataError(f"{path}:1: expected header t_ns,label_code")
+    rows, _ = parse_rows(path, lines, [("t", np.int64), ("code", np.int64)])
+    t_arr, codes = rows["t"], rows["code"]
     eeg_ts = np.asarray(eeg_ts, dtype=np.int64)
     pos = np.searchsorted(eeg_ts, t_arr)
     bad = (pos >= len(eeg_ts)) | (eeg_ts[np.minimum(pos, len(eeg_ts) - 1)] != t_arr)

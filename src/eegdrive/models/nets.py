@@ -75,18 +75,17 @@ class LinearSoftmax:
 
     name = "linear"
 
-    def __init__(self, n_channels: int, n_samples: int, n_classes: int = N_CLASSES):
+    def __init__(self, n_channels: int, n_samples: int):
         self.n_channels = n_channels
         self.n_samples = n_samples
-        self.n_classes = n_classes
         self.n_features = n_channels * n_samples
 
     def init_params(self, seed: int, dtype=np.float32) -> dict[str, np.ndarray]:
         rng = np.random.default_rng(seed)
         return {
-            "w": _glorot(rng, (self.n_classes, self.n_features),
-                         self.n_features, self.n_classes, dtype),
-            "b": np.zeros(self.n_classes, dtype=dtype),
+            "w": _glorot(rng, (N_CLASSES, self.n_features),
+                         self.n_features, N_CLASSES, dtype),
+            "b": np.zeros(N_CLASSES, dtype=dtype),
         }
 
     def forward(
@@ -124,7 +123,6 @@ class ShallowConvNetSpec:
     pool_len: int = 35
     pool_stride: int = 7
     dropout_p: float = 0.5
-    n_classes: int = N_CLASSES
 
     def __post_init__(self):
         if min(self.n_temporal_filters, self.temporal_kernel,
@@ -132,8 +130,6 @@ class ShallowConvNetSpec:
             raise ValueError("all architecture constants must be >= 1")
         if not (0.0 <= self.dropout_p < 1.0):
             raise ValueError("dropout_p must lie in [0, 1)")
-        if self.n_classes < 2:
-            raise ValueError("n_classes must be >= 2")
 
     def conv_len(self, n_samples: int) -> int:
         out = n_samples - self.temporal_kernel + 1
@@ -163,7 +159,6 @@ class ShallowConvNet:
         self.spec = spec or ShallowConvNetSpec()
         self.n_channels = n_channels
         self.n_samples = n_samples
-        self.n_classes = self.spec.n_classes
         self.conv_len = self.spec.conv_len(n_samples)
         self.n_frames = self.spec.n_frames(n_samples)
         self.n_features = self.spec.n_spatial_filters * self.n_frames
@@ -184,9 +179,9 @@ class ShallowConvNet:
             "b_temporal": np.zeros(f, dtype=dtype),
             "w_spatial": _glorot(rng, (g, f, c), f * c, g * c, dtype),
             "b_spatial": np.zeros(g, dtype=dtype),
-            "w_dense": _glorot(rng, (self.n_classes, self.n_features),
-                               self.n_features, self.n_classes, dtype),
-            "b_dense": np.zeros(self.n_classes, dtype=dtype),
+            "w_dense": _glorot(rng, (N_CLASSES, self.n_features),
+                               self.n_features, N_CLASSES, dtype),
+            "b_dense": np.zeros(N_CLASSES, dtype=dtype),
         }
 
     def _windowed(self, x: np.ndarray) -> np.ndarray:
@@ -282,13 +277,10 @@ class ShallowConvNet:
 
 
 def build_model(name: str, n_channels: int, n_samples: int,
-                spec: ShallowConvNetSpec | None = None,
-                n_classes: int = N_CLASSES):
+                spec: ShallowConvNetSpec | None = None):
     if name == "linear":
-        return LinearSoftmax(n_channels, n_samples, n_classes)
+        return LinearSoftmax(n_channels, n_samples)
     if name == "shallow":
-        if spec is None:
-            spec = ShallowConvNetSpec(n_classes=n_classes)
         return ShallowConvNet(n_channels, n_samples, spec)
     raise ValueError(f"unknown model {name!r} (expected 'linear' or 'shallow')")
 

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from ..errors import DataError, TrainingDiverged
+from ..session import N_CLASSES
 from .nets import (
     ShallowConvNet,
     ShallowConvNetSpec,
@@ -225,22 +226,12 @@ def save_checkpoint(path, model, params: dict[str, np.ndarray],
     """Single-file format: magic, u32 header length, JSON header, then the
     tensors little-endian in header order."""
     names = sorted(params)
-    spec = None
-    if isinstance(model, ShallowConvNet):
-        s = model.spec
-        spec = {
-            "n_temporal_filters": s.n_temporal_filters,
-            "temporal_kernel": s.temporal_kernel,
-            "n_spatial_filters": s.n_spatial_filters,
-            "pool_len": s.pool_len,
-            "pool_stride": s.pool_stride,
-            "dropout_p": s.dropout_p,
-        }
+    spec = asdict(model.spec) if isinstance(model, ShallowConvNet) else None
     header = {
         "model": model.name,
         "n_channels": model.n_channels,
         "n_samples": model.n_samples,
-        "n_classes": model.n_classes,
+        "n_classes": N_CLASSES,
         "spec": spec,
         "tensors": [
             {"name": k, "shape": list(params[k].shape),
@@ -262,7 +253,9 @@ def save_checkpoint(path, model, params: dict[str, np.ndarray],
 def load_checkpoint(path):
     """Returns (model, params, header).
 
-    A missing, truncated or malformed file raises ``DataError`` naming it.
+    A missing, truncated or malformed file raises ``DataError`` naming it,
+    as does a header whose class count is not N_CLASSES or whose tensor
+    names and shapes differ from those of the model it describes.
     """
     try:
         fh = open(path, "rb")
@@ -288,14 +281,17 @@ def load_checkpoint(path):
                     raise DataError(f"{path}: truncated tensor {t['name']!r}")
                 arr = np.frombuffer(raw, dtype=dt).reshape(t["shape"])
                 params[t["name"]] = arr.astype(arr.dtype.newbyteorder("="))
+            n_classes = header["n_classes"]
+            if n_classes != N_CLASSES:
+                raise DataError(f"{path}: n_classes is {n_classes!r}, not {N_CLASSES}")
             spec = header["spec"]
             model = build_model(
                 header["model"],
                 header["n_channels"],
                 header["n_samples"],
                 ShallowConvNetSpec(**spec) if spec else None,
-                header["n_classes"],
             )
+            shapes = {k: v.shape for k, v in model.init_params(0).items()}
         except (struct.error, ValueError, KeyError, TypeError) as e:
             # ValueError covers UnicodeDecodeError and JSONDecodeError
             raise DataError(
@@ -304,4 +300,7 @@ def load_checkpoint(path):
         trailing = fh.read(1)
         if trailing:
             raise DataError(f"{path}: trailing bytes after tensor data")
+    found = {k: v.shape for k, v in params.items()}
+    if found != shapes:
+        raise DataError(f"{path}: tensors {found} do not fit the header's model")
     return model, params, header

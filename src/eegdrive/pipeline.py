@@ -273,13 +273,8 @@ def stage_train(
     cfg: RunConfig, ws: Workspace, session_id: str, delta_ms: int, model_name: str
 ) -> Path:
     with _stage("train", f"{session_id} delta={delta_ms} model={model_name}"):
-        data, labels, delta_read, _ = read_windows(
-            ws.windows_base(session_id, delta_ms, "train")
-        )
-        if delta_read != delta_ms:
-            raise DataError(
-                f"window sidecar says delta {delta_read}, expected {delta_ms}"
-            )
+        base = ws.windows_base(session_id, delta_ms, "train")
+        data, labels = read_windows(base, delta_ms)
         counts = _read_split_stats(ws.split_stats(session_id, delta_ms))
         weights = compute_class_weights(counts)
         n_channels, n_samples = data.shape[1], data.shape[2]
@@ -317,8 +312,13 @@ def stage_eval(
 ) -> RunScore:
     with _stage("eval", f"{session_id} delta={delta_ms} model={model_name}"):
         run_dir = ws.run_dir(session_id, delta_ms, model_name)
-        model, params, _header = load_checkpoint(run_dir / CHECKPOINT_FILE)
-        data, labels, _, _ = read_windows(ws.windows_base(session_id, delta_ms, "test"))
+        ckpt = run_dir / CHECKPOINT_FILE
+        model, params, _header = load_checkpoint(ckpt)
+        base = ws.windows_base(session_id, delta_ms, "test")
+        data, labels = read_windows(base, delta_ms)
+        if data.shape[1:] != (model.n_channels, model.n_samples):
+            raise DataError(f"{base}.json: windows of {data.shape[1]} channels x "
+                            f"{data.shape[2]} samples do not fit {ckpt}")
         pred = predict(model, params, data)
         result = metrics_from_confusion(confusion_matrix(labels, pred))
         score = RunScore(

@@ -52,8 +52,9 @@ def write_windows(
     return bin_path, json_path
 
 
-def read_windows(base: str | Path) -> tuple[np.ndarray, np.ndarray, int, str]:
-    """Read a window tensor pair; returns (data, labels, delta_ms, partition)."""
+def read_windows(base: str | Path, delta_ms: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read a window tensor pair written for horizon ``delta_ms``; returns
+    (data, labels). A sidecar written for another horizon is a DataError."""
     base = Path(base)
     bin_path = base.with_suffix(".f32")
     json_path = base.with_suffix(".json")
@@ -63,15 +64,16 @@ def read_windows(base: str | Path) -> tuple[np.ndarray, np.ndarray, int, str]:
     try:
         sidecar = json.loads(json_path.read_text())
         shape, labels = list(sidecar["shape"]), list(sidecar["labels"])
-        delta_ms, dtype = sidecar["delta_ms"], sidecar["dtype"]
-        partition = str(sidecar["partition"])
+        stored, dtype = sidecar["delta_ms"], sidecar["dtype"]
     except (KeyError, TypeError, ValueError) as e:
         # ValueError covers JSONDecodeError and UnicodeDecodeError
         raise DataError(f"{json_path}: invalid sidecar: {e!r}") from e
-    for key, values in (("shape", shape), ("labels", labels), ("delta_ms", [delta_ms])):
+    for key, values in (("shape", shape), ("labels", labels), ("delta_ms", [stored])):
         bad = [v for v in values if type(v) is not int]  # bool and float refused
         if bad:
             raise DataError(f"{json_path}: {key} must be JSON integers, got {bad[0]!r}")
+    if stored != delta_ms:
+        raise DataError(f"{json_path}: windows are for delta_ms {stored}, not {delta_ms}")
     bad = [v for v in labels if not 0 <= v < N_CLASSES]
     if bad:
         raise DataError(f"{json_path}: label {bad[0]} outside [0, {N_CLASSES})")
@@ -89,4 +91,4 @@ def read_windows(base: str | Path) -> tuple[np.ndarray, np.ndarray, int, str]:
             f"{bin_path}: holds {raw.size} float32 values, sidecar shape "
             f"{shape} needs {expected}"
         )
-    return raw.reshape(shape), labels, delta_ms, partition
+    return raw.reshape(shape), labels

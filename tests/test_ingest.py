@@ -144,6 +144,22 @@ class TestSessionDirIO:
         assert (root / EEG_NAME).read_bytes() == want.encode()
         assert want.endswith("\n9223372036854775807,0.123456,-0.000000\n")
 
+    def test_crlf_files_load_to_the_same_arrays(self, tmp_path):
+        lf = write_session_dir(tmp_path / "lf", _toy_session())
+        crlf = tmp_path / "crlf"
+        crlf.mkdir()
+        for name in (MANIFEST_NAME, EEG_NAME, JOYSTICK_NAME):
+            blob = (lf / name).read_bytes()
+            (crlf / name).write_bytes(blob.replace(b"\n", b"\r\n"))
+        a, b = load_session(lf), load_session(crlf)
+        assert b.eeg.montage.names == a.eeg.montage.names
+        assert np.array_equal(b.eeg.montage.positions, a.eeg.montage.positions)
+        assert np.array_equal(b.eeg.timestamps, a.eeg.timestamps)
+        assert np.array_equal(b.eeg.samples, a.eeg.samples)
+        assert np.array_equal(b.joystick.t_ns, a.joystick.t_ns)
+        assert np.array_equal(b.joystick.v_x, a.joystick.v_x)
+        assert np.array_equal(b.joystick.omega_z, a.joystick.omega_z)
+
     def test_rewrite_is_byte_identical(self, tmp_path):
         sess = _toy_session()
         a = write_session_dir(tmp_path / "a", sess)

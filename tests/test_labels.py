@@ -222,6 +222,12 @@ class TestLabelsCsv:
             read_labels_csv(path, 0, np.array([1, 12]))
         assert str(e.value).startswith(f"{path}:4: ")
 
+    def test_non_utf8_byte_names_its_line(self, tmp_path):
+        path = tmp_path / "labels.csv"
+        path.write_bytes(b"t_ns,label_code\n12,0\n1\xff,2\n")
+        with pytest.raises(DataError, match=f"{path}:3: not UTF-8"):
+            read_labels_csv(path, 0, np.array([1, 12]))
+
     def test_header_only_is_zero_samples(self, tmp_path, recwarn):
         path = tmp_path / "labels.csv"
         path.write_text("t_ns,label_code\n")

@@ -466,6 +466,29 @@ class TestCheckpoint:
         with pytest.raises(DataError, match=f"{path}: corrupt checkpoint header"):
             load_checkpoint(path)
 
+    def test_class_count_other_than_5_names_path(self, tmp_path):
+        model = LinearSoftmax(2, 10)
+        path = tmp_path / "ck.bin"
+        save_checkpoint(path, model, model.init_params(seed=0))
+        blob = path.read_bytes()
+        path.write_bytes(blob.replace(b'"n_classes": 5', b'"n_classes": 3'))
+        with pytest.raises(DataError, match=f"{path}: n_classes is 3, not 5"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "model", [LinearSoftmax(2, 10), ShallowConvNet(3, 30, SMALL_SPEC)]
+    )
+    def test_tensor_shapes_must_match_the_model(self, tmp_path, model):
+        path = tmp_path / "ck.bin"
+        save_checkpoint(path, model, model.init_params(seed=0))
+        blob = path.read_bytes()
+        n = model.n_samples
+        # same tensors, but a header whose window is one SMALL_SPEC pool stride longer
+        longer = blob.replace(b'"n_samples": %d' % n, b'"n_samples": %d' % (n + 4))
+        path.write_bytes(longer)
+        with pytest.raises(DataError, match=f"{path}: tensors .* do not fit the header"):
+            load_checkpoint(path)
+
     def test_trailing_bytes(self, tmp_path):
         model = LinearSoftmax(2, 10)
         path = tmp_path / "ck.bin"
@@ -485,8 +508,6 @@ class TestSpecsAndConfigs:
             ShallowConvNetSpec(dropout_p=1.0)
         with pytest.raises(ValueError):
             ShallowConvNetSpec(pool_stride=0)
-        with pytest.raises(ValueError):
-            ShallowConvNetSpec(n_classes=1)
 
     def test_train_config_validation(self):
         with pytest.raises(ValueError):

@@ -158,6 +158,9 @@ class TestSubcommands:
             ("joystick.jsonl", 3, JOY_T3, b'"t_ns": 1e400', "JSON integer"),
             ("joystick.jsonl", 3, JOY_T3, b'"t_ns": 9223372036854775808', "2^63"),
             ("eeg.csv", 3, EEG_T3, b"\n9223372036854775808,", "not below 2^63"),
+            ("eeg.csv", 3, EEG_T3, b"\n-8000000,", "'-8000000' to uint64"),
+            ("eeg.csv", 3, b"\n8000000,-3.098382,", b"\n8000000,1_000,",
+             "'1_000' to float64"),
             ("eeg.csv", 3, EEG_T3, b"\n8\xff00000,", "not UTF-8"),
             ("joystick.jsonl", 3, JOY_T3, b'"t_ns": 2\xff0000000', "not UTF-8"),
             ("manifest.json", 3, b"synthetic", b"synth\xe9tic", "not UTF-8"),
@@ -352,8 +355,12 @@ class TestExitCodes:
          "pre_oversample_counts must be 5 non-negative JSON integers"),
         ("train", "split_stats.json", lambda d: {**d, "pre_oversample_counts": [0] * 5},
          "at least one positive; got [0, 0, 0, 0, 0]"),
+        ("eval", "test.json", lambda d: {**d, "delta_ms": 0},
+         "windows are for delta_ms 0, not 300"),
+        ("train", "train.json", lambda d: {**d, "delta_ms": 0},
+         "windows are for delta_ms 0, not 300"),
     ], ids=["train-label-negative", "test-label-float", "test-label-9",
-            "stats-missing-counts", "stats-all-zero"])
+            "stats-missing-counts", "stats-all-zero", "test-delta-0", "train-delta-0"])
     def test_bad_window_files_are_3(
         self, baseline, tmp_path, capsys, command, name, edit, rule
     ):
@@ -367,6 +374,23 @@ class TestExitCodes:
         assert rc == 3
         err = capsys.readouterr().err
         assert f"[{command}]" in err and str(path) in err and rule in err
+
+    def test_eval_on_windows_of_another_length_is_3(self, baseline, tmp_path, capsys):
+        _, out = baseline
+        ws = tmp_path / "ws"
+        shutil.copytree(out, ws)
+        # re-split at 100-sample windows; the checkpoints take 125
+        cfg = _write_cfg(tmp_path, dict(SMALL, split={"window_len": 100}))
+        base = ["--config", str(cfg), "--out", str(ws), "--session", "synth-0000"]
+        assert main(["split"] + base) == 0
+        assert main(["eval"] + base) == 3
+        err = capsys.readouterr().err
+        work = ws / "work" / "synth-0000"
+        assert (
+            f"[eval] synth-0000 delta=300 model=linear: {work}/windows/300/test.json: "
+            f"windows of 16 channels x 100 samples do not fit "
+            f"{work}/runs/linear_300/checkpoint.bin"
+        ) in err
 
     def test_empty_split_partition_names_its_cause(self, tmp_path, capsys):
         # 20 ms gap breaks: the short test chunks of a 60 s session hold no

@@ -19,17 +19,16 @@ def test_round_trip(tmp_path):
     rng = np.random.default_rng(0)
     data, labels = _sample(rng)
     write_windows(tmp_path / "train", data, labels, 300, "train")
-    back, lab, delta, part = read_windows(tmp_path / "train")
+    back, lab = read_windows(tmp_path / "train", 300)
     assert np.array_equal(back, data)
     assert back.dtype == np.float32
     assert np.array_equal(lab, labels)
-    assert (delta, part) == (300, "train")
 
 
 def test_float64_input_is_stored_as_float32(tmp_path):
     data = np.full((2, 3, 4), 1.0 / 3.0, dtype=np.float64)
     write_windows(tmp_path / "w", data, [0, 1], 0, "test")
-    back, *_ = read_windows(tmp_path / "w")
+    back, _ = read_windows(tmp_path / "w", 0)
     assert np.array_equal(back, data.astype(np.float32))
 
 
@@ -73,54 +72,58 @@ class TestReadFailures:
     def test_missing_blob(self, pair):
         pair.with_suffix(".f32").unlink()
         with pytest.raises(DataError, match="missing"):
-            read_windows(pair)
+            read_windows(pair, 300)
 
     def test_missing_sidecar(self, pair):
         pair.with_suffix(".json").unlink()
         with pytest.raises(DataError, match="missing"):
-            read_windows(pair)
+            read_windows(pair, 300)
 
     def test_malformed_json(self, pair):
         pair.with_suffix(".json").write_text("{not json")
         with pytest.raises(DataError, match="invalid sidecar"):
-            read_windows(pair)
+            read_windows(pair, 300)
 
     def test_missing_key(self, pair):
         side = json.loads(pair.with_suffix(".json").read_text())
         del side["labels"]
         pair.with_suffix(".json").write_text(json.dumps(side))
         with pytest.raises(DataError, match="invalid sidecar"):
-            read_windows(pair)
+            read_windows(pair, 300)
 
     def test_unsupported_dtype(self, pair):
         side = json.loads(pair.with_suffix(".json").read_text())
         side["dtype"] = "f64be"
         pair.with_suffix(".json").write_text(json.dumps(side))
         with pytest.raises(DataError, match="unsupported dtype"):
-            read_windows(pair)
+            read_windows(pair, 300)
 
     def test_wrong_dim_count(self, pair):
         side = json.loads(pair.with_suffix(".json").read_text())
         side["shape"] = side["shape"][:2]
         pair.with_suffix(".json").write_text(json.dumps(side))
         with pytest.raises(DataError, match="3 dims"):
-            read_windows(pair)
+            read_windows(pair, 300)
 
     def test_label_count_mismatch(self, pair):
         side = json.loads(pair.with_suffix(".json").read_text())
         side["labels"] = side["labels"][:-1]
         pair.with_suffix(".json").write_text(json.dumps(side))
         with pytest.raises(DataError, match="labels"):
-            read_windows(pair)
+            read_windows(pair, 300)
 
     def test_truncated_blob(self, pair):
         blob = pair.with_suffix(".f32").read_bytes()
         pair.with_suffix(".f32").write_bytes(blob[:-8])
         with pytest.raises(DataError, match="float32 values"):
-            read_windows(pair)
+            read_windows(pair, 300)
 
     def test_oversized_blob(self, pair):
         blob = pair.with_suffix(".f32").read_bytes()
         pair.with_suffix(".f32").write_bytes(blob + b"\x00" * 4)
         with pytest.raises(DataError, match="float32 values"):
-            read_windows(pair)
+            read_windows(pair, 300)
+
+    def test_other_horizon(self, pair):
+        with pytest.raises(DataError, match="windows are for delta_ms 300, not 400"):
+            read_windows(pair, 400)

@@ -20,12 +20,16 @@ once and reports the first broken row as ``path:line``:
   clamped), and ``t_ns`` is a JSON integer;
 - the median EEG sample gap is within ``DRIFT_TOLERANCE`` of the period
   the manifest's sample rate implies.
+
+``load_session`` reads all three files; ``load_recording`` reads only the
+manifest and the EEG, for a stage that needs no joystick stream.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -125,10 +129,21 @@ def parse_rows(path: Path, lines: list[str], dtype) -> tuple[np.ndarray, list[in
 
     Like ``np.loadtxt``, lines that are empty or a lone CR are skipped. When
     the bulk parse fails, the lines are parsed one at a time and the first
-    that fails is reported as ``path:line`` with numpy's message.
+    that fails is reported as ``path:line``: a wrong field count as such,
+    any other fault with numpy's message less its row and column, which
+    count within the one-line parse, not the file.
     """
+    dtype = np.dtype(dtype)
+    n_fields = sum(math.prod(dtype[name].shape) for name in dtype.names)
+
     def load(body: list[str]) -> np.ndarray:
         return np.loadtxt(body, delimiter=",", dtype=dtype, ndmin=1, comments=None)
+
+    def fault(line: str, e: ValueError) -> str:
+        found = len(line.split(","))
+        if found != n_fields:
+            return f"expected {n_fields} fields, found {found}"
+        return re.sub(r" at row \d+(, column \d+)?", "", str(e))
 
     body = lines[1:]
     with warnings.catch_warnings():
@@ -141,7 +156,7 @@ def parse_rows(path: Path, lines: list[str], dtype) -> tuple[np.ndarray, list[in
                 try:
                     load([line])
                 except ValueError as e:
-                    raise DataError(f"{path}:{lineno}: {e}") from e
+                    raise DataError(f"{path}:{lineno}: {fault(line, e)}") from e
             raise DataError(f"{path}: {bulk}") from bulk
     return rows, [n for n, line in enumerate(body, start=2) if line not in ("", "\r")]
 
@@ -311,14 +326,24 @@ def _parse_joystick_jsonl(path: Path) -> JoystickStream:
     return JoystickStream(timestamps, v[:, 0], v[:, 1])
 
 
-def load_session(path: str | Path) -> SessionDir:
-    """Parse and validate one session directory."""
+def load_recording(path: str | Path) -> tuple[dict, EegRecording]:
+    """Parse and validate the manifest and EEG of one session directory;
+    returns the SessionDir identifier fields and the recording. The joystick
+    stream is neither read nor required."""
     root = Path(path)
-    for name in (MANIFEST_NAME, EEG_NAME, JOYSTICK_NAME):
+    for name in (MANIFEST_NAME, EEG_NAME):
         if not (root / name).is_file():
             raise DataError(f"{root}: missing {name}")
     ids, montage, rate_hz = _parse_manifest(root / MANIFEST_NAME)
-    eeg = _parse_eeg_csv(root / EEG_NAME, montage, rate_hz)
+    return ids, _parse_eeg_csv(root / EEG_NAME, montage, rate_hz)
+
+
+def load_session(path: str | Path) -> SessionDir:
+    """Parse and validate one session directory."""
+    root = Path(path)
+    ids, eeg = load_recording(root)
+    if not (root / JOYSTICK_NAME).is_file():
+        raise DataError(f"{root}: missing {JOYSTICK_NAME}")
     joystick = _parse_joystick_jsonl(root / JOYSTICK_NAME)
     return SessionDir(eeg=eeg, joystick=joystick, **ids)
 

@@ -6,8 +6,15 @@ Everything here is plain numpy with hand-derived gradients. Convolutions
 are laid out as matrix products: the temporal and spatial stages are both
 linear, so their composition is evaluated as one effective kernel per
 forward pass. Parameters stay separate tensors; the composition is exact.
-Mean pooling is a matrix product too, by one fixed averaging matrix built
-with the net; its backward pass is the product by the same matrix.
+
+The im2col is built from the batch transposed once to time-major
+(B, S, C): the K-sample window of conv frame l is then K * C consecutive
+floats, copied in one pass, so its columns run in (k, c) order and the
+effective kernel is laid out (G, K, C) to match. Folding the two stages
+into that kernel, and unfolding its gradient back onto them, are each one
+matrix product. Mean pooling is a matrix product too, by one fixed
+averaging matrix built with the net; its backward pass is the product by
+the same matrix (times the 2 of d(z^2)/dz).
 
 Training runs in float32. Passing float64 parameters and inputs switches
 the whole computation to float64, which is what the finite-difference
@@ -64,10 +71,10 @@ def _glorot(rng: np.random.Generator, shape, fan_in: int, fan_out: int, dtype):
 
 
 def _dropout_mask(shape, p: float, key: int, step: int, dtype) -> np.ndarray:
-    """Counter-based mask: same (key, step) always yields the same mask."""
-    gen = np.random.Generator(np.random.Philox(key=key, counter=[step, 0, 0, 0]))
-    keep = gen.random(shape) >= p
-    return (keep / (1.0 - p)).astype(dtype)
+    """Keep-and-rescale mask, a pure function of (key, step)."""
+    gen = np.random.default_rng(np.random.SeedSequence([key, step]))
+    keep = gen.random(shape, dtype=np.float32) >= p
+    return keep * np.asarray(1.0 / (1.0 - p), dtype=dtype)
 
 
 class LinearSoftmax:
@@ -185,22 +192,24 @@ class ShallowConvNet:
         }
 
     def _windowed(self, x: np.ndarray) -> np.ndarray:
-        """(B, C, S) -> contiguous (B * conv_len, C * kernel)."""
-        b = len(x)
-        k = self.spec.temporal_kernel
-        xw = sliding_window_view(x, k, axis=2)  # (B, C, L, K)
-        xw = np.ascontiguousarray(xw.transpose(0, 2, 1, 3))  # (B, L, C, K)
-        return xw.reshape(b * self.conv_len, self.n_channels * k)
+        """(B, C, S) -> contiguous (B * conv_len, K * C), columns in (k, c)
+        order: xw[b * L + l, k * C + c] = x[b, c, l + k]."""
+        b, c, n = x.shape
+        kc = self.spec.temporal_kernel * c
+        xt = np.ascontiguousarray(x.transpose(0, 2, 1)).reshape(b, n * c)
+        # the window of frame l starts at float l * C of its time-major row
+        xw = sliding_window_view(xt, kc, axis=1)[:, ::c]  # (B, L, K * C)
+        return np.ascontiguousarray(xw).reshape(b * self.conv_len, kc)
 
     def _effective_kernel(self, params) -> tuple[np.ndarray, np.ndarray]:
-        """Compose the two conv stages into one (G, C*K) kernel and a bias.
+        """Compose the two conv stages into one (G, K*C) kernel and a bias.
 
         z[b,g,l] = sum_{f,c,k} Ws[g,f,c] Wt[f,k] x[b,c,l+k] + Ws[g,f,c] bt[f] + bs[g]
         """
         s = self.spec
         wt, ws = params["w_temporal"], params["w_spatial"]
-        w_eff = np.einsum("gfc,fk->gck", ws, wt).reshape(
-            s.n_spatial_filters, self.n_channels * s.temporal_kernel
+        w_eff = (wt.T @ ws).reshape(  # (K, F) @ (G, F, C) -> (G, K, C)
+            s.n_spatial_filters, s.temporal_kernel * self.n_channels
         )
         b_eff = ws.sum(axis=2) @ params["b_temporal"] + params["b_spatial"]
         return w_eff, b_eff
@@ -218,7 +227,8 @@ class ShallowConvNet:
         g, l, p = s.n_spatial_filters, self.conv_len, self.n_frames
         xw = self._windowed(x)
         w_eff, b_eff = self._effective_kernel(params)
-        z = xw @ w_eff.T + b_eff  # (B * L, G)
+        z = xw @ w_eff.T  # (B * L, G)
+        z += b_eff
         pool = self.pool.astype(x.dtype, copy=False)
         pooled = (pool.T @ (z * z).reshape(b, l, g)).transpose(0, 2, 1)  # (B, G, P)
         logf = np.log(np.maximum(pooled, LOG_FLOOR))
@@ -257,20 +267,23 @@ class ShallowConvNet:
             dh = dh * cache["mask"]
         # log(max(u, floor)): zero slope on the clamped flat
         dpooled = dh * (pooled > LOG_FLOOR) / np.maximum(pooled, LOG_FLOOR)
-        pool = self.pool.astype(z.dtype, copy=False)
-        dsq = pool @ dpooled.transpose(0, 2, 1)  # (B, L, G)
-        dz = 2.0 * z * dsq.reshape(z.shape)  # (B * L, G)
-        dw_eff = dz.T @ cache["xw"]  # (G, C*K)
-        db_eff = dz.sum(axis=0)
-        dw_eff = dw_eff.reshape(g, self.n_channels, s.temporal_kernel)
+        pool2 = (2.0 * self.pool).astype(z.dtype)  # d(z^2)/dz = 2z
+        dsq = pool2 @ dpooled.transpose(0, 2, 1)  # (B, L, G)
+        dz = dsq.reshape(z.shape)  # (B * L, G)
+        dz *= z
+        f, k, c = s.n_temporal_filters, s.temporal_kernel, self.n_channels
+        dw_eff = (dz.T @ cache["xw"]).reshape(g, k, c)
+        db_eff = np.ones(len(dz), dtype=dz.dtype) @ dz
         wt, ws = params["w_temporal"], params["w_spatial"]
         bt = params["b_temporal"]
         # Unfold the effective-kernel gradient back onto the two stages.
-        grads["w_spatial"] = (
-            np.einsum("gck,fk->gfc", dw_eff, wt)
-            + db_eff[:, None, None] * bt[None, :, None]
+        grads["w_spatial"] = (  # (F, K) @ (G, K, C) -> (G, F, C)
+            wt @ dw_eff + db_eff[:, None, None] * bt[None, :, None]
         )
-        grads["w_temporal"] = np.einsum("gck,gfc->fk", dw_eff, ws)
+        grads["w_temporal"] = (  # (F, G*C) @ (G*C, K)
+            ws.transpose(1, 0, 2).reshape(f, g * c)
+            @ dw_eff.transpose(0, 2, 1).reshape(g * c, k)
+        )
         grads["b_spatial"] = db_eff
         grads["b_temporal"] = ws.sum(axis=2).T @ db_eff
         return grads

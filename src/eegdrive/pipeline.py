@@ -31,7 +31,7 @@ import numpy as np
 
 from .config import RunConfig, derive_seed
 from .errors import DataError, EegDriveError
-from .ingest import SessionDir, load_session, write_session_dir
+from .ingest import SessionDir, load_recording, load_session, write_session_dir
 from .labels import LabeledSamples, label_at_horizon, read_labels_csv, write_labels_csv
 from .metrics import confusion_matrix, metrics_from_confusion
 from .models import (
@@ -200,12 +200,12 @@ def stage_label(cfg: RunConfig, ws: Workspace, session_id: str) -> list[Path]:
 
 def stage_split(cfg: RunConfig, ws: Workspace, session_id: str) -> None:
     with _stage("split", session_id):
-        session = load_session(ws.preprocessed_dir(session_id))
+        _, eeg = load_recording(ws.preprocessed_dir(session_id))
         for delta in cfg.horizons_ms:
             labels_path = ws.labels_csv(session_id, delta)
             if not labels_path.is_file():
                 raise DataError(f"missing labels file {labels_path}; run label first")
-            labelled = read_labels_csv(labels_path, delta, session.eeg.timestamps)
+            labelled = read_labels_csv(labels_path, delta, eeg.timestamps)
             ds = build_split(
                 labelled, cfg.split, derive_seed(cfg.seed, session_id, delta, "split")
             )
@@ -219,7 +219,7 @@ def stage_split(cfg: RunConfig, ws: Workspace, session_id: str) -> None:
                         f"(gap_break_ns={cfg.split.gap_break_ns}, "
                         f"n_chunks={cfg.split.n_chunks})"
                     )
-                data, labels = windows_to_arrays(session.eeg.samples, windows)
+                data, labels = windows_to_arrays(eeg.samples, windows)
                 write_windows(
                     ws.windows_base(session_id, delta, partition),
                     data,

@@ -135,6 +135,31 @@ class TestForwardOracles:
         want = oracle_shallow_probs(params, x, spec)
         assert np.allclose(probs, want, atol=1e-9, rtol=0)
 
+    def test_im2col_layout_is_time_major(self):
+        # K = 5 and C = 3 differ, so a (c, k) column order cannot pass
+        b, c, n = 2, 3, 30
+        model = ShallowConvNet(n_channels=c, n_samples=n, spec=SMALL_SPEC)
+        k, l = SMALL_SPEC.temporal_kernel, model.conv_len
+        x = np.random.default_rng(9).standard_normal((b, c, n))
+        xw = model._windowed(x)
+        assert xw.shape == (b * l, k * c) and xw.flags.c_contiguous
+        for bi in range(b):
+            for li in range(l):
+                for ki in range(k):
+                    for ci in range(c):
+                        assert xw[bi * l + li, ki * c + ci] == x[bi, ci, li + ki]
+
+    def test_effective_kernel_composes_both_stages(self):
+        model = ShallowConvNet(n_channels=3, n_samples=30, spec=SMALL_SPEC)
+        params = model.init_params(seed=10, dtype=np.float64)
+        params["b_temporal"] = np.random.default_rng(11).standard_normal(4)
+        ws, wt = params["w_spatial"], params["w_temporal"]
+        w_eff, b_eff = model._effective_kernel(params)
+        want = np.einsum("gfc,fk->gkc", ws, wt).reshape(3, 5 * 3)
+        assert np.allclose(w_eff, want, atol=1e-12, rtol=0)
+        want_b = np.einsum("gfc,f->g", ws, params["b_temporal"]) + params["b_spatial"]
+        assert np.allclose(b_eff, want_b, atol=1e-12, rtol=0)
+
     def test_shallow_feature_geometry(self):
         model = ShallowConvNet(n_channels=3, n_samples=30, spec=SMALL_SPEC)
         assert model.conv_len == 26
@@ -278,6 +303,23 @@ class TestTrainModel:
         for k in a.params:
             assert np.array_equal(a.params[k], b.params[k])
 
+    def test_same_seed_reproduces_bitwise_shallow_with_dropout(self):
+        # 71 windows at batch 32: the last batch of every epoch is ragged
+        spec = ShallowConvNetSpec(
+            n_temporal_filters=4, temporal_kernel=5, n_spatial_filters=3,
+            pool_len=10, pool_stride=4, dropout_p=0.5,
+        )
+        rng = np.random.default_rng(12)
+        data = rng.standard_normal((71, 3, 30)).astype(np.float32)
+        labels = rng.integers(0, 5, size=71)
+        model = ShallowConvNet(3, 30, spec)
+        cfg = TrainConfig(epochs=3, batch_size=32)
+        a = train_model(model, data, labels, np.ones(5), cfg, 9)
+        b = train_model(model, data, labels, np.ones(5), cfg, 9)
+        assert a.epoch_losses == b.epoch_losses
+        for k in a.params:
+            assert np.array_equal(a.params[k], b.params[k])
+
     def test_different_seed_differs(self):
         data, labels = _toy_dataset(seed=1)
         model = LinearSoftmax(n_channels=2, n_samples=10)
@@ -350,6 +392,15 @@ class TestPredict:
         x = np.random.default_rng(1).standard_normal((700, 2, 6)).astype(np.float32)
         want, _ = model.forward(params, x)
         got = predict(model, params, x, batch_size=256)
+        assert np.array_equal(got, want.argmax(axis=1))
+
+
+    def test_batched_shallow_predict_matches_one_forward(self):
+        model = ShallowConvNet(3, 30, SMALL_SPEC)
+        params = model.init_params(seed=0)
+        x = np.random.default_rng(13).standard_normal((71, 3, 30)).astype(np.float32)
+        want, _ = model.forward(params, x)
+        got = predict(model, params, x, batch_size=32)
         assert np.array_equal(got, want.argmax(axis=1))
 
 

@@ -161,6 +161,8 @@ class TestSubcommands:
             ("eeg.csv", 3, EEG_T3, b"\n-8000000,", "'-8000000' to uint64"),
             ("eeg.csv", 3, b"\n8000000,-3.098382,", b"\n8000000,1_000,",
              "'1_000' to float64"),
+            ("eeg.csv", 3, b"\n8000000,-3.098382,", b"\n8000000,",
+             "expected 17 fields, found 16"),
             ("eeg.csv", 3, EEG_T3, b"\n8\xff00000,", "not UTF-8"),
             ("joystick.jsonl", 3, JOY_T3, b'"t_ns": 2\xff0000000', "not UTF-8"),
             ("manifest.json", 3, b"synthetic", b"synth\xe9tic", "not UTF-8"),
@@ -180,6 +182,9 @@ class TestSubcommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"{path}:{lineno}: " in captured.err and rule in captured.err
+        # positions are the file line alone, never numpy's row within its parse
+        message = captured.err.split(f"{path}:{lineno}: ", 1)[1]
+        assert "row" not in message and "usecols" not in message
 
     @pytest.mark.parametrize(
         "edit, rule",
@@ -252,6 +257,18 @@ class TestSubcommands:
         rc = main(["preprocess"] + base + ["--session", "synth-9999"])
         assert rc == 3
         assert "unknown session ids" in capsys.readouterr().err
+
+    def test_split_reads_no_joystick_stream(self, baseline, tmp_path):
+        cfg, out = baseline
+        ws = tmp_path / "ws"
+        shutil.copytree(out, ws)
+        work = ws / "work" / "synth-0000"
+        (work / "preprocessed" / "joystick.jsonl").unlink()
+        shutil.rmtree(work / "windows")
+        rc = main(["split", "--config", str(cfg), "--out", str(ws),
+                   "--session", "synth-0000"])
+        assert rc == 0
+        assert _tree(work / "windows") == _tree(out / "work" / "synth-0000" / "windows")
 
 
 class TestExitCodes:

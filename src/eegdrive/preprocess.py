@@ -8,19 +8,33 @@ The chain applied by ``preprocess_session`` is fixed:
 4. inverse-distance interpolation of the remaining bad channels,
 5. per-channel z-scoring over the whole recording.
 
-Filters are designed and applied with scipy.signal (second-order sections,
-forward-backward), which keeps them numerically stable; the tests pin the
-magnitude responses against closed-form values. Everything above the filter
-primitives is implemented here.
+Filters are second-order sections in closed form (a bilinear-transformed
+Butterworth prototype and the one-biquad notch) and are applied forward and
+backward as ``scipy.signal.sosfiltfilt`` does: an odd extension of 3 x ntaps
+samples at each end, and each pass started from the steady state of its
+first sample. Each pass is one rfft/irfft product with the cascade's
+frequency response, with numpy alone:
+
+- the steady state comes by linearity: the pass is the response from rest
+  to x - x[0], plus x[0] times the DC gain;
+- the response from rest is exact to float64 rounding once the FFT is
+  longer than the signal by the settle length, the number of samples the
+  slowest pole takes to decay below eps, because the circular product
+  then wraps only that decayed tail onto the output;
+- the response is evaluated about z = 1, which keeps poles close to DC
+  (a 0.1 Hz corner) accurate where the coefficient sums nearly cancel.
+
+The tests hold the designs and the filter to scipy's within 1e-12.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Iterable
+from functools import partial
+from typing import Callable, Iterable
 
 import numpy as np
-from scipy import signal
 
 from .errors import DataError
 from .session import EegRecording
@@ -55,37 +69,154 @@ class FilterSpec:
 
 
 def design_highpass(spec: FilterSpec, fs: float) -> np.ndarray:
-    """Butterworth high-pass as second-order sections."""
+    """Butterworth high-pass as second-order sections.
+
+    The analog prototype's poles are mapped low-pass to high-pass at the
+    pre-warped cutoff and through the bilinear transform; every zero lands
+    on z = 1. Sections are ordered by pole radius, the one closest to the
+    unit circle last, with the gain on the first, as ``scipy.signal.butter``
+    orders them.
+    """
     if spec.highpass_hz >= fs / 2:
         raise ValueError(
             f"high-pass cutoff {spec.highpass_hz} Hz is not below the "
             f"Nyquist frequency {fs / 2} Hz"
         )
-    return signal.butter(
-        spec.highpass_order, spec.highpass_hz, btype="highpass", fs=fs, output="sos"
-    )
+    order = spec.highpass_order
+    prototype = -np.exp(1j * np.pi * np.arange(-order + 1, order, 2) / (2 * order))
+    warped = 4.0 * math.tan(math.pi * spec.highpass_hz / fs)  # bilinear at fs = 2
+    analog = warped / prototype
+    gain = float(np.prod(4.0 / (4.0 - analog)).real)
+    poles = (4.0 + analog) / (4.0 - analog)
+    poles = poles[poles.imag >= 0]  # one of each conjugate pair, and the real pole
+    sos = []
+    for p in poles[np.argsort(np.abs(poles), kind="stable")]:
+        if p.imag > 0:
+            sos.append([1.0, -2.0, 1.0, 1.0, -2.0 * p.real, p.real ** 2 + p.imag ** 2])
+        else:
+            sos.append([1.0, -1.0, 0.0, 1.0, -p.real, 0.0])
+    sos = np.array(sos)
+    sos[0, :3] *= gain
+    return sos
 
 
 def design_notch(spec: FilterSpec, fs: float) -> np.ndarray:
-    """Single-biquad notch at the mains frequency, as second-order sections."""
+    """Single-biquad notch at the mains frequency, as second-order sections.
+
+    The -3 dB bandwidth is notch_hz / notch_q, as in ``scipy.signal.iirnotch``.
+    """
     if spec.notch_hz >= fs / 2:
         raise ValueError(
             f"notch frequency {spec.notch_hz} Hz is not below the "
             f"Nyquist frequency {fs / 2} Hz"
         )
-    b, a = signal.iirnotch(spec.notch_hz, spec.notch_q, fs=fs)
-    return signal.tf2sos(b, a)
+    w0 = 2.0 * math.pi * spec.notch_hz / fs
+    gain = 1.0 / (1.0 + math.tan(w0 / spec.notch_q / 2.0))
+    cos = math.cos(w0)
+    return np.array([[gain, -2.0 * gain * cos, gain, 1.0, -2.0 * gain * cos, 2.0 * gain - 1.0]])
+
+
+def _fft_length(n: int) -> int:
+    """Smallest 2**a * 3**b * 5**c that is >= n."""
+    best = 1 << max(n - 1, 0).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            m = p35
+            while m < n:
+                m *= 2
+            best = min(best, m)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _settle_length(poles: np.ndarray) -> int:
+    """Samples until the slowest pole's impulse response r**k falls below eps."""
+    r = float(np.max(np.abs(poles)))
+    if r == 0.0:
+        return 0
+    return math.ceil(math.log(np.finfo(np.float64).eps) / math.log(r))
+
+
+def _filter_from_rest(
+    x: np.ndarray, response: Callable[[np.ndarray], np.ndarray], settle: int
+) -> np.ndarray:
+    """Apply a stable filter along the last axis from zero initial state.
+
+    ``response(d)`` is the filter's frequency response at z**-1 = 1 + d,
+    given ``d`` on the rfft grid; the offset from 1 keeps a response with
+    poles close to DC accurate there. The product is circular, so input
+    more than ``nfft - n`` samples back wraps round onto the output; an FFT
+    length of at least n + ``settle``, the filter's settle length, leaves
+    that below float64 rounding.
+    """
+    n = x.shape[-1]
+    nfft = _fft_length(n + settle)
+    half = np.pi * np.arange(nfft // 2 + 1) / nfft
+    d = -2.0 * np.sin(half) ** 2 - 1j * np.sin(2.0 * half)  # exp(-2j * half) - 1
+    spectrum = np.fft.rfft(x, nfft)
+    spectrum *= response(d)
+    return np.fft.irfft(spectrum, nfft)[..., :n]
+
+
+def _sos_response(sos: np.ndarray, d: np.ndarray | float) -> np.ndarray | float:
+    """Frequency response of a cascade of second-order sections at z**-1 = 1 + d.
+
+    Each section's polynomials are expanded about z**-1 = 1, so the sums
+    that nearly cancel for a pole close to DC are taken once, exactly
+    rounded, rather than at every frequency.
+    """
+    h = 1.0
+    for b0, b1, b2, a0, a1, a2 in sos:
+        num = math.fsum((b0, b1, b2)) + d * (math.fsum((b1, 2.0 * b2)) + d * b2)
+        den = math.fsum((a0, a1, a2)) + d * (math.fsum((a1, 2.0 * a2)) + d * a2)
+        h = h * num / den
+    return h
+
+
+def _steady_pass(x: np.ndarray, sos: np.ndarray, settle: int) -> np.ndarray:
+    """One causal pass started from the steady state of x's first sample.
+
+    By linearity, that is the pass from rest over x - x[0] plus the steady
+    response to a constant x[0], which is x[0] times the DC gain.
+    """
+    x0 = x[..., :1]
+    y = _filter_from_rest(x - x0, partial(_sos_response, sos), settle)
+    y += _sos_response(sos, 0.0) * x0
+    return y
 
 
 def filter_zero_phase(x: np.ndarray, sos: np.ndarray) -> np.ndarray:
-    """Forward-backward application along the last axis: zero group delay."""
-    order = 2 * len(sos)
-    if x.shape[-1] <= 3 * order:
+    """Forward-backward application along the last axis: zero group delay.
+
+    Matches ``scipy.signal.sosfiltfilt(sos, x, axis=-1)`` to float64
+    rounding: the signal is padded by an odd extension of 3 x ntaps samples
+    at each end, and each pass starts from the steady state of its first
+    sample.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    ntaps = 2 * len(sos) + 1 - min(int((sos[:, 2] == 0).sum()), int((sos[:, 5] == 0).sum()))
+    edge = 3 * ntaps
+    n = x.shape[-1]
+    if n <= edge:
         raise DataError(
-            f"signal of length {x.shape[-1]} too short for zero-phase "
-            f"filtering at order {order}"
+            f"signal of length {n} too short for zero-phase filtering with "
+            f"{len(sos)} second-order sections: needs more than {edge} samples"
         )
-    return signal.sosfiltfilt(sos, x, axis=-1)
+    ext = np.concatenate(
+        [
+            2.0 * x[..., :1] - x[..., edge:0:-1],
+            x,
+            2.0 * x[..., -1:] - x[..., -2 : -edge - 2 : -1],
+        ],
+        axis=-1,
+    )
+    settle = _settle_length(np.concatenate([np.roots(a) for a in sos[:, 3:]]))
+    y = _steady_pass(ext, sos, settle)
+    y = _steady_pass(y[..., ::-1], sos, settle)[..., ::-1]
+    return y[..., edge:-edge]
 
 
 # --------------------------------------------------------------------------

@@ -35,11 +35,11 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import signal
 
 from .errors import DataError
 from .ingest import SessionDir, write_session_dir
 from .labels import LabeledSamples, write_labels_csv
+from .preprocess import _filter_from_rest, _settle_length
 from .session import (
     N_CLASSES,
     NS_PER_MS,
@@ -130,13 +130,14 @@ class SynthConfig:
 
 def _pink_filter(white: np.ndarray) -> np.ndarray:
     """Paul Kellet's economy pink approximation: three parallel one-pole
-    low-passes plus a direct term, applied along the last axis."""
+    low-passes plus a direct term, applied along the last axis from rest."""
     poles = (0.99765, 0.96300, 0.57000)
     gains = (0.0990460, 0.2965164, 1.0526913)
-    out = 0.1848 * white
-    for b, g in zip(poles, gains):
-        out = out + signal.lfilter([g], [1.0, -b], white, axis=-1)
-    return out
+
+    def response(d):  # at z**-1 = 1 + d
+        return 0.1848 + sum(g / ((1.0 - b) - b * d) for b, g in zip(poles, gains))
+
+    return _filter_from_rest(white, response, _settle_length(np.array(poles)))
 
 
 def _build_schedule(cfg: SynthConfig, horizon_ns: int) -> tuple[list[int], list[int]]:

@@ -7,7 +7,12 @@ entire workspace tree, not just the report.
 
 import hashlib
 import json
+import os
 import shutil
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -313,6 +318,19 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "[preprocess]" in err and "synth-0000" in err
 
+    def test_session_too_short_to_filter_is_3(self, tmp_path, capsys):
+        cfg = _write_cfg(tmp_path)
+        ws = tmp_path / "ws"
+        base = ["--config", str(cfg), "--out", str(ws)]
+        assert main(["simulate"] + base) == 0
+        session = ws / "sessions" / "synth-0000"
+        eeg = session / "eeg.csv"
+        eeg.write_text("".join(eeg.read_text().splitlines(keepends=True)[:15]))  # 14 rows
+        assert main(["validate", str(session)]) == 0
+        rc = main(["preprocess"] + base + ["--session", "synth-0000"])
+        assert rc == 3
+        assert "[preprocess] synth-0000: signal of length 14 too short" in capsys.readouterr().err
+
     def test_corrupt_checkpoint_header_is_3(self, baseline, tmp_path, capsys):
         cfg, out = baseline
         ws = tmp_path / "ws"
@@ -437,3 +455,22 @@ class TestExitCodes:
         rc = main(["train"] + base)
         assert rc == 4
         assert "training diverged" in capsys.readouterr().err
+
+
+def test_cli_run_imports_no_scipy(tmp_path):
+    """The program filters with numpy alone: a CLI run never loads scipy."""
+    doc = dict(SMALL, n_sessions=1)
+    cfg = _write_cfg(tmp_path, doc)
+    script = textwrap.dedent(f"""
+        import sys
+        import eegdrive.cli
+        code = eegdrive.cli.main(["run-all", "--config", {str(cfg)!r},
+                                  "--out", {str(tmp_path / "ws")!r}])
+        loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+        print(code, loaded)
+    """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=300, check=True).stdout
+    assert out.splitlines()[-1] == "0 []"

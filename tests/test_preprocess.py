@@ -136,9 +136,15 @@ class TestFilters:
             assert np.allclose(stacked[c], filter_zero_phase(x[c], sos), atol=1e-12)
 
     def test_too_short_signal_rejected(self):
+        # the odd extension is 3 x ntaps samples: 15 for the order-4 high-pass
+        # (two sections, five taps), 9 for the notch (one section, three taps)
         spec = FilterSpec()
-        with pytest.raises(DataError, match="too short"):
-            filter_zero_phase(np.zeros(10), design_highpass(spec, FS))
+        cases = [(design_highpass, n) for n in (10, 13, 14, 15)]
+        cases += [(design_notch, n) for n in (6, 7, 8, 9)]
+        for design, n in cases:
+            for shape in ((n,), (16, n)):
+                with pytest.raises(DataError, match="too short"):
+                    filter_zero_phase(np.zeros(shape), design(spec, FS))
 
     def test_highpass_above_nyquist_rejected(self):
         with pytest.raises(ValueError):

@@ -14,7 +14,6 @@ from .trainer import (
     TrainConfig,
     TrainResult,
     compute_class_weights,
-    gradient_check,
     load_checkpoint,
     predict,
     save_checkpoint,
@@ -33,7 +32,6 @@ __all__ = [
     "TrainConfig",
     "TrainResult",
     "compute_class_weights",
-    "gradient_check",
     "load_checkpoint",
     "predict",
     "save_checkpoint",

@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig, derive_seed
-from .errors import DataError, EegDriveError
+from .errors import ConfigError, DataError, EegDriveError
 from .ingest import SessionDir, load_recording, load_session, write_session_dir
 from .labels import LabeledSamples, label_at_horizon, read_labels_csv, write_labels_csv
 from .metrics import confusion_matrix, metrics_from_confusion
@@ -372,7 +372,8 @@ def _map(fn, items, jobs: int) -> None:
         for item in items:
             fn(item)
         return
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # the pool starts all its workers at once: never more than the work
+    with ProcessPoolExecutor(max_workers=min(jobs, len(items))) as pool:
         # list() propagates the first worker exception
         list(pool.map(fn, items))
 
@@ -380,6 +381,8 @@ def _map(fn, items, jobs: int) -> None:
 def run_all(cfg: RunConfig, out_dir: str | Path, jobs: int = 1) -> list[Path]:
     """simulate (if needed) -> preprocess -> label -> split -> train ->
     eval per session, then one aggregated report."""
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
     ws = Workspace(out_dir)
     session_ids = ws.session_ids()
     if not session_ids:

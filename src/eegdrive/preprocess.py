@@ -8,6 +8,11 @@ The chain applied by ``preprocess_session`` is fixed:
 4. inverse-distance interpolation of the remaining bad channels,
 5. per-channel z-scoring over the whole recording.
 
+A bad-channel verdict is a (2, C) boolean array over the montage: row k
+flags the channels that fail criterion ``REASONS[k]``. Detection, the
+reference loop and the report share it; channel names appear only in the
+report's JSON and in the list handed to the interpolation.
+
 Filters are second-order sections in closed form (a bilinear-transformed
 Butterworth prototype and the one-biquad notch) and are applied forward and
 backward as ``scipy.signal.sosfiltfilt`` does: an odd extension of 3 x ntaps
@@ -43,6 +48,8 @@ from .session import EegRecording
 CORRELATION_BAD_WINDOW_FRAC = 0.01
 # Bad-channel detections the robust reference runs before it stops.
 MAX_REFERENCE_ITERATIONS = 4
+# Detection criteria, in the row order of a (2, C) verdict.
+REASONS = ("deviation", "correlation")
 
 _MAD_SCALE = 1.4826  # consistent estimator of sigma for normal data
 
@@ -245,29 +252,6 @@ def _robust_std(x: np.ndarray) -> np.ndarray:
     return _MAD_SCALE * np.median(np.abs(x - med), axis=-1)
 
 
-def great_circle_distance(a, b) -> float:
-    """Arc length between two unit vectors."""
-    dot = float(np.clip(np.dot(a, b), -1.0, 1.0))
-    return float(np.arccos(dot))
-
-
-def _idw_weights(target_pos, candidate_pos: np.ndarray, k: int = 3, power: int = 2) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse-distance weights over the k nearest candidates.
-
-    Returns (chosen candidate indices, weights). Weights are nonnegative and
-    sum to one; a candidate coincident with the target takes all the weight.
-    """
-    dists = np.array([great_circle_distance(target_pos, p) for p in candidate_pos])
-    order = np.argsort(dists, kind="stable")[: min(k, len(dists))]
-    d = dists[order]
-    if d[0] == 0.0:
-        w = np.zeros(len(order))
-        w[0] = 1.0
-        return order, w
-    inv = 1.0 / d ** power
-    return order, inv / inv.sum()
-
-
 def _normalized_windows(x: np.ndarray, win: int) -> np.ndarray:
     """Reshape (C, T) into (n_win, C, win) rows normalised to zero mean, unit norm.
 
@@ -283,11 +267,7 @@ def _normalized_windows(x: np.ndarray, win: int) -> np.ndarray:
     return seg
 
 
-def detect_bad_channels(
-    rec: EegRecording,
-    criteria: BadChannelCriteria,
-    exclude: Iterable[str] = (),
-) -> dict[str, tuple[str, ...]]:
+def detect_bad_channels(rec: EegRecording, criteria: BadChannelCriteria) -> np.ndarray:
     """Flag channels by amplitude deviation and flat correlation (PREP).
 
     * deviation: the robust z-score of the channel's MAD amplitude across
@@ -295,24 +275,16 @@ def detect_bad_channels(
     * correlation: in more than 1% of windows the channel's best absolute
       correlation with any other channel falls below ``correlation_min``.
 
-    ``exclude`` removes channels from consideration entirely (they are
-    neither tested nor used as evidence). Returns {name: (reasons...)}.
+    Returns the (2, C) verdict: row k flags the channels that fail
+    criterion ``REASONS[k]``.
     """
-    exclude = set(exclude)
-    all_names = rec.montage.names
-    usable = [i for i, n in enumerate(all_names) if n not in exclude]
-    if len(usable) < 4:
-        raise DataError(
-            f"only {len(usable)} usable channels, need at least 4 for "
-            "bad-channel detection"
-        )
-    x = rec.samples[usable]
-    names = [all_names[i] for i in usable]
+    x = rec.samples
     n_ch, n_samp = x.shape
-    reasons: dict[str, list[str]] = {}
-
-    def _flag(idx: int, why: str) -> None:
-        reasons.setdefault(names[idx], []).append(why)
+    if n_ch < 4:
+        raise DataError(
+            f"only {n_ch} channels, need at least 4 for bad-channel detection"
+        )
+    verdict = np.zeros((len(REASONS), n_ch), dtype=bool)
 
     # Deviation: robust z of per-channel robust amplitude.
     amp = _robust_std(x)
@@ -320,23 +292,19 @@ def detect_bad_channels(
     denom = _MAD_SCALE * np.median(np.abs(amp - med))
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.where(amp == med, 0.0, (amp - med) / denom) if denom == 0 else (amp - med) / denom
-    for i in np.nonzero(np.abs(z) > criteria.deviation_z)[0]:
-        _flag(int(i), "deviation")
+    verdict[0] = np.abs(z) > criteria.deviation_z
 
     # Correlation: windowed best absolute correlation against the other channels.
     win = max(2, round(criteria.correlation_window_s * rec.sample_rate_hz))
     if n_samp >= win:
         seg = _normalized_windows(x, win)  # (n_win, C, win)
-        low_counts = np.zeros(n_ch, dtype=np.int64)
-        for w in range(seg.shape[0]):
-            r = np.abs(seg[w] @ seg[w].T)
-            np.fill_diagonal(r, -1.0)
-            low_counts += r.max(axis=1) < criteria.correlation_min
-        frac = low_counts / seg.shape[0]
-        for i in np.nonzero(frac > CORRELATION_BAD_WINDOW_FRAC)[0]:
-            _flag(int(i), "correlation")
+        r = seg @ seg.transpose(0, 2, 1)  # (n_win, C, C)
+        np.abs(r, out=r)
+        r[:, np.eye(n_ch, dtype=bool)] = -1.0
+        low_counts = (r.max(axis=2) < criteria.correlation_min).sum(axis=0)
+        verdict[1] = low_counts / seg.shape[0] > CORRELATION_BAD_WINDOW_FRAC
 
-    return {name: tuple(why) for name, why in reasons.items()}
+    return verdict
 
 
 # --------------------------------------------------------------------------
@@ -346,26 +314,35 @@ def detect_bad_channels(
 
 @dataclass
 class PreprocessReport:
-    """What the cleaning chain did: stages, per-iteration flags, repairs."""
+    """What the cleaning chain did: stages, one verdict per detection, repairs."""
 
+    names: tuple[str, ...]
     stages: list[str] = field(default_factory=list)
-    bad_channels: list[dict[str, tuple[str, ...]]] = field(default_factory=list)
+    bad_channels: list[np.ndarray] = field(default_factory=list)
     reference_iterations: int = 0
     interpolated: tuple[str, ...] = ()
 
-    @property
-    def final_bad(self) -> dict[str, tuple[str, ...]]:
-        return dict(self.bad_channels[-1]) if self.bad_channels else {}
+    def by_name(self, verdict: np.ndarray) -> dict[str, list[str]]:
+        """{channel name: [reasons]} for the channels a verdict flags."""
+        return {
+            self.names[i]: [REASONS[k] for k in np.flatnonzero(verdict[:, i])]
+            for i in np.flatnonzero(verdict.any(axis=0))
+        }
 
     def to_dict(self) -> dict:
         return {
             "stages": list(self.stages),
-            "bad_channels": [
-                {k: list(v) for k, v in it.items()} for it in self.bad_channels
-            ],
+            "bad_channels": [self.by_name(v) for v in self.bad_channels],
             "reference_iterations": self.reference_iterations,
             "interpolated": list(self.interpolated),
         }
+
+
+def _reference(x: np.ndarray, flagged: np.ndarray) -> np.ndarray:
+    """Subtract the mean of the channels not flagged."""
+    if flagged.all():
+        raise DataError("all channels flagged bad; cannot build a reference")
+    return x - x[~flagged].mean(axis=0, keepdims=True)
 
 
 def robust_average_reference(
@@ -378,70 +355,63 @@ def robust_average_reference(
     until the flagged set repeats. A newly seen set continues the loop (up
     to ``MAX_REFERENCE_ITERATIONS`` detections); revisiting an earlier,
     non-adjacent set is an oscillation and resolves to the union of
-    everything seen.
+    everything seen. In the union a channel keeps the reasons of the latest
+    verdict if that flagged it, else those of the earliest verdict that did.
     """
-    report = PreprocessReport()
+    report = PreprocessReport(names=rec.montage.names)
     x = rec.samples
-    names = rec.montage.names
-    bad: dict[str, tuple[str, ...]] = {}
-    seen: list[frozenset[str]] = []
-    while True:
-        good_idx = [i for i, n in enumerate(names) if n not in bad]
-        if not good_idx:
-            raise DataError("all channels flagged bad; cannot build a reference")
-        referenced = x - x[good_idx].mean(axis=0, keepdims=True)
-        new_bad = detect_bad_channels(rec.with_samples(referenced), criteria)
+    flags = [np.zeros(rec.n_channels, dtype=bool)]  # flagged set before each detection
+    while report.reference_iterations < MAX_REFERENCE_ITERATIONS:
+        verdict = detect_bad_channels(rec.with_samples(_reference(x, flags[-1])), criteria)
         report.reference_iterations += 1
-        report.bad_channels.append(dict(new_bad))
-        key = frozenset(new_bad)
-        if key == frozenset(bad):
-            bad = new_bad
+        report.bad_channels.append(verdict)
+        flagged = verdict.any(axis=0)
+        if np.array_equal(flagged, flags[-1]):
             break
-        if key in seen:  # oscillation: settle on the union, reported last
-            bad = dict(new_bad)
-            for it in report.bad_channels:
-                for name, why in it.items():
-                    bad.setdefault(name, why)
-            if frozenset(bad) != key:
-                report.bad_channels.append(dict(bad))
+        if any(np.array_equal(flagged, earlier) for earlier in flags[:-1]):
+            # oscillation: settle on the union, reported last
+            union = verdict.copy()
+            for earlier in report.bad_channels:
+                missing = earlier.any(axis=0) & ~union.any(axis=0)
+                union[:, missing] = earlier[:, missing]
+            if not np.array_equal(union, verdict):
+                report.bad_channels.append(union)
             break
-        seen.append(frozenset(bad))
-        bad = new_bad
-        if report.reference_iterations >= MAX_REFERENCE_ITERATIONS:
-            break
-    good_idx = [i for i, n in enumerate(names) if n not in bad]
-    if not good_idx:
-        raise DataError("all channels flagged bad; cannot build a reference")
-    out = x - x[good_idx].mean(axis=0, keepdims=True)
-    return rec.with_samples(out), report
+        flags.append(flagged)
+    # the last entry is the verdict the loop settled on
+    return rec.with_samples(_reference(x, report.bad_channels[-1].any(axis=0))), report
 
 
 def interpolate_channels(rec: EegRecording, bad: Iterable[str]) -> EegRecording:
     """Replace each bad channel by an inverse-distance blend of good ones.
 
     Each bad channel becomes the convex combination of its 3 nearest good
-    channels (great-circle distance on the unit sphere, weights 1/d^2).
+    channels (great-circle distance on the unit sphere, weights 1/d^2); a
+    good channel at the same position takes all the weight.
     """
     bad = set(bad)
     names, positions = rec.montage.names, rec.montage.positions
     unknown = bad - set(names)
     if unknown:
         raise DataError(f"cannot interpolate unknown channels {sorted(unknown)}")
-    if not bad:
-        return rec.with_samples(rec.samples.copy())
-    good_idx = [i for i, n in enumerate(names) if n not in bad]
-    if len(good_idx) < 3:
+    is_bad = np.array([name in bad for name in names])
+    good_idx = np.flatnonzero(~is_bad)
+    if is_bad.any() and len(good_idx) < 3:
         raise DataError(
             f"only {len(good_idx)} good channels left; interpolation needs 3"
         )
     x = rec.samples.copy()
     good_pos = positions[good_idx]
-    for i, name in enumerate(names):
-        if name not in bad:
-            continue
-        sel, w = _idw_weights(positions[i], good_pos)
-        src = [good_idx[int(s)] for s in sel]
-        x[i] = w @ rec.samples[src]
+    for i in np.flatnonzero(is_bad):
+        dist = np.arccos(np.clip(good_pos @ positions[i], -1.0, 1.0))
+        near = np.argsort(dist, kind="stable")[:3]
+        if dist[near[0]] == 0.0:
+            w = np.zeros(len(near))
+            w[0] = 1.0
+        else:
+            inv = 1.0 / dist[near] ** 2
+            w = inv / inv.sum()
+        x[i] = w @ rec.samples[good_idx[near]]
     return rec.with_samples(x)
 
 
@@ -470,8 +440,8 @@ def preprocess_session(
     x = filter_zero_phase(x, design_notch(spec, fs))
     filtered = rec.with_samples(x)
     referenced, report = robust_average_reference(filtered, criteria)
-    bad = sorted(report.final_bad)
+    bad = tuple(sorted(report.by_name(report.bad_channels[-1])))
     out = zscore_channels(interpolate_channels(referenced, bad))
     report.stages = ["highpass", "notch", "robust_reference", "interpolate", "zscore"]
-    report.interpolated = tuple(bad)
+    report.interpolated = bad
     return out, report

@@ -64,20 +64,38 @@ def write_run_score(path: Path, score: RunScore) -> None:
 
 
 def read_run_score(path: Path) -> RunScore:
+    """Read one score: ``confusion`` must be N_CLASSES x N_CLASSES
+    non-negative JSON integers and ``horizon_ms`` a JSON integer."""
     try:
         doc = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
+        # ValueError covers JSONDecodeError and UnicodeDecodeError
         raise DataError(f"{path}: cannot read run score: {exc}") from exc
     try:
-        cm = np.asarray(doc["confusion"], dtype=np.int64)
-        return RunScore(
-            model=str(doc["model"]),
-            horizon_ms=int(doc["horizon_ms"]),
-            run_id=str(doc["run_id"]),
-            result=metrics_from_confusion(cm),
+        rows, horizon = doc["confusion"], doc["horizon_ms"]
+        model, run_id = str(doc["model"]), str(doc["run_id"])
+    except (KeyError, TypeError) as exc:
+        raise DataError(f"{path}: malformed run score: {exc!r}") from exc
+    if type(horizon) is not int:  # bool and float refused
+        raise DataError(f"{path}: horizon_ms must be a JSON integer, got {horizon!r}")
+    square = isinstance(rows, list) and len(rows) == N_CLASSES and all(
+        isinstance(row, list) and len(row) == N_CLASSES for row in rows
+    )
+    if not square:
+        raise DataError(f"{path}: confusion must be a {N_CLASSES}x{N_CLASSES} list of rows")
+    bad = [v for row in rows for v in row if type(v) is not int or v < 0]
+    if bad:
+        raise DataError(
+            f"{path}: confusion counts must be non-negative JSON integers, got {bad[0]!r}"
         )
-    except (KeyError, ValueError, TypeError) as exc:
+    total = sum(map(sum, rows))
+    if total >= 2 ** 63:
+        raise DataError(f"{path}: confusion total {total} does not fit int64")
+    try:
+        result = metrics_from_confusion(np.asarray(rows, dtype=np.int64))
+    except ValueError as exc:
         raise DataError(f"{path}: malformed run score: {exc}") from exc
+    return RunScore(model=model, horizon_ms=horizon, run_id=run_id, result=result)
 
 
 def _sorted_runs(runs: list[RunScore]) -> list[RunScore]:

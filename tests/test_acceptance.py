@@ -35,7 +35,7 @@ from eegdrive.config import RunConfig, config_from_dict
 from eegdrive.ingest import AlignmentConfig, align_nearest
 from eegdrive.labels import LabeledSamples, LabelRule, classify_command
 from eegdrive.metrics import confusion_matrix, metrics_from_confusion
-from eegdrive.models import build_model, gradient_check
+from eegdrive.models import build_model
 from eegdrive.pipeline import run_all
 from eegdrive.preprocess import (
     FilterSpec,
@@ -43,6 +43,7 @@ from eegdrive.preprocess import (
     design_notch,
     filter_zero_phase,
 )
+from gradcheck import gradient_check
 from eegdrive.session import EegRecording, synthetic_montage
 from eegdrive.splitting import (
     SplitConfig,

@@ -18,13 +18,13 @@ from eegdrive.models import (
     TrainConfig,
     build_model,
     compute_class_weights,
-    gradient_check,
     load_checkpoint,
     predict,
     save_checkpoint,
     train_model,
 )
 from eegdrive.models.nets import LOG_FLOOR, weighted_ce_from_logprobs
+from gradcheck import gradient_check
 
 # small enough for scalar loops, large enough to exercise every stage
 SMALL_SPEC = ShallowConvNetSpec(

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from eegdrive import pipeline
 from eegdrive.cli import main
 from eegdrive.config import RunConfig, config_from_dict
 
@@ -37,6 +38,16 @@ def _write_cfg(tmp_path, doc=SMALL, name="cfg.json"):
     p = tmp_path / name
     p.write_text(json.dumps(doc))
     return p
+
+
+def _with(**fields):
+    """An edit of a JSON file's bytes that sets the given fields."""
+    return lambda raw: json.dumps({**json.loads(raw), **fields}).encode()
+
+
+def _without(key):
+    """An edit of a JSON file's bytes that drops one field."""
+    return lambda raw: json.dumps({k: v for k, v in json.loads(raw).items() if k != key}).encode()
 
 
 def _tree(root):
@@ -112,6 +123,39 @@ class TestRunAll:
             trees.append(_tree(ws))
         assert len(trees[0]) > 20
         assert trees[0] == trees[1]
+
+    @pytest.mark.parametrize("jobs, n_items, workers", [(64, 6, 6), (2, 6, 2), (3, 2, 2)])
+    def test_pool_sized_to_the_work(self, monkeypatch, jobs, n_items, workers):
+        # a fake executor: a real pool forks every worker it is sized for
+        sizes = []
+
+        class Recorder:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", Recorder)
+        done = []
+        pipeline._map(done.append, range(n_items), jobs)
+        assert sizes == [workers]
+        assert done == list(range(n_items))
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_1_is_2(self, tmp_path, capsys, jobs):
+        cfg = _write_cfg(tmp_path)
+        ws = tmp_path / "ws"
+        rc = main(["run-all", "--config", str(cfg), "--out", str(ws), "--jobs", jobs])
+        assert rc == 2
+        assert f"jobs must be >= 1, got {jobs}" in capsys.readouterr().err
+        assert not ws.exists()
 
     def test_seed_override_changes_training(self, baseline, tmp_path):
         cfg, out = baseline
@@ -409,6 +453,37 @@ class TestExitCodes:
         assert rc == 3
         err = capsys.readouterr().err
         assert f"[{command}]" in err and str(path) in err and rule in err
+
+    @pytest.mark.parametrize("edit, rule", [
+        (lambda raw: b"\xff" + raw, "cannot read run score"),
+        (lambda raw: raw[:-20], "cannot read run score"),
+        (_without("model"), "malformed run score: KeyError('model')"),
+        (_with(confusion=[[1] * 3] * 3), "confusion must be a 5x5 list of rows"),
+        (_with(confusion=[[1] * 5] * 4), "confusion must be a 5x5 list of rows"),
+        (_with(confusion=[[-1] + [1] * 4] + [[1] * 5] * 4),
+         "confusion counts must be non-negative JSON integers, got -1"),
+        (_with(confusion=[[2.5] + [1] * 4] + [[1] * 5] * 4),
+         "confusion counts must be non-negative JSON integers, got 2.5"),
+        (_with(confusion=[[True] + [1] * 4] + [[1] * 5] * 4),
+         "confusion counts must be non-negative JSON integers, got True"),
+        (_with(confusion=[[2 ** 70] + [1] * 4] + [[1] * 5] * 4),
+         f"confusion total {2 ** 70 + 24} does not fit int64"),
+        (_with(confusion=[[2 ** 62] * 5] * 5), f"confusion total {25 * 2 ** 62} does not fit int64"),
+        (_with(confusion=[[0] * 5] * 5), "confusion matrix is empty"),
+        (_with(horizon_ms=300.7), "horizon_ms must be a JSON integer, got 300.7"),
+        (_with(horizon_ms="300"), "horizon_ms must be a JSON integer, got '300'"),
+    ], ids=["not-utf8", "truncated", "no-model", "3x3", "4-rows", "negative", "float-count",
+            "bool-count", "count-overflows-int64", "total-overflows-int64", "all-zero",
+            "float-horizon", "string-horizon"])
+    def test_corrupt_score_is_3(self, baseline, tmp_path, capsys, edit, rule):
+        _, out = baseline
+        ws = tmp_path / "ws"
+        shutil.copytree(out, ws)
+        path = ws / "work" / "synth-0000" / "runs" / "linear_300" / "score.json"
+        path.write_bytes(edit(path.read_bytes()))
+        assert main(["report", "--out", str(ws)]) == 3
+        err = capsys.readouterr().err
+        assert "[report]" in err and str(path) in err and rule in err
 
     def test_eval_on_windows_of_another_length_is_3(self, baseline, tmp_path, capsys):
         _, out = baseline

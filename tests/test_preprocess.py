@@ -19,7 +19,6 @@ from eegdrive.preprocess import (
     design_notch,
     detect_bad_channels,
     filter_zero_phase,
-    great_circle_distance,
     interpolate_channels,
     preprocess_session,
     robust_average_reference,
@@ -178,53 +177,73 @@ class TestTonePower:
         assert tone_power(x, 30.0, FS) < 1e-12
 
 
+def _verdict(rec, flags):
+    """A (2, C) verdict from {channel name: (reasons...)}."""
+    verdict = np.zeros((len(preprocess.REASONS), rec.n_channels), dtype=bool)
+    for name, reasons in flags.items():
+        for why in reasons:
+            verdict[preprocess.REASONS.index(why), rec.montage.names.index(name)] = True
+    return verdict
+
+
+def _good_rows(verdict):
+    return np.flatnonzero(~verdict.any(axis=0))
+
+
 class TestDetectBadChannels:
     def test_clean_recording_unflagged(self):
         rec = _structured_recording()
-        assert detect_bad_channels(rec, BadChannelCriteria()) == {}
+        verdict = detect_bad_channels(rec, BadChannelCriteria())
+        assert verdict.shape == (2, rec.n_channels)
+        assert verdict.dtype == bool
+        assert not verdict.any()
 
     def test_dead_channel_flagged(self):
         rec = _structured_recording()
         x = rec.samples.copy()
         x[5] = 0.0
-        flagged = detect_bad_channels(rec.with_samples(x), BadChannelCriteria())
-        name = rec.montage.names[5]
-        assert name in flagged
-        assert "correlation" in flagged[name]
+        verdict = detect_bad_channels(rec.with_samples(x), BadChannelCriteria())
+        assert np.flatnonzero(verdict.any(axis=0)).tolist() == [5]
+        assert verdict[preprocess.REASONS.index("correlation"), 5]
 
     def test_extreme_amplitude_flagged_as_deviation(self):
         rec = _structured_recording()
         x = rec.samples.copy()
         x[2] *= 80.0
-        flagged = detect_bad_channels(rec.with_samples(x), BadChannelCriteria())
-        name = rec.montage.names[2]
-        assert name in flagged
-        assert "deviation" in flagged[name]
+        verdict = detect_bad_channels(rec.with_samples(x), BadChannelCriteria())
+        assert verdict.any(axis=0)[2]
+        assert verdict[preprocess.REASONS.index("deviation"), 2]
 
     def test_uncorrelated_channel_flagged(self):
         rec = _structured_recording()
         x = rec.samples.copy()
         scale = float(np.std(x[7]))
         x[7] = np.random.default_rng(9).standard_normal(x.shape[1]) * scale
-        flagged = detect_bad_channels(rec.with_samples(x), BadChannelCriteria())
-        assert rec.montage.names[7] in flagged
+        verdict = detect_bad_channels(rec.with_samples(x), BadChannelCriteria())
+        assert verdict.any(axis=0)[7]
 
-    def test_exclude_removes_channel_from_consideration(self):
+    def test_batched_correlation_matches_per_window_loop(self):
         rec = _structured_recording()
         x = rec.samples.copy()
-        x[5] = 0.0
-        name = rec.montage.names[5]
-        flagged = detect_bad_channels(
-            rec.with_samples(x), BadChannelCriteria(), exclude=[name]
-        )
-        assert name not in flagged
+        x[4] = 0.0
+        x[7] = np.random.default_rng(9).standard_normal(x.shape[1]) * float(np.std(x[7]))
+        x[9, 1000:1125] = 0.0  # flat in one window of 24, over the 1 % bar
+        criteria = BadChannelCriteria()
+        seg = preprocess._normalized_windows(x, round(FS))
+        low = np.zeros(rec.n_channels, dtype=np.int64)
+        for w in seg:
+            r = np.abs(w @ w.T)
+            np.fill_diagonal(r, -1.0)
+            low += r.max(axis=1) < criteria.correlation_min
+        want = low / len(seg) > preprocess.CORRELATION_BAD_WINDOW_FRAC
+        verdict = detect_bad_channels(rec.with_samples(x), criteria)
+        assert want[[4, 7, 9]].all()
+        assert np.array_equal(verdict[preprocess.REASONS.index("correlation")], want)
 
     def test_needs_four_usable_channels(self):
-        rec = _structured_recording(n_channels=5)
+        rec = _structured_recording(n_channels=3)
         with pytest.raises(DataError, match="at least 4"):
-            detect_bad_channels(
-                rec, BadChannelCriteria(), exclude=rec.montage.names[:2]
-            )
+            detect_bad_channels(rec, BadChannelCriteria())
 
     def test_criteria_validation(self):
         with pytest.raises(ValueError):
@@ -238,7 +257,7 @@ class TestReferenceAndRepair:
         rec = _structured_recording()
         out, report = robust_average_reference(rec, BadChannelCriteria())
         assert report.reference_iterations >= 1
-        good = [i for i, n in enumerate(rec.montage.names) if n not in report.final_bad]
+        good = _good_rows(report.bad_channels[-1])
         want = rec.samples - rec.samples[good].mean(axis=0, keepdims=True)
         assert np.allclose(out.samples, want, atol=1e-12)
 
@@ -246,34 +265,59 @@ class TestReferenceAndRepair:
     def _scripted(monkeypatch, verdicts):
         calls = []
 
-        def fake(rec, criteria, exclude=()):
+        def fake(rec, criteria):
             calls.append(rec.samples)
             return verdicts[len(calls) - 1]
 
         monkeypatch.setattr(preprocess, "detect_bad_channels", fake)
         return calls
 
+    @staticmethod
+    def _named(report):
+        return [{k: tuple(v) for k, v in it.items()} for it in report.to_dict()["bad_channels"]]
+
     def test_oscillation_settles_on_union(self, monkeypatch):
         rec = _structured_recording()
         a, b = {"F3": ("deviation",)}, {"P4": ("correlation",)}
-        calls = self._scripted(monkeypatch, [a, b, a])
+        calls = self._scripted(monkeypatch, [_verdict(rec, v) for v in (a, b, a)])
         out, report = robust_average_reference(rec, BadChannelCriteria())
         union = {**a, **b}
         assert len(calls) == report.reference_iterations == 3
-        assert report.bad_channels == [a, b, a, union]
-        assert report.final_bad == union
+        assert self._named(report) == [a, b, a, union]
+        assert np.array_equal(report.bad_channels[-1], _verdict(rec, union))
         good = [i for i, n in enumerate(rec.montage.names) if n not in union]
         want = rec.samples - rec.samples[good].mean(axis=0, keepdims=True)
         assert np.allclose(out.samples, want, atol=1e-12)
 
+    @pytest.mark.parametrize("verdicts, union", [
+        pytest.param(
+            [{"F3": ("deviation",)}, {"P4": ("correlation",)}, {"F3": ("correlation",)}],
+            {"F3": ("correlation",), "P4": ("correlation",)},
+            id="latest-reasons-win",
+        ),
+        pytest.param(
+            [{"F3": ("deviation",)}, {"F3": ("correlation",), "P4": ("deviation",)}, {}],
+            {"F3": ("deviation",), "P4": ("deviation",)},
+            id="earliest-reasons-otherwise",
+        ),
+    ])
+    def test_union_reasons(self, monkeypatch, verdicts, union):
+        # each third flagged set repeats one referenced against before the
+        # second detection, so both scripts oscillate and settle on the union
+        rec = _structured_recording()
+        self._scripted(monkeypatch, [_verdict(rec, v) for v in verdicts])
+        _, report = robust_average_reference(rec, BadChannelCriteria())
+        assert report.reference_iterations == 3
+        assert self._named(report) == verdicts + [union]
+
     def test_iteration_cap_keeps_last_verdict(self, monkeypatch):
         rec = _structured_recording()
         verdicts = [{name: ("correlation",)} for name in ("F3", "F4", "P3", "P4")]
-        calls = self._scripted(monkeypatch, verdicts + [{}])
+        calls = self._scripted(monkeypatch, [_verdict(rec, v) for v in verdicts + [{}]])
         out, report = robust_average_reference(rec, BadChannelCriteria())
         assert len(calls) == report.reference_iterations == preprocess.MAX_REFERENCE_ITERATIONS
-        assert report.bad_channels == verdicts
-        assert report.final_bad == verdicts[-1]
+        assert self._named(report) == verdicts
+        assert np.array_equal(report.bad_channels[-1], _verdict(rec, verdicts[-1]))
         good = [i for i, n in enumerate(rec.montage.names) if n != "P4"]
         want = rec.samples - rec.samples[good].mean(axis=0, keepdims=True)
         assert np.allclose(out.samples, want, atol=1e-12)
@@ -330,7 +374,7 @@ class TestPreprocessSession:
         assert out.n_channels == rec.n_channels
         assert out.n_samples == rec.n_samples
         assert np.allclose(out.samples.mean(axis=1), 0.0, atol=1e-12)
-        assert sorted(report.final_bad) == list(report.interpolated)
+        assert sorted(report.by_name(report.bad_channels[-1])) == list(report.interpolated)
 
     def test_rogue_channel_repaired_end_to_end(self):
         rec = _structured_recording()
@@ -342,7 +386,7 @@ class TestPreprocessSession:
         out, report = preprocess_session(
             rec.with_samples(x), FilterSpec(), BadChannelCriteria()
         )
-        assert name in report.final_bad
+        assert name in report.by_name(report.bad_channels[-1])
         assert name in report.interpolated
         # the repaired channel is rebuilt from neighbours and z-scored
         assert math.isclose(float(out.samples[7].std()), 1.0, rel_tol=1e-9)
@@ -390,8 +434,28 @@ class TestSimulatedSessions:
 
 
 class TestGeometryHelpers:
+    @staticmethod
+    def _repair_weights(angles_deg):
+        """Weights the repair of a channel at (1, 0, 0) gives good channels
+        on the equator at the given angles: each good row is one unit pulse."""
+        theta = np.radians(angles_deg)
+        pos = [(1.0, 0.0, 0.0)] + [(math.cos(t), math.sin(t), 0.0) for t in theta]
+        names = ("bad",) + tuple(f"g{i}" for i in range(len(theta)))
+        n = len(theta)
+        rec = EegRecording(
+            montage=Montage(names, pos),
+            timestamps=np.arange(n, dtype=np.int64) * PERIOD_NS,
+            samples=np.vstack([np.zeros(n), np.eye(n)]),
+            sample_rate_hz=FS,
+        )
+        return interpolate_channels(rec, ["bad"]).samples[0]
+
     def test_great_circle_distance(self):
-        a = np.array([1.0, 0.0, 0.0])
-        b = np.array([0.0, 1.0, 0.0])
-        assert math.isclose(great_circle_distance(a, a), 0.0, abs_tol=1e-12)
-        assert math.isclose(great_circle_distance(a, b), math.pi / 2, rel_tol=1e-12)
+        # weights are 1/d^2 over the 3 nearest by arc length (not chord
+        # length), normalised; the 150 degree channel is not among them
+        w = self._repair_weights([60.0, 150.0, 30.0, 90.0])
+        arc = np.array([math.pi / 3, math.pi / 6, math.pi / 2])
+        want = 1.0 / arc ** 2 / np.sum(1.0 / arc ** 2)
+        assert np.allclose(w, [want[0], 0.0, want[1], want[2]], rtol=1e-12, atol=0)
+        # a good channel at the bad one's position takes all the weight
+        assert np.array_equal(self._repair_weights([45.0, 0.0, 90.0]), [0.0, 1.0, 0.0])

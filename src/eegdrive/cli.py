@@ -9,6 +9,7 @@ waste a preprocessing run.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -16,6 +17,7 @@ from .config import RunConfig, default_config_json, load_config
 from .errors import ConfigError, DataError, TrainingDiverged
 from .pipeline import (
     Workspace,
+    one_blas_thread,
     run_all,
     stage_eval,
     stage_label,
@@ -63,7 +65,12 @@ def _parser() -> argparse.ArgumentParser:
     common(sub.add_parser("report", help="aggregate scores into report files"))
     run = sub.add_parser("run-all", help="full pipeline plus report")
     common(run)
-    run.add_argument("--jobs", type=int, default=1, help="parallel worker bound")
+    run.add_argument(
+        "--jobs",
+        type=int,
+        default=len(os.sched_getaffinity(0)),
+        help="parallel worker bound (default: the cores this process may use)",
+    )
     cfg = sub.add_parser("config", help="configuration utilities")
     cfg.add_argument(
         "--print-defaults", action="store_true", help="dump the default JSON config"
@@ -96,6 +103,7 @@ def _sessions(ws: Workspace, args) -> list[str]:
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
+    one_blas_thread()
     try:
         if args.command == "config":
             if args.print_defaults:

@@ -17,12 +17,17 @@ Workspace layout under the output directory:
 
 Per-run seeds derive from (global seed, session id, horizon, purpose), so
 adding a session or horizon never disturbs the seeds of unrelated runs.
+
+Parallelism is at the run level (``jobs`` worker processes), never inside a
+matrix product: every process runs numpy's OpenBLAS on one thread.
 """
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
 import json
+import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from pathlib import Path
@@ -104,6 +109,26 @@ class Workspace:
 
     def report_dir(self) -> Path:
         return self.root / REPORT_DIR
+
+
+def one_blas_thread() -> None:
+    """Run numpy's bundled OpenBLAS on one thread in this process.
+
+    A matrix product's reduction order, and so every checkpoint and loss
+    curve, depends on OpenBLAS's thread count; one thread makes them
+    independent of the environment. Does nothing when numpy is built on
+    another BLAS.
+    """
+    set_threads = getattr(_numpy_blas(), "scipy_openblas_set_num_threads64_", None)
+    if set_threads is not None:
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        set_threads(1)
+
+
+def _numpy_blas() -> ctypes.CDLL:
+    """numpy's linear-algebra extension; symbol lookups through this handle
+    also search the BLAS library it links."""
+    return ctypes.CDLL(np.linalg._umath_linalg.__file__)
 
 
 @contextmanager
@@ -372,8 +397,14 @@ def _map(fn, items, jobs: int) -> None:
         for item in items:
             fn(item)
         return
-    # the pool starts all its workers at once: never more than the work
-    with ProcessPoolExecutor(max_workers=min(jobs, len(items))) as pool:
+    # the pool starts all its workers at once: never more than the work.
+    # Forked workers inherit the loaded modules, and any wrappers installed
+    # on their functions (the benchmark's span tracer relies on that).
+    with ProcessPoolExecutor(
+        max_workers=min(jobs, len(items)),
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=one_blas_thread,
+    ) as pool:
         # list() propagates the first worker exception
         list(pool.map(fn, items))
 
@@ -383,6 +414,7 @@ def run_all(cfg: RunConfig, out_dir: str | Path, jobs: int = 1) -> list[Path]:
     eval per session, then one aggregated report."""
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
+    one_blas_thread()
     ws = Workspace(out_dir)
     session_ids = ws.session_ids()
     if not session_ids:

@@ -5,9 +5,11 @@ second run-all with the same config; both properties are checked over the
 entire workspace tree, not just the report.
 """
 
+import ctypes
 import hashlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -57,6 +59,59 @@ def _tree(root):
         if p.is_file():
             out[str(p.relative_to(root))] = hashlib.sha256(p.read_bytes()).hexdigest()
     return out
+
+
+def _blas_threads(n: int | None = None) -> int:
+    """OpenBLAS's thread count in this process, after setting it to n if given."""
+    lib = pipeline._numpy_blas()
+    if not hasattr(lib, "scipy_openblas_get_num_threads64_"):
+        pytest.skip("numpy is not built on its bundled OpenBLAS")
+    if n is not None:
+        set_threads = lib.scipy_openblas_set_num_threads64_
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        set_threads(n)
+    get = lib.scipy_openblas_get_num_threads64_
+    get.argtypes, get.restype = [], ctypes.c_int
+    return get()
+
+
+def _write_blas_threads(path):
+    """A pool task: record the worker's OpenBLAS thread count."""
+    Path(path).write_text(str(_blas_threads()))
+
+
+@pytest.fixture
+def two_blas_threads():
+    """Run this process's OpenBLAS on two threads, as an unset environment
+    does on two cores; restore the count afterwards."""
+    before = _blas_threads()
+    _blas_threads(2)
+    yield
+    _blas_threads(before)
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Replace the pool with an in-process fake; returns the sizes asked for."""
+    # a real pool forks every worker it is sized for
+    sizes = []
+
+    class Recorder:
+        def __init__(self, max_workers, mp_context, initializer):
+            sizes.append(max_workers)
+            initializer()
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", Recorder)
+    return sizes
 
 
 @pytest.fixture(scope="module")
@@ -125,28 +180,28 @@ class TestRunAll:
         assert trees[0] == trees[1]
 
     @pytest.mark.parametrize("jobs, n_items, workers", [(64, 6, 6), (2, 6, 2), (3, 2, 2)])
-    def test_pool_sized_to_the_work(self, monkeypatch, jobs, n_items, workers):
-        # a fake executor: a real pool forks every worker it is sized for
-        sizes = []
-
-        class Recorder:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", Recorder)
+    def test_pool_sized_to_the_work(self, pool_sizes, jobs, n_items, workers):
         done = []
         pipeline._map(done.append, range(n_items), jobs)
-        assert sizes == [workers]
+        assert pool_sizes == [workers]
         assert done == list(range(n_items))
+
+    def test_jobs_defaults_to_the_usable_cores(self, tmp_path, monkeypatch, pool_sizes):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        cfg = _write_cfg(tmp_path, dict(SMALL, horizons_ms=[0, 300]))
+        assert main(["run-all", "--config", str(cfg), "--out", str(tmp_path / "ws")]) == 0
+        # 2 sessions, then 2 sessions x 2 horizons: each pool the smaller of 3 and the work
+        assert pool_sizes == [2, 3]
+
+    def test_pool_workers_run_one_blas_thread(self, tmp_path, two_blas_threads):
+        paths = [tmp_path / "a", tmp_path / "b"]
+        pipeline._map(_write_blas_threads, paths, 2)
+        assert [p.read_text() for p in paths] == ["1", "1"]
+
+    def test_run_all_runs_one_blas_thread(self, tmp_path, two_blas_threads):
+        cfg = _write_cfg(tmp_path, dict(SMALL, n_sessions=1))
+        assert main(["run-all", "--config", str(cfg), "--out", str(tmp_path / "ws")]) == 0
+        assert _blas_threads() == 1
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_1_is_2(self, tmp_path, capsys, jobs):
@@ -549,3 +604,48 @@ def test_cli_run_imports_no_scipy(tmp_path):
     out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                          text=True, timeout=300, check=True).stdout
     assert out.splitlines()[-1] == "0 []"
+
+
+def test_workspace_ignores_the_blas_environment(tmp_path):
+    """OpenBLAS runs one thread in every process whatever the environment
+    asks for, so run-all, the stages and --jobs 2 write the same bytes."""
+    doc = dict(SMALL, models=["linear", "shallow"], train={"epochs": 2})
+    cfg = _write_cfg(tmp_path, doc)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    stages = ["simulate", "preprocess", "label", "split", "train", "eval", "report"]
+    trees = []
+    for threads, commands in [
+        (None, [["run-all", "--jobs", "1"]]),
+        ("1", [["run-all", "--jobs", "1"]]),
+        ("2", [["run-all", "--jobs", "1"]]),
+        ("2", [["run-all", "--jobs", "2"]]),
+        ("2", [[stage] for stage in stages]),
+    ]:
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        ws = tmp_path / f"ws{len(trees)}"
+        for command in commands:
+            subprocess.run(
+                [sys.executable, "-m", "eegdrive.cli", *command,
+                 "--config", str(cfg), "--out", str(ws)],
+                env=env, capture_output=True, timeout=300, check=True,
+            )
+        trees.append(_tree(ws))
+    assert len(trees[0]) > 20
+    for tree in trees[1:]:
+        assert tree == trees[0]
+
+
+def test_src_reads_no_thread_variable():
+    """The BLAS thread count is set through OpenBLAS itself: src/ neither
+    reads nor sets a *_NUM_THREADS variable, nor any other environment knob."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    hits = [
+        f"{path.relative_to(src)}:{lineno}: {line.strip()}"
+        for path in sorted(src.rglob("*.py"))
+        for lineno, line in enumerate(path.read_text().splitlines(), 1)
+        if re.search(r"_NUM_THREADS|\benviron\b|getenv|putenv", line)
+    ]
+    assert hits == []

@@ -4,6 +4,9 @@ Determinism contract: a fixed (seed, config, data) triple reproduces the
 same parameters bit for bit. The seed fans out into three independent streams
 (init, shuffling, dropout) so changing the epoch count does not disturb
 initialization, and dropout masks depend only on the global step index.
+
+A step's cache and gradients live for that step only, so the next forward
+never runs beside them and training holds one step's arrays at a time.
 """
 
 from __future__ import annotations
@@ -150,6 +153,8 @@ def train_model(
                 )
             grads = model.backward(params, cache, yb, weights32)
             opt.step(params, grads)
+            # free this step's arrays before the next forward makes its own
+            del probs, cache, grads
             total += loss * len(idx)
             step += 1
         epoch_losses.append(total / n)
@@ -162,8 +167,9 @@ def predict(model, params: dict[str, np.ndarray], data: np.ndarray,
     data = np.ascontiguousarray(data, dtype=np.float32)
     out = np.empty(len(data), dtype=np.int64)
     for lo in range(0, len(data), batch_size):
-        probs, _ = model.forward(params, data[lo : lo + batch_size])
-        out[lo : lo + len(probs)] = probs.argmax(axis=1)
+        # bind nothing: the batch's cache dies with the returned tuple
+        hi = lo + batch_size
+        out[lo:hi] = model.forward(params, data[lo:hi])[0].argmax(axis=1)
     return out
 
 

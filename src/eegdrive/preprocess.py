@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable, Iterable
 
 import numpy as np
@@ -161,11 +160,15 @@ def _filter_from_rest(
     """
     n = x.shape[-1]
     nfft = _fft_length(n + settle)
-    half = np.pi * np.arange(nfft // 2 + 1) / nfft
-    d = -2.0 * np.sin(half) ** 2 - 1j * np.sin(2.0 * half)  # exp(-2j * half) - 1
     spectrum = np.fft.rfft(x, nfft)
-    spectrum *= response(d)
+    spectrum *= response(_rfft_grid(nfft))
     return np.fft.irfft(spectrum, nfft)[..., :n]
+
+
+def _rfft_grid(nfft: int) -> np.ndarray:
+    """d = z**-1 - 1 at the frequencies of an rfft of length nfft."""
+    half = np.pi * np.arange(nfft // 2 + 1) / nfft
+    return -2.0 * np.sin(half) ** 2 - 1j * np.sin(2.0 * half)  # exp(-2j * half) - 1
 
 
 def _sos_response(sos: np.ndarray, d: np.ndarray | float) -> np.ndarray | float:
@@ -183,18 +186,6 @@ def _sos_response(sos: np.ndarray, d: np.ndarray | float) -> np.ndarray | float:
     return h
 
 
-def _steady_pass(x: np.ndarray, sos: np.ndarray, settle: int) -> np.ndarray:
-    """One causal pass started from the steady state of x's first sample.
-
-    By linearity, that is the pass from rest over x - x[0] plus the steady
-    response to a constant x[0], which is x[0] times the DC gain.
-    """
-    x0 = x[..., :1]
-    y = _filter_from_rest(x - x0, partial(_sos_response, sos), settle)
-    y += _sos_response(sos, 0.0) * x0
-    return y
-
-
 def filter_zero_phase(x: np.ndarray, sos: np.ndarray) -> np.ndarray:
     """Forward-backward application along the last axis: zero group delay.
 
@@ -202,6 +193,9 @@ def filter_zero_phase(x: np.ndarray, sos: np.ndarray) -> np.ndarray:
     rounding: the signal is padded by an odd extension of 3 x ntaps samples
     at each end, and each pass starts from the steady state of its first
     sample.
+
+    Both passes run in place in one zero-padded float64 buffer and one
+    spectrum buffer.
     """
     x = np.asarray(x, dtype=np.float64)
     ntaps = 2 * len(sos) + 1 - min(int((sos[:, 2] == 0).sum()), int((sos[:, 5] == 0).sum()))
@@ -212,18 +206,31 @@ def filter_zero_phase(x: np.ndarray, sos: np.ndarray) -> np.ndarray:
             f"signal of length {n} too short for zero-phase filtering with "
             f"{len(sos)} second-order sections: needs more than {edge} samples"
         )
-    ext = np.concatenate(
-        [
-            2.0 * x[..., :1] - x[..., edge:0:-1],
-            x,
-            2.0 * x[..., -1:] - x[..., -2 : -edge - 2 : -1],
-        ],
-        axis=-1,
-    )
+    m = n + 2 * edge
     settle = _settle_length(np.concatenate([np.roots(a) for a in sos[:, 3:]]))
-    y = _steady_pass(ext, sos, settle)
-    y = _steady_pass(y[..., ::-1], sos, settle)[..., ::-1]
-    return y[..., edge:-edge]
+    nfft = _fft_length(m + settle)  # wrap-round below rounding, as in _filter_from_rest
+    buf = np.zeros(x.shape[:-1] + (nfft,))
+    y = buf[..., :m]  # the odd extension; the rest of buf stays zero padding
+    np.subtract(2.0 * x[..., :1], x[..., edge:0:-1], out=y[..., :edge])
+    y[..., edge : edge + n] = x
+    np.subtract(2.0 * x[..., -1:], x[..., -2 : -edge - 2 : -1], out=y[..., edge + n :])
+    spectrum = np.empty(x.shape[:-1] + (nfft // 2 + 1,), dtype=np.complex128)
+    response = _sos_response(sos, _rfft_grid(nfft))
+    dc_gain = _sos_response(sos, 0.0)
+    for _ in range(2):
+        # A pass started from the steady state of the first sample is, by
+        # linearity, the pass from rest over y - y[0] plus y[0] times the DC
+        # gain. Each pass ends reversed, so the second runs backward and
+        # leaves y forward again.
+        y0 = y[..., :1].copy()
+        y -= y0
+        np.fft.rfft(buf, out=spectrum)
+        spectrum *= response
+        np.fft.irfft(spectrum, nfft, out=buf)
+        buf[..., m:] = 0.0
+        y += dc_gain * y0
+        y[...] = y[..., ::-1]
+    return y[..., edge:-edge].copy()
 
 
 # --------------------------------------------------------------------------

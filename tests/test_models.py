@@ -24,7 +24,9 @@ from eegdrive.models import (
     train_model,
 )
 from eegdrive.models.nets import LOG_FLOOR, weighted_ce_from_logprobs
+from eegdrive.models.trainer import Adam, _fanout_seed
 from gradcheck import gradient_check
+from tracemem import peak_traced
 
 # small enough for scalar loops, large enough to exercise every stage
 SMALL_SPEC = ShallowConvNetSpec(
@@ -402,6 +404,72 @@ class TestPredict:
         want, _ = model.forward(params, x)
         got = predict(model, params, x, batch_size=32)
         assert np.array_equal(got, want.argmax(axis=1))
+
+
+def _reference_params(model, data, labels, class_weights, cfg, seed):
+    """The training loop's arithmetic, statement for statement: however long
+    ``train_model`` keeps a step's arrays, it must reproduce these bit for bit."""
+    init_ss, shuffle_rng, dropout_key = _fanout_seed(seed)
+    params = model.init_params(init_ss, dtype=np.float32)
+    opt = Adam(params, cfg)
+    weights32 = np.asarray(class_weights, dtype=np.float32)
+    step = 0
+    for _ in range(cfg.epochs):
+        perm = shuffle_rng.permutation(len(data))
+        for lo in range(0, len(data), cfg.batch_size):
+            idx = perm[lo : lo + cfg.batch_size]
+            probs, cache = model.forward(
+                params, data[idx], train_mode=True, dropout_key=dropout_key, step=step
+            )
+            grads = model.backward(params, cache, labels[idx], weights32)
+            opt.step(params, grads)
+            step += 1
+    return params
+
+
+class TestWorkingSet:
+    """A run over several batches peaks within 1.25x of one batch alone, so
+    one batch's arrays are alive at a time. A previous batch's cache kept
+    through the next forward would read about 1.7x (training) and 1.9x
+    (predict)."""
+
+    N_CHANNELS, N_SAMPLES, BATCH = 16, 125, 128  # the rig's 1 s windows
+
+    def _data(self, seed):
+        rng = np.random.default_rng(seed)
+        data = rng.standard_normal(
+            (3 * self.BATCH, self.N_CHANNELS, self.N_SAMPLES)).astype(np.float32)
+        return data, rng.integers(0, 5, size=len(data))
+
+    def test_training_holds_one_step(self):
+        data, labels = self._data(21)
+        model = ShallowConvNet(self.N_CHANNELS, self.N_SAMPLES)
+        weights = np.linspace(0.5, 1.5, 5)
+        cfg = TrainConfig(epochs=1, batch_size=self.BATCH)
+        params = model.init_params(0)
+        xb, yb = data[: self.BATCH], labels[: self.BATCH]
+
+        def one_step():
+            _, cache = model.forward(params, xb, train_mode=True, dropout_key=1)
+            model.backward(params, cache, yb, weights.astype(np.float32))
+
+        res = []
+        step_peak = peak_traced(one_step)
+        train_peak = peak_traced(
+            lambda: res.append(train_model(model, data, labels, weights, cfg, 3)))
+        assert train_peak <= 1.25 * step_peak, (train_peak, step_peak)
+        want = _reference_params(model, data, labels, weights, cfg, 3)
+        for k in want:
+            assert np.array_equal(res[0].params[k], want[k]), k
+
+    def test_predict_holds_one_batch(self):
+        data, _ = self._data(22)
+        model = ShallowConvNet(self.N_CHANNELS, self.N_SAMPLES)
+        params = model.init_params(0)
+        batch_peak = peak_traced(lambda: model.forward(params, data[: self.BATCH]))
+        run_peak = peak_traced(
+            lambda: predict(model, params, data, batch_size=self.BATCH))
+        assert run_peak <= 1.25 * batch_peak, (run_peak, batch_peak)
 
 
 class TestDropout:

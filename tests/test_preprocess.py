@@ -27,6 +27,7 @@ from eegdrive.preprocess import (
 from eegdrive.session import EegRecording, Montage, default_montage
 from eegdrive.synth import SynthConfig, generate_session
 from tones import tone_power
+from tracemem import peak_traced
 
 FS = 125.0
 PERIOD_NS = 8_000_000
@@ -133,6 +134,14 @@ class TestFilters:
         stacked = filter_zero_phase(x, sos)
         for c in range(3):
             assert np.allclose(stacked[c], filter_zero_phase(x[c], sos), atol=1e-12)
+
+    @pytest.mark.parametrize("design", [design_highpass, design_notch])
+    def test_working_set_below_four_recordings(self, design):
+        # both passes share one padded buffer and one spectrum; holding the
+        # extension, spectrum, output and reversed copy at once would read ~5.6x
+        x = np.random.default_rng(3).standard_normal((16, 15000))
+        sos = design(FilterSpec(), FS)
+        assert peak_traced(lambda: filter_zero_phase(x, sos)) < 4 * x.nbytes
 
     def test_too_short_signal_rejected(self):
         # the odd extension is 3 x ntaps samples: 15 for the order-4 high-pass

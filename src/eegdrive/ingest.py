@@ -9,10 +9,11 @@ A session directory holds exactly three files::
 All three must be UTF-8, and each is decoded once (``read_lines``). The
 manifest's channels must form a valid ``session.Montage`` (the fault names
 the channel), and the EEG header must match that montage exactly. The EEG
-body is parsed in one bulk call (``parse_rows``) and the joystick stream one
-JSON line at a time; both check only syntax and keep each row's file line.
-``_check_stream`` then applies every stream rule to the parsed columns at
-once and reports the first broken row as ``path:line``:
+body is parsed in one bulk call (``parse_rows``), and the joystick stream in
+one ``json.loads`` call when every line is one flat object, else one line at
+a time; both check only syntax. ``_check_stream`` then applies every stream
+rule to the parsed columns at once and reports the first broken row as
+``path:line``, the line counted only for that row:
 
 - timestamps are integers in [0, 2^63) and strictly increase;
 - EEG samples are finite;
@@ -23,17 +24,23 @@ once and reports the first broken row as ``path:line``:
 
 ``load_session`` reads all three files; ``load_recording`` reads only the
 manifest and the EEG, for a stage that needs no joystick stream.
+
+The writers render numeric CSV rows with numpy (``format_rows``), byte for
+byte as Python's ``%d`` and ``%.6f`` would, and write ``eeg.csv`` through a
+temp file that replaces it only once complete (``write_replacing``).
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import os
 import re
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -48,8 +55,9 @@ MAX_TIMESTAMP_NS = 2**63 - 1
 #: Largest fractional difference allowed between the median EEG sample gap
 #: and the period the manifest's sample rate implies.
 DRIFT_TOLERANCE = 0.01
-#: EEG rows formatted per block when writing: converting a whole recording
-#: to Python floats at once would add ~13 MB to peak memory for 200 s.
+#: EEG rows rendered per ``format_rows`` call when writing: a block's
+#: temporaries, a few arrays of the block's size, peak at about 1.7 MB for
+#: 16 channels, half the samples of a 200 s recording.
 EEG_ROWS_PER_BLOCK = 1024
 
 
@@ -123,9 +131,25 @@ def read_lines(path: Path) -> list[str]:
         raise DataError(f"{path}:{lineno}: not UTF-8: {e}") from e
 
 
-def parse_rows(path: Path, lines: list[str], dtype) -> tuple[np.ndarray, list[int]]:
+def _is_blank_row(line: str) -> bool:
+    return line in ("", "\r")
+
+
+def _is_blank_json(line: str) -> bool:
+    return not line.strip()
+
+
+def _file_line(lines: list[str], i: int, first: int, blank: Callable[[str], bool]) -> int:
+    """The file line of row ``i`` of a body that starts at file line
+    ``first`` and whose rows are its lines that are not ``blank``. Parsers
+    find it only for a row they report, not for every row."""
+    rows = (n for n, line in enumerate(lines[first - 1 :], start=first) if not blank(line))
+    return next(itertools.islice(rows, i, None))
+
+
+def parse_rows(path: Path, lines: list[str], dtype) -> np.ndarray:
     """Parse the comma-separated body ``lines[1:]`` into a structured array
-    of ``dtype`` in one bulk call; returns it and the file line of each row.
+    of ``dtype`` in one bulk call.
 
     Like ``np.loadtxt``, lines that are empty or a lone CR are skipped. When
     the bulk parse fails, the lines are parsed one at a time and the first
@@ -158,7 +182,7 @@ def parse_rows(path: Path, lines: list[str], dtype) -> tuple[np.ndarray, list[in
                 except ValueError as e:
                     raise DataError(f"{path}:{lineno}: {fault(line, e)}") from e
             raise DataError(f"{path}: {bulk}") from bulk
-    return rows, [n for n, line in enumerate(body, start=2) if line not in ("", "\r")]
+    return rows
 
 
 def _parse_manifest(path: Path) -> tuple[dict, Montage, float]:
@@ -209,7 +233,7 @@ def _parse_manifest(path: Path) -> tuple[dict, Montage, float]:
 
 def _check_stream(
     path: Path,
-    lines: list[int],
+    line_of: Callable[[int], int],
     ts: np.ndarray,
     values: np.ndarray,
     names: Sequence[str],
@@ -218,7 +242,7 @@ def _check_stream(
 ) -> np.ndarray:
     """Apply every stream rule to one parsed file at once.
 
-    ``lines`` holds the file line of each row, ``ts`` its timestamp as parsed
+    ``line_of`` gives the file line of a row, ``ts`` its timestamp as parsed
     (uint64 from a CSV, so 2^63 still reaches the range rule) and ``values``
     its (n_rows, len(names)) data. Row rules: timestamps lie in [0, 2^63)
     and strictly increase, and values are finite and within [-limit, limit].
@@ -255,7 +279,7 @@ def _check_stream(
     broken = [(int(np.argmax(bad)), k) for k, (bad, _) in enumerate(rules) if bad.any()]
     if broken:
         i, k = min(broken)
-        raise DataError(f"{path}:{lines[i]}: {rules[k][1](i)}")
+        raise DataError(f"{path}:{line_of(i)}: {rules[k][1](i)}")
     ts = ts.astype(np.int64)
     if rate_hz is not None and len(ts) > 1:
         gap = float(np.median(np.diff(ts)))
@@ -278,22 +302,64 @@ def _parse_eeg_csv(path: Path, montage: Montage, rate_hz: float) -> EegRecording
             f"{path}:1: header does not match the manifest montage\n"
             f"  expected: {expected}\n  found:    {header}"
         )
-    rows, numbered = parse_rows(
-        path, lines, [("t", np.uint64), ("x", np.float64, (len(names),))]
-    )
+    rows = parse_rows(path, lines, [("t", np.uint64), ("x", np.float64, (len(names),))])
     if not len(rows):
         raise DataError(f"{path}: no samples")
     samples = rows["x"]
-    timestamps = _check_stream(path, numbered, rows["t"], samples, names, rate_hz=rate_hz)
+    timestamps = _check_stream(
+        path,
+        lambda i: _file_line(lines, i, 2, _is_blank_row),
+        rows["t"],
+        samples,
+        names,
+        rate_hz=rate_hz,
+    )
     return EegRecording(montage, timestamps, samples.T, rate_hz)
 
 
-def _parse_joystick_jsonl(path: Path) -> JoystickStream:
-    lines: list[int] = []
+def _decode_flat_lines(lines: list[str]) -> tuple[list, np.ndarray] | None:
+    """The ``t_ns`` values and (n, 2) ``vx``, ``wz`` floats of a joystick
+    stream, decoded in one ``json.loads`` call; None when any rule fails,
+    for ``_decode_each_line`` to find and report.
+
+    Only a stream whose every non-blank line is one flat object is decoded
+    here: stripped of JSON whitespace, each line starts with its only "{"
+    and ends with its only "}", and no "[" or "]" appears. Joined with a
+    newline, which no JSON string may hold, those lines then decode to
+    exactly the objects that one decode per line would give.
+    """
+    body = [line.strip(" \t\r") for line in lines if not _is_blank_json(line)]
+    text = ",\n".join(body)
+    n = len(body)
+    if not (
+        n
+        and text[0] == "{"
+        and text[-1] == "}"
+        and text.count("},\n{") == n - 1
+        and text.count("{") == text.count("}") == n
+        and "[" not in text
+        and "]" not in text
+    ):
+        return None
+    try:
+        objs = json.loads("[" + text + "]")
+        t = [obj["t_ns"] for obj in objs]
+        axes = [(obj["vx"], obj["wz"]) for obj in objs]
+        numbers = set(map(type, itertools.chain.from_iterable(axes)))
+        if set(map(type, t)) != {int} or not numbers <= {int, float}:
+            return None
+        return t, np.array(axes, dtype=np.float64)
+    except (ValueError, KeyError, OverflowError):
+        return None
+
+
+def _decode_each_line(path: Path, lines: list[str]) -> tuple[list, np.ndarray]:
+    """As ``_decode_flat_lines``, one line at a time: the first line that
+    breaks a rule is reported as ``path:line``."""
     t: list[int] = []
     values: list[list[float]] = []
-    for lineno, line in enumerate(read_lines(path), start=1):
-        if not line.strip():
+    for lineno, line in enumerate(lines, start=1):
+        if _is_blank_json(line):
             continue
         try:
             obj = json.loads(line)
@@ -314,15 +380,21 @@ def _parse_joystick_jsonl(path: Path) -> JoystickStream:
         except OverflowError as e:
             raise DataError(f"{path}:{lineno}: {e}") from e
         t.append(t_ns)
-        lines.append(lineno)
-    if not lines:
+    return t, np.array(values, dtype=np.float64).reshape(-1, 2)
+
+
+def _parse_joystick_jsonl(path: Path) -> JoystickStream:
+    lines = read_lines(path)
+    t, v = _decode_flat_lines(lines) or _decode_each_line(path, lines)
+    if not t:
         raise DataError(f"{path}: no joystick samples")
     try:
         ts = np.array(t, dtype=np.int64)
     except OverflowError:
         ts = np.array(t, dtype=object)  # exact Python ints, for the range rule
-    v = np.array(values, dtype=np.float64)
-    timestamps = _check_stream(path, lines, ts, v, ["vx", "wz"], limit=1.0)
+    timestamps = _check_stream(
+        path, lambda i: _file_line(lines, i, 1, _is_blank_json), ts, v, ["vx", "wz"], limit=1.0
+    )
     return JoystickStream(timestamps, v[:, 0], v[:, 1])
 
 
@@ -354,6 +426,128 @@ def load_session(path: str | Path) -> SessionDir:
 # --------------------------------------------------------------------------
 
 
+def _digit_table(fmt: bytes) -> np.ndarray:
+    """One 4-byte cell per k in [0, 1000): ``fmt % k``, spaces made NUL."""
+    return np.frombuffer(b"".join(fmt % k for k in range(1000)).replace(b" ", b"\0"), "<u4")
+
+
+#: The cells ``format_rows`` builds rows from: 4 ASCII bytes each, read as
+#: one little-endian uint32. NUL bytes are padding, dropped from the text.
+#: Rows [0, 1000) hold a three-digit group and a NUL, [1000, 2000) the same
+#: group leading its number (leading zeros NUL), and row 2000 no digits.
+_GROUPS = np.concatenate(
+    [_digit_table(b"%03d\0"), _digit_table(b"%3d\0"), np.zeros(1, "<u4")]
+)
+_NO_DIGITS = 2000
+#: "." and a three-digit group: the first half of a six-digit fraction.
+_POINT_GROUPS = _digit_table(b".%03d")
+
+
+def _digit_cells(v: np.ndarray) -> list[np.ndarray]:
+    """The decimal digits of the non-negative int64 array ``v`` in cells of
+    three and a NUL, most significant first and as many as its largest
+    value needs; each value's leading zeros are NUL."""
+    n_cells = max(1, -(-len(str(int(v.max(initial=0)))) // 3))
+    cells = []
+    rest = v  # the digits not yet in a cell
+    for j in range(n_cells):
+        if j == n_cells - 1:  # at most one group is left, so it leads
+            higher, index = None, rest + 1000
+        else:  # floor division by a scalar is vectorised, unlike divmod
+            higher = rest // 1000
+            index = rest - 1000 * higher + 1000 * (higher == 0)
+        if j:
+            index[rest == 0] = _NO_DIGITS
+        cells.append(_GROUPS[index])
+        rest = higher
+    return cells[::-1]
+
+
+def format_rows(ints: Sequence[np.ndarray], floats: np.ndarray | None = None) -> bytes:
+    """The rows of one or more integer columns ``ints`` (each (n,)) and the
+    (n, m) ``floats``, exactly as Python formats each with
+    ``",".join(["%d"] * len(ints)) + ",%.6f" * m + "\\n"``.
+
+    Every value is rendered at once into fixed-width cells of NUL-padded
+    ASCII, and the NULs are dropped at the end. A float's sign is its sign
+    bit, as with ``%`` (so -0.0 and -4e-7 read ``-0.000000``), and its
+    digits are ``rint(|x| * 1e6)`` split into the integer part and six
+    fraction digits. That product lies within half an ulp of the exact
+    one, and below 2^52 it and every half-integer are multiples of its
+    ulp, so it rounds as ``%.6f`` does unless it is itself a half-integer.
+    A row holding such a product, one of 2^52 or more (so NaN and the
+    infinities too), or a negative integer is formatted by ``%`` instead.
+    """
+    given = [np.asarray(c, dtype=np.int64) for c in ints]
+    n = len(given[0])
+    x = np.empty((n, 0)) if floats is None else np.asarray(floats, dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):  # to inf, and inf - inf
+        scaled = np.abs(x)
+        scaled *= 1e6
+        rounded = np.rint(scaled)
+        odd = ~((np.abs(scaled - rounded) < 0.5) & (scaled < 2.0**52))
+    odd_rows = odd.any(axis=1)
+    for c in given:
+        odd_rows |= c < 0
+    rendered = given
+    if odd_rows.any():  # rendered as zeros here, then replaced
+        rounded[odd] = 0.0
+        rendered = [np.maximum(c, 0) for c in given]
+    units = rounded.astype(np.int64)
+    whole = units // 10**6
+    fraction = units - 10**6 * whole
+    high = fraction // 1000
+    low = fraction - 1000 * high
+
+    # a row: each integer's cells, then per float the integer part's cells
+    # (the first shifted a byte to make room for the sign), "." and three
+    # digits, and three digits; a separator fills the NUL of each value's
+    # last cell
+    columns = [_digit_cells(c) for c in rendered]
+    lead = [cell for column in columns for cell in column]
+    last = np.cumsum([len(column) for column in columns])
+    whole_cells = _digit_cells(whole)
+    whole_cells[0] = (whole_cells[0] << 8) | np.signbit(x) * np.uint32(ord("-"))
+    per_float = len(whole_cells) + 2
+    cells = np.empty((n, len(lead) + x.shape[1] * per_float), "<u4")
+    for k, cell in enumerate(lead):
+        cells[:, k] = cell
+    fields = cells[:, len(lead) :].reshape(n, x.shape[1], per_float)
+    for k, cell in enumerate(whole_cells):
+        fields[:, :, k] = cell
+    fields[:, :, -2] = _POINT_GROUPS[high]
+    fields[:, :, -1] = _GROUPS[low]
+    text = cells.view(np.uint8)
+    text[:, 4 * last - 1] = ord(",")
+    text[:, 4 * len(lead) :].reshape(n, x.shape[1], 4 * per_float)[:, :, -1] = ord(",")
+    text[:, -1] = ord("\n")
+
+    fmt = ",".join(["%d"] * len(given)) + ",%.6f" * x.shape[1] + "\n"
+    parts, start = [], 0
+    for i in np.flatnonzero(odd_rows).tolist():
+        parts.append(text[start:i].tobytes().translate(None, b"\0"))
+        parts.append((fmt % (*(int(c[i]) for c in given), *x[i].tolist())).encode())
+        start = i + 1
+    parts.append(text[start:].tobytes().translate(None, b"\0"))
+    return b"".join(parts)
+
+
+def write_replacing(path: Path, chunks: Iterable[bytes]) -> Path:
+    """Write ``chunks`` to a temp file beside ``path``, then move it onto
+    ``path``: a reader sees the old file or the whole new one. On any
+    exception, raised by the writes or by the iterable, the temp file is
+    removed and ``path`` is left as it was."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with tmp.open("wb") as fh:
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    return path
+
+
 def write_session_dir(path: str | Path, session: SessionDir) -> Path:
     """Write a session to disk in the exact on-disk formats parsed above."""
     root = Path(path)
@@ -373,13 +567,18 @@ def write_session_dir(path: str | Path, session: SessionDir) -> Path:
     }
     (root / MANIFEST_NAME).write_text(json.dumps(manifest, indent=2) + "\n")
 
-    row = "%d" + ",%.6f" * eeg.n_channels + "\n"
-    with (root / EEG_NAME).open("w", newline="") as fh:
-        fh.write("timestamp_ns," + ",".join(montage.names) + "\n")
-        for start in range(0, eeg.n_samples, EEG_ROWS_PER_BLOCK):
-            cols = slice(start, start + EEG_ROWS_PER_BLOCK)
-            ts, x = eeg.timestamps[cols].tolist(), eeg.samples[:, cols].tolist()
-            fh.writelines(row % r for r in zip(ts, *x))
+    header = ("timestamp_ns," + ",".join(montage.names) + "\n").encode()
+    blocks = (
+        slice(start, start + EEG_ROWS_PER_BLOCK)
+        for start in range(0, eeg.n_samples, EEG_ROWS_PER_BLOCK)
+    )
+    write_replacing(
+        root / EEG_NAME,
+        itertools.chain(
+            [header],
+            (format_rows([eeg.timestamps[b]], eeg.samples[:, b].T) for b in blocks),
+        ),
+    )
 
     with (root / JOYSTICK_NAME).open("w") as fh:
         joy = session.joystick

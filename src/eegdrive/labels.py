@@ -19,7 +19,14 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .ingest import AlignmentConfig, align_nearest, parse_rows, read_lines
+from .ingest import (
+    AlignmentConfig,
+    align_nearest,
+    format_rows,
+    parse_rows,
+    read_lines,
+    write_replacing,
+)
 from .session import NS_PER_MS, CommandLabel, JoystickStream
 
 #: Code used in bulk arrays for "no label" (contradictory or unmatched).
@@ -132,13 +139,10 @@ def label_at_horizon(
 
 
 def write_labels_csv(path: str | Path, labeled: LabeledSamples) -> Path:
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        fh.write("t_ns,label_code\n")
-        fh.writelines(
-            "%d,%d\n" % r for r in zip(labeled.t_ns.tolist(), labeled.labels.tolist())
-        )
-    return path
+    """Write one ``t_ns,label_code`` row per sample; ``path`` is replaced
+    only once the whole file is written."""
+    rows = format_rows([labeled.t_ns, labeled.labels])
+    return write_replacing(Path(path), [b"t_ns,label_code\n", rows])
 
 
 def read_labels_csv(path: str | Path, delta_ms: int, eeg_ts: np.ndarray) -> LabeledSamples:
@@ -152,7 +156,7 @@ def read_labels_csv(path: str | Path, delta_ms: int, eeg_ts: np.ndarray) -> Labe
     lines = read_lines(path)
     if lines[0].rstrip("\r") != "t_ns,label_code":
         raise DataError(f"{path}:1: expected header t_ns,label_code")
-    rows, _ = parse_rows(path, lines, [("t", np.int64), ("code", np.int64)])
+    rows = parse_rows(path, lines, [("t", np.int64), ("code", np.int64)])
     t_arr, codes = rows["t"], rows["code"]
     eeg_ts = np.asarray(eeg_ts, dtype=np.int64)
     pos = np.searchsorted(eeg_ts, t_arr)

@@ -1,14 +1,16 @@
 """Alignment against an exhaustive oracle, plus session-directory IO."""
 
 import json
+import math
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
+from eegdrive import ingest
 from eegdrive.errors import DataError
 from eegdrive.ingest import (
     EEG_NAME,
@@ -18,10 +20,12 @@ from eegdrive.ingest import (
     AlignmentConfig,
     SessionDir,
     align_nearest,
+    format_rows,
     load_session,
     write_session_dir,
 )
 from eegdrive.session import EegRecording, JoystickStream, synthetic_montage
+from tracemem import peak_traced
 
 
 def oracle_align(targets, times, max_gap_ns):
@@ -89,6 +93,72 @@ class TestAlignNearest:
             AlignmentConfig(max_gap_ms=0.0)
 
 
+def percent_rows(ints, floats=None):
+    """The oracle: each row formatted by Python's ``%``, one at a time."""
+    m = 0 if floats is None else floats.shape[1]
+    fmt = ",".join(["%d"] * len(ints)) + ",%.6f" * m + "\n"
+    columns = [c.tolist() for c in ints] + ([] if floats is None else floats.T.tolist())
+    return "".join(fmt % row for row in zip(*columns)).encode()
+
+
+def _near_half(k: int, ulps: int, negative: bool) -> float:
+    """(k + 1/2) / 10^6 moved by ``ulps`` ulps, negated if ``negative``."""
+    x = (k + 0.5) / 1e6
+    for _ in range(abs(ulps)):
+        x = float(np.nextafter(x, math.copysign(math.inf, ulps)))
+    return -x if negative else x
+
+
+#: Integers at the edges of the three-digit groups and of int64, and below 0.
+INTEGERS = st.one_of(
+    st.sampled_from([0, 999, 1000, 999_999, 10**18, 2**63 - 1, -1, -1000]),
+    st.integers(-(2**63), 2**63 - 1),
+)
+#: Floats at the edges of ``%.6f`` rounding: signed zeros and the halfway
+#: point of the last digit, exact ties (an odd multiple of 2^-7 times 10^6
+#: is a half-integer), products a few ulps either side of a half, values
+#: whose product reaches 2^52, and the non-finite ones.
+FLOATS = st.one_of(
+    st.sampled_from(
+        [0.0, -0.0, 4e-7, -4e-7, 5e-7, -5e-7, 0.0078125, -0.0078125, 2**52 / 1e6]
+    ),
+    st.integers(-(2**40), 2**40).map(lambda i: (2 * i + 1) / 128),
+    st.builds(_near_half, st.integers(0, 10**12), st.integers(-3, 3), st.booleans()),
+    st.floats(min_value=2**52 / 1e6, max_value=1e300).map(lambda v: -v),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(-1e4, 1e4),
+)
+
+
+class TestFormatRows:
+    """``format_rows`` against Python's ``%``, row by row."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(INTEGERS, st.lists(FLOATS, min_size=3, max_size=3)), max_size=6))
+    @example([])
+    @example([(7, [0.0078125, -0.0, 5e-7])])
+    def test_eeg_rows_match_percent(self, rows):
+        ts = np.array([t for t, _ in rows], dtype=np.int64)
+        x = np.array([v for _, v in rows], dtype=np.float64).reshape(len(rows), 3)
+        assert format_rows([ts], x) == percent_rows([ts], x)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(INTEGERS, st.integers(-128, 127)), max_size=6))
+    @example([])
+    @example([(2**63 - 1, 0)])
+    def test_integer_rows_match_percent(self, rows):
+        t = np.array([r[0] for r in rows], dtype=np.int64)
+        codes = np.array([r[1] for r in rows], dtype=np.int8)
+        assert format_rows([t, codes]) == percent_rows([t, codes])
+
+    def test_a_block_of_recording_rows(self):
+        rng = np.random.default_rng(11)
+        ts = 1_700_000_000_000_000_000 + 8_000_000 * np.arange(EEG_ROWS_PER_BLOCK)
+        scales = 10.0 ** rng.integers(-7, 10, 16)[:, None]  # 1e9 and up: some rows use %
+        x = rng.standard_normal((16, EEG_ROWS_PER_BLOCK)) * scales
+        assert format_rows([ts], x.T) == percent_rows([ts], x.T)
+
+
 def _toy_session(n_channels=4, n_samples=50, n_joy=5):
     rng = np.random.default_rng(3)
     eeg = EegRecording(
@@ -103,6 +173,9 @@ def _toy_session(n_channels=4, n_samples=50, n_joy=5):
         omega_z=np.zeros(n_joy),
     )
     return SessionDir("s01", "sess-a", eeg, joy)
+
+
+_JOY_LINE = '{"t_ns": %d, "vx": 0, "wz": 0}'
 
 
 class TestSessionDirIO:
@@ -143,6 +216,33 @@ class TestSessionDirIO:
             want += f"{t}," + ",".join(f"{v:.6f}" for v in rec.samples[:, i]) + "\n"
         assert (root / EEG_NAME).read_bytes() == want.encode()
         assert want.endswith("\n9223372036854775807,0.123456,-0.000000\n")
+
+    def test_writer_working_set_below_one_recording(self, tmp_path):
+        rec = EegRecording(
+            synthetic_montage(16),
+            np.arange(25_000, dtype=np.int64) * 8_000_000,
+            np.random.default_rng(5).standard_normal((16, 25_000)) * 30.0,
+            125.0,
+        )
+        sess = SessionDir("s01", "sess-a", rec, _toy_session().joystick)
+        peak = peak_traced(lambda: write_session_dir(tmp_path / "sess", sess))
+        assert peak < rec.samples.nbytes
+
+    def test_failed_eeg_write_leaves_no_file(self, tmp_path, monkeypatch):
+        blocks = []
+
+        def fail_on_the_second_block(*args):
+            blocks.append(format_rows(*args))
+            if len(blocks) == 2:
+                raise RuntimeError("injected")
+            return blocks[-1]
+
+        monkeypatch.setattr(ingest, "format_rows", fail_on_the_second_block)
+        sess = _toy_session(n_samples=3 * EEG_ROWS_PER_BLOCK)
+        with pytest.raises(RuntimeError, match="injected"):
+            write_session_dir(tmp_path / "sess", sess)
+        assert len(blocks) == 2
+        assert sorted(p.name for p in (tmp_path / "sess").iterdir()) == [MANIFEST_NAME]
 
     def test_crlf_files_load_to_the_same_arrays(self, tmp_path):
         lf = write_session_dir(tmp_path / "lf", _toy_session())
@@ -245,6 +345,47 @@ class TestSessionDirIO:
         (root / JOYSTICK_NAME).write_text("\n".join(lines) + "\n")
         with pytest.raises(DataError, match=rf"{JOYSTICK_NAME}:3"):
             load_session(root)
+
+    def test_joystick_lines_after_blank_ones_report_their_line(self, tmp_path):
+        root = write_session_dir(tmp_path / "sess", _toy_session())
+        lines = (root / JOYSTICK_NAME).read_text().splitlines()
+        lines[3] = lines[3].replace('"vx": ', '"vx": 9')
+        lines[1:1] = ["", "  \r"]
+        (root / JOYSTICK_NAME).write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=rf"{JOYSTICK_NAME}:6: vx value 9"):
+            load_session(root)
+
+    @pytest.mark.parametrize(
+        "lines, bad",
+        [
+            # an object split over two lines and two objects on a third, a
+            # string and then a list carried across a line end: a decode
+            # of the lines joined by commas would accept all three
+            (
+                ['{"t_ns": 0, "vx": 0', '"wz": 0}', f"{_JOY_LINE % 1}, {_JOY_LINE % 2}"],
+                1,
+            ),
+            (['{"t_ns": 0, "vx": 0, "wz": 0, "s": "}', '{"}', _JOY_LINE % 1], 1),
+            (['{"t_ns": 0, "vx": 0, "wz": 0, "a": [{}', "{}]}", _JOY_LINE % 1], 1),
+            # a form feed is blank space to Python but not to JSON
+            ([_JOY_LINE % 0, "\x0c" + _JOY_LINE % 1], 2),
+        ],
+    )
+    def test_joystick_line_that_is_not_one_object_is_rejected(self, tmp_path, lines, bad):
+        root = write_session_dir(tmp_path / "sess", _toy_session())
+        (root / JOYSTICK_NAME).write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=rf"{JOYSTICK_NAME}:{bad}: expected a JSON object"):
+            load_session(root)
+
+    def test_joystick_objects_may_nest(self, tmp_path):
+        sess = _toy_session()
+        root = write_session_dir(tmp_path / "sess", sess)
+        lines = (root / JOYSTICK_NAME).read_text().splitlines()
+        lines = [line[:-1] + ', "note": {"tags": ["a", "}"]}}' for line in lines]
+        (root / JOYSTICK_NAME).write_text("\r\n".join(lines) + "\r\n")
+        back = load_session(root).joystick
+        assert np.array_equal(back.t_ns, sess.joystick.t_ns)
+        assert np.array_equal(back.v_x, sess.joystick.v_x)
 
     def test_joystick_out_of_range_value(self, tmp_path):
         root = write_session_dir(tmp_path / "sess", _toy_session())

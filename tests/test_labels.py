@@ -202,6 +202,18 @@ class TestLabelsCsv:
         assert np.array_equal(back.t_ns, out.t_ns)
         assert np.array_equal(back.labels, out.labels)
 
+    def test_rows_match_the_per_row_oracle(self, tmp_path):
+        rng = np.random.default_rng(8)
+        t = np.sort(rng.choice(2**63 - 1, 3000, replace=False))
+        t[:4] = [0, 999, 1000, 1001]
+        t[-1] = 2**63 - 1
+        codes = rng.integers(0, len(CommandLabel), len(t)).astype(np.int8)
+        path = write_labels_csv(tmp_path / "l.csv", LabeledSamples(0, np.arange(len(t)), t, codes))
+        rows = "".join("%d,%d\n" % r for r in zip(t.tolist(), codes.tolist()))
+        assert path.read_bytes() == ("t_ns,label_code\n" + rows).encode()
+        empty = LabeledSamples(0, [], [], [])
+        assert write_labels_csv(tmp_path / "e.csv", empty).read_bytes() == b"t_ns,label_code\n"
+
     def test_rejects_unknown_timestamp(self, tmp_path):
         path = tmp_path / "labels.csv"
         path.write_text("t_ns,label_code\n12345,0\n")

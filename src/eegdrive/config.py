@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ConfigError
-from .ingest import AlignmentConfig
 from .labels import LabelRule
 from .models import TrainConfig
 from .preprocess import BadChannelCriteria, FilterSpec
@@ -36,7 +35,6 @@ class RunConfig:
     seed: int = 0
     # sessions generated by the simulate stage / run-all
     n_sessions: int = 3
-    alignment: AlignmentConfig = field(default_factory=AlignmentConfig)
     label_rule: LabelRule = field(default_factory=LabelRule)
     filters: FilterSpec = field(default_factory=FilterSpec)
     bad_channels: BadChannelCriteria = field(default_factory=BadChannelCriteria)

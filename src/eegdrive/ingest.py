@@ -26,8 +26,9 @@ rule to the parsed columns at once and reports the first broken row as
 manifest and the EEG, for a stage that needs no joystick stream.
 
 The writers render numeric CSV rows with numpy (``format_rows``), byte for
-byte as Python's ``%d`` and ``%.6f`` would, and write ``eeg.csv`` through a
-temp file that replaces it only once complete (``write_replacing``).
+byte as Python's ``%d`` and ``%.6f`` would, render the joystick stream in
+one pass, and write each file through a temp file that replaces it only
+once complete (``write_replacing``).
 """
 
 from __future__ import annotations
@@ -61,29 +62,12 @@ DRIFT_TOLERANCE = 0.01
 EEG_ROWS_PER_BLOCK = 1024
 
 
-@dataclass(frozen=True)
-class AlignmentConfig:
-    """Nearest-neighbour matching tolerance between EEG and joystick clocks."""
-
-    max_gap_ms: float = 100.0
-
-    def __post_init__(self):
-        if not (self.max_gap_ms > 0):
-            raise ValueError("max_gap_ms must be positive")
-
-    @property
-    def max_gap_ns(self) -> int:
-        return round(self.max_gap_ms * NS_PER_MS)
-
-
-def align_nearest(
-    eeg_ts: np.ndarray, joy_ts: np.ndarray, cfg: AlignmentConfig
-) -> np.ndarray:
+def align_nearest(eeg_ts: np.ndarray, joy_ts: np.ndarray, max_gap_ns: int) -> np.ndarray:
     """Match each EEG timestamp to its nearest joystick timestamp.
 
     Returns one int64 entry per EEG sample: the joystick index whose
     timestamp minimises |t_eeg - t_joy|, or -1 when the nearest candidate is
-    further than ``cfg.max_gap_ns``. Exact ties break toward the earlier
+    further than ``max_gap_ns``. Exact ties break toward the earlier
     joystick sample. Both inputs must be strictly increasing; one binary
     search per EEG sample finds its two neighbouring joystick stamps.
     """
@@ -99,7 +83,7 @@ def align_nearest(
     # strict: equal distance keeps the earlier stamp
     best = np.where(d_later < d_earlier, later, earlier)
     best_d = np.minimum(d_later, d_earlier)
-    return np.where(best_d <= cfg.max_gap_ns, best, -1)
+    return np.where(best_d <= max_gap_ns, best, -1)
 
 
 @dataclass
@@ -548,8 +532,15 @@ def write_replacing(path: Path, chunks: Iterable[bytes]) -> Path:
     return path
 
 
+def _json_numbers(values: np.ndarray) -> list[str]:
+    """Each float of ``values`` as ``json.dumps`` renders it, from one call:
+    no rendered number holds the ", " that separates them."""
+    return json.dumps(values.tolist())[1:-1].split(", ")
+
+
 def write_session_dir(path: str | Path, session: SessionDir) -> Path:
-    """Write a session to disk in the exact on-disk formats parsed above."""
+    """Write a session to disk in the exact on-disk formats parsed above,
+    each file through ``write_replacing``."""
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
     eeg = session.eeg
@@ -565,7 +556,7 @@ def write_session_dir(path: str | Path, session: SessionDir) -> Path:
         ],
         "reserved_streams": list(session.reserved_streams),
     }
-    (root / MANIFEST_NAME).write_text(json.dumps(manifest, indent=2) + "\n")
+    write_replacing(root / MANIFEST_NAME, [(json.dumps(manifest, indent=2) + "\n").encode()])
 
     header = ("timestamp_ns," + ",".join(montage.names) + "\n").encode()
     blocks = (
@@ -580,13 +571,8 @@ def write_session_dir(path: str | Path, session: SessionDir) -> Path:
         ),
     )
 
-    with (root / JOYSTICK_NAME).open("w") as fh:
-        joy = session.joystick
-        for i in range(len(joy)):
-            fh.write(
-                json.dumps(
-                    {"t_ns": int(joy.t_ns[i]), "vx": float(joy.v_x[i]), "wz": float(joy.omega_z[i])}
-                )
-                + "\n"
-            )
+    joy = session.joystick
+    lines = zip(joy.t_ns.tolist(), _json_numbers(joy.v_x), _json_numbers(joy.omega_z))
+    text = "".join(f'{{"t_ns": {t}, "vx": {vx}, "wz": {wz}}}\n' for t, vx, wz in lines)
+    write_replacing(root / JOYSTICK_NAME, [text.encode()])
     return root

@@ -1,33 +1,30 @@
-"""Rule-based command classification and multi-horizon label assignment.
+"""The labelling rule and its multi-horizon label assignment.
 
-A joystick reading (v_x, omega_z) maps to one command through a dead-band
-rule with threshold tau: an axis is active only when its magnitude exceeds
-tau, and a reading with both axes active is contradictory and yields no
-label. Values exactly at tau fall inside the dead band.
+``LabelRule`` holds the whole rule in three values, and ``label_at_horizon``
+applies all of them; each can deny a sample its label:
 
-``label_at_horizon`` shifts each EEG timestamp forward by the horizon delta,
-finds the nearest joystick reading to the shifted target, and classifies it.
-Samples whose target has no joystick reading within the alignment gap, or
-whose reading is contradictory, are omitted.
+- ``tau``, the dead band: a joystick reading (v_x, omega_z) maps to one
+  command, an axis being active only when its magnitude exceeds tau, so
+  values exactly at tau fall inside the band. A reading with both axes
+  active is contradictory and yields no label;
+- ``max_gap_ms``: each EEG timestamp, shifted forward by the horizon delta,
+  takes the nearest joystick reading, which must lie within this gap;
+- ``edge_trim_s``: samples closer than this to either end of the recording
+  get no label. The zero-phase filters' transients corrupt those
+  stretches, so they must never reach the windowing stage.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DataError
-from .ingest import (
-    AlignmentConfig,
-    align_nearest,
-    format_rows,
-    parse_rows,
-    read_lines,
-    write_replacing,
-)
-from .session import NS_PER_MS, CommandLabel, JoystickStream
+from .ingest import align_nearest, format_rows, parse_rows, read_lines, write_replacing
+from .session import NS_PER_MS, NS_PER_S, CommandLabel, JoystickStream
 
 #: Code used in bulk arrays for "no label" (contradictory or unmatched).
 NO_LABEL = -1
@@ -35,35 +32,25 @@ NO_LABEL = -1
 
 @dataclass(frozen=True)
 class LabelRule:
-    """Dead-band threshold for both joystick axes."""
+    """Dead-band threshold for both joystick axes, the widest gap between a
+    target and its joystick reading, and the unlabelled stretch at each end."""
 
     tau: float = 0.1
+    max_gap_ms: float = 100.0
+    edge_trim_s: float = 1.0  # filter transient margin excluded from windowing
 
     def __post_init__(self):
         if not (0.0 < self.tau < 1.0):
             raise ValueError(f"tau must lie in (0, 1), got {self.tau}")
-
-
-def classify_command(v_x: float, omega_z: float, rule: LabelRule) -> CommandLabel | None:
-    """Classify one joystick reading; None means contradictory (discard)."""
-    tau = rule.tau
-    v_in = abs(v_x) <= tau
-    w_in = abs(omega_z) <= tau
-    if v_in and w_in:
-        return CommandLabel.STOP
-    if w_in and v_x > tau:
-        return CommandLabel.FORWARD
-    if w_in and v_x < -tau:
-        return CommandLabel.REVERSE
-    if v_in and omega_z > tau:
-        return CommandLabel.LEFT
-    if v_in and omega_z < -tau:
-        return CommandLabel.RIGHT
-    return None  # both axes active at once
+        if not (0 < self.max_gap_ms < math.inf):
+            raise ValueError("max_gap_ms must be positive and finite")
+        if not (0 <= self.edge_trim_s < math.inf):
+            raise ValueError("edge_trim_s must be >= 0 and finite")
 
 
 def classify_commands(v_x: np.ndarray, omega_z: np.ndarray, rule: LabelRule) -> np.ndarray:
-    """Vectorised ``classify_command``; returns int8 codes with NO_LABEL for discards."""
+    """Classify joystick readings; returns int8 command codes, NO_LABEL for a
+    contradictory reading (both axes active)."""
     v_x = np.asarray(v_x, dtype=np.float64)
     omega_z = np.asarray(omega_z, dtype=np.float64)
     tau = rule.tau
@@ -87,7 +74,6 @@ class LabeledSamples:
     the command codes.
     """
 
-    delta_ms: int
     indices: np.ndarray
     t_ns: np.ndarray
     labels: np.ndarray
@@ -107,35 +93,30 @@ class LabeledSamples:
 
 
 def label_at_horizon(
-    eeg_ts: np.ndarray,
-    joystick: JoystickStream,
-    rule: LabelRule,
-    delta_ms: int,
-    align_cfg: AlignmentConfig | None = None,
+    eeg_ts: np.ndarray, joystick: JoystickStream, rule: LabelRule, delta_ms: int
 ) -> LabeledSamples:
-    """Assign Label(t) = command(joystick nearest to t + delta).
+    """Assign Label(t) = command(joystick nearest to t + delta) under ``rule``.
 
-    Returns only the samples that received a label: unmatched targets and
-    contradictory readings are dropped.
+    Returns only the samples that received a label. Dropped are the samples
+    whose target has no joystick reading within the gap, those whose reading
+    is contradictory, and those that lie less than the edge trim after the
+    first or before the last timestamp (a sample exactly that far in keeps
+    its label).
     """
-    if align_cfg is None:
-        align_cfg = AlignmentConfig()
     eeg_ts = np.asarray(eeg_ts, dtype=np.int64)
     targets = eeg_ts + delta_ms * NS_PER_MS
-    match = align_nearest(targets, joystick.t_ns, align_cfg)
+    match = align_nearest(targets, joystick.t_ns, round(rule.max_gap_ms * NS_PER_MS))
     matched = match >= 0
     codes = np.full(len(eeg_ts), NO_LABEL, dtype=np.int8)
     codes[matched] = classify_commands(
         joystick.v_x[match[matched]], joystick.omega_z[match[matched]], rule
     )
     keep = codes != NO_LABEL
-    idx = np.nonzero(keep)[0]
-    return LabeledSamples(
-        delta_ms=int(delta_ms),
-        indices=idx,
-        t_ns=eeg_ts[idx],
-        labels=codes[idx],
-    )
+    if len(eeg_ts):
+        trim_ns = round(rule.edge_trim_s * NS_PER_S)
+        keep &= (eeg_ts >= int(eeg_ts[0]) + trim_ns) & (eeg_ts <= int(eeg_ts[-1]) - trim_ns)
+    idx = np.flatnonzero(keep)
+    return LabeledSamples(indices=idx, t_ns=eeg_ts[idx], labels=codes[idx])
 
 
 def write_labels_csv(path: str | Path, labeled: LabeledSamples) -> Path:
@@ -145,7 +126,7 @@ def write_labels_csv(path: str | Path, labeled: LabeledSamples) -> Path:
     return write_replacing(Path(path), [b"t_ns,label_code\n", rows])
 
 
-def read_labels_csv(path: str | Path, delta_ms: int, eeg_ts: np.ndarray) -> LabeledSamples:
+def read_labels_csv(path: str | Path, eeg_ts: np.ndarray) -> LabeledSamples:
     """Load a labels file back, recovering sample indices from timestamps.
 
     The body parses in one bulk call (``ingest.parse_rows``): a row that is
@@ -168,4 +149,4 @@ def read_labels_csv(path: str | Path, delta_ms: int, eeg_ts: np.ndarray) -> Labe
         )
     if len(codes) and (codes.min() < 0 or codes.max() >= len(CommandLabel)):
         raise DataError(f"{path}: label codes must lie in [0, {len(CommandLabel) - 1}]")
-    return LabeledSamples(delta_ms=delta_ms, indices=pos, t_ns=t_arr, labels=codes)
+    return LabeledSamples(indices=pos, t_ns=t_arr, labels=codes)

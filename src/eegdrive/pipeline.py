@@ -37,7 +37,7 @@ import numpy as np
 from .config import RunConfig, derive_seed
 from .errors import ConfigError, DataError, EegDriveError
 from .ingest import SessionDir, load_recording, load_session, write_session_dir
-from .labels import LabeledSamples, label_at_horizon, read_labels_csv, write_labels_csv
+from .labels import label_at_horizon, read_labels_csv, write_labels_csv
 from .metrics import confusion_matrix, metrics_from_confusion
 from .models import (
     build_model,
@@ -49,7 +49,7 @@ from .models import (
 )
 from .preprocess import preprocess_session
 from .report import RunScore, emit_report, read_run_score, write_run_score
-from .session import NS_PER_S, N_CLASSES
+from .session import N_CLASSES
 from .splitting import build_split, windows_to_arrays
 from .synth import write_synthetic_session
 from .tensorfile import read_windows, write_windows
@@ -191,32 +191,17 @@ def stage_preprocess(cfg: RunConfig, ws: Workspace, session_id: str) -> Path:
 
 
 def stage_label(cfg: RunConfig, ws: Workspace, session_id: str) -> list[Path]:
-    """Label the cleaned recording at every configured horizon.
-
-    Samples within edge_trim_s of either end are dropped here: the
-    zero-phase filters corrupt those stretches, so they must never reach
-    the windowing stage.
-    """
+    """Label the cleaned recording at every configured horizon under
+    ``cfg.label_rule``."""
     with _stage("label", session_id):
         session = load_session(ws.preprocessed_dir(session_id))
-        ts = session.eeg.timestamps
-        trim_ns = int(round(cfg.filters.edge_trim_s * NS_PER_S))
-        lo, hi = int(ts[0]) + trim_ns, int(ts[-1]) - trim_ns
-        out_dir = ws.labels_csv(session_id, 0).parent
-        out_dir.mkdir(parents=True, exist_ok=True)
+        ws.labels_csv(session_id, 0).parent.mkdir(parents=True, exist_ok=True)
         written = []
         for delta in cfg.horizons_ms:
             labelled = label_at_horizon(
-                ts, session.joystick, cfg.label_rule, delta, cfg.alignment
+                session.eeg.timestamps, session.joystick, cfg.label_rule, delta
             )
-            keep = (labelled.t_ns >= lo) & (labelled.t_ns <= hi)
-            trimmed = LabeledSamples(
-                delta_ms=delta,
-                indices=labelled.indices[keep],
-                t_ns=labelled.t_ns[keep],
-                labels=labelled.labels[keep],
-            )
-            written.append(write_labels_csv(ws.labels_csv(session_id, delta), trimmed))
+            written.append(write_labels_csv(ws.labels_csv(session_id, delta), labelled))
         return written
 
 
@@ -230,7 +215,7 @@ def stage_split(cfg: RunConfig, ws: Workspace, session_id: str) -> None:
             labels_path = ws.labels_csv(session_id, delta)
             if not labels_path.is_file():
                 raise DataError(f"missing labels file {labels_path}; run label first")
-            labelled = read_labels_csv(labels_path, delta, eeg.timestamps)
+            labelled = read_labels_csv(labels_path, eeg.timestamps)
             ds = build_split(
                 labelled, cfg.split, derive_seed(cfg.seed, session_id, delta, "split")
             )

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -59,7 +59,6 @@ class FilterSpec:
     highpass_order: int = 4
     notch_hz: float = 50.0
     notch_q: float = 30.0
-    edge_trim_s: float = 1.0  # filter transient margin excluded from windowing
 
     def __post_init__(self):
         if not (self.highpass_hz > 0):
@@ -70,8 +69,6 @@ class FilterSpec:
             raise ValueError("notch_hz must exceed highpass_hz")
         if not (self.notch_q > 0):
             raise ValueError("notch_q must be positive")
-        if self.edge_trim_s < 0:
-            raise ValueError("edge_trim_s must be >= 0")
 
 
 def design_highpass(spec: FilterSpec, fs: float) -> np.ndarray:
@@ -146,25 +143,6 @@ def _settle_length(poles: np.ndarray) -> int:
     return math.ceil(math.log(np.finfo(np.float64).eps) / math.log(r))
 
 
-def _filter_from_rest(
-    x: np.ndarray, response: Callable[[np.ndarray], np.ndarray], settle: int
-) -> np.ndarray:
-    """Apply a stable filter along the last axis from zero initial state.
-
-    ``response(d)`` is the filter's frequency response at z**-1 = 1 + d,
-    given ``d`` on the rfft grid; the offset from 1 keeps a response with
-    poles close to DC accurate there. The product is circular, so input
-    more than ``nfft - n`` samples back wraps round onto the output; an FFT
-    length of at least n + ``settle``, the filter's settle length, leaves
-    that below float64 rounding.
-    """
-    n = x.shape[-1]
-    nfft = _fft_length(n + settle)
-    spectrum = np.fft.rfft(x, nfft)
-    spectrum *= response(_rfft_grid(nfft))
-    return np.fft.irfft(spectrum, nfft)[..., :n]
-
-
 def _rfft_grid(nfft: int) -> np.ndarray:
     """d = z**-1 - 1 at the frequencies of an rfft of length nfft."""
     half = np.pi * np.arange(nfft // 2 + 1) / nfft
@@ -208,7 +186,7 @@ def filter_zero_phase(x: np.ndarray, sos: np.ndarray) -> np.ndarray:
         )
     m = n + 2 * edge
     settle = _settle_length(np.concatenate([np.roots(a) for a in sos[:, 3:]]))
-    nfft = _fft_length(m + settle)  # wrap-round below rounding, as in _filter_from_rest
+    nfft = _fft_length(m + settle)  # the circular product's wrap-round decays below eps
     buf = np.zeros(x.shape[:-1] + (nfft,))
     y = buf[..., :m]  # the odd extension; the rest of buf stays zero padding
     np.subtract(2.0 * x[..., :1], x[..., edge:0:-1], out=y[..., :edge])

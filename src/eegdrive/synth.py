@@ -39,7 +39,6 @@ import numpy as np
 from .errors import DataError
 from .ingest import SessionDir, write_session_dir
 from .labels import LabeledSamples, write_labels_csv
-from .preprocess import _filter_from_rest, _settle_length
 from .session import (
     N_CLASSES,
     NS_PER_MS,
@@ -73,7 +72,6 @@ class SynthConfig:
     class_freqs_hz: tuple[float, ...] = (30.0, 15.0, 10.0, 20.0, 5.0)
     snr_db: float = 6.0
     segment_len_s: float = 4.0
-    noise_model: str = "white"
     label_lag_ms: float = 300.0
     rng_seed: int = 0
     joystick_rate_hz: float = 10.0
@@ -101,8 +99,6 @@ class SynthConfig:
             raise ValueError("snr_db must be a number or infinity")
         if not (self.segment_len_s > 0):
             raise ValueError("segment_len_s must be positive")
-        if self.noise_model not in ("white", "pink"):
-            raise ValueError("noise_model must be 'white' or 'pink'")
         if self.label_lag_ms < 0:
             raise ValueError("label_lag_ms must be non-negative")
         if not (0.0 < self.joystick_magnitude <= 1.0):
@@ -126,18 +122,6 @@ class SynthConfig:
         if math.isinf(self.snr_db):
             return 0.0
         return self.tone_rms_uv * 10.0 ** (-self.snr_db / 20.0)
-
-
-def _pink_filter(white: np.ndarray) -> np.ndarray:
-    """Paul Kellet's economy pink approximation: three parallel one-pole
-    low-passes plus a direct term, applied along the last axis from rest."""
-    poles = (0.99765, 0.96300, 0.57000)
-    gains = (0.0990460, 0.2965164, 1.0526913)
-
-    def response(d):  # at z**-1 = 1 + d
-        return 0.1848 + sum(g / ((1.0 - b) - b * d) for b, g in zip(poles, gains))
-
-    return _filter_from_rest(white, response, _settle_length(np.array(poles)))
 
 
 def _build_schedule(cfg: SynthConfig, horizon_ns: int) -> tuple[list[int], list[int]]:
@@ -213,7 +197,6 @@ def generate_session(cfg: SynthConfig) -> tuple[SessionDir, LabeledSamples]:
     # ground truth quantized to the joystick clock, nearest tick to t + lag
     nearest_tick = (eeg_t + lag_ns + tick_ns // 2) // tick_ns
     truth = LabeledSamples(
-        delta_ms=round(cfg.label_lag_ms),
         indices=np.arange(n_eeg),
         t_ns=eeg_t,
         labels=_codes_at(starts, seg_codes, nearest_tick * tick_ns),
@@ -258,8 +241,6 @@ def generate_session(cfg: SynthConfig) -> tuple[SessionDir, LabeledSamples]:
     if sigma > 0.0:
         rng = np.random.default_rng(np.random.SeedSequence((cfg.rng_seed, 2)))
         streams = rng.standard_normal((cfg.n_channels + 4, n_eeg))
-        if cfg.noise_model == "pink":
-            streams = _pink_filter(streams)
         streams /= streams.std(axis=1, keepdims=True)
         common, dipole_src, sensor = streams[0], streams[1:4], streams[4:]
         # position rows are unit vectors, so the dipole mix has unit

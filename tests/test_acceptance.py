@@ -32,8 +32,8 @@ import numpy as np
 import pytest
 
 from eegdrive.config import RunConfig, config_from_dict
-from eegdrive.ingest import AlignmentConfig, align_nearest
-from eegdrive.labels import LabeledSamples, LabelRule, classify_command
+from eegdrive.ingest import align_nearest
+from eegdrive.labels import NO_LABEL, LabeledSamples, LabelRule, classify_commands
 from eegdrive.metrics import confusion_matrix, metrics_from_confusion
 from eegdrive.models import build_model
 from eegdrive.pipeline import run_all
@@ -149,13 +149,13 @@ def test_criterion_01_labelling_oracle():
     rule = LabelRule(tau=tau)
     t0 = time.perf_counter()
     mismatches = []
-    for v in grid:
-        for w in grid:
-            got = classify_command(v, w, rule)
-            want = _rule_oracle(v, w, tau)
-            got_code = None if got is None else int(got)
-            if got_code != want:
-                mismatches.append((v, w, got_code, want))
+    vv, ww = np.meshgrid(grid, grid, indexing="ij")
+    codes = classify_commands(vv.ravel(), ww.ravel(), rule)
+    for v, w, code in zip(vv.ravel().tolist(), ww.ravel().tolist(), codes.tolist()):
+        got = None if code == NO_LABEL else code
+        want = _rule_oracle(v, w, tau)
+        if got != want:
+            mismatches.append((v, w, got, want))
     elapsed = time.perf_counter() - t0
     ok = not mismatches and elapsed < 1.0
     _line(
@@ -178,12 +178,12 @@ def test_criterion_02_alignment_oracle():
         n_j = int(rng.integers(1, 2001))
         targets = np.cumsum(rng.integers(1, 50_000_000, size=n_t, dtype=np.int64))
         ticks = np.cumsum(rng.integers(1, 50_000_000, size=n_j, dtype=np.int64))
-        cfg = AlignmentConfig(max_gap_ms=float(rng.integers(1, 200)))
-        got = align_nearest(targets, ticks, cfg)
+        max_gap_ns = int(rng.integers(1, 200)) * 1_000_000
+        got = align_nearest(targets, ticks, max_gap_ns)
         d = np.abs(targets[:, None] - ticks[None, :])
         nearest = np.argmin(d, axis=1)  # first minimum = earlier tie
         want = np.where(
-            d[np.arange(n_t), nearest] <= cfg.max_gap_ns, nearest, -1
+            d[np.arange(n_t), nearest] <= max_gap_ns, nearest, -1
         )
         bad += int((got != want).sum())
     elapsed = time.perf_counter() - t0
@@ -244,9 +244,7 @@ def _random_stream(rng, n):
         labels[i : i + run] = int(rng.integers(0, 5))
         i += run
     t_ns = np.arange(n, dtype=np.int64) * PERIOD_NS
-    return LabeledSamples(
-        delta_ms=300, indices=np.arange(n), t_ns=t_ns, labels=labels
-    )
+    return LabeledSamples(indices=np.arange(n), t_ns=t_ns, labels=labels)
 
 
 def _majority_oracle(codes):

@@ -2,9 +2,8 @@
 
 scipy is a test dependency only. The designs must reproduce scipy's
 second-order sections, and ``filter_zero_phase`` must reproduce
-``sosfiltfilt``; ``synth._pink_filter`` must reproduce the three parallel
-``lfilter`` calls it stands for. Filter errors are measured relative to the
-input's largest magnitude, the scale a linear filter's rounding grows with.
+``sosfiltfilt``. Filter errors are measured relative to the input's largest
+magnitude, the scale a linear filter's rounding grows with.
 """
 
 import numpy as np
@@ -18,7 +17,6 @@ from eegdrive.preprocess import (
     design_notch,
     filter_zero_phase,
 )
-from eegdrive.synth import _pink_filter
 
 FS = 125.0
 CORNERS = [(1.0, 125.0), (0.1, 125.0), (0.5, 1000.0), (30.0, 250.0), (40.0, 100.0)]
@@ -85,11 +83,3 @@ class TestZeroPhase:
         t = np.arange(n)
         _assert_matches_sosfiltfilt(40.0 + 0.01 * t, sos)
         _assert_matches_sosfiltfilt(np.stack([40.0 + 0.01 * t, -3.0 - 0.02 * t]), sos)
-
-
-def test_pink_filter_matches_lfilter():
-    white = np.random.default_rng(2).standard_normal((4, 20000))
-    want = 0.1848 * white
-    for pole, gain in zip((0.99765, 0.96300, 0.57000), (0.0990460, 0.2965164, 1.0526913)):
-        want = want + signal.lfilter([gain], [1.0, -pole], white, axis=-1)
-    assert np.abs(_pink_filter(white) - want).max() <= 1e-12 * np.abs(want).max()

@@ -17,13 +17,13 @@ from eegdrive.ingest import (
     EEG_ROWS_PER_BLOCK,
     JOYSTICK_NAME,
     MANIFEST_NAME,
-    AlignmentConfig,
     SessionDir,
     align_nearest,
     format_rows,
     load_session,
     write_session_dir,
 )
+from eegdrive.labels import LabelRule
 from eegdrive.session import EegRecording, JoystickStream, synthetic_montage
 from tracemem import peak_traced
 
@@ -49,9 +49,11 @@ def random_increasing(rng, n, max_gap_ns):
     return start + np.cumsum(gaps)
 
 
+GAP_100_MS = 100_000_000  # ns
+
+
 class TestAlignNearest:
     def test_matches_oracle_on_random_instances(self):
-        cfg = AlignmentConfig(max_gap_ms=100.0)
         rng = np.random.default_rng(2024)
         for _ in range(50):
             n_t = int(rng.integers(1, 200))
@@ -59,38 +61,35 @@ class TestAlignNearest:
             # spacing straddles the 100 ms tolerance so misses occur too
             targets = random_increasing(rng, n_t, 250_000_000)
             times = random_increasing(rng, n_j, 250_000_000)
-            got = align_nearest(targets, times, cfg)
-            want = oracle_align(targets, times, cfg.max_gap_ns)
+            got = align_nearest(targets, times, GAP_100_MS)
+            want = oracle_align(targets, times, GAP_100_MS)
             assert np.array_equal(got, want)
 
     def test_exact_tie_prefers_earlier(self):
-        cfg = AlignmentConfig(max_gap_ms=100.0)
-        out = align_nearest(np.array([150]), np.array([100, 200]), cfg)
+        out = align_nearest(np.array([150]), np.array([100, 200]), GAP_100_MS)
         assert out[0] == 0
 
     def test_gap_boundary_is_inclusive(self):
-        cfg = AlignmentConfig(max_gap_ms=100.0)
-        gap = cfg.max_gap_ns
-        out = align_nearest(np.array([0, 0]), np.array([gap]), cfg)
+        gap = GAP_100_MS
+        out = align_nearest(np.array([0, 0]), np.array([gap]), gap)
         assert out[0] == 0
-        out = align_nearest(np.array([0]), np.array([gap + 1]), cfg)
+        out = align_nearest(np.array([0]), np.array([gap + 1]), gap)
         assert out[0] == -1
 
     def test_empty_inputs(self):
-        cfg = AlignmentConfig()
-        assert len(align_nearest(np.array([], dtype=np.int64), np.array([1]), cfg)) == 0
-        out = align_nearest(np.array([5]), np.array([], dtype=np.int64), cfg)
+        assert len(align_nearest(np.array([], dtype=np.int64), np.array([1]), GAP_100_MS)) == 0
+        out = align_nearest(np.array([5]), np.array([], dtype=np.int64), GAP_100_MS)
         assert np.array_equal(out, [-1])
 
     def test_single_candidate(self):
-        cfg = AlignmentConfig(max_gap_ms=1.0)
         targets = np.array([0, 500_000, 2_000_001])
-        out = align_nearest(targets, np.array([1_000_000]), cfg)
+        out = align_nearest(targets, np.array([1_000_000]), 1_000_000)
         assert np.array_equal(out, [0, 0, -1])
 
     def test_rejects_bad_gap(self):
-        with pytest.raises(ValueError):
-            AlignmentConfig(max_gap_ms=0.0)
+        # the gap is part of the labelling rule, which validates it
+        with pytest.raises(ValueError, match="max_gap_ms"):
+            LabelRule(max_gap_ms=0.0)
 
 
 def percent_rows(ints, floats=None):
@@ -243,6 +242,31 @@ class TestSessionDirIO:
             write_session_dir(tmp_path / "sess", sess)
         assert len(blocks) == 2
         assert sorted(p.name for p in (tmp_path / "sess").iterdir()) == [MANIFEST_NAME]
+
+    def test_failed_joystick_write_leaves_no_file(self, tmp_path, monkeypatch):
+        replace = ingest.os.replace
+
+        def fail_on_the_joystick(src, dst):
+            if Path(dst).name == JOYSTICK_NAME:
+                raise OSError("injected")
+            replace(src, dst)
+
+        monkeypatch.setattr(ingest.os, "replace", fail_on_the_joystick)
+        with pytest.raises(OSError, match="injected"):
+            write_session_dir(tmp_path / "sess", _toy_session())
+        assert sorted(p.name for p in (tmp_path / "sess").iterdir()) == [EEG_NAME, MANIFEST_NAME]
+
+    def test_joystick_lines_match_one_dumps_per_line(self, tmp_path):
+        v = np.array([0.8, -0.0, 1e-300, -1.0, 0.1 + 0.2, np.nan, -np.inf])
+        t = np.arange(len(v)) * 10**8
+        sess = _toy_session()
+        sess = SessionDir("s01", "sess-a", sess.eeg, JoystickStream(t, v, v[::-1]))
+        path = write_session_dir(tmp_path / "sess", sess) / JOYSTICK_NAME
+        want = "".join(
+            json.dumps({"t_ns": int(t[i]), "vx": float(v[i]), "wz": float(v[-1 - i])}) + "\n"
+            for i in range(len(v))
+        )
+        assert path.read_bytes() == want.encode()
 
     def test_crlf_files_load_to_the_same_arrays(self, tmp_path):
         lf = write_session_dir(tmp_path / "lf", _toy_session())

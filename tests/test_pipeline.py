@@ -5,6 +5,7 @@ second run-all with the same config; both properties are checked over the
 entire workspace tree, not just the report.
 """
 
+import ast
 import ctypes
 import hashlib
 import json
@@ -466,16 +467,26 @@ class TestExitCodes:
         ("bad_channels", "ransac_corr_min", 0.75),
         ("bad_channels", "ransac_samples", 50),
         ("train", "class_weights", [1, 1, 1, 1, 1]),
+        ("filters", "edge_trim_s", 1.0),
+        ("synth", "noise_model", "white"),
     ])
     def test_removed_seed_knobs_are_2(self, tmp_path, capsys, section, key, value):
         # the pipeline derives the seeds per session and run, bad-channel
-        # detection draws nothing random, and class weights follow the
-        # training split's class counts; a config can set none of them
+        # detection draws nothing random, class weights follow the training
+        # split's class counts, the edge trim belongs to label_rule, and the
+        # simulator draws white noise only; a config can set none of them
         doc = dict(SMALL, n_sessions=1, **{section: {**SMALL.get(section, {}), key: value}})
         cfg = _write_cfg(tmp_path, doc)
         rc = main(["run-all", "--config", str(cfg), "--out", str(tmp_path / "ws")])
         assert rc == 2
         assert f"config.{section}: unknown keys ['{key}']" in capsys.readouterr().err
+
+    def test_removed_alignment_section_is_2(self, tmp_path, capsys):
+        # the alignment gap is label_rule.max_gap_ms
+        cfg = _write_cfg(tmp_path, dict(SMALL, n_sessions=1, alignment={"max_gap_ms": 100.0}))
+        rc = main(["run-all", "--config", str(cfg), "--out", str(tmp_path / "ws")])
+        assert rc == 2
+        assert "config: unknown keys ['alignment']" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, name, edit, rule", [
         ("train", "train.json", lambda d: {**d, "labels": [-1] + d["labels"][1:]},
@@ -648,4 +659,22 @@ def test_src_reads_no_thread_variable():
         for lineno, line in enumerate(path.read_text().splitlines(), 1)
         if re.search(r"_NUM_THREADS|\benviron\b|getenv|putenv", line)
     ]
+    assert hits == []
+
+
+def test_src_imports_no_private_name_of_another_module():
+    """A module under src/ uses only the public names of the other eegdrive
+    modules: an underscore-prefixed name belongs to its own module."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    hits = []
+    for path in sorted(src.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level > 0 or (node.module or "").split(".")[0] == "eegdrive"
+            ):
+                hits += [
+                    f"{path.relative_to(src)}:{node.lineno}: {alias.name}"
+                    for alias in node.names
+                    if alias.name.startswith("_")
+                ]
     assert hits == []

@@ -163,8 +163,6 @@ class TestFilters:
             FilterSpec(highpass_hz=0.0)
         with pytest.raises(ValueError):
             FilterSpec(notch_hz=0.5)  # below the high-pass corner
-        with pytest.raises(ValueError):
-            FilterSpec(edge_trim_s=-1.0)
 
 
 class TestTonePower:

@@ -41,7 +41,6 @@ def random_labeled(rng, n, n_classes=N_CLASSES, segment=40):
         i += run
     indices = np.arange(n, dtype=np.int64)
     return LabeledSamples(
-        delta_ms=300,
         indices=indices,
         t_ns=indices * PERIOD_NS,
         labels=labels,
@@ -118,7 +117,6 @@ class TestStratifiedTemporalSplit:
 
     def test_single_class_stream(self):
         labeled = LabeledSamples(
-            delta_ms=0,
             indices=np.arange(1000),
             t_ns=np.arange(1000, dtype=np.int64) * PERIOD_NS,
             labels=np.zeros(1000, dtype=np.int8),
@@ -129,7 +127,6 @@ class TestStratifiedTemporalSplit:
     def test_tiny_chunks_still_reach_global_fraction(self):
         # 100 chunks of 4: plain flooring would put only half in train
         labeled = LabeledSamples(
-            delta_ms=0,
             indices=np.arange(400),
             t_ns=np.arange(400, dtype=np.int64) * PERIOD_NS,
             labels=np.zeros(400, dtype=np.int8),
@@ -138,14 +135,12 @@ class TestStratifiedTemporalSplit:
         assert 0.68 <= len(train) / 400 <= 0.72
 
     def test_empty_stream_rejected(self):
-        empty = LabeledSamples(0, np.empty(0, int), np.empty(0, int), np.empty(0, int))
+        empty = LabeledSamples(np.empty(0, int), np.empty(0, int), np.empty(0, int))
         with pytest.raises(DataError):
             stratified_temporal_split(empty, SplitConfig())
 
     def test_unordered_stream_rejected(self):
-        bad = LabeledSamples(
-            0, np.array([0, 1]), np.array([10, 10]), np.array([0, 0])
-        )
+        bad = LabeledSamples(np.array([0, 1]), np.array([10, 10]), np.array([0, 0]))
         with pytest.raises(DataError, match="time-ordered"):
             stratified_temporal_split(bad, SplitConfig())
 
@@ -243,9 +238,7 @@ def gappy_labeled(rng, n):
     kept columns and their timestamps have holes."""
     full = random_labeled(rng, n)
     keep = rng.random(n) > 0.02
-    return LabeledSamples(
-        300, full.indices[keep], full.t_ns[keep], full.labels[keep]
-    )
+    return LabeledSamples(full.indices[keep], full.t_ns[keep], full.labels[keep])
 
 
 class TestScalarOracle:
@@ -358,7 +351,7 @@ class TestExtractWindows:
         indices = np.arange(300, dtype=np.int64)
         t_ns = indices * PERIOD_NS
         t_ns = np.where(indices >= 150, t_ns + 10 * PERIOD_NS, t_ns)  # rift
-        labeled = LabeledSamples(0, indices, t_ns, np.zeros(300, dtype=np.int8))
+        labeled = LabeledSamples(indices, t_ns, np.zeros(300, dtype=np.int8))
         pos = np.arange(300)
         free = extract_windows(labeled, pos, SplitConfig(window_len=50, gap_break_ns=None))
         broken = extract_windows(
@@ -437,7 +430,6 @@ class TestBuildSplit:
 
     def test_absent_classes_reported(self):
         labeled = LabeledSamples(
-            0,
             np.arange(1200),
             np.arange(1200, dtype=np.int64) * PERIOD_NS,
             np.where(np.arange(1200) < 600, 0, 2).astype(np.int8),

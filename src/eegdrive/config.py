@@ -2,9 +2,9 @@
 
 Parsing is strict. Unknown keys are rejected rather than ignored, because a
 silently dropped misspelling ("epochs" vs "epoch") would change benchmark
-results without any visible error. Every field has a default, so `{}` is a
-valid document and `--print-defaults` serves as the single reference for
-the whole configuration surface.
+results without any visible error, and a float field must be finite. Every
+field has a default, so `{}` is a valid document and `--print-defaults`
+serves as the single reference for the whole configuration surface.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import sys
 import types
 import typing
 from dataclasses import dataclass, field
@@ -104,6 +105,9 @@ def _coerce(value, typ, path: str):
     if typ is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{path}: expected a number")
+        # json.loads returns NaN and infinities, and integers beyond float range
+        if not -sys.float_info.max <= value <= sys.float_info.max:
+            raise ConfigError(f"{path}: expected a finite number, got {value}")
         return float(value)
     if typ is str:
         if not isinstance(value, str):

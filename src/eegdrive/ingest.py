@@ -1,6 +1,7 @@
 """Session directory ingestion and cross-stream timestamp alignment.
 
-A session directory holds exactly three files::
+A session directory holds these three files, the only ones read (the
+simulator adds ``truth_labels.csv``, which no stage reads)::
 
     manifest.json    identity, sample rate, montage with unit-sphere positions
     eeg.csv          header ``timestamp_ns,<ch1>,...,<chC>``, microvolt samples

@@ -36,7 +36,7 @@ import numpy as np
 
 from .config import RunConfig, derive_seed
 from .errors import ConfigError, DataError, EegDriveError
-from .ingest import SessionDir, load_recording, load_session, write_session_dir
+from .ingest import SessionDir, load_recording, load_session, write_replacing, write_session_dir
 from .labels import label_at_horizon, read_labels_csv, write_labels_csv
 from .metrics import confusion_matrix, metrics_from_confusion
 from .models import (
@@ -211,16 +211,20 @@ def stage_label(cfg: RunConfig, ws: Workspace, session_id: str) -> list[Path]:
 def stage_split(cfg: RunConfig, ws: Workspace, session_id: str) -> None:
     with _stage("split", session_id):
         _, eeg = load_recording(ws.preprocessed_dir(session_id))
+        timestamps, samples = eeg.timestamps, eeg.samples.astype(np.float32)
+        del eeg  # one copy of the samples, the float32 one, lives through the loop
         for delta in cfg.horizons_ms:
             labels_path = ws.labels_csv(session_id, delta)
             if not labels_path.is_file():
                 raise DataError(f"missing labels file {labels_path}; run label first")
-            labelled = read_labels_csv(labels_path, eeg.timestamps)
+            labelled = read_labels_csv(labels_path, timestamps)
             ds = build_split(
                 labelled, cfg.split, derive_seed(cfg.seed, session_id, delta, "split")
             )
             out_dir = ws.windows_dir(session_id, delta)
             out_dir.mkdir(parents=True, exist_ok=True)
+            stats_path = ws.split_stats(session_id, delta)
+            stats_path.unlink(missing_ok=True)  # written last, so never stale
             for partition, windows in (("train", ds.train), ("test", ds.test)):
                 if len(windows) == 0:
                     raise DataError(
@@ -229,7 +233,7 @@ def stage_split(cfg: RunConfig, ws: Workspace, session_id: str) -> None:
                         f"(gap_break_ns={cfg.split.gap_break_ns}, "
                         f"n_chunks={cfg.split.n_chunks})"
                     )
-                data, labels = windows_to_arrays(eeg.samples, windows)
+                data, labels = windows_to_arrays(samples, windows)
                 write_windows(
                     ws.windows_base(session_id, delta, partition),
                     data,
@@ -251,8 +255,8 @@ def stage_split(cfg: RunConfig, ws: Workspace, session_id: str) -> None:
                     ds.test.labels, minlength=N_CLASSES
                 ).tolist(),
             }
-            ws.split_stats(session_id, delta).write_text(
-                json.dumps(stats, indent=2, sort_keys=True) + "\n"
+            write_replacing(
+                stats_path, [(json.dumps(stats, indent=2, sort_keys=True) + "\n").encode()]
             )
 
 

@@ -2,27 +2,29 @@
 
 The split works per class: a class's samples are taken in chronological
 order, cut into a fixed number of contiguous chunks, and the head of every
-chunk goes to train with the tail going to test. Both partitions are then
-re-sorted globally by time, windowed with a sliding window over the
-partition's own sample sequence, and the train windows are optionally
-rebalanced by random oversampling with replacement.
+chunk goes to train with the tail going to test. One boolean mask over the
+labelled samples marks every head; train and test are its marked and
+unmarked positions, in time order. Each is windowed with a sliding window
+over the partition's own sample sequence, and the train windows are
+optionally rebalanced by random oversampling with replacement.
 
 Each partition's windows are one ``Windows`` record of arrays. Its ``src``
 rows are the provenance: row i lists the recording columns window i
-covers. Windowing, majority labelling and oversampling work on those index
-rows only, and ``windows_to_arrays`` gathers the sample data once, at write
-time.
+covers, and ``src[i, 0]`` is its start. Windowing, majority labelling and
+oversampling work on those index rows only, and ``windows_to_arrays``
+gathers the sample data once, at write time.
 
 Train/test windows can never share a source sample: the partitions are
 disjoint index sets and a window only draws from its own partition.
-``check_no_leakage`` verifies that directly on the ``src`` rows, and
-``build_split`` runs the check on every invocation.
+``check_no_leakage`` verifies that on the ``src`` rows with one mask of
+the recording columns the train windows cover, and ``build_split`` runs
+the check on every invocation.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,35 +62,26 @@ class SplitConfig:
 _FRAC_DENOM = 10**6  # train_fraction quantum; keeps chunk arithmetic exact
 
 
-def _chunk_train_counts(sizes: list[int], train_fraction: float) -> list[int]:
+def _chunk_train_counts(sizes: np.ndarray, train_fraction: float) -> np.ndarray:
     """How many leading samples of each chunk go to train.
 
     Base allocation is max(1, floor(f*m)) per chunk. Because the floor loses
     up to one sample per chunk, small chunks would drift far below f overall
     (100 chunks of 4 at f=0.7 would train only half the class), so the
     shortfall against the class-level target round(f*n) is handed back one
-    sample at a time, largest fractional part first, earliest chunk on ties.
-    The head-to-train / tail-to-test shape of every chunk is preserved.
+    sample per chunk with a test sample left, largest fractional part first,
+    earliest chunk on ties. It never exceeds their number, since each of
+    their floors lost less than one sample, so one pass settles it.
     """
     num = round(train_fraction * _FRAC_DENOM)
-    counts = [max(1, (m * num) // _FRAC_DENOM) for m in sizes]
-    n = sum(sizes)
+    counts = np.maximum(1, sizes * num // _FRAC_DENOM)
+    n = int(sizes.sum())
     target = (2 * n * num + _FRAC_DENOM) // (2 * _FRAC_DENOM)  # round half up
-    deficit = target - sum(counts)
+    deficit = target - int(counts.sum())
     if deficit > 0:
-        order = sorted(range(len(sizes)),
-                       key=lambda i: (-((sizes[i] * num) % _FRAC_DENOM), i))
-        while deficit > 0:
-            progressed = False
-            for i in order:
-                if deficit == 0:
-                    break
-                if counts[i] < sizes[i]:
-                    counts[i] += 1
-                    deficit -= 1
-                    progressed = True
-            if not progressed:
-                break
+        order = np.argsort(-(sizes * num % _FRAC_DENOM), kind="stable")
+        open_chunks = order[counts[order] < sizes[order]]
+        counts[open_chunks[:deficit]] += 1
     return counts
 
 
@@ -101,33 +94,26 @@ def stratified_temporal_split(
     chunks of sizes floor(n/k), the first n mod k chunks one larger. The
     head of every chunk goes to train and the tail to test, with per-chunk
     head lengths from ``_chunk_train_counts`` so the class-level train
-    fraction matches ``cfg.train_fraction`` to within rounding. Output
-    position arrays are sorted by time.
+    fraction matches ``cfg.train_fraction`` to within rounding. Both
+    position arrays are in time order.
     """
     if len(labeled) == 0:
         raise DataError("no labelled samples to split")
     if np.any(np.diff(labeled.t_ns) <= 0):
         raise DataError("labelled samples must be strictly time-ordered")
-    train: list[np.ndarray] = []
-    test: list[np.ndarray] = []
+    train = np.zeros(len(labeled), dtype=bool)
     for code in range(N_CLASSES):
-        pos = np.nonzero(labeled.labels == code)[0]
+        pos = np.flatnonzero(labeled.labels == code)
         n = len(pos)
         if n == 0:
             continue
         k = min(cfg.n_chunks, n)
-        base, extra = divmod(n, k)
-        sizes = [base + (1 if c < extra else 0) for c in range(k)]
-        heads = _chunk_train_counts(sizes, cfg.train_fraction)
-        start = 0
-        for m, n_train in zip(sizes, heads):
-            chunk = pos[start : start + m]
-            start += m
-            train.append(chunk[:n_train])
-            test.append(chunk[n_train:])
-    train_pos = np.sort(np.concatenate(train))
-    test_pos = np.sort(np.concatenate(test)) if test else np.empty(0, dtype=np.int64)
-    return train_pos, test_pos
+        sizes = np.full(k, n // k)
+        sizes[: n % k] += 1
+        head_ends = np.cumsum(sizes) - sizes + _chunk_train_counts(sizes, cfg.train_fraction)
+        train[pos] = np.arange(n) < np.repeat(head_ends, sizes)
+    classed = (labeled.labels >= 0) & (labeled.labels < N_CLASSES)
+    return np.flatnonzero(train), np.flatnonzero(classed & ~train)
 
 
 def majority_label(codes: np.ndarray) -> np.ndarray:
@@ -148,18 +134,17 @@ class Windows:
 
     ``src[i]`` lists the recording columns window i covers: that is its
     provenance, used for the leakage check and for the one gather in
-    ``windows_to_arrays``.
+    ``windows_to_arrays``; ``src[i, 0]`` is its start.
     """
 
     src: np.ndarray  # int64 (n, S)
     labels: np.ndarray  # int64 (n,), majority code of the covered samples
-    start_t_ns: np.ndarray  # int64 (n,)
 
     def __len__(self) -> int:
         return len(self.labels)
 
     def take(self, rows: np.ndarray) -> Windows:
-        return Windows(self.src[rows], self.labels[rows], self.start_t_ns[rows])
+        return Windows(self.src[rows], self.labels[rows])
 
 
 def extract_windows(
@@ -176,22 +161,17 @@ def extract_windows(
     s = cfg.window_len
     starts = np.arange(0, len(positions) - s + 1, cfg.hop)
     rows = positions[starts[:, None] + np.arange(s)]  # (n, S) into ``labeled``
-    t = labeled.t_ns[rows]
     if cfg.gap_break_ns is not None:
-        keep = np.diff(t, axis=1).max(axis=1, initial=0) <= cfg.gap_break_ns
-        rows, t = rows[keep], t[keep]
-    return Windows(
-        src=labeled.indices[rows],
-        labels=majority_label(labeled.labels[rows]),
-        start_t_ns=t[:, 0],
-    )
+        t = labeled.t_ns[rows]
+        rows = rows[np.diff(t, axis=1).max(axis=1, initial=0) <= cfg.gap_break_ns]
+    return Windows(src=labeled.indices[rows], labels=majority_label(labeled.labels[rows]))
 
 
 def oversample_train(train: Windows, seed: int) -> Windows:
     """Duplicate minority-class windows until every present class matches the
     largest one. Originals are all retained; duplicates are drawn uniformly
     with replacement, deterministically for a given seed, and the result is
-    stably sorted by start time, so each original precedes its duplicates."""
+    stably sorted by start column, so each original precedes its duplicates."""
     if len(train) == 0:
         raise DataError("cannot oversample an empty train partition")
     rng = np.random.default_rng(seed)
@@ -204,7 +184,7 @@ def oversample_train(train: Windows, seed: int) -> Windows:
             pool = np.nonzero(train.labels == code)[0]
             picks.append(pool[rng.integers(0, len(pool), size=need)])
     rows = np.concatenate(picks)
-    return train.take(rows[np.argsort(train.start_t_ns[rows], kind="stable")])
+    return train.take(rows[np.argsort(train.src[rows, 0], kind="stable")])
 
 
 @dataclass
@@ -213,15 +193,15 @@ class SplitDataset:
 
     train: Windows
     test: Windows
-    absent_classes: tuple[int, ...] = ()
-    pre_oversample_counts: np.ndarray = field(
-        default_factory=lambda: np.zeros(N_CLASSES, dtype=np.int64)
-    )
+    absent_classes: tuple[int, ...]
+    pre_oversample_counts: np.ndarray
 
 
-def check_no_leakage(ds: SplitDataset) -> None:
+def check_no_leakage(train: Windows, test: Windows) -> None:
     """Raise if any recording sample appears in both partitions."""
-    overlap = np.intersect1d(ds.train.src, ds.test.src)
+    covered = np.zeros(1 + max(train.src.max(initial=0), test.src.max(initial=0)), dtype=bool)
+    covered[train.src] = True
+    overlap = np.unique(test.src[covered[test.src]])
     if len(overlap):
         raise DataError(
             f"train/test leakage: {len(overlap)} shared source samples "
@@ -254,12 +234,10 @@ def build_split(labeled: LabeledSamples, cfg: SplitConfig, seed: int) -> SplitDa
     pre_counts = np.bincount(train.labels, minlength=N_CLASSES)
     if cfg.oversample and len(train):
         train = oversample_train(train, seed)
-    counts = labeled.class_counts()
-    ds = SplitDataset(
+    check_no_leakage(train, test)
+    return SplitDataset(
         train=train,
         test=test,
-        absent_classes=tuple(int(c) for c in np.nonzero(counts == 0)[0]),
+        absent_classes=tuple(int(c) for c in np.flatnonzero(labeled.class_counts() == 0)),
         pre_oversample_counts=pre_counts,
     )
-    check_no_leakage(ds)
-    return ds

@@ -5,6 +5,10 @@ sidecar carries everything needed to interpret it:
 
     {"shape": [n, C, S], "dtype": "f32le", "labels": [...],
      "delta_ms": 300, "partition": "train"}
+
+``write_windows`` deletes the old sidecar first and writes it last, each
+file through ``ingest.write_replacing``, so an interrupted write leaves a
+blob without a sidecar, which ``read_windows`` rejects.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
+from .ingest import write_replacing
 from .session import N_CLASSES
 
 DTYPE_TAG = "f32le"
@@ -28,7 +33,7 @@ def write_windows(
     delta_ms: int,
     partition: str,
 ) -> tuple[Path, Path]:
-    """Write ``<base>.f32`` and ``<base>.json``; returns both paths."""
+    """Write ``<base>.f32``, then ``<base>.json``; returns both paths."""
     base = Path(base)
     arr = np.ascontiguousarray(data, dtype=_DTYPE)
     if arr.ndim != 3:
@@ -47,8 +52,9 @@ def write_windows(
         "delta_ms": int(delta_ms),
         "partition": str(partition),
     }
-    bin_path.write_bytes(arr.tobytes())
-    json_path.write_text(json.dumps(sidecar) + "\n")
+    json_path.unlink(missing_ok=True)
+    write_replacing(bin_path, [arr.data])
+    write_replacing(json_path, [(json.dumps(sidecar) + "\n").encode()])
     return bin_path, json_path
 
 

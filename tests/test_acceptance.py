@@ -25,6 +25,7 @@ through train/test leakage.
 
 import hashlib
 import json
+import os
 import time
 from collections import Counter
 
@@ -104,10 +105,11 @@ def _conv_linear_gap(out, min_gap: float) -> tuple[bool, str]:
 
 @pytest.fixture(scope="module")
 def full_bench(tmp_path_factory):
-    """Default config end to end: 3 sessions, 9 horizons, both models."""
+    """Default config end to end: 3 sessions, 9 horizons, both models, on
+    every usable core as the CLI's run-all does by default."""
     out = tmp_path_factory.mktemp("bench")
     t0 = time.perf_counter()
-    run_all(RunConfig(), out)
+    run_all(RunConfig(), out, jobs=len(os.sched_getaffinity(0)))
     elapsed = time.perf_counter() - t0
     return out, elapsed
 
@@ -122,7 +124,7 @@ def corrupt_bench(tmp_path_factory):
         }
     )
     out = tmp_path_factory.mktemp("corrupt")
-    run_all(cfg, out)
+    run_all(cfg, out, jobs=len(os.sched_getaffinity(0)))
     return out
 
 

@@ -1,6 +1,11 @@
 """Configuration parsing: strictness, round trips, seed derivation."""
 
+import dataclasses
 import json
+import math
+import re
+import types
+import typing
 
 import pytest
 
@@ -13,6 +18,7 @@ from eegdrive.config import (
     load_config,
 )
 from eegdrive.errors import ConfigError
+from eegdrive.synth import SynthConfig
 
 
 class TestRoundTrip:
@@ -102,6 +108,73 @@ class TestStrictness:
     def test_nested_validation_wrapped_as_config_error(self):
         with pytest.raises(ConfigError, match="config.train"):
             config_from_dict({"train": {"epochs": 0}})
+
+
+def _float_fields(cls=RunConfig, prefix=()):
+    """The key path of every float-typed field reachable from ``cls``; a
+    tuple of floats is reached through its first entry."""
+    paths = []
+    for name, typ in typing.get_type_hints(cls).items():
+        if typing.get_origin(typ) in (typing.Union, types.UnionType):
+            (typ,) = [a for a in typing.get_args(typ) if a is not type(None)]
+        if dataclasses.is_dataclass(typ):
+            paths += _float_fields(typ, prefix + (name,))
+        elif typ is float:
+            paths.append(prefix + (name,))
+        elif typing.get_origin(typ) is tuple and typing.get_args(typ)[0] is float:
+            paths.append(prefix + (name, 0))
+    return paths
+
+
+FLOAT_FIELDS = _float_fields()
+
+
+def _doc_setting(path, value):
+    """A config document that sets the field at ``path`` to ``value``."""
+    leaf = value
+    if isinstance(path[-1], int):  # one entry of a tuple of floats
+        default = RunConfig()
+        for key in path[:-1]:
+            default = getattr(default, key)
+        leaf = [value] + list(default[1:])
+        path = path[:-1]
+    for key in reversed(path):
+        leaf = {key: leaf}
+    return leaf
+
+
+def _dotted(path):
+    return "config." + ".".join(map(str, path[:-1])) + (
+        f"[{path[-1]}]" if isinstance(path[-1], int) else f".{path[-1]}"
+    )
+
+
+class TestNonFiniteFloats:
+    def test_every_section_is_walked(self):
+        assert ("synth", "duration_s") in FLOAT_FIELDS
+        assert ("synth", "class_freqs_hz", 0) in FLOAT_FIELDS
+        assert {p[0] for p in FLOAT_FIELDS} == {
+            "label_rule", "filters", "bad_channels", "split", "train", "synth"
+        }
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10**400],
+                             ids=["NaN", "Infinity", "-Infinity", "1e400-integer"])
+    @pytest.mark.parametrize("path", FLOAT_FIELDS, ids=lambda p: ".".join(map(str, p)))
+    def test_json_non_finite_is_a_config_error(self, path, value):
+        # json.dumps writes NaN, Infinity and -Infinity, which json.loads reads
+        doc = json.loads(json.dumps(_doc_setting(path, value)))
+        with pytest.raises(ConfigError, match=re.escape(_dotted(path)) + ": expected a finite"):
+            config_from_dict(doc)
+
+    def test_finite_values_still_parse(self):
+        for path in FLOAT_FIELDS:
+            default = RunConfig()
+            for key in path:
+                default = default[key] if isinstance(key, int) else getattr(default, key)
+            assert config_from_dict(_doc_setting(path, default)) == RunConfig()
+
+    def test_python_built_config_may_hold_infinity(self):
+        assert RunConfig(synth=SynthConfig(snr_db=math.inf)).synth.snr_db == math.inf
 
 
 class TestRunConfigRules:

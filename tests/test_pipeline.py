@@ -22,6 +22,8 @@ import pytest
 from eegdrive import pipeline
 from eegdrive.cli import main
 from eegdrive.config import RunConfig, config_from_dict
+from eegdrive.errors import DataError
+from eegdrive.tensorfile import read_windows
 
 SMALL = {
     "models": ["linear"],
@@ -453,6 +455,15 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "[eval]" in err and "linear_0" in err and "no checkpoint" in err
 
+    def test_infinite_duration_is_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"synth": {"duration_s": Infinity}}')
+        rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "ws")])
+        assert rc == 2
+        assert "config.synth.duration_s: expected a finite number, got inf" in (
+            capsys.readouterr().err
+        )
+
     def test_removed_zero_phase_knob_is_2(self, tmp_path, capsys):
         cfg = _write_cfg(tmp_path, {"filters": {"zero_phase": False}})
         rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "ws")])
@@ -567,6 +578,32 @@ class TestExitCodes:
             f"windows of 16 channels x 100 samples do not fit "
             f"{work}/runs/linear_300/checkpoint.bin"
         ) in err
+
+    def test_interrupted_split_leaves_no_sidecar(self, baseline, tmp_path, monkeypatch, capsys):
+        cfg, out = baseline
+        ws = tmp_path / "ws"
+        shutil.copytree(out, ws)
+        windows = ws / "work" / "synth-0000" / "windows" / "300"
+        replace = os.replace
+
+        def fail_on_the_blob(src, dst):
+            if Path(dst).name == "train.f32":
+                raise OSError("injected")
+            replace(src, dst)
+
+        base = ["--config", str(cfg), "--out", str(ws), "--session", "synth-0000"]
+        monkeypatch.setattr(os, "replace", fail_on_the_blob)
+        with pytest.raises(OSError, match="injected"):
+            main(["split"] + base)
+        monkeypatch.undo()
+        assert sorted(p.name for p in windows.iterdir()) == ["test.f32", "test.json", "train.f32"]
+        with pytest.raises(DataError, match="missing window tensor file .*train.json"):
+            read_windows(windows / "train", 300)
+        assert main(["train"] + base) == 3
+        assert "train.json" in capsys.readouterr().err
+        # the rerun rewrites what the run-all wrote, checkpoints untouched
+        assert main(["split"] + base) == 0
+        assert _tree(ws) == _tree(out)
 
     def test_empty_split_partition_names_its_cause(self, tmp_path, capsys):
         # 20 ms gap breaks: the short test chunks of a 60 s session hold no

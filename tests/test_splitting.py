@@ -3,7 +3,8 @@
 ``TestScalarOracle`` holds the per-window windowing and oversampling loops
 the array code replaced, kept as the ground truth: the index-array gather
 must reproduce their tensors byte for byte, with the same labels in the
-same order.
+same order. ``oracle_chunk_train_counts`` is the looped chunk-head
+allocation the one-pass version replaced.
 """
 
 import collections
@@ -11,14 +12,17 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eegdrive.errors import DataError
 from eegdrive.labels import LabeledSamples
 from eegdrive.session import CommandLabel, EegRecording, N_CLASSES, synthetic_montage
 from eegdrive.splitting import (
+    _FRAC_DENOM,
     SplitConfig,
-    SplitDataset,
     Windows,
+    _chunk_train_counts,
     build_split,
     check_no_leakage,
     extract_windows,
@@ -56,6 +60,47 @@ def _recording_for(labeled, n_channels=2):
         samples=samples,
         sample_rate_hz=125.0,
     )
+
+
+def oracle_chunk_train_counts(sizes: list[int], train_fraction: float) -> list[int]:
+    """Hand the shortfall back one sample at a time, pass after pass over the
+    chunks, until it is gone or no chunk has a test sample left."""
+    num = round(train_fraction * _FRAC_DENOM)
+    counts = [max(1, (m * num) // _FRAC_DENOM) for m in sizes]
+    n = sum(sizes)
+    target = (2 * n * num + _FRAC_DENOM) // (2 * _FRAC_DENOM)  # round half up
+    deficit = target - sum(counts)
+    if deficit > 0:
+        order = sorted(range(len(sizes)),
+                       key=lambda i: (-((sizes[i] * num) % _FRAC_DENOM), i))
+        while deficit > 0:
+            progressed = False
+            for i in order:
+                if deficit == 0:
+                    break
+                if counts[i] < sizes[i]:
+                    counts[i] += 1
+                    deficit -= 1
+                    progressed = True
+            if not progressed:
+                break
+    return counts
+
+
+class TestChunkTrainCounts:
+    @settings(max_examples=1000, deadline=None, derandomize=True)
+    @given(
+        st.lists(st.integers(1, 500), min_size=1, max_size=120),
+        st.floats(1e-6, 1 - 1e-6),
+    )
+    def test_one_pass_matches_the_loop(self, sizes, fraction):
+        got = _chunk_train_counts(np.array(sizes, dtype=np.int64), fraction)
+        assert got.tolist() == oracle_chunk_train_counts(sizes, fraction)
+
+    def test_tiny_chunks_take_the_shortfall(self):
+        # floor(0.7 * 4) = 2 per chunk; round(0.7 * 400) = 280 needs 80 more
+        got = _chunk_train_counts(np.full(100, 4), 0.7)
+        assert got.tolist() == [3] * 80 + [2] * 20
 
 
 class TestStratifiedTemporalSplit:
@@ -274,7 +319,8 @@ class TestScalarOracle:
                 assert data.tobytes() == np.stack([w.data for w in want]).tobytes()
                 assert data.shape == (len(want), n_channels, cfg.window_len)
                 assert labels.tolist() == [int(w.label) for w in want]
-                assert got.start_t_ns.tolist() == [w.start_t_ns for w in want]
+                starts = rec.timestamps[got.src[:, 0]]
+                assert starts.tolist() == [w.start_t_ns for w in want]
                 assert np.array_equal(
                     got.src, np.stack([w.source_indices for w in want])
                 )
@@ -357,15 +403,15 @@ class TestExtractWindows:
         broken = extract_windows(
             labeled, pos, SplitConfig(window_len=50, gap_break_ns=2 * PERIOD_NS)
         )
-        dropped = set(free.start_t_ns.tolist()) - set(broken.start_t_ns.tolist())
+        dropped = set(free.src[:, 0].tolist()) - set(broken.src[:, 0].tolist())
         assert dropped  # the rift-spanning starts are gone
-        for start in broken.start_t_ns:
-            t = t_ns[np.searchsorted(t_ns, start) + np.arange(50)]
+        for start in broken.src[:, 0]:
+            t = t_ns[start + np.arange(50)]  # columns are positions here
             assert int(np.diff(t).max()) <= 2 * PERIOD_NS
 
 
 def _pairs(windows):
-    return list(zip(windows.labels.tolist(), windows.start_t_ns.tolist()))
+    return list(zip(windows.labels.tolist(), windows.src[:, 0].tolist()))
 
 
 class TestOversample:
@@ -386,7 +432,7 @@ class TestOversample:
         for key, cnt in orig.items():
             assert new[key] >= cnt
         # chronological, and each original precedes its duplicates
-        assert np.all(np.diff(balanced.start_t_ns) >= 0)
+        assert np.all(np.diff(balanced.src[:, 0]) >= 0)
 
     def test_deterministic(self):
         rng = np.random.default_rng(8)
@@ -397,9 +443,7 @@ class TestOversample:
         assert _pairs(a) == _pairs(b)
 
     def test_empty_rejected(self):
-        empty = Windows(
-            np.empty((0, 4), np.int64), np.empty(0, np.int64), np.empty(0, np.int64)
-        )
+        empty = Windows(np.empty((0, 4), np.int64), np.empty(0, np.int64))
         with pytest.raises(DataError):
             oversample_train(empty, seed=0)
 
@@ -449,11 +493,27 @@ class TestBuildSplit:
         assert np.array_equal(labels_a, labels_b)
 
     def test_check_no_leakage_raises_on_overlap(self):
-        w = Windows(np.array([[1, 2, 3, 4]]), np.array([0]), np.array([0]))
-        v = Windows(np.array([[4, 5, 6, 7]]), np.array([0]), np.array([99]))
+        w = Windows(np.array([[1, 2, 3, 4]]), np.array([0]))
+        v = Windows(np.array([[4, 5, 6, 7]]), np.array([0]))
         with pytest.raises(DataError, match=r"leakage: 1 shared .*\[4\]"):
-            check_no_leakage(SplitDataset(train=w, test=v))
-        check_no_leakage(SplitDataset(train=w, test=w.take(np.array([], int))))
+            check_no_leakage(w, v)
+        # a shared column that is the last one either partition holds
+        w = Windows(np.array([[3, 5, 7, 12]]), np.array([0]))
+        v = Windows(np.array([[0, 1, 2, 12]]), np.array([0]))
+        with pytest.raises(DataError, match=r"leakage: 1 shared .*\(first: \[12\]\)"):
+            check_no_leakage(w, v)
+        # only the minority window reaches test, and oversampling copies it:
+        # the count is of distinct shared columns, however many copies
+        w = Windows(np.array([[0, 1, 2, 3], [4, 5, 6, 7], [8, 9, 10, 11]]), np.array([0, 0, 1]))
+        train = oversample_train(w, seed=0)
+        assert train.src[:, 0].tolist() == [0, 4, 8, 8]
+        v = Windows(np.array([[10, 11, 12, 13]]), np.array([1]))
+        with pytest.raises(DataError, match=r"leakage: 2 shared .*\(first: \[10, 11\]\)"):
+            check_no_leakage(train, v)
+        check_no_leakage(w.take(np.array([0, 1])), v)
+        # an empty partition shares nothing
+        check_no_leakage(w, w.take(np.array([], int)))
+        check_no_leakage(w.take(np.array([], int)), w)
 
     def test_windows_to_arrays_shapes(self):
         rng = np.random.default_rng(12)

@@ -1,6 +1,8 @@
 """Window tensor container round trips and corruption handling."""
 
 import json
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -59,6 +61,27 @@ def test_wrong_rank_rejected_on_write(tmp_path):
 def test_label_count_mismatch_rejected_on_write(tmp_path):
     with pytest.raises(ValueError, match="labels"):
         write_windows(tmp_path / "w", np.zeros((2, 3, 4)), [0], 0, "train")
+
+
+def test_failed_blob_write_leaves_no_sidecar(tmp_path, monkeypatch):
+    rng = np.random.default_rng(2)
+    data, labels = _sample(rng)
+    bin_path, json_path = write_windows(tmp_path / "w", data, labels, 300, "train")
+    old_blob = bin_path.read_bytes()
+    replace = os.replace
+
+    def fail_on_the_blob(src, dst):
+        if Path(dst) == bin_path:
+            raise OSError("injected")
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", fail_on_the_blob)
+    with pytest.raises(OSError, match="injected"):
+        write_windows(tmp_path / "w", data[:2], labels[:2], 300, "train")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["w.f32"]
+    assert bin_path.read_bytes() == old_blob
+    with pytest.raises(DataError, match="missing window tensor file"):
+        read_windows(tmp_path / "w", 300)
 
 
 class TestReadFailures:

@@ -18,7 +18,8 @@ import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, DataError
+from .ingest import decode_json, non_integers
 from .labels import LabelRule
 from .models import TrainConfig
 from .preprocess import BadChannelCriteria, FilterSpec
@@ -98,14 +99,13 @@ def _coerce(value, typ, path: str):
             raise ConfigError(f"{path}: expected a boolean")
         return value
     if typ is int:
-        # bool is an int subclass; reject it explicitly
-        if isinstance(value, bool) or not isinstance(value, int):
+        if non_integers([value]):
             raise ConfigError(f"{path}: expected an integer")
         return value
     if typ is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{path}: expected a number")
-        # json.loads returns NaN and infinities, and integers beyond float range
+        # JSON decodes NaN and infinities, and integers beyond float range
         if not -sys.float_info.max <= value <= sys.float_info.max:
             raise ConfigError(f"{path}: expected a finite number, got {value}")
         return float(value)
@@ -148,13 +148,9 @@ def load_config(path: Path | None) -> RunConfig:
     if path is None:
         return RunConfig()
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
+        doc = decode_json(Path(path))
+    except DataError as exc:
+        raise ConfigError(str(exc)) from exc
     return config_from_dict(doc)
 
 

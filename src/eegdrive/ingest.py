@@ -7,14 +7,16 @@ simulator adds ``truth_labels.csv``, which no stage reads)::
     eeg.csv          header ``timestamp_ns,<ch1>,...,<chC>``, microvolt samples
     joystick.jsonl   one JSON object per line: {"t_ns": ..., "vx": ..., "wz": ...}
 
-All three must be UTF-8, and each is decoded once (``read_lines``). The
-manifest's channels must form a valid ``session.Montage`` (the fault names
-the channel), and the EEG header must match that montage exactly. The EEG
-body is parsed in one bulk call (``parse_rows``), and the joystick stream in
-one ``json.loads`` call when every line is one flat object, else one line at
-a time; both check only syntax. ``_check_stream`` then applies every stream
-rule to the parsed columns at once and reports the first broken row as
-``path:line``, the line counted only for that row:
+All three must be UTF-8, and each is decoded once: the manifest by
+``decode_json``, the decode of every JSON file but the joystick stream, the
+other two by ``read_lines``. The manifest's channels must form a valid
+``session.Montage`` (the fault names the channel), and the EEG header must
+match that montage exactly. The EEG body is parsed in one bulk call
+(``parse_rows``), and the joystick stream in one ``json.loads`` call when
+every line is one flat object, else one line at a time; both check only
+syntax. ``_check_stream`` then applies every stream rule to the parsed
+columns at once and reports the first broken row as ``path:line``, the line
+counted only for that row:
 
 - timestamps are integers in [0, 2^63) and strictly increase;
 - EEG samples are finite;
@@ -29,7 +31,7 @@ manifest and the EEG, for a stage that needs no joystick stream.
 The writers render numeric CSV rows with numpy (``format_rows``), byte for
 byte as Python's ``%d`` and ``%.6f`` would, render the joystick stream in
 one pass, and write each file through a temp file that replaces it only
-once complete (``write_replacing``).
+once complete (``write_replacing``), as ``write_json`` does.
 """
 
 from __future__ import annotations
@@ -116,6 +118,33 @@ def read_lines(path: Path) -> list[str]:
         raise DataError(f"{path}:{lineno}: not UTF-8: {e}") from e
 
 
+def decode_json(path: Path, what: str = "", header: bytes | None = None):
+    """The JSON document in the file ``path``, or in ``header``, the JSON
+    header bytes of the binary file ``path``. An unreadable file, a byte
+    that is not UTF-8 (placed as ``path:line`` in a JSON file), text that
+    is not JSON or nests too deeply is a DataError naming ``path``, then
+    ``what`` when given."""
+    prefix = f"{what}: " if what else ""
+    try:
+        raw = path.read_bytes() if header is None else header
+        return json.loads(raw.decode("utf-8"))
+    except OSError as e:
+        raise DataError(f"{path}: {prefix}cannot read: {e}") from e
+    except UnicodeDecodeError as e:
+        line = raw.count(b"\n", 0, e.start) + 1
+        where = path if header is not None else f"{path}:{line}"
+        raise DataError(f"{where}: {prefix}not UTF-8: {e}") from e
+    except (ValueError, RecursionError) as e:
+        raise DataError(f"{path}: {prefix}invalid JSON: {e}") from e
+
+
+def non_integers(values: Iterable, lo: float = -math.inf, hi: float = math.inf) -> list:
+    """The entries of decoded JSON ``values`` that are not integers in
+    [lo, hi). A JSON integer decodes to exactly ``int``: bool, an int
+    subclass, is refused, as are float and every other type."""
+    return [v for v in values if type(v) is not int or not lo <= v < hi]
+
+
 def _is_blank_row(line: str) -> bool:
     return line in ("", "\r")
 
@@ -172,14 +201,11 @@ def parse_rows(path: Path, lines: list[str], dtype) -> np.ndarray:
 
 def _parse_manifest(path: Path) -> tuple[dict, Montage, float]:
     """Returns the SessionDir identifier fields, the montage and the rate."""
-    try:
-        raw = json.loads("\n".join(read_lines(path)))
-    except (ValueError, RecursionError) as e:
-        raise DataError(f"{path}: invalid JSON: {e}") from e
+    raw = decode_json(path)
     if not isinstance(raw, dict):
         raise DataError(f"{path}: manifest must be a JSON object")
     version = raw.get("format_version")
-    if type(version) is not int or version != FORMAT_VERSION:
+    if non_integers([version]) or version != FORMAT_VERSION:
         raise DataError(f"{path}: unsupported format_version {version!r}")
     required = {"subject_id", "session_id", "sample_rate_hz", "channels"}
     missing = required - raw.keys()
@@ -353,8 +379,7 @@ def _decode_each_line(path: Path, lines: list[str]) -> tuple[list, np.ndarray]:
             raise DataError(
                 f"{path}:{lineno}: expected a JSON object with t_ns, vx and wz: {e!r}"
             ) from e
-        # bool is an int subclass; a JSON integer parses to exactly int
-        if type(t_ns) is not int:
+        if non_integers([t_ns]):
             raise DataError(
                 f"{path}:{lineno}: t_ns {json.dumps(t_ns)} is not a JSON integer"
             )
@@ -531,6 +556,11 @@ def write_replacing(path: Path, chunks: Iterable[bytes]) -> Path:
         tmp.unlink(missing_ok=True)
         raise
     return path
+
+
+def write_json(path: Path, doc) -> Path:
+    """Write ``doc`` as indented JSON with sorted keys, replacing ``path``."""
+    return write_replacing(path, [(json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()])
 
 
 def _json_numbers(values: np.ndarray) -> list[str]:

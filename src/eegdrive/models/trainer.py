@@ -11,22 +11,20 @@ never runs beside them and training holds one step's arrays at a time.
 
 from __future__ import annotations
 
-import json
-import struct
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from ..errors import DataError, TrainingDiverged
+from ..ingest import non_integers
 from ..session import N_CLASSES
+from ..tensorfile import read_checkpoint, write_checkpoint
 from .nets import (
     ShallowConvNet,
     ShallowConvNetSpec,
     build_model,
     weighted_ce_from_logprobs,
 )
-
-CHECKPOINT_MAGIC = b"EEGDRIV1"
 
 
 def compute_class_weights(counts: np.ndarray) -> np.ndarray:
@@ -175,9 +173,8 @@ def predict(model, params: dict[str, np.ndarray], data: np.ndarray,
 
 def save_checkpoint(path, model, params: dict[str, np.ndarray],
                     extra: dict | None = None) -> None:
-    """Single-file format: magic, u32 header length, JSON header, then the
-    tensors little-endian in header order."""
-    names = sorted(params)
+    """Write ``params`` as a ``tensorfile`` checkpoint whose header
+    describes ``model``."""
     spec = asdict(model.spec) if isinstance(model, ShallowConvNet) else None
     header = {
         "model": model.name,
@@ -185,74 +182,50 @@ def save_checkpoint(path, model, params: dict[str, np.ndarray],
         "n_samples": model.n_samples,
         "n_classes": N_CLASSES,
         "spec": spec,
-        "tensors": [
-            {"name": k, "shape": list(params[k].shape),
-             "dtype": str(params[k].dtype)}
-            for k in names
-        ],
         "extra": extra or {},
     }
-    blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        for k in names:
-            fh.write(np.ascontiguousarray(params[k]).astype(
-                params[k].dtype.newbyteorder("<"), copy=False).tobytes())
+    write_checkpoint(path, header, params)
+
+
+def _param_shapes(c, s, spec: ShallowConvNetSpec | None) -> dict[str, tuple]:
+    """The tensor shapes of a linear model (``spec`` None) or a
+    ShallowConvNet over ``c`` channels and ``s`` samples, worked out by
+    arithmetic: nothing is built or allocated, however large the sizes."""
+    if non_integers([c, s], 1):
+        raise ValueError(f"n_channels {c!r} and n_samples {s!r} must be positive integers")
+    if spec is None:
+        return {"w": (N_CLASSES, c * s), "b": (N_CLASSES,)}
+    f, k, g = spec.n_temporal_filters, spec.temporal_kernel, spec.n_spatial_filters
+    if non_integers([f, k, g, spec.pool_len, spec.pool_stride]):
+        raise ValueError(f"spec sizes must be integers, got {spec}")
+    return {
+        "w_temporal": (f, k),
+        "b_temporal": (f,),
+        "w_spatial": (g, f, c),
+        "b_spatial": (g,),
+        "w_dense": (N_CLASSES, g * spec.n_frames(s)),
+        "b_dense": (N_CLASSES,),
+    }
 
 
 def load_checkpoint(path):
     """Returns (model, params, header).
 
-    A missing, truncated or malformed file raises ``DataError`` naming it,
-    as does a header whose class count is not N_CLASSES or whose tensor
-    names and shapes differ from those of the model it describes.
+    Besides what ``read_checkpoint`` rejects, a header whose class count is
+    not N_CLASSES, or whose tensor names and shapes differ from those its
+    model's sizes work out to, is a DataError naming the file. The model is
+    built only once they agree.
     """
+    header, params = read_checkpoint(path)
     try:
-        fh = open(path, "rb")
-    except FileNotFoundError as e:
-        raise DataError(
-            f"{path}: no checkpoint; train this model at this horizon first"
-        ) from e
-    except OSError as e:
-        raise DataError(f"{path}: cannot read checkpoint: {e}") from e
-    with fh:
-        magic = fh.read(len(CHECKPOINT_MAGIC))
-        if magic != CHECKPOINT_MAGIC:
-            raise DataError(f"{path}: not a model checkpoint")
-        try:
-            (hlen,) = struct.unpack("<I", fh.read(4))
-            header = json.loads(fh.read(hlen).decode("utf-8"))
-            params: dict[str, np.ndarray] = {}
-            for t in header["tensors"]:
-                dt = np.dtype(t["dtype"]).newbyteorder("<")
-                count = int(np.prod(t["shape"], dtype=np.int64)) if t["shape"] else 1
-                raw = fh.read(count * dt.itemsize)
-                if len(raw) != count * dt.itemsize:
-                    raise DataError(f"{path}: truncated tensor {t['name']!r}")
-                arr = np.frombuffer(raw, dtype=dt).reshape(t["shape"])
-                params[t["name"]] = arr.astype(arr.dtype.newbyteorder("="))
-            n_classes = header["n_classes"]
-            if n_classes != N_CLASSES:
-                raise DataError(f"{path}: n_classes is {n_classes!r}, not {N_CLASSES}")
-            spec = header["spec"]
-            model = build_model(
-                header["model"],
-                header["n_channels"],
-                header["n_samples"],
-                ShallowConvNetSpec(**spec) if spec else None,
-            )
-            shapes = {k: v.shape for k, v in model.init_params(0).items()}
-        except (struct.error, ValueError, KeyError, TypeError) as e:
-            # ValueError covers UnicodeDecodeError and JSONDecodeError
-            raise DataError(
-                f"{path}: corrupt checkpoint header: {type(e).__name__}: {e}"
-            ) from e
-        trailing = fh.read(1)
-        if trailing:
-            raise DataError(f"{path}: trailing bytes after tensor data")
-    found = {k: v.shape for k, v in params.items()}
-    if found != shapes:
-        raise DataError(f"{path}: tensors {found} do not fit the header's model")
+        if header["n_classes"] != N_CLASSES:
+            raise DataError(f"{path}: n_classes is {header['n_classes']!r}, not {N_CLASSES}")
+        name, c, s = header["model"], header["n_channels"], header["n_samples"]
+        spec = None if name == "linear" else ShallowConvNetSpec(**header["spec"])
+        found = {k: v.shape for k, v in params.items()}
+        if found != _param_shapes(c, s, spec):
+            raise DataError(f"{path}: tensors {found} do not fit the header's model")
+        model = build_model(name, c, s, spec)
+    except (ValueError, KeyError, TypeError) as e:
+        raise DataError(f"{path}: corrupt checkpoint header: {type(e).__name__}: {e}") from e
     return model, params, header

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import ctypes
 import dataclasses
-import json
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
@@ -36,7 +35,8 @@ import numpy as np
 
 from .config import RunConfig, derive_seed
 from .errors import ConfigError, DataError, EegDriveError
-from .ingest import SessionDir, load_recording, load_session, write_replacing, write_session_dir
+from .ingest import SessionDir, decode_json, load_recording, load_session, non_integers
+from .ingest import write_json, write_replacing, write_session_dir
 from .labels import label_at_horizon, read_labels_csv, write_labels_csv
 from .metrics import confusion_matrix, metrics_from_confusion
 from .models import (
@@ -181,9 +181,7 @@ def stage_preprocess(cfg: RunConfig, ws: Workspace, session_id: str) -> Path:
         cleaned, report = preprocess_session(session.eeg, cfg.filters, cfg.bad_channels)
         out_dir = ws.preprocessed_dir(session_id)
         write_session_dir(out_dir, dataclasses.replace(session, eeg=cleaned))
-        ws.preprocess_report(session_id).write_text(
-            json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
-        )
+        write_json(ws.preprocess_report(session_id), report.to_dict())
         return out_dir
 
 
@@ -255,9 +253,7 @@ def stage_split(cfg: RunConfig, ws: Workspace, session_id: str) -> None:
                     ds.test.labels, minlength=N_CLASSES
                 ).tolist(),
             }
-            write_replacing(
-                stats_path, [(json.dumps(stats, indent=2, sort_keys=True) + "\n").encode()]
-            )
+            write_json(stats_path, stats)
 
 
 # ------------------------------------------------------------------ train
@@ -265,15 +261,12 @@ def stage_split(cfg: RunConfig, ws: Workspace, session_id: str) -> None:
 
 def _read_split_stats(path: Path) -> np.ndarray:
     """The pre-oversampling train window counts per class of a split."""
-    try:
-        doc = json.loads(path.read_text())
-    except (OSError, ValueError) as exc:  # ValueError covers bad JSON and UTF-8
-        raise DataError(f"{path}: cannot read split stats: {exc}") from exc
+    doc = decode_json(path, "cannot read split stats")
     counts = doc.get("pre_oversample_counts") if isinstance(doc, dict) else None
     if not (
         isinstance(counts, list)
         and len(counts) == N_CLASSES
-        and all(type(v) is int and 0 <= v < 2**63 for v in counts)
+        and not non_integers(counts, 0, 2**63)
         and any(counts)
     ):
         raise DataError(
@@ -314,7 +307,7 @@ def stage_train(
         loss_lines += [
             f"{i},{format(loss, '.12g')}" for i, loss in enumerate(result.epoch_losses)
         ]
-        (run_dir / LOSS_FILE).write_text("\n".join(loss_lines) + "\n")
+        write_replacing(run_dir / LOSS_FILE, [("\n".join(loss_lines) + "\n").encode()])
         return ckpt
 
 

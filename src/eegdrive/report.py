@@ -7,13 +7,13 @@ is assembled from literal strings with no library in the loop.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DataError
+from .ingest import decode_json, non_integers, write_json, write_replacing
 from .metrics import EvalResult, mean_and_std, metrics_from_confusion
 from .session import N_CLASSES
 
@@ -60,30 +60,26 @@ def write_run_score(path: Path, score: RunScore) -> None:
         "run_id": score.run_id,
         "confusion": score.result.confusion.tolist(),
     }
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    write_json(path, doc)
 
 
 def read_run_score(path: Path) -> RunScore:
     """Read one score: ``confusion`` must be N_CLASSES x N_CLASSES
     non-negative JSON integers and ``horizon_ms`` a JSON integer."""
-    try:
-        doc = json.loads(path.read_text())
-    except (OSError, ValueError) as exc:
-        # ValueError covers JSONDecodeError and UnicodeDecodeError
-        raise DataError(f"{path}: cannot read run score: {exc}") from exc
+    doc = decode_json(path, "cannot read run score")
     try:
         rows, horizon = doc["confusion"], doc["horizon_ms"]
         model, run_id = str(doc["model"]), str(doc["run_id"])
     except (KeyError, TypeError) as exc:
         raise DataError(f"{path}: malformed run score: {exc!r}") from exc
-    if type(horizon) is not int:  # bool and float refused
+    if non_integers([horizon]):
         raise DataError(f"{path}: horizon_ms must be a JSON integer, got {horizon!r}")
     square = isinstance(rows, list) and len(rows) == N_CLASSES and all(
         isinstance(row, list) and len(row) == N_CLASSES for row in rows
     )
     if not square:
         raise DataError(f"{path}: confusion must be a {N_CLASSES}x{N_CLASSES} list of rows")
-    bad = [v for row in rows for v in row if type(v) is not int or v < 0]
+    bad = non_integers((v for row in rows for v in row), 0)
     if bad:
         raise DataError(
             f"{path}: confusion counts must be non-negative JSON integers, got {bad[0]!r}"
@@ -111,7 +107,7 @@ def write_metrics_csv(path: Path, runs: list[RunScore]) -> None:
             lines.append(
                 f"{run.model},{run.horizon_ms},{run.run_id},{name},{_fmt(run.metric(name))}"
             )
-    path.write_text("\n".join(lines) + "\n")
+    write_replacing(path, [("\n".join(lines) + "\n").encode()])
 
 
 def write_summary_csv(path: Path, runs: list[RunScore]) -> None:
@@ -129,7 +125,7 @@ def write_summary_csv(path: Path, runs: list[RunScore]) -> None:
             lines.append(
                 f"{model},{horizon},{len(group)},{name},{_fmt(mean)},{_fmt(std)}"
             )
-    path.write_text("\n".join(lines) + "\n")
+    write_replacing(path, [("\n".join(lines) + "\n").encode()])
 
 
 def confusion_csv_name(model: str, horizon_ms: int) -> str:
@@ -150,7 +146,7 @@ def write_confusion_csvs(out_dir: Path, runs: list[RunScore]) -> list[Path]:
         for i in range(N_CLASSES):
             lines.append(f"{i}," + ",".join(str(int(v)) for v in cm[i]))
         path = out_dir / confusion_csv_name(model, horizon)
-        path.write_text("\n".join(lines) + "\n")
+        write_replacing(path, [("\n".join(lines) + "\n").encode()])
         written.append(path)
     return written
 
@@ -242,7 +238,7 @@ def write_f1_svg(path: Path, runs: list[RunScore]) -> None:
         parts.append(f'<text x="{ax_r - 84}" y="{ly + 4}">{model}</text>')
 
     parts.append("</svg>")
-    path.write_text("\n".join(parts) + "\n")
+    write_replacing(path, [("\n".join(parts) + "\n").encode()])
 
 
 def emit_report(runs: list[RunScore], out_dir: Path) -> list[Path]:

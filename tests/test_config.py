@@ -9,6 +9,7 @@ import typing
 
 import pytest
 
+from eegdrive.cli import main
 from eegdrive.config import (
     RunConfig,
     config_from_dict,
@@ -68,6 +69,19 @@ class TestRoundTrip:
         p.write_text("{")
         with pytest.raises(ConfigError, match="invalid JSON"):
             load_config(p)
+
+    @pytest.mark.parametrize("raw, rule", [
+        (b'{"seed": 3, "synth": {"session_id": "s\xe9"}}', "c.json:1: not UTF-8"),
+        (b"[" * 200_000, "c.json: invalid JSON: maximum recursion depth exceeded"),
+    ], ids=["not-utf8", "nested-200000"])
+    def test_undecodable_config_is_a_config_error(self, tmp_path, capsys, raw, rule):
+        p = tmp_path / "c.json"
+        p.write_bytes(raw)
+        with pytest.raises(ConfigError, match=re.escape(rule)):
+            load_config(p)
+        rc = main(["simulate", "--config", str(p), "--out", str(tmp_path / "ws")])
+        assert rc == 2
+        assert rule in capsys.readouterr().err
 
 
 class TestStrictness:

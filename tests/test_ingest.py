@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
-from eegdrive import ingest
+from eegdrive import ingest, pipeline
 from eegdrive.errors import DataError
 from eegdrive.ingest import (
     EEG_NAME,
@@ -21,10 +21,21 @@ from eegdrive.ingest import (
     align_nearest,
     format_rows,
     load_session,
+    write_json,
     write_session_dir,
 )
-from eegdrive.labels import LabelRule
+from eegdrive.labels import LabeledSamples, LabelRule, read_labels_csv, write_labels_csv
+from eegdrive.metrics import metrics_from_confusion
+from eegdrive.models import (
+    LinearSoftmax,
+    ShallowConvNet,
+    ShallowConvNetSpec,
+    load_checkpoint,
+    save_checkpoint,
+)
+from eegdrive.report import RunScore, read_run_score, write_run_score
 from eegdrive.session import EegRecording, JoystickStream, synthetic_montage
+from eegdrive.tensorfile import read_windows, write_windows
 from tracemem import peak_traced
 
 
@@ -422,46 +433,123 @@ class TestSessionDirIO:
             load_session(root)
 
 
+#: the recording timestamps the labels file of TestReadersUnderCorruption
+#: is read against
+_LABEL_TS = np.arange(8, dtype=np.int64) * 8_000_000
+_WINDOWS = ("w.f32", "w.json")
+_CHECKPOINTS = ("linear.bin", "shallow.bin")
+
+
+def _read(root: Path, name: str):
+    """Read ``name`` under ``root`` as its stage does."""
+    if name in (MANIFEST_NAME, EEG_NAME, JOYSTICK_NAME):
+        return load_session(root)
+    if name in _WINDOWS:
+        return read_windows(root / "w", 300)
+    if name in _CHECKPOINTS:
+        return load_checkpoint(root / name)
+    if name == "split_stats.json":
+        return pipeline._read_split_stats(root / name)
+    if name == "score.json":
+        return read_run_score(root / name)
+    return read_labels_csv(root / name, _LABEL_TS)
+
+
+def _with_header(edit):
+    """A pinned input: the linear checkpoint with its JSON header replaced by
+    ``edit(header)``, text or a document, and the length prefix to match."""
+    def pin(files):
+        blob = files["linear.bin"]
+        n = int.from_bytes(blob[8:12], "little")
+        header = edit(json.loads(blob[12 : 12 + n]))
+        raw = (header if isinstance(header, str) else json.dumps(header)).encode()
+        return {"linear.bin": blob[:8] + len(raw).to_bytes(4, "little") + raw + blob[12 + n :]}
+    return pin
+
+
+def _first_tensor_shape(shape):
+    return _with_header(lambda h: {**h, "tensors": [{**h["tensors"][0], "shape": shape}]
+                                   + h["tensors"][1:]})
+
+
+def _pin(name, pinned):
+    return example(name=name, mutation="truncate", where=0.0, byte=0, text="", pinned=pinned)
+
+
+_DEEP = "[" * 200_000
+
+
 class TestReadersUnderCorruption:
-    """Whatever happens to one session file, ``load_session`` either returns
-    or raises ``DataError``: no other exception escapes."""
+    """Whatever happens to one session or workspace file, its reader either
+    returns or raises ``DataError``: no other exception escapes."""
 
     @pytest.fixture(scope="class")
     def files(self, tmp_path_factory):
         root = write_session_dir(
             tmp_path_factory.mktemp("clean") / "sess", _toy_session(n_samples=30)
         )
-        return {name: (root / name).read_bytes()
-                for name in (MANIFEST_NAME, EEG_NAME, JOYSTICK_NAME)}
+        rng = np.random.default_rng(4)
+        write_windows(root / "w", rng.standard_normal((3, 2, 5)), [0, 1, 4], 300, "train")
+        write_json(root / "split_stats.json",
+                   {"delta_ms": 300, "pre_oversample_counts": [3, 1, 0, 2, 4], "n_train": 10})
+        confusion = metrics_from_confusion(np.arange(25).reshape(5, 5))
+        write_run_score(root / "score.json", RunScore("linear", 300, "sess-a", confusion))
+        for name, model in (
+            ("linear.bin", LinearSoftmax(2, 5)),
+            ("shallow.bin", ShallowConvNet(2, 12, ShallowConvNetSpec(2, 3, 2, 4, 2))),
+        ):
+            save_checkpoint(root / name, model, model.init_params(0), extra={"delta_ms": 300})
+        write_labels_csv(root / "labels.csv", LabeledSamples(
+            indices=np.arange(2, 6), t_ns=_LABEL_TS[2:6], labels=np.array([0, 1, 2, 4]),
+        ))
+        return {p.name: p.read_bytes() for p in root.iterdir()}
 
     @seed(20261018)
     @settings(
         derandomize=True,
-        max_examples=300,
+        max_examples=600,
         deadline=None,
     )
     @given(
-        name=st.sampled_from([MANIFEST_NAME, EEG_NAME, JOYSTICK_NAME]),
+        name=st.sampled_from([MANIFEST_NAME, EEG_NAME, JOYSTICK_NAME, *_WINDOWS,
+                              "split_stats.json", "score.json", *_CHECKPOINTS, "labels.csv"]),
         mutation=st.sampled_from(["truncate", "byte", "line"]),
         where=st.floats(0.0, 1.0, exclude_max=True),
         byte=st.integers(0, 255),
         text=st.text(max_size=40),
+        pinned=st.none(),
     )
-    def test_only_data_error_escapes(self, files, name, mutation, where, byte, text):
-        blob = bytearray(files[name])
-        if mutation == "truncate":
-            blob = blob[: int(where * len(blob))]
-        elif mutation == "byte":
-            blob[int(where * len(blob))] = byte
+    # whole-file inputs measured to escape as RecursionError, OverflowError,
+    # MemoryError or ValueError before the readers checked them
+    @_pin("w.json", lambda files: {"w.json": _DEEP.encode()})
+    @_pin("split_stats.json", lambda files: {"split_stats.json": _DEEP.encode()})
+    @_pin("score.json", lambda files: {"score.json": _DEEP.encode()})
+    @_pin("linear.bin", _with_header(lambda h: _DEEP))
+    @_pin("linear.bin", _first_tensor_shape([10**20]))
+    @_pin("linear.bin", _first_tensor_shape([2**40]))
+    @_pin("linear.bin", _with_header(lambda h: {**h, "n_channels": 10**5, "n_samples": 10**5}))
+    @_pin("w.json", lambda files: {"w.f32": b"", "w.json": json.dumps(
+        {**json.loads(files["w.json"]), "shape": [0, 10**30, 10**30], "labels": []}).encode()})
+    def test_only_data_error_escapes(self, files, name, mutation, where, byte, text, pinned):
+        files = dict(files)
+        if pinned is not None:
+            files.update(pinned(files))
         else:
-            lines = bytes(blob).split(b"\n")
-            lines[int(where * len(lines))] = text.encode("utf-8")
-            blob = bytearray(b"\n".join(lines))
+            blob = bytearray(files[name])
+            if mutation == "truncate":
+                blob = blob[: int(where * len(blob))]
+            elif mutation == "byte":
+                blob[int(where * len(blob))] = byte
+            else:
+                lines = bytes(blob).split(b"\n")
+                lines[int(where * len(lines))] = text.encode("utf-8")
+                blob = bytearray(b"\n".join(lines))
+            files[name] = bytes(blob)
         with tempfile.TemporaryDirectory() as tmp:
             root = Path(tmp)
             for other, content in files.items():
-                (root / other).write_bytes(bytes(blob) if other == name else content)
+                (root / other).write_bytes(content)
             try:
-                load_session(root)
+                _read(root, name)
             except DataError:
                 pass

@@ -574,8 +574,12 @@ class TestCheckpoint:
             lambda blob: blob.replace(b"{", b"#", 1),  # header not JSON
             lambda blob: blob.replace(b'"tensors"', b'"tensorz"', 1),  # key missing
             lambda blob: blob.replace(b'"float32"', b'"object" ', 1),  # no buffer dtype
+            lambda blob: blob.replace(b'"name": "b"', b'"name": [1]', 1),  # unhashable name
+            lambda blob: blob.replace(b'"shape": [5]', b'"shape": [0]', 1),  # empty dim
+            lambda blob: blob[:8] + b"\xff\xff\xff\x7f" + blob[12:],  # header past the end
         ],
-        ids=["short-prefix", "not-utf8", "not-json", "missing-key", "object-dtype"],
+        ids=["short-prefix", "not-utf8", "not-json", "missing-key", "object-dtype",
+             "list-name", "zero-dim", "length-past-end"],
     )
     def test_corrupt_header_names_path(self, tmp_path, mangle):
         model = LinearSoftmax(2, 10)

@@ -605,6 +605,52 @@ class TestExitCodes:
         assert main(["split"] + base) == 0
         assert _tree(ws) == _tree(out)
 
+    def test_eval_on_zero_test_windows_is_3(self, baseline, tmp_path, capsys):
+        # the split stage never writes an empty partition, so none is read
+        cfg, out = baseline
+        ws = tmp_path / "ws"
+        shutil.copytree(out, ws)
+        base = ws / "work" / "synth-0000" / "windows" / "300" / "test"
+        sidecar = json.loads(base.with_suffix(".json").read_text())
+        base.with_suffix(".json").write_text(
+            json.dumps({**sidecar, "shape": [0, 16, 125], "labels": []})
+        )
+        base.with_suffix(".f32").write_bytes(b"")
+        rc = main(["eval", "--config", str(cfg), "--out", str(ws), "--session", "synth-0000"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert f"{base}.json: shape must have 3 dims, each at least 1, got [0, 16, 125]" in err
+
+    @pytest.mark.parametrize("command, name", [("eval", "score.json"), ("train", "checkpoint.bin")])
+    def test_interrupted_write_keeps_the_old_file(
+        self, baseline, tmp_path, monkeypatch, command, name
+    ):
+        cfg, out = baseline
+        ws = tmp_path / "ws"
+        shutil.copytree(out, ws)
+        run = ws / "work" / "synth-0000" / "runs" / "linear_300"
+        old = (run / name).read_bytes()
+        # another seed trains another model, so the rewrite has new bytes
+        cfg = _write_cfg(tmp_path, dict(SMALL, seed=1, train={"epochs": 1}))
+        args = [command, "--config", str(cfg), "--out", str(ws), "--session", "synth-0000"]
+        if command == "eval":
+            assert main(["train"] + args[1:]) == 0
+        replace = os.replace
+
+        def fail_on(src, dst):
+            if Path(dst).name == name:
+                raise OSError("injected")
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", fail_on)
+        with pytest.raises(OSError, match="injected"):
+            main(args)
+        monkeypatch.undo()
+        assert (run / name).read_bytes() == old
+        assert not list(run.glob("*.tmp"))
+        assert main(args) == 0
+        assert (run / name).read_bytes() != old
+
     def test_empty_split_partition_names_its_cause(self, tmp_path, capsys):
         # 20 ms gap breaks: the short test chunks of a 60 s session hold no
         # gap-free run of one window, so every test window is dropped
@@ -652,6 +698,51 @@ def test_cli_run_imports_no_scipy(tmp_path):
     out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                          text=True, timeout=300, check=True).stdout
     assert out.splitlines()[-1] == "0 []"
+
+
+def _owned_calls(tree):
+    """(innermost enclosing function name or None, call) for every call in a
+    module."""
+    owner = {}
+    for fn in ast.walk(tree):  # breadth first: an inner function comes later
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(fn):
+                owner[node] = fn.name
+    return [(owner.get(node), node) for node in ast.walk(tree) if isinstance(node, ast.Call)]
+
+
+def _opens_for_writing(call) -> bool:
+    """Whether a call is ``open(path, mode)`` or ``path.open(mode)`` with a
+    mode that may write, or one that cannot be read off the source."""
+    func = call.func
+    if isinstance(func, ast.Name) and func.id == "open":
+        mode = call.args[1] if len(call.args) > 1 else None
+    elif isinstance(func, ast.Attribute) and func.attr == "open":
+        mode = call.args[0] if call.args else None
+    else:
+        return False
+    mode = next((k.value for k in call.keywords if k.arg == "mode"), mode)
+    if mode is None:
+        return False  # reading
+    return not (isinstance(mode, ast.Constant) and not set("wax+") & set(str(mode.value)))
+
+
+def test_src_writes_and_decodes_json_in_one_place_each():
+    """Every file under src/ is written through ingest.write_replacing, and
+    JSON text is decoded by ingest.decode_json and the two joystick-stream
+    decoders only."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    json_decoders = {"decode_json", "_decode_flat_lines", "_decode_each_line"}
+    hits = []
+    for path in sorted(src.rglob("*.py")):
+        for fn, call in _owned_calls(ast.parse(path.read_text())):
+            func = call.func
+            attr = func.attr if isinstance(func, ast.Attribute) else None
+            writes = attr in ("write_text", "write_bytes") or _opens_for_writing(call)
+            decodes = attr in ("loads", "load") and getattr(func.value, "id", None) == "json"
+            if (writes and fn != "write_replacing") or (decodes and fn not in json_decoders):
+                hits.append(f"{path.relative_to(src)}:{call.lineno}: in {fn}: {ast.unparse(call)[:60]}")
+    assert hits == []
 
 
 def test_workspace_ignores_the_blas_environment(tmp_path):

@@ -21,13 +21,11 @@ from pathlib import Path
 from .errors import ConfigError, DataError
 from .ingest import decode_json, non_integers
 from .labels import LabelRule
-from .models import TrainConfig
+from .models import KNOWN_MODELS, TrainConfig
 from .preprocess import BadChannelCriteria, FilterSpec
 from .session import HORIZONS_MS
 from .splitting import SplitConfig
 from .synth import SynthConfig
-
-KNOWN_MODELS = ("linear", "shallow")
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Classifiers and the training loop."""
 
 from .nets import (
+    KNOWN_MODELS,
     LOG_FLOOR,
     LinearSoftmax,
     ShallowConvNet,
@@ -21,6 +22,7 @@ from .trainer import (
 )
 
 __all__ = [
+    "KNOWN_MODELS",
     "LOG_FLOOR",
     "LinearSoftmax",
     "ShallowConvNet",

@@ -12,9 +12,10 @@ The im2col is built from the batch transposed once to time-major
 floats, copied in one pass, so its columns run in (k, c) order and the
 effective kernel is laid out (G, K, C) to match. Folding the two stages
 into that kernel, and unfolding its gradient back onto them, are each one
-matrix product. Mean pooling is a matrix product too, by one fixed
-averaging matrix built with the net; its backward pass is the product by
-the same matrix (times the 2 of d(z^2)/dz).
+matrix product. Mean pooling is a matrix product too, by an averaging
+matrix each forward pass builds at the batch's dtype, so building a net
+allocates nothing sized by the window; the backward pass is the product by
+the cached matrix (times the 2 of d(z^2)/dz).
 
 Training runs in float32. Passing float64 parameters and inputs switches
 the whole computation to float64, which is what the finite-difference
@@ -28,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from ..ingest import non_integers
 from ..session import N_CLASSES
 
 LOG_FLOOR = 1e-6  # clamp below this before the log nonlinearity
@@ -65,9 +67,19 @@ def _ce_dlogits(
     return d * w[:, None]
 
 
-def _glorot(rng: np.random.Generator, shape, fan_in: int, fan_out: int, dtype):
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape).astype(dtype)
+def _init_params(shapes: dict[str, tuple[int, ...]], fans: dict[str, tuple[int, int]],
+                 seed, dtype) -> dict[str, np.ndarray]:
+    """Glorot-uniform draws for the tensors ``fans`` maps to (fan_in,
+    fan_out), taken from one stream in ``shapes`` order; zeros for the rest."""
+    rng = np.random.default_rng(seed)
+    params = {}
+    for name, shape in shapes.items():
+        if name in fans:
+            limit = np.sqrt(6.0 / sum(fans[name]))
+            params[name] = rng.uniform(-limit, limit, size=shape).astype(dtype)
+        else:
+            params[name] = np.zeros(shape, dtype=dtype)
+    return params
 
 
 def _dropout_mask(shape, p: float, key: int, step: int, dtype) -> np.ndarray:
@@ -81,19 +93,19 @@ class LinearSoftmax:
     """Flatten -> affine -> softmax. The distance-to-beat baseline."""
 
     name = "linear"
+    spec = None
 
     def __init__(self, n_channels: int, n_samples: int):
         self.n_channels = n_channels
         self.n_samples = n_samples
         self.n_features = n_channels * n_samples
 
+    def param_shapes(self) -> dict[str, tuple[int, ...]]:
+        return {"w": (N_CLASSES, self.n_features), "b": (N_CLASSES,)}
+
     def init_params(self, seed: int, dtype=np.float32) -> dict[str, np.ndarray]:
-        rng = np.random.default_rng(seed)
-        return {
-            "w": _glorot(rng, (N_CLASSES, self.n_features),
-                         self.n_features, N_CLASSES, dtype),
-            "b": np.zeros(N_CLASSES, dtype=dtype),
-        }
+        fans = {"w": (self.n_features, N_CLASSES)}
+        return _init_params(self.param_shapes(), fans, seed, dtype)
 
     def forward(
         self,
@@ -132,9 +144,10 @@ class ShallowConvNetSpec:
     dropout_p: float = 0.5
 
     def __post_init__(self):
-        if min(self.n_temporal_filters, self.temporal_kernel,
-               self.n_spatial_filters, self.pool_len, self.pool_stride) < 1:
-            raise ValueError("all architecture constants must be >= 1")
+        sizes = [self.n_temporal_filters, self.temporal_kernel,
+                 self.n_spatial_filters, self.pool_len, self.pool_stride]
+        if non_integers(sizes, 1):
+            raise ValueError(f"architecture sizes must be integers >= 1, got {self}")
         if not (0.0 <= self.dropout_p < 1.0):
             raise ValueError("dropout_p must lie in [0, 1)")
 
@@ -169,27 +182,28 @@ class ShallowConvNet:
         self.conv_len = self.spec.conv_len(n_samples)
         self.n_frames = self.spec.n_frames(n_samples)
         self.n_features = self.spec.n_spatial_filters * self.n_frames
-        # (conv_len, n_frames) mean pool: column f holds 1 / pool_len on
-        # conv frames [f * pool_stride, f * pool_stride + pool_len)
-        s = self.spec
-        rows = np.arange(self.conv_len)[:, None]
-        starts = np.arange(self.n_frames) * s.pool_stride
-        self.pool = ((rows >= starts) & (rows < starts + s.pool_len)) / s.pool_len
+
+    def param_shapes(self) -> dict[str, tuple[int, ...]]:
+        s, c = self.spec, self.n_channels
+        f, k, g = s.n_temporal_filters, s.temporal_kernel, s.n_spatial_filters
+        return {
+            "w_temporal": (f, k),
+            "b_temporal": (f,),
+            "w_spatial": (g, f, c),
+            "b_spatial": (g,),
+            "w_dense": (N_CLASSES, self.n_features),
+            "b_dense": (N_CLASSES,),
+        }
 
     def init_params(self, seed: int, dtype=np.float32) -> dict[str, np.ndarray]:
-        s = self.spec
-        rng = np.random.default_rng(seed)
-        k, c = s.temporal_kernel, self.n_channels
-        f, g = s.n_temporal_filters, s.n_spatial_filters
-        return {
-            "w_temporal": _glorot(rng, (f, k), k, f * k, dtype),
-            "b_temporal": np.zeros(f, dtype=dtype),
-            "w_spatial": _glorot(rng, (g, f, c), f * c, g * c, dtype),
-            "b_spatial": np.zeros(g, dtype=dtype),
-            "w_dense": _glorot(rng, (N_CLASSES, self.n_features),
-                               self.n_features, N_CLASSES, dtype),
-            "b_dense": np.zeros(N_CLASSES, dtype=dtype),
+        s, c = self.spec, self.n_channels
+        f, k, g = s.n_temporal_filters, s.temporal_kernel, s.n_spatial_filters
+        fans = {
+            "w_temporal": (k, f * k),
+            "w_spatial": (f * c, g * c),
+            "w_dense": (self.n_features, N_CLASSES),
         }
+        return _init_params(self.param_shapes(), fans, seed, dtype)
 
     def _windowed(self, x: np.ndarray) -> np.ndarray:
         """(B, C, S) -> contiguous (B * conv_len, K * C), columns in (k, c)
@@ -229,7 +243,12 @@ class ShallowConvNet:
         w_eff, b_eff = self._effective_kernel(params)
         z = xw @ w_eff.T  # (B * L, G)
         z += b_eff
-        pool = self.pool.astype(x.dtype, copy=False)
+        # (L, P) mean pool: column f holds 1 / pool_len on conv frames
+        # [f * pool_stride, f * pool_stride + pool_len)
+        rows = np.arange(l)[:, None]
+        starts = np.arange(p) * s.pool_stride
+        window = (rows >= starts) & (rows < starts + s.pool_len)
+        pool = window * np.asarray(1.0 / s.pool_len, dtype=x.dtype)
         pooled = (pool.T @ (z * z).reshape(b, l, g)).transpose(0, 2, 1)  # (B, G, P)
         logf = np.log(np.maximum(pooled, LOG_FLOOR))
         if train_mode and s.dropout_p > 0.0:
@@ -243,7 +262,7 @@ class ShallowConvNet:
         logp = log_softmax(logits)
         probs = np.exp(logp)
         return probs, {
-            "xw": xw, "z": z, "pooled": pooled, "mask": mask,
+            "xw": xw, "z": z, "pool": pool, "pooled": pooled, "mask": mask,
             "flat": flat, "logp": logp, "probs": probs,
         }
 
@@ -267,7 +286,7 @@ class ShallowConvNet:
             dh = dh * cache["mask"]
         # log(max(u, floor)): zero slope on the clamped flat
         dpooled = dh * (pooled > LOG_FLOOR) / np.maximum(pooled, LOG_FLOOR)
-        pool2 = (2.0 * self.pool).astype(z.dtype)  # d(z^2)/dz = 2z
+        pool2 = 2.0 * cache["pool"]  # d(z^2)/dz = 2z
         dsq = pool2 @ dpooled.transpose(0, 2, 1)  # (B, L, G)
         dz = dsq.reshape(z.shape)  # (B * L, G)
         dz *= z
@@ -289,11 +308,19 @@ class ShallowConvNet:
         return grads
 
 
+KNOWN_MODELS = (LinearSoftmax.name, ShallowConvNet.name)
+
+
 def build_model(name: str, n_channels: int, n_samples: int,
                 spec: ShallowConvNetSpec | None = None):
-    if name == "linear":
+    """The model called ``name`` over windows of ``n_channels`` x
+    ``n_samples``; ``spec`` sets a ShallowConvNet's architecture."""
+    if non_integers([n_channels, n_samples], 1):
+        raise ValueError(f"n_channels {n_channels!r} and n_samples {n_samples!r} "
+                         "must be positive integers")
+    if name == LinearSoftmax.name:
         return LinearSoftmax(n_channels, n_samples)
-    if name == "shallow":
+    if name == ShallowConvNet.name:
         return ShallowConvNet(n_channels, n_samples, spec)
     raise ValueError(f"unknown model {name!r} (expected 'linear' or 'shallow')")
 

@@ -16,15 +16,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from ..errors import DataError, TrainingDiverged
-from ..ingest import non_integers
 from ..session import N_CLASSES
 from ..tensorfile import read_checkpoint, write_checkpoint
-from .nets import (
-    ShallowConvNet,
-    ShallowConvNetSpec,
-    build_model,
-    weighted_ce_from_logprobs,
-)
+from .nets import ShallowConvNetSpec, build_model, weighted_ce_from_logprobs
 
 
 def compute_class_weights(counts: np.ndarray) -> np.ndarray:
@@ -175,57 +169,35 @@ def save_checkpoint(path, model, params: dict[str, np.ndarray],
                     extra: dict | None = None) -> None:
     """Write ``params`` as a ``tensorfile`` checkpoint whose header
     describes ``model``."""
-    spec = asdict(model.spec) if isinstance(model, ShallowConvNet) else None
     header = {
         "model": model.name,
         "n_channels": model.n_channels,
         "n_samples": model.n_samples,
         "n_classes": N_CLASSES,
-        "spec": spec,
+        "spec": None if model.spec is None else asdict(model.spec),
         "extra": extra or {},
     }
     write_checkpoint(path, header, params)
-
-
-def _param_shapes(c, s, spec: ShallowConvNetSpec | None) -> dict[str, tuple]:
-    """The tensor shapes of a linear model (``spec`` None) or a
-    ShallowConvNet over ``c`` channels and ``s`` samples, worked out by
-    arithmetic: nothing is built or allocated, however large the sizes."""
-    if non_integers([c, s], 1):
-        raise ValueError(f"n_channels {c!r} and n_samples {s!r} must be positive integers")
-    if spec is None:
-        return {"w": (N_CLASSES, c * s), "b": (N_CLASSES,)}
-    f, k, g = spec.n_temporal_filters, spec.temporal_kernel, spec.n_spatial_filters
-    if non_integers([f, k, g, spec.pool_len, spec.pool_stride]):
-        raise ValueError(f"spec sizes must be integers, got {spec}")
-    return {
-        "w_temporal": (f, k),
-        "b_temporal": (f,),
-        "w_spatial": (g, f, c),
-        "b_spatial": (g,),
-        "w_dense": (N_CLASSES, g * spec.n_frames(s)),
-        "b_dense": (N_CLASSES,),
-    }
 
 
 def load_checkpoint(path):
     """Returns (model, params, header).
 
     Besides what ``read_checkpoint`` rejects, a header whose class count is
-    not N_CLASSES, or whose tensor names and shapes differ from those its
-    model's sizes work out to, is a DataError naming the file. The model is
-    built only once they agree.
+    not N_CLASSES, that ``build_model`` refuses, or whose model's
+    ``param_shapes`` differ from the stored tensors is a DataError naming
+    the file. Building the model allocates nothing sized by its window.
     """
     header, params = read_checkpoint(path)
     try:
         if header["n_classes"] != N_CLASSES:
             raise DataError(f"{path}: n_classes is {header['n_classes']!r}, not {N_CLASSES}")
-        name, c, s = header["model"], header["n_channels"], header["n_samples"]
-        spec = None if name == "linear" else ShallowConvNetSpec(**header["spec"])
+        spec = header["spec"]
+        model = build_model(header["model"], header["n_channels"], header["n_samples"],
+                            None if spec is None else ShallowConvNetSpec(**spec))
         found = {k: v.shape for k, v in params.items()}
-        if found != _param_shapes(c, s, spec):
+        if found != model.param_shapes():
             raise DataError(f"{path}: tensors {found} do not fit the header's model")
-        model = build_model(name, c, s, spec)
     except (ValueError, KeyError, TypeError) as e:
         raise DataError(f"{path}: corrupt checkpoint header: {type(e).__name__}: {e}") from e
     return model, params, header

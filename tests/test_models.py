@@ -6,6 +6,7 @@ gradients against central finite differences in float64.
 """
 
 import math
+import textwrap
 
 import numpy as np
 import pytest
@@ -25,8 +26,10 @@ from eegdrive.models import (
 )
 from eegdrive.models.nets import LOG_FLOOR, weighted_ce_from_logprobs
 from eegdrive.models.trainer import Adam, _fanout_seed
+from eegdrive.tensorfile import read_checkpoint, write_checkpoint
 from gradcheck import gradient_check
 from tracemem import peak_traced
+from widecheckpoint import WIDE_SIZE, run_capped, write_wide_checkpoint
 
 # small enough for scalar loops, large enough to exercise every stage
 SMALL_SPEC = ShallowConvNetSpec(
@@ -612,6 +615,31 @@ class TestCheckpoint:
         with pytest.raises(DataError, match=f"{path}: tensors .* do not fit the header"):
             load_checkpoint(path)
 
+    def test_non_integer_spec_size_names_path(self, tmp_path):
+        model = ShallowConvNet(3, 30, SMALL_SPEC)
+        path = tmp_path / "ck.bin"
+        save_checkpoint(path, model, model.init_params(seed=0))
+        header, params = read_checkpoint(path)
+        header["spec"]["pool_stride"] = 2.5
+        write_checkpoint(path, header, params)
+        with pytest.raises(DataError, match=f"{path}: corrupt checkpoint header: .*pool_stride=2.5"):
+            load_checkpoint(path)
+
+    def test_window_sized_header_loads_in_bounded_memory(self, tmp_path):
+        """Building the model of a self-consistent checkpoint allocates
+        nothing sized by its 10**5-sample window: the load returns under a
+        1.5 GB address-space cap, its traced peak under 2 MB."""
+        path = tmp_path / "ck.bin"
+        write_wide_checkpoint(path)
+        assert path.stat().st_size == WIDE_SIZE
+        done = run_capped(textwrap.dedent(f"""
+            from eegdrive.models import load_checkpoint
+            from tracemem import peak_traced
+            print(peak_traced(lambda: load_checkpoint({str(path)!r})))
+        """))
+        assert done.returncode == 0, done.stderr
+        assert int(done.stdout.split()[-1]) < 2_000_000
+
     def test_trailing_bytes(self, tmp_path):
         model = LinearSoftmax(2, 10)
         path = tmp_path / "ck.bin"
@@ -631,6 +659,17 @@ class TestSpecsAndConfigs:
             ShallowConvNetSpec(dropout_p=1.0)
         with pytest.raises(ValueError):
             ShallowConvNetSpec(pool_stride=0)
+
+    @pytest.mark.parametrize("pool_len", [2.5, True, "3"])
+    def test_spec_refuses_non_integer_sizes(self, pool_len):
+        with pytest.raises(ValueError, match="must be integers"):
+            ShallowConvNetSpec(pool_len=pool_len)
+
+    @pytest.mark.parametrize("name", ["linear", "shallow"])
+    @pytest.mark.parametrize("n_samples", [0, -1, 2.5])
+    def test_build_model_refuses_sizes_other_than_positive_integers(self, name, n_samples):
+        with pytest.raises(ValueError, match="must be positive integers"):
+            build_model(name, 16, n_samples)
 
     def test_train_config_validation(self):
         with pytest.raises(ValueError):

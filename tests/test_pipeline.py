@@ -24,6 +24,7 @@ from eegdrive.cli import main
 from eegdrive.config import RunConfig, config_from_dict
 from eegdrive.errors import DataError
 from eegdrive.tensorfile import read_windows
+from widecheckpoint import run_capped, write_wide_checkpoint
 
 SMALL = {
     "models": ["linear"],
@@ -579,6 +580,24 @@ class TestExitCodes:
             f"{work}/runs/linear_300/checkpoint.bin"
         ) in err
 
+    def test_eval_on_a_window_sized_checkpoint_is_3(self, baseline, tmp_path):
+        """A self-consistent checkpoint for 10**5-sample windows loads without
+        allocating for its window, and eval names the mismatch with the test
+        windows, all under a 1.5 GB address-space cap."""
+        cfg, out = baseline
+        ws = tmp_path / "ws"
+        shutil.copytree(out, ws)
+        work = ws / "work" / "synth-0000"
+        ckpt = work / "runs" / "linear_300" / "checkpoint.bin"
+        write_wide_checkpoint(ckpt)
+        argv = ["eval", "--config", str(cfg), "--out", str(ws)]
+        done = run_capped(f"sys.exit(eegdrive.cli.main({argv!r}))")
+        assert done.returncode == 3, done.stderr
+        assert (
+            f"{work}/windows/300/test.json: windows of 16 channels x 125 samples "
+            f"do not fit {ckpt}"
+        ) in done.stderr
+
     def test_interrupted_split_leaves_no_sidecar(self, baseline, tmp_path, monkeypatch, capsys):
         cfg, out = baseline
         ws = tmp_path / "ws"
@@ -742,6 +761,29 @@ def test_src_writes_and_decodes_json_in_one_place_each():
             decodes = attr in ("loads", "load") and getattr(func.value, "id", None) == "json"
             if (writes and fn != "write_replacing") or (decodes and fn not in json_decoders):
                 hits.append(f"{path.relative_to(src)}:{call.lineno}: in {fn}: {ast.unparse(call)[:60]}")
+    assert hits == []
+
+
+def test_src_switches_on_the_model_in_nets_only():
+    """models/nets.py owns which models exist: no other module under src/
+    compares with the model names "linear" or "shallow", or calls
+    isinstance on a model class."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    names, classes = {"linear", "shallow"}, {"LinearSoftmax", "ShallowConvNet"}
+    hits = []
+    for path in sorted(src.rglob("*.py")):
+        if path.relative_to(src).as_posix() == "eegdrive/models/nets.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Compare, ast.MatchValue)):
+                found = {n.value for n in ast.walk(node) if isinstance(n, ast.Constant)} & names
+            elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+                found = {getattr(n, "id", getattr(n, "attr", None))
+                         for arg in node.args[1:] for n in ast.walk(arg)} & classes
+            else:
+                continue
+            if found:
+                hits.append(f"{path.relative_to(src)}:{node.lineno}: {ast.unparse(node)[:60]}")
     assert hits == []
 
 

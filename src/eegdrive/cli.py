@@ -19,6 +19,7 @@ from .pipeline import (
     Workspace,
     one_blas_thread,
     run_all,
+    runs,
     stage_eval,
     stage_label,
     stage_preprocess,
@@ -138,20 +139,16 @@ def main(argv: list[str] | None = None) -> int:
                 stage_split(cfg, ws, sid)
                 print(f"split {sid}")
         elif args.command == "train":
-            for sid in _sessions(ws, args):
-                for delta in cfg.horizons_ms:
-                    for model in cfg.models:
-                        stage_train(cfg, ws, sid, delta, model)
-                        print(f"trained {model} {sid} delta={delta}")
+            for sid, delta, model in runs(cfg, _sessions(ws, args)):
+                stage_train(cfg, ws, sid, delta, model)
+                print(f"trained {model} {sid} delta={delta}")
         elif args.command == "eval":
-            for sid in _sessions(ws, args):
-                for delta in cfg.horizons_ms:
-                    for model in cfg.models:
-                        score = stage_eval(cfg, ws, sid, delta, model)
-                        print(
-                            f"eval {model} {sid} delta={delta} "
-                            f"macro_f1={score.result.macro_f1:.4f}"
-                        )
+            for sid, delta, model in runs(cfg, _sessions(ws, args)):
+                score = stage_eval(cfg, ws, sid, delta, model)
+                print(
+                    f"eval {model} {sid} delta={delta} "
+                    f"macro_f1={score.result.macro_f1:.4f}"
+                )
         elif args.command == "report":
             for path in stage_report(cfg, ws):
                 print(f"wrote {path}")

@@ -3,7 +3,9 @@
 Every stage communicates with its neighbours only through files in the
 workspace, and run_all simply calls the stage functions in order. That is
 what makes stage-by-stage execution byte-identical to run-all: there is no
-in-memory shortcut to diverge from.
+in-memory shortcut to diverge from. ``runs`` owns the run grid: run-all,
+the train and eval commands and the report take their (session, horizon,
+model) runs from it, so the report reads the scores of exactly those runs.
 
 Workspace layout under the output directory:
 
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import ctypes
 import dataclasses
+import itertools
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
@@ -109,6 +112,11 @@ class Workspace:
 
     def report_dir(self) -> Path:
         return self.root / REPORT_DIR
+
+
+def runs(cfg: RunConfig, session_ids: list[str]) -> list[tuple[str, int, str]]:
+    """The (session, horizon, model) runs of ``cfg``, session-major."""
+    return list(itertools.product(session_ids, cfg.horizons_ms, cfg.models))
 
 
 def one_blas_thread() -> None:
@@ -338,20 +346,25 @@ def stage_eval(
 # ----------------------------------------------------------------- report
 
 
-def collect_scores(ws: Workspace) -> list[RunScore]:
-    scores = []
-    work_root = ws.root / WORK_DIR
-    if work_root.is_dir():
-        for path in sorted(work_root.glob(f"*/runs/*/{SCORE_FILE}")):
-            scores.append(read_run_score(path))
-    return scores
+def _read_score(ws: Workspace, session_id: str, delta_ms: int, model_name: str) -> RunScore:
+    """The score stored for one run; a score of another run is a DataError."""
+    path = ws.run_dir(session_id, delta_ms, model_name) / SCORE_FILE
+    if not path.is_file():
+        raise DataError(f"{path}: no score; run eval for this model at this horizon first")
+    score = read_run_score(path)
+    if (score.run_id, score.horizon_ms, score.model) != (session_id, delta_ms, model_name):
+        raise DataError(f"{path}: holds the score of {score.model} {score.run_id} "
+                        f"delta={score.horizon_ms}, not of this run")
+    return score
 
 
 def stage_report(cfg: RunConfig, ws: Workspace) -> list[Path]:
+    """Report every configured run of every session in the workspace."""
     with _stage("report", str(ws.report_dir())):
-        scores = collect_scores(ws)
-        if not scores:
-            raise DataError("no evaluation scores found; run eval first")
+        session_ids = ws.session_ids()
+        if not session_ids:
+            raise DataError(f"no sessions under {ws.sessions_root()}")
+        scores = [_read_score(ws, *run) for run in runs(cfg, session_ids)]
         return emit_report(scores, ws.report_dir())
 
 
@@ -402,11 +415,5 @@ def run_all(cfg: RunConfig, out_dir: str | Path, jobs: int = 1) -> list[Path]:
     if not session_ids:
         session_ids = stage_simulate(cfg, ws)
     _map(_per_session, [(cfg, ws.root, sid) for sid in session_ids], jobs)
-    runs = [
-        (cfg, ws.root, sid, delta, model)
-        for sid in session_ids
-        for delta in cfg.horizons_ms
-        for model in cfg.models
-    ]
-    _map(_per_run, runs, jobs)
+    _map(_per_run, [(cfg, ws.root, *run) for run in runs(cfg, session_ids)], jobs)
     return stage_report(cfg, ws)

@@ -94,32 +94,32 @@ def read_run_score(path: Path) -> RunScore:
     return RunScore(model=model, horizon_ms=horizon, run_id=run_id, result=result)
 
 
-def _sorted_runs(runs: list[RunScore]) -> list[RunScore]:
-    return sorted(runs, key=lambda r: (r.model, r.horizon_ms, r.run_id))
+def _cells(runs: list[RunScore]) -> dict[tuple[str, int], list[RunScore]]:
+    """The runs grouped by (model, horizon) cell: the cells in sorted order,
+    and the runs of each cell in sorted run order. No runs is a DataError."""
+    if not runs:
+        raise DataError("no evaluation runs to report")
+    cells: dict[tuple[str, int], list[RunScore]] = {}
+    for run in sorted(runs, key=lambda r: (r.model, r.horizon_ms, r.run_id)):
+        cells.setdefault((run.model, run.horizon_ms), []).append(run)
+    return cells
 
 
 def write_metrics_csv(path: Path, runs: list[RunScore]) -> None:
-    if not runs:
-        raise DataError("no evaluation runs to report")
     lines = [_CONVENTION_NOTE, "model,horizon_ms,run_id,metric,value"]
-    for run in _sorted_runs(runs):
-        for name in METRIC_NAMES:
-            lines.append(
-                f"{run.model},{run.horizon_ms},{run.run_id},{name},{_fmt(run.metric(name))}"
-            )
+    for group in _cells(runs).values():
+        lines += [
+            f"{run.model},{run.horizon_ms},{run.run_id},{name},{_fmt(run.metric(name))}"
+            for run in group
+            for name in METRIC_NAMES
+        ]
     write_replacing(path, [("\n".join(lines) + "\n").encode()])
 
 
 def write_summary_csv(path: Path, runs: list[RunScore]) -> None:
     """Mean and std across runs per (model, horizon, metric)."""
-    if not runs:
-        raise DataError("no evaluation runs to report")
-    cells: dict[tuple[str, int], list[RunScore]] = {}
-    for run in runs:
-        cells.setdefault((run.model, run.horizon_ms), []).append(run)
     lines = [_CONVENTION_NOTE, "model,horizon_ms,n_runs,metric,mean,std"]
-    for model, horizon in sorted(cells):
-        group = cells[(model, horizon)]
+    for (model, horizon), group in _cells(runs).items():
         for name in METRIC_NAMES:
             mean, std = mean_and_std([r.metric(name) for r in group])
             lines.append(
@@ -134,14 +134,10 @@ def confusion_csv_name(model: str, horizon_ms: int) -> str:
 
 def write_confusion_csvs(out_dir: Path, runs: list[RunScore]) -> list[Path]:
     """Per (model, horizon): confusion counts summed over runs."""
-    cells: dict[tuple[str, int], np.ndarray] = {}
-    for run in runs:
-        key = (run.model, run.horizon_ms)
-        cells[key] = cells.get(key, 0) + run.result.confusion
     written = []
     header = "true\\pred," + ",".join(str(c) for c in range(N_CLASSES))
-    for model, horizon in sorted(cells):
-        cm = cells[(model, horizon)]
+    for (model, horizon), group in _cells(runs).items():
+        cm = sum(run.result.confusion for run in group)
         lines = ["# rows true class, columns predicted, summed over runs", header]
         for i in range(N_CLASSES):
             lines.append(f"{i}," + ",".join(str(int(v)) for v in cm[i]))
@@ -169,10 +165,8 @@ def write_f1_svg(path: Path, runs: list[RunScore]) -> None:
     Self-contained SVG, y axis fixed to [0, 1] so figures from different
     runs are visually comparable.
     """
-    if not runs:
-        raise DataError("no evaluation runs to plot")
-    models = sorted({r.model for r in runs})
-    horizons = sorted({r.horizon_ms for r in runs})
+    cells = _cells(runs)
+    horizons = sorted({horizon for _, horizon in cells})
     h_lo, h_hi = float(horizons[0]), float(horizons[-1])
 
     parts = [
@@ -215,15 +209,12 @@ def write_f1_svg(path: Path, runs: list[RunScore]) -> None:
         f'transform="rotate(-90 20 {(ax_t + ax_b) / 2:.2f})">mean test macro-F1</text>'
     )
 
-    for mi, model in enumerate(models):
+    points: dict[str, list[tuple[float, float]]] = {}
+    for (model, h), group in cells.items():
+        mean, _ = mean_and_std([r.metric("macro_f1") for r in group])
+        points.setdefault(model, []).append(_svg_xy(float(h), mean, h_lo, h_hi))
+    for mi, (model, pts) in enumerate(points.items()):
         color = _PALETTE[mi % len(_PALETTE)]
-        pts = []
-        for h in horizons:
-            vals = [r.metric("macro_f1") for r in runs if r.model == model and r.horizon_ms == h]
-            if not vals:
-                continue
-            mean, _ = mean_and_std(vals)
-            pts.append(_svg_xy(float(h), mean, h_lo, h_hi))
         coord = " ".join(f"{x:.2f},{y:.2f}" for x, y in pts)
         parts.append(
             f'<polyline points="{coord}" fill="none" stroke="{color}" stroke-width="2"/>'
@@ -242,7 +233,8 @@ def write_f1_svg(path: Path, runs: list[RunScore]) -> None:
 
 
 def emit_report(runs: list[RunScore], out_dir: Path) -> list[Path]:
-    """Write every report artifact; returns the paths written."""
+    """Write every report artifact; returns the paths written. A confusion
+    CSV of a cell that ``runs`` does not hold is removed."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = [
@@ -254,4 +246,6 @@ def emit_report(runs: list[RunScore], out_dir: Path) -> list[Path]:
     write_summary_csv(written[1], runs)
     write_f1_svg(written[2], runs)
     written.extend(write_confusion_csvs(out_dir, runs))
+    for stale in set(out_dir.glob(confusion_csv_name("*", "*"))) - set(written):
+        stale.unlink()
     return written

@@ -127,6 +127,18 @@ def baseline(tmp_path_factory):
     return cfg, out
 
 
+@pytest.fixture(scope="module")
+def grid(tmp_path_factory):
+    """A run-all of one session at two models x two horizons."""
+    root = tmp_path_factory.mktemp("grid")
+    doc = dict(SMALL, models=["linear", "shallow"], horizons_ms=[0, 300], n_sessions=1,
+               train={"epochs": 1})
+    cfg = _write_cfg(root, doc)
+    out = root / "ws"
+    assert main(["run-all", "--config", str(cfg), "--out", str(out)]) == 0
+    return doc, cfg, out
+
+
 class TestRunAll:
     def test_artifacts_exist(self, baseline):
         _, out = baseline
@@ -366,6 +378,22 @@ class TestSubcommands:
         assert rc == 3
         assert "unknown session ids" in capsys.readouterr().err
 
+    def test_report_covers_the_configured_runs_only(self, grid, tmp_path):
+        doc, _, out = grid
+        ws = tmp_path / "ws"
+        shutil.copytree(out, ws)
+        cfg = _write_cfg(tmp_path, dict(doc, models=["linear"], horizons_ms=[0]))
+        assert main(["report", "--config", str(cfg), "--out", str(ws)]) == 0
+        before = (out / "report" / "metrics.csv").read_text().splitlines()[2:]
+        after = (ws / "report" / "metrics.csv").read_text().splitlines()[2:]
+        # 1 session x 2 models x 2 horizons x 4 metrics, then the linear 0 ms cell
+        assert len(before) == 16
+        assert after == [row for row in before if row.startswith("linear,0,synth-0000,")]
+        assert len(after) == 4
+        assert sorted(p.name for p in (ws / "report").iterdir()) == [
+            "confusion_linear_0.csv", "f1_vs_horizon.svg", "metrics.csv", "summary.csv"
+        ]
+
     def test_split_reads_no_joystick_stream(self, baseline, tmp_path):
         cfg, out = baseline
         ws = tmp_path / "ws"
@@ -391,10 +419,11 @@ class TestExitCodes:
         rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "ws")])
         assert rc == 2
 
-    def test_missing_data_is_3(self, tmp_path, capsys):
-        rc = main(["label", "--out", str(tmp_path / "empty")])
+    @pytest.mark.parametrize("command", ["label", "report"])
+    def test_missing_data_is_3(self, tmp_path, capsys, command):
+        rc = main([command, "--out", str(tmp_path / "empty")])
         assert rc == 3
-        assert "no sessions" in capsys.readouterr().err
+        assert f"no sessions under {tmp_path / 'empty' / 'sessions'}" in capsys.readouterr().err
 
     def test_stage_prefix_in_data_errors(self, tmp_path, capsys):
         cfg = _write_cfg(tmp_path)
@@ -554,14 +583,40 @@ class TestExitCodes:
             "bool-count", "count-overflows-int64", "total-overflows-int64", "all-zero",
             "float-horizon", "string-horizon"])
     def test_corrupt_score_is_3(self, baseline, tmp_path, capsys, edit, rule):
-        _, out = baseline
+        cfg, out = baseline
         ws = tmp_path / "ws"
         shutil.copytree(out, ws)
         path = ws / "work" / "synth-0000" / "runs" / "linear_300" / "score.json"
         path.write_bytes(edit(path.read_bytes()))
-        assert main(["report", "--out", str(ws)]) == 3
+        assert main(["report", "--config", str(cfg), "--out", str(ws)]) == 3
         err = capsys.readouterr().err
         assert "[report]" in err and str(path) in err and rule in err
+
+    def test_misfiled_score_is_3(self, grid, tmp_path, capsys):
+        _, cfg, out = grid
+        ws = tmp_path / "ws"
+        shutil.copytree(out, ws)
+        runs = ws / "work" / "synth-0000" / "runs"
+        shutil.copyfile(runs / "linear_0" / "score.json", runs / "shallow_0" / "score.json")
+        assert main(["report", "--config", str(cfg), "--out", str(ws)]) == 3
+        assert (
+            f"[report] {ws / 'report'}: {runs / 'shallow_0' / 'score.json'}: holds the score "
+            f"of linear synth-0000 delta=0, not of this run"
+        ) in capsys.readouterr().err
+
+    def test_report_on_a_partly_evaluated_workspace_is_3(self, baseline, tmp_path, capsys):
+        cfg, out = baseline
+        ws = tmp_path / "ws"
+        shutil.copytree(out / "sessions", ws / "sessions")
+        base = ["--config", str(cfg), "--out", str(ws)]
+        for stage in ("preprocess", "label", "split", "train", "eval"):
+            assert main([stage] + base + ["--session", "synth-0000"]) == 0, stage
+        assert main(["report"] + base) == 3
+        score = ws / "work" / "synth-0001" / "runs" / "linear_300" / "score.json"
+        assert (
+            f"{score}: no score; run eval for this model at this horizon first"
+        ) in capsys.readouterr().err
+        assert not (ws / "report").exists()
 
     def test_eval_on_windows_of_another_length_is_3(self, baseline, tmp_path, capsys):
         _, out = baseline
@@ -784,6 +839,27 @@ def test_src_switches_on_the_model_in_nets_only():
                 continue
             if found:
                 hits.append(f"{path.relative_to(src)}:{node.lineno}: {ast.unparse(node)[:60]}")
+    assert hits == []
+
+
+def test_src_combines_horizons_with_models_in_runs_only():
+    """pipeline.runs owns the run grid: no other function under src/ reads
+    both ``.horizons_ms`` and ``.models`` (RunConfig's own validation
+    aside), and no function that globs names the work tree."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    owners = {("eegdrive/pipeline.py", "runs"), ("eegdrive/config.py", "__post_init__")}
+    hits = []
+    for path in sorted(src.rglob("*.py")):
+        rel = path.relative_to(src).as_posix()
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            attrs = {n.attr for n in ast.walk(fn) if isinstance(n, ast.Attribute)}
+            names = attrs | {n.id for n in ast.walk(fn) if isinstance(n, ast.Name)}
+            if {"horizons_ms", "models"} <= attrs and (rel, fn.name) not in owners:
+                hits.append(f"{rel}:{fn.lineno}: {fn.name} reads horizons_ms and models")
+            if {"glob", "rglob"} & attrs and {"WORK_DIR", "work_dir", "run_dir"} & names:
+                hits.append(f"{rel}:{fn.lineno}: {fn.name} globs the work tree")
     assert hits == []
 
 

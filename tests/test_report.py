@@ -146,6 +146,14 @@ class TestConfusionCsvs:
                 )
                 assert np.array_equal(got, want)
 
+    def test_cells_no_longer_reported_are_removed(self, tmp_path, runs):
+        emit_report(runs, tmp_path)
+        one_cell = [r for r in runs if (r.model, r.horizon_ms) == ("linear", 0)]
+        paths = emit_report(one_cell, tmp_path)
+        names = ["metrics.csv", "summary.csv", "f1_vs_horizon.svg", "confusion_linear_0.csv"]
+        assert [p.name for p in paths] == names
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names)
+
 
 class TestF1Svg:
     def test_valid_xml_with_one_polyline_per_model(self, tmp_path, runs):

@@ -108,11 +108,14 @@ def read_lines(path: Path) -> list[str]:
     """The lines of a UTF-8 file, split at each LF only: a CR before it stays.
 
     The file is decoded once; a byte that is not UTF-8 is reported as
-    ``path:line``, the line found by counting the newlines before it.
+    ``path:line``, the line found by counting the newlines before it, and
+    a file that cannot be read as a DataError naming it.
     """
-    raw = path.read_bytes()
     try:
+        raw = path.read_bytes()
         return raw.decode("utf-8").split("\n")
+    except OSError as e:
+        raise DataError(f"{path}: cannot read: {e}") from e
     except UnicodeDecodeError as e:
         lineno = raw.count(b"\n", 0, e.start) + 1
         raise DataError(f"{path}:{lineno}: not UTF-8: {e}") from e

@@ -51,7 +51,7 @@ from .models import (
     train_model,
 )
 from .preprocess import preprocess_session
-from .report import RunScore, emit_report, read_run_score, write_run_score
+from .report import RunScore, clear_report, emit_report, read_run_score, write_run_score
 from .session import N_CLASSES
 from .splitting import build_split, windows_to_arrays
 from .synth import write_synthetic_session
@@ -361,6 +361,7 @@ def _read_score(ws: Workspace, session_id: str, delta_ms: int, model_name: str) 
 def stage_report(cfg: RunConfig, ws: Workspace) -> list[Path]:
     """Report every configured run of every session in the workspace."""
     with _stage("report", str(ws.report_dir())):
+        clear_report(ws.report_dir())
         session_ids = ws.session_ids()
         if not session_ids:
             raise DataError(f"no sessions under {ws.sessions_root()}")

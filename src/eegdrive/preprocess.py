@@ -1,6 +1,8 @@
 """Offline cleaning: filtering, robust referencing, interpolation, scaling.
 
-The chain applied by ``preprocess_session`` is fixed:
+The chain applied by ``preprocess_session`` is fixed. Steps 3-5 edit the
+second filter's (C, T) output in place, and the result is wrapped in a
+recording once, at the end:
 
 1. zero-phase Butterworth high-pass,
 2. zero-phase IIR notch at the mains frequency,
@@ -10,8 +12,8 @@ The chain applied by ``preprocess_session`` is fixed:
 
 A bad-channel verdict is a (2, C) boolean array over the montage: row k
 flags the channels that fail criterion ``REASONS[k]``. Detection, the
-reference loop and the report share it; channel names appear only in the
-report's JSON and in the list handed to the interpolation.
+reference loop, the repair and the report share it; channel names appear
+only in the report's JSON.
 
 Filters are second-order sections in closed form (a bilinear-transformed
 Butterworth prototype and the one-biquad notch) and are applied forward and
@@ -35,8 +37,7 @@ The tests hold the designs and the filter to scipy's within 1e-12.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,6 +50,8 @@ CORRELATION_BAD_WINDOW_FRAC = 0.01
 MAX_REFERENCE_ITERATIONS = 4
 # Detection criteria, in the row order of a (2, C) verdict.
 REASONS = ("deviation", "correlation")
+# The cleaning chain, in the order preprocess_session applies it.
+STAGES = ("highpass", "notch", "robust_reference", "interpolate", "zscore")
 
 _MAD_SCALE = 1.4826  # consistent estimator of sigma for normal data
 
@@ -233,8 +236,9 @@ class BadChannelCriteria:
 
 def _robust_std(x: np.ndarray) -> np.ndarray:
     """MAD-based spread per row."""
-    med = np.median(x, axis=-1, keepdims=True)
-    return _MAD_SCALE * np.median(np.abs(x - med), axis=-1)
+    dev = np.subtract(x, np.median(x, axis=-1, keepdims=True))
+    np.abs(dev, out=dev)
+    return _MAD_SCALE * np.median(dev, axis=-1, overwrite_input=True)
 
 
 def _normalized_windows(x: np.ndarray, win: int) -> np.ndarray:
@@ -252,7 +256,7 @@ def _normalized_windows(x: np.ndarray, win: int) -> np.ndarray:
     return seg
 
 
-def detect_bad_channels(rec: EegRecording, criteria: BadChannelCriteria) -> np.ndarray:
+def detect_bad_channels(x: np.ndarray, fs: float, criteria: BadChannelCriteria) -> np.ndarray:
     """Flag channels by amplitude deviation and flat correlation (PREP).
 
     * deviation: the robust z-score of the channel's MAD amplitude across
@@ -260,10 +264,9 @@ def detect_bad_channels(rec: EegRecording, criteria: BadChannelCriteria) -> np.n
     * correlation: in more than 1% of windows the channel's best absolute
       correlation with any other channel falls below ``correlation_min``.
 
-    Returns the (2, C) verdict: row k flags the channels that fail
-    criterion ``REASONS[k]``.
+    Returns the (2, C) verdict over the rows of the (C, T) array ``x``:
+    row k flags the channels that fail criterion ``REASONS[k]``.
     """
-    x = rec.samples
     n_ch, n_samp = x.shape
     if n_ch < 4:
         raise DataError(
@@ -280,7 +283,7 @@ def detect_bad_channels(rec: EegRecording, criteria: BadChannelCriteria) -> np.n
     verdict[0] = np.abs(z) > criteria.deviation_z
 
     # Correlation: windowed best absolute correlation against the other channels.
-    win = max(2, round(criteria.correlation_window_s * rec.sample_rate_hz))
+    win = max(2, round(criteria.correlation_window_s * fs))
     if n_samp >= win:
         seg = _normalized_windows(x, win)  # (n_win, C, win)
         r = seg @ seg.transpose(0, 2, 1)  # (n_win, C, C)
@@ -297,15 +300,13 @@ def detect_bad_channels(rec: EegRecording, criteria: BadChannelCriteria) -> np.n
 # --------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class PreprocessReport:
-    """What the cleaning chain did: stages, one verdict per detection, repairs."""
+    """What the cleaning chain found: one verdict per detection, the settled one last."""
 
     names: tuple[str, ...]
-    stages: list[str] = field(default_factory=list)
-    bad_channels: list[np.ndarray] = field(default_factory=list)
-    reference_iterations: int = 0
-    interpolated: tuple[str, ...] = ()
+    bad_channels: list[np.ndarray]
+    reference_iterations: int
 
     def by_name(self, verdict: np.ndarray) -> dict[str, list[str]]:
         """{channel name: [reasons]} for the channels a verdict flags."""
@@ -316,25 +317,24 @@ class PreprocessReport:
 
     def to_dict(self) -> dict:
         return {
-            "stages": list(self.stages),
+            "stages": list(STAGES),
             "bad_channels": [self.by_name(v) for v in self.bad_channels],
             "reference_iterations": self.reference_iterations,
-            "interpolated": list(self.interpolated),
+            "interpolated": sorted(self.by_name(self.bad_channels[-1])),
         }
 
 
-def _reference(x: np.ndarray, flagged: np.ndarray) -> np.ndarray:
-    """Subtract the mean of the channels not flagged."""
+def _good_mean(x: np.ndarray, flagged: np.ndarray) -> np.ndarray:
+    """The (1, T) mean of the channels not flagged."""
     if flagged.all():
         raise DataError("all channels flagged bad; cannot build a reference")
-    return x - x[~flagged].mean(axis=0, keepdims=True)
+    return x[~flagged].mean(axis=0, keepdims=True)
 
 
 def robust_average_reference(
-    rec: EegRecording,
-    criteria: BadChannelCriteria,
-) -> tuple[EegRecording, PreprocessReport]:
-    """Average-reference the recording using only channels that test clean.
+    x: np.ndarray, fs: float, criteria: BadChannelCriteria
+) -> tuple[list[np.ndarray], int]:
+    """Average-reference ``x`` in place, using only channels that test clean.
 
     Iterates {subtract the mean of the currently-good channels, re-detect}
     until the flagged set repeats. A newly seen set continues the loop (up
@@ -342,52 +342,46 @@ def robust_average_reference(
     non-adjacent set is an oscillation and resolves to the union of
     everything seen. In the union a channel keeps the reasons of the latest
     verdict if that flagged it, else those of the earliest verdict that did.
+    Returns the verdicts, the settled one last, and the number of detections.
     """
-    report = PreprocessReport(names=rec.montage.names)
-    x = rec.samples
-    flags = [np.zeros(rec.n_channels, dtype=bool)]  # flagged set before each detection
-    while report.reference_iterations < MAX_REFERENCE_ITERATIONS:
-        verdict = detect_bad_channels(rec.with_samples(_reference(x, flags[-1])), criteria)
-        report.reference_iterations += 1
-        report.bad_channels.append(verdict)
+    verdicts: list[np.ndarray] = []
+    detections = 0
+    while detections < MAX_REFERENCE_ITERATIONS:
+        # the flagged sets referenced against so far, the current one last
+        seen = [np.zeros(len(x), dtype=bool)] + [v.any(axis=0) for v in verdicts]
+        verdict = detect_bad_channels(x - _good_mean(x, seen[-1]), fs, criteria)
+        detections += 1
+        verdicts.append(verdict)
         flagged = verdict.any(axis=0)
-        if np.array_equal(flagged, flags[-1]):
+        if np.array_equal(flagged, seen[-1]):
             break
-        if any(np.array_equal(flagged, earlier) for earlier in flags[:-1]):
+        if any(np.array_equal(flagged, earlier) for earlier in seen[:-1]):
             # oscillation: settle on the union, reported last
             union = verdict.copy()
-            for earlier in report.bad_channels:
+            for earlier in verdicts:
                 missing = earlier.any(axis=0) & ~union.any(axis=0)
                 union[:, missing] = earlier[:, missing]
             if not np.array_equal(union, verdict):
-                report.bad_channels.append(union)
+                verdicts.append(union)
             break
-        flags.append(flagged)
-    # the last entry is the verdict the loop settled on
-    return rec.with_samples(_reference(x, report.bad_channels[-1].any(axis=0))), report
+    x -= _good_mean(x, verdicts[-1].any(axis=0))
+    return verdicts, detections
 
 
-def interpolate_channels(rec: EegRecording, bad: Iterable[str]) -> EegRecording:
-    """Replace each bad channel by an inverse-distance blend of good ones.
+def interpolate_channels(x: np.ndarray, bad: np.ndarray, positions: np.ndarray) -> None:
+    """Overwrite the rows ``bad`` of ``x`` by inverse-distance blends of good rows.
 
     Each bad channel becomes the convex combination of its 3 nearest good
-    channels (great-circle distance on the unit sphere, weights 1/d^2); a
-    good channel at the same position takes all the weight.
+    channels (great-circle distance between the unit vectors ``positions``,
+    weights 1/d^2); a good channel at the same position takes all the weight.
     """
-    bad = set(bad)
-    names, positions = rec.montage.names, rec.montage.positions
-    unknown = bad - set(names)
-    if unknown:
-        raise DataError(f"cannot interpolate unknown channels {sorted(unknown)}")
-    is_bad = np.array([name in bad for name in names])
-    good_idx = np.flatnonzero(~is_bad)
-    if is_bad.any() and len(good_idx) < 3:
+    good_idx = np.setdiff1d(np.arange(len(x)), bad)
+    if len(bad) and len(good_idx) < 3:
         raise DataError(
             f"only {len(good_idx)} good channels left; interpolation needs 3"
         )
-    x = rec.samples.copy()
     good_pos = positions[good_idx]
-    for i in np.flatnonzero(is_bad):
+    for i in bad:
         dist = np.arccos(np.clip(good_pos @ positions[i], -1.0, 1.0))
         near = np.argsort(dist, kind="stable")[:3]
         if dist[near[0]] == 0.0:
@@ -396,22 +390,20 @@ def interpolate_channels(rec: EegRecording, bad: Iterable[str]) -> EegRecording:
         else:
             inv = 1.0 / dist[near] ** 2
             w = inv / inv.sum()
-        x[i] = w @ rec.samples[good_idx[near]]
-    return rec.with_samples(x)
+        x[i] = w @ x[good_idx[near]]
 
 
-def zscore_channels(rec: EegRecording) -> EegRecording:
-    """Standardise each channel to zero mean, unit population variance."""
-    x = rec.samples
+def zscore_channels(x: np.ndarray, names: tuple[str, ...]) -> None:
+    """Standardise each row of ``x`` in place to zero mean, unit population variance."""
     mean = x.mean(axis=1, keepdims=True)
     var = x.var(axis=1, keepdims=True)  # 1/N convention
     flat = np.nonzero(var[:, 0] == 0)[0]
     if len(flat):
         raise DataError(
-            f"channel {rec.montage.names[int(flat[0])]} has zero variance; "
-            "cannot z-score"
+            f"channel {names[int(flat[0])]} has zero variance; cannot z-score"
         )
-    return rec.with_samples((x - mean) / np.sqrt(var))
+    x -= mean
+    x /= np.sqrt(var)
 
 
 def preprocess_session(
@@ -423,10 +415,7 @@ def preprocess_session(
     fs = rec.sample_rate_hz
     x = filter_zero_phase(rec.samples, design_highpass(spec, fs))
     x = filter_zero_phase(x, design_notch(spec, fs))
-    filtered = rec.with_samples(x)
-    referenced, report = robust_average_reference(filtered, criteria)
-    bad = tuple(sorted(report.by_name(report.bad_channels[-1])))
-    out = zscore_channels(interpolate_channels(referenced, bad))
-    report.stages = ["highpass", "notch", "robust_reference", "interpolate", "zscore"]
-    report.interpolated = bad
-    return out, report
+    verdicts, detections = robust_average_reference(x, fs, criteria)
+    interpolate_channels(x, np.flatnonzero(verdicts[-1].any(axis=0)), rec.montage.positions)
+    zscore_channels(x, rec.montage.names)
+    return rec.with_samples(x), PreprocessReport(rec.montage.names, verdicts, detections)

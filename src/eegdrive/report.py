@@ -232,10 +232,17 @@ def write_f1_svg(path: Path, runs: list[RunScore]) -> None:
     write_replacing(path, [("\n".join(parts) + "\n").encode()])
 
 
+def clear_report(out_dir: Path) -> None:
+    """Remove every file a report writes in ``out_dir``, any cell's confusion CSV included."""
+    for path in [out_dir / METRICS_CSV, out_dir / SUMMARY_CSV, out_dir / F1_SVG,
+                 *out_dir.glob(confusion_csv_name("*", "*"))]:
+        path.unlink(missing_ok=True)
+
+
 def emit_report(runs: list[RunScore], out_dir: Path) -> list[Path]:
-    """Write every report artifact; returns the paths written. A confusion
-    CSV of a cell that ``runs`` does not hold is removed."""
+    """Write every report artifact in place of the last report's; returns the paths."""
     out_dir = Path(out_dir)
+    clear_report(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = [
         out_dir / METRICS_CSV,
@@ -246,6 +253,4 @@ def emit_report(runs: list[RunScore], out_dir: Path) -> list[Path]:
     write_summary_csv(written[1], runs)
     write_f1_svg(written[2], runs)
     written.extend(write_confusion_csvs(out_dir, runs))
-    for stale in set(out_dir.glob(confusion_csv_name("*", "*"))) - set(written):
-        stale.unlink()
     return written

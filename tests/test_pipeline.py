@@ -323,6 +323,24 @@ class TestSubcommands:
         assert main(["validate", str(session)]) == 3
         assert rule in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["eeg.csv", "joystick.jsonl", "manifest.json"])
+    def test_validate_unreadable_file_is_3(self, baseline, tmp_path, capsys, monkeypatch, name):
+        # running as root, chmod cannot make a file unreadable: fail the read itself
+        _, out = baseline
+        session = tmp_path / "synth-0000"
+        shutil.copytree(out / "sessions" / "synth-0000", session)
+        read_bytes = Path.read_bytes
+
+        def refuse(path):
+            if path.name == name:
+                raise PermissionError(13, "Permission denied", str(path))
+            return read_bytes(path)
+
+        monkeypatch.setattr(Path, "read_bytes", refuse)
+        assert main(["validate", str(session)]) == 3
+        err = capsys.readouterr().err
+        assert f"{session / name}: " in err and "cannot read: [Errno 13] Permission denied" in err
+
     @pytest.mark.parametrize(
         "field, value, rule",
         [
@@ -617,6 +635,20 @@ class TestExitCodes:
             f"{score}: no score; run eval for this model at this horizon first"
         ) in capsys.readouterr().err
         assert not (ws / "report").exists()
+
+    @pytest.mark.parametrize("fault", ["missing", "misfiled"])
+    def test_failed_report_leaves_no_report(self, grid, tmp_path, fault):
+        _, cfg, out = grid
+        ws = tmp_path / "ws"
+        shutil.copytree(out, ws)
+        assert len(list((ws / "report").glob("confusion_*.csv"))) == 4
+        runs = ws / "work" / "synth-0000" / "runs"
+        if fault == "missing":
+            (runs / "shallow_300" / "score.json").unlink()
+        else:
+            shutil.copyfile(runs / "linear_0" / "score.json", runs / "shallow_300" / "score.json")
+        assert main(["report", "--config", str(cfg), "--out", str(ws)]) == 3
+        assert list((ws / "report").iterdir()) == []
 
     def test_eval_on_windows_of_another_length_is_3(self, baseline, tmp_path, capsys):
         _, out = baseline

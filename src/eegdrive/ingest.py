@@ -9,7 +9,7 @@ simulator adds ``truth_labels.csv``, which no stage reads)::
 
 All three must be UTF-8, and each is decoded once: the manifest by
 ``decode_json``, the decode of every JSON file but the joystick stream, the
-other two by ``read_lines``. The manifest's channels must form a valid
+other two by ``RecalledText``. The manifest's channels must form a valid
 ``session.Montage`` (the fault names the channel), and the EEG header must
 match that montage exactly. The EEG body is parsed in one bulk call
 (``parse_rows``), and the joystick stream in one ``json.loads`` call when
@@ -32,19 +32,40 @@ The writers render numeric CSV rows with numpy (``format_rows``), byte for
 byte as Python's ``%d`` and ``%.6f`` would, render the joystick stream in
 one pass, and write each file through a temp file that replaces it only
 once complete (``write_replacing``), as ``write_json`` does.
+
+Inside a ``parse_memo()`` block a file this process has just written is not
+parsed again. ``write_session_dir`` (for ``eeg.csv`` and ``joystick.jsonl``)
+and ``labels.write_labels_csv`` register, under the sha256 of the bytes
+they wrote, a lazy producer of exactly the arrays their reader's parser
+would return for those bytes: for an EEG float, ``%.6f`` read back, that is
+``copysign(rint(|x| * 1e6) / 1e6, x)``, or ``float("%.6f" % x)`` where
+``format_rows`` hands the value to ``%``. Each reader reads a file's bytes
+once, hashes them and looks the digest up; on a miss it decodes and parses
+them as outside a block. A recalled parse is built on its first recall,
+read-only, and shared with every later reader of the same bytes. Every
+check runs on it as on a parse; the file's lines are decoded only to name
+the line of a fault, so each message is the same either way.
+``pipeline.run_all`` opens one block per session around preprocess, label
+and split, and the entries are dropped when it closes. Outside a block
+nothing is registered or looked up, so the stage-by-stage commands and
+every other reader parse each file from disk.
 """
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import math
 import os
 import re
 import warnings
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -104,21 +125,121 @@ class SessionDir:
     reserved_streams: tuple[str, ...] = ()
 
 
-def read_lines(path: Path) -> list[str]:
-    """The lines of a UTF-8 file, split at each LF only: a CR before it stays.
+class ParseMemo:
+    """Parses of the files written in one ``parse_memo()`` block, keyed by a
+    reader's kind and the sha256 of the file's bytes.
 
-    The file is decoded once; a byte that is not UTF-8 is reported as
-    ``path:line``, the line found by counting the newlines before it, and
-    a file that cannot be read as a DataError naming it.
+    An entry starts as the writer's producer, which holds references to
+    the writer's arrays, not copies; those must not change until the block
+    ends. The first recall builds the parse, marks its arrays read-only and
+    lets the producer go; later recalls share that parse.
     """
+
+    def __init__(self) -> None:
+        # a producer until the first recall, then the parse it built
+        self._entries: dict[tuple[str, bytes], Callable[[], tuple] | tuple] = {}
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def register(self, kind: str, digest: bytes, produce: Callable[[], tuple]) -> None:
+        self._entries[kind, digest] = produce
+
+    def recall(self, kind: str, raw: bytes) -> tuple | None:
+        """The parse registered under ``kind`` for the bytes ``raw``, or None."""
+        if not self._entries:  # nothing to find: no hash
+            return None
+        key = (kind, hashlib.sha256(raw).digest())
+        parsed = self._entries.get(key)
+        if callable(parsed):
+            parsed = tuple(a.view() for a in parsed())
+            for a in parsed:
+                a.setflags(write=False)
+            self._entries[key] = parsed
+        return parsed
+
+    def clear(self) -> None:
+        self._entries.clear()
+
+
+_MEMO: ContextVar[ParseMemo | None] = ContextVar("eegdrive_parse_memo", default=None)
+
+
+@contextmanager
+def parse_memo() -> Iterator[ParseMemo]:
+    """A block in which every file written by ``write_recallable`` is
+    recalled, not parsed, by a ``RecalledText`` of its unchanged bytes.
+    Every entry is dropped when the block ends."""
+    memo = ParseMemo()
+    token = _MEMO.set(memo)
     try:
-        raw = path.read_bytes()
-        return raw.decode("utf-8").split("\n")
-    except OSError as e:
-        raise DataError(f"{path}: cannot read: {e}") from e
-    except UnicodeDecodeError as e:
-        lineno = raw.count(b"\n", 0, e.start) + 1
-        raise DataError(f"{path}:{lineno}: not UTF-8: {e}") from e
+        yield memo
+    finally:
+        _MEMO.reset(token)
+        memo.clear()
+
+
+class RecalledText:
+    """A file's bytes, read once, and the parse a writer registered for
+    them under ``kind`` (``recalled``, None on a miss or outside a
+    ``parse_memo()`` block). Its lines are decoded on first use, so a
+    recalled file is decoded only to place a fault.
+
+    A file that cannot be read is a DataError naming it.
+    """
+
+    def __init__(self, path: Path, kind: str):
+        self.path = path
+        try:
+            self.raw = path.read_bytes()
+        except OSError as e:
+            raise DataError(f"{path}: cannot read: {e}") from e
+        memo = _MEMO.get()
+        self.recalled = None if memo is None else memo.recall(kind, self.raw)
+
+    @cached_property
+    def lines(self) -> list[str]:
+        """The lines, split at each LF only: a CR before it stays. A byte
+        that is not UTF-8 is reported as ``path:line``, the line found by
+        counting the newlines before it."""
+        try:
+            return self.raw.decode("utf-8").split("\n")
+        except UnicodeDecodeError as e:
+            lineno = self.raw.count(b"\n", 0, e.start) + 1
+            raise DataError(f"{self.path}:{lineno}: not UTF-8: {e}") from e
+
+    def header(self) -> str:
+        """The first line less a trailing CR. A parse decodes every line
+        first, so a bad byte anywhere is reported before the header; a
+        recalled file holds its writer's UTF-8, so only its first line is
+        decoded."""
+        if self.recalled is None:
+            first = self.lines[0]
+        else:
+            first = self.raw.partition(b"\n")[0].decode("utf-8")
+        return first.rstrip("\r")
+
+
+def write_recallable(
+    path: Path, chunks: Iterable[bytes], kind: str, produce: Callable[[], tuple] | None
+) -> Path:
+    """``write_replacing``; inside a ``parse_memo()`` block, also register
+    ``produce`` under ``kind`` and the sha256 of the bytes written. It must
+    return exactly the arrays that reader's parser returns for those bytes;
+    a writer passes None for bytes that parser would fail on."""
+    memo = _MEMO.get()
+    if memo is None or produce is None:
+        return write_replacing(path, chunks)
+    digest = hashlib.sha256()
+
+    def hashed() -> Iterator[bytes]:
+        for chunk in chunks:
+            digest.update(chunk)
+            yield chunk
+
+    write_replacing(path, hashed())
+    memo.register(kind, digest.digest(), produce)
+    return path
 
 
 def decode_json(path: Path, what: str = "", header: bytes | None = None):
@@ -308,27 +429,36 @@ def _check_stream(
 
 def _parse_eeg_csv(path: Path, montage: Montage, rate_hz: float) -> EegRecording:
     names = montage.names
-    lines = read_lines(path)
-    header = lines[0].rstrip("\r")
+    text = RecalledText(path, EEG_NAME)
     expected = "timestamp_ns," + ",".join(names)
+    header = text.header()
     if header != expected:
         raise DataError(
             f"{path}:1: header does not match the manifest montage\n"
             f"  expected: {expected}\n  found:    {header}"
         )
-    rows = parse_rows(path, lines, [("t", np.uint64), ("x", np.float64, (len(names),))])
-    if not len(rows):
+    if text.recalled is None:
+        rows = parse_rows(path, text.lines, _eeg_dtype(len(names)))
+        ts, samples = rows["t"], rows["x"]
+    else:
+        ts, samples = text.recalled
+    if not len(ts):
         raise DataError(f"{path}: no samples")
-    samples = rows["x"]
     timestamps = _check_stream(
         path,
-        lambda i: _file_line(lines, i, 2, _is_blank_row),
-        rows["t"],
+        lambda i: _file_line(text.lines, i, 2, _is_blank_row),
+        ts,
         samples,
         names,
         rate_hz=rate_hz,
     )
     return EegRecording(montage, timestamps, samples.T, rate_hz)
+
+
+def _eeg_dtype(n_channels: int) -> np.dtype:
+    """One ``eeg.csv`` row: the timestamp as uint64, so 2^63 still reaches
+    the range rule, and the channels' samples."""
+    return np.dtype([("t", np.uint64), ("x", np.float64, (n_channels,))])
 
 
 def _decode_flat_lines(lines: list[str]) -> tuple[list, np.ndarray] | None:
@@ -397,16 +527,20 @@ def _decode_each_line(path: Path, lines: list[str]) -> tuple[list, np.ndarray]:
 
 
 def _parse_joystick_jsonl(path: Path) -> JoystickStream:
-    lines = read_lines(path)
-    t, v = _decode_flat_lines(lines) or _decode_each_line(path, lines)
-    if not t:
+    text = RecalledText(path, JOYSTICK_NAME)
+    if text.recalled is None:
+        t, v = _decode_flat_lines(text.lines) or _decode_each_line(path, text.lines)
+    else:
+        t, v = text.recalled
+    if not len(t):
         raise DataError(f"{path}: no joystick samples")
     try:
-        ts = np.array(t, dtype=np.int64)
+        ts = np.asarray(t, dtype=np.int64)
     except OverflowError:
         ts = np.array(t, dtype=object)  # exact Python ints, for the range rule
     timestamps = _check_stream(
-        path, lambda i: _file_line(lines, i, 1, _is_blank_json), ts, v, ["vx", "wz"], limit=1.0
+        path, lambda i: _file_line(text.lines, i, 1, _is_blank_json), ts, v, ["vx", "wz"],
+        limit=1.0,
     )
     return JoystickStream(timestamps, v[:, 0], v[:, 1])
 
@@ -476,6 +610,34 @@ def _digit_cells(v: np.ndarray) -> list[np.ndarray]:
     return cells[::-1]
 
 
+def _micro_units(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``rint(|x| * 1e6)``, the digits of ``"%.6f" % x`` unless the mask
+    also returned is set: that product is a half-integer, which ``%``
+    rounds from the exact value, or at least 2^52 (so NaN and the
+    infinities too)."""
+    with np.errstate(over="ignore", invalid="ignore"):  # to inf, and inf - inf
+        scaled = np.abs(x)
+        scaled *= 1e6
+        rounded = np.rint(scaled)
+        odd = ~(scaled < 2.0**52)
+        scaled -= rounded
+        odd |= ~(np.abs(scaled, out=scaled) < 0.5)
+    return rounded, odd
+
+
+def _read_back(x: np.ndarray) -> np.ndarray:
+    """The floats that parsing ``"%.6f" % v`` gives for each ``v`` of
+    ``x``, as ``format_rows`` renders it: below 2^52 the decimal is
+    ``rint(|v| * 1e6)`` millionths, and dividing that integer by 1e6
+    rounds as a parse does; the sign is the sign bit's, so -0.000000
+    reads -0.0. Values ``format_rows`` hands to ``%`` are parsed."""
+    values, odd = _micro_units(x)
+    values /= 1e6
+    np.copysign(values, x, out=values)
+    values[odd] = [float("%.6f" % v) for v in x[odd].tolist()]
+    return values
+
+
 def format_rows(ints: Sequence[np.ndarray], floats: np.ndarray | None = None) -> bytes:
     """The rows of one or more integer columns ``ints`` (each (n,)) and the
     (n, m) ``floats``, exactly as Python formats each with
@@ -494,11 +656,7 @@ def format_rows(ints: Sequence[np.ndarray], floats: np.ndarray | None = None) ->
     given = [np.asarray(c, dtype=np.int64) for c in ints]
     n = len(given[0])
     x = np.empty((n, 0)) if floats is None else np.asarray(floats, dtype=np.float64)
-    with np.errstate(over="ignore", invalid="ignore"):  # to inf, and inf - inf
-        scaled = np.abs(x)
-        scaled *= 1e6
-        rounded = np.rint(scaled)
-        odd = ~((np.abs(scaled - rounded) < 0.5) & (scaled < 2.0**52))
+    rounded, odd = _micro_units(x)
     odd_rows = odd.any(axis=1)
     for c in given:
         odd_rows |= c < 0
@@ -597,16 +755,32 @@ def write_session_dir(path: str | Path, session: SessionDir) -> Path:
         slice(start, start + EEG_ROWS_PER_BLOCK)
         for start in range(0, eeg.n_samples, EEG_ROWS_PER_BLOCK)
     )
-    write_replacing(
+    # a negative timestamp is not a uint64: its parse fails, so no recall
+    eeg_parse = None if (eeg.timestamps < 0).any() else lambda: (
+        eeg.timestamps.view(np.uint64), _read_back(eeg.samples).T
+    )
+    write_recallable(
         root / EEG_NAME,
         itertools.chain(
             [header],
             (format_rows([eeg.timestamps[b]], eeg.samples[:, b].T) for b in blocks),
         ),
+        EEG_NAME,
+        eeg_parse,
     )
 
     joy = session.joystick
     lines = zip(joy.t_ns.tolist(), _json_numbers(joy.v_x), _json_numbers(joy.omega_z))
     text = "".join(f'{{"t_ns": {t}, "vx": {vx}, "wz": {wz}}}\n' for t, vx, wz in lines)
-    write_replacing(root / JOYSTICK_NAME, [text.encode()])
+    write_recallable(root / JOYSTICK_NAME, [text.encode()], JOYSTICK_NAME, lambda: (
+        joy.t_ns, _canonical_nan(np.column_stack([joy.v_x, joy.omega_z]))
+    ))
     return root
+
+
+def _canonical_nan(values: np.ndarray) -> np.ndarray:
+    """``values`` with every NaN made the one NaN that JSON ``NaN`` decodes
+    to, since ``json.dumps`` renders each NaN, whatever its sign or
+    payload, as ``NaN``."""
+    values[np.isnan(values)] = math.nan
+    return values

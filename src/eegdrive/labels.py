@@ -23,11 +23,14 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .ingest import align_nearest, format_rows, parse_rows, read_lines, write_replacing
+from .ingest import RecalledText, align_nearest, format_rows, parse_rows, write_recallable
 from .session import NS_PER_MS, NS_PER_S, CommandLabel, JoystickStream
 
 #: Code used in bulk arrays for "no label" (contradictory or unmatched).
 NO_LABEL = -1
+LABELS_HEADER = "t_ns,label_code"
+#: The ``ingest.ParseMemo`` kind of a labels file's parse.
+LABELS_KIND = "labels.csv"
 
 
 @dataclass(frozen=True)
@@ -121,9 +124,14 @@ def label_at_horizon(
 
 def write_labels_csv(path: str | Path, labeled: LabeledSamples) -> Path:
     """Write one ``t_ns,label_code`` row per sample; ``path`` is replaced
-    only once the whole file is written."""
+    only once the whole file is written. Inside an ``ingest.parse_memo()``
+    block, ``read_labels_csv`` recalls these rows rather than parse them."""
     rows = format_rows([labeled.t_ns, labeled.labels])
-    return write_replacing(Path(path), [b"t_ns,label_code\n", rows])
+    t, codes = labeled.t_ns, labeled.labels
+    return write_recallable(
+        Path(path), [(LABELS_HEADER + "\n").encode(), rows], LABELS_KIND,
+        lambda: (t, codes.astype(np.int64)),
+    )
 
 
 def read_labels_csv(path: str | Path, eeg_ts: np.ndarray) -> LabeledSamples:
@@ -131,14 +139,18 @@ def read_labels_csv(path: str | Path, eeg_ts: np.ndarray) -> LabeledSamples:
 
     The body parses in one bulk call (``ingest.parse_rows``): a row that is
     not two integers is reported as ``path:line``. A header-only file holds
-    zero samples.
+    zero samples. Inside an ``ingest.parse_memo()`` block, the rows of a
+    file written there are recalled, and checked as a parse is.
     """
     path = Path(path)
-    lines = read_lines(path)
-    if lines[0].rstrip("\r") != "t_ns,label_code":
-        raise DataError(f"{path}:1: expected header t_ns,label_code")
-    rows = parse_rows(path, lines, [("t", np.int64), ("code", np.int64)])
-    t_arr, codes = rows["t"], rows["code"]
+    text = RecalledText(path, LABELS_KIND)
+    if text.header() != LABELS_HEADER:
+        raise DataError(f"{path}:1: expected header {LABELS_HEADER}")
+    if text.recalled is None:
+        rows = parse_rows(path, text.lines, [("t", np.int64), ("code", np.int64)])
+        t_arr, codes = rows["t"], rows["code"]
+    else:
+        t_arr, codes = text.recalled
     eeg_ts = np.asarray(eeg_ts, dtype=np.int64)
     pos = np.searchsorted(eeg_ts, t_arr)
     bad = (pos >= len(eeg_ts)) | (eeg_ts[np.minimum(pos, len(eeg_ts) - 1)] != t_arr)

@@ -2,8 +2,11 @@
 
 Every stage communicates with its neighbours only through files in the
 workspace, and run_all simply calls the stage functions in order. That is
-what makes stage-by-stage execution byte-identical to run-all: there is no
-in-memory shortcut to diverge from. ``runs`` owns the run grid: run-all,
+what makes stage-by-stage execution byte-identical to run-all. Its one
+in-memory shortcut cannot diverge: within a session's ``ingest.parse_memo``
+block, label and split take a file's parse from the memo only when the
+file's bytes are still those its writer registered, and that parse is
+exactly what parsing those bytes gives. ``runs`` owns the run grid: run-all,
 the train and eval commands and the report take their (session, horizon,
 model) runs from it, so the report reads the scores of exactly those runs.
 
@@ -39,7 +42,7 @@ import numpy as np
 from .config import RunConfig, derive_seed
 from .errors import ConfigError, DataError, EegDriveError
 from .ingest import SessionDir, decode_json, load_recording, load_session, non_integers
-from .ingest import write_json, write_replacing, write_session_dir
+from .ingest import parse_memo, write_json, write_replacing, write_session_dir
 from .labels import label_at_horizon, read_labels_csv, write_labels_csv
 from .metrics import confusion_matrix, metrics_from_confusion
 from .models import (
@@ -218,7 +221,9 @@ def stage_split(cfg: RunConfig, ws: Workspace, session_id: str) -> None:
     with _stage("split", session_id):
         _, eeg = load_recording(ws.preprocessed_dir(session_id))
         timestamps, samples = eeg.timestamps, eeg.samples.astype(np.float32)
-        del eeg  # one copy of the samples, the float32 one, lives through the loop
+        # one copy of the samples, the float32 one, lives through the loop
+        # (and, when the recording was recalled, the memo's read-only one)
+        del eeg
         for delta in cfg.horizons_ms:
             labels_path = ws.labels_csv(session_id, delta)
             if not labels_path.is_file():
@@ -375,9 +380,13 @@ def stage_report(cfg: RunConfig, ws: Workspace) -> list[Path]:
 def _per_session(args) -> None:
     cfg, root, session_id = args
     ws = Workspace(root)
-    stage_preprocess(cfg, ws, session_id)
-    stage_label(cfg, ws, session_id)
-    stage_split(cfg, ws, session_id)
+    # label and split recall the preprocessed recording and the labels
+    # files this block wrote, while their bytes are unchanged, instead of
+    # parsing them; every entry is dropped when split returns
+    with parse_memo():
+        stage_preprocess(cfg, ws, session_id)
+        stage_label(cfg, ws, session_id)
+        stage_split(cfg, ws, session_id)
 
 
 def _per_run(args) -> None:

@@ -21,10 +21,18 @@ from eegdrive.ingest import (
     align_nearest,
     format_rows,
     load_session,
+    parse_memo,
+    parse_rows,
     write_json,
     write_session_dir,
 )
-from eegdrive.labels import LabeledSamples, LabelRule, read_labels_csv, write_labels_csv
+from eegdrive.labels import (
+    LABELS_KIND,
+    LabeledSamples,
+    LabelRule,
+    read_labels_csv,
+    write_labels_csv,
+)
 from eegdrive.metrics import metrics_from_confusion
 from eegdrive.models import (
     LinearSoftmax,
@@ -553,3 +561,124 @@ class TestReadersUnderCorruption:
                 _read(root, name)
             except DataError:
                 pass
+
+
+#: EEG samples for the recall property: the format's edges above, plus
+#: magnitudes from 1e-8 to 1e9 of either sign, values in (-5e-7, 0), which
+#: print as -0.000000, and products at and just past 2^52.
+RECALL_FLOATS = st.one_of(
+    FLOATS,
+    st.builds(lambda e, s: s * 10.0**e, st.floats(-8.0, 9.0), st.sampled_from([-1.0, 1.0])),
+    st.floats(-5e-7, 0.0, exclude_min=True, exclude_max=True),
+    st.sampled_from([2**52 / 1e6, -(2**52) / 1e6, 2**53 / 1e6, math.nan, -math.inf]),
+)
+
+
+def _bits(a):
+    """dtype, shape and bytes of an array: equal only when equal bit for bit."""
+    a = np.asarray(a)
+    return a.dtype, a.shape, np.ascontiguousarray(a).tobytes()
+
+
+def _outcome(read):
+    """The arrays ``read()`` returns, bit for bit, or the DataError it raises."""
+    try:
+        got = read()
+    except DataError as e:
+        return str(e)
+    if isinstance(got, LabeledSamples):
+        return [_bits(a) for a in (got.indices, got.t_ns, got.labels)]
+    eeg, joy = got.eeg, got.joystick
+    return [_bits(a) for a in (eeg.timestamps, eeg.samples, joy.t_ns, joy.v_x, joy.omega_z)]
+
+
+class TestRecalledParse:
+    """What each writer registers inside a ``parse_memo()`` block equals, bit
+    for bit, a cold parse of the bytes it wrote, and a reader returns the
+    same arrays, or raises the same DataError, on a recall as on a parse."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(rows=st.lists(
+        st.tuples(INTEGERS, st.lists(RECALL_FLOATS, min_size=3, max_size=3)), max_size=6
+    ))
+    @example([])
+    @example([(0, [(7 + 0.5) / 1e6, -4e-7, -0.0]), (8_000_000, [math.nan, math.inf, 1e9])])
+    def test_eeg_rows(self, rows):
+        ts = np.array([t for t, _ in rows], dtype=np.int64)
+        x = np.array([v for _, v in rows], dtype=np.float64).reshape(len(rows), 3)
+        joy = _toy_session().joystick
+        sess = SessionDir("s01", "sess-a", EegRecording(synthetic_montage(3), ts, x.T, 125.0), joy)
+        with tempfile.TemporaryDirectory() as tmp:
+            with parse_memo() as memo:
+                root = write_session_dir(Path(tmp), sess)
+                raw = (root / EEG_NAME).read_bytes()
+                recalled = memo.recall(EEG_NAME, raw)
+                hit = _outcome(lambda: load_session(root))
+            if (ts < 0).any():  # "-1" is no uint64: the reader must parse and reject it
+                assert recalled is None
+            else:
+                rows = parse_rows(root / EEG_NAME, raw.decode().split("\n"), ingest._eeg_dtype(3))
+                assert [_bits(a) for a in recalled] == [_bits(rows["t"]), _bits(rows["x"])]
+            assert len(memo) == 0
+            assert hit == _outcome(lambda: load_session(root))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(rows=st.lists(st.tuples(INTEGERS, FLOATS, FLOATS), max_size=6))
+    @example([])
+    @example([(0, -0.0, math.nan), (-5, 1e-300, -math.inf)])
+    @example([(0, -math.nan, 0.5)])  # the sign bit set: JSON's NaN has none
+    def test_joystick_streams(self, rows):
+        t = np.array([r[0] for r in rows], dtype=np.int64)
+        v = np.array([r[1:] for r in rows], dtype=np.float64).reshape(len(rows), 2)
+        sess = SessionDir("s01", "sess-a", _toy_session().eeg, JoystickStream(t, v[:, 0], v[:, 1]))
+        with tempfile.TemporaryDirectory() as tmp:
+            with parse_memo() as memo:
+                root = write_session_dir(Path(tmp), sess)
+                raw = (root / JOYSTICK_NAME).read_bytes()
+                recalled = memo.recall(JOYSTICK_NAME, raw)
+                hit = _outcome(lambda: load_session(root))
+            lines = raw.decode().split("\n")
+            cold_t, cold_v = ingest._decode_flat_lines(lines) or ingest._decode_each_line(
+                root / JOYSTICK_NAME, lines
+            )
+            want = [_bits(np.asarray(cold_t, dtype=np.int64)), _bits(cold_v)]
+            assert [_bits(a) for a in recalled] == want
+            assert hit == _outcome(lambda: load_session(root))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(rows=st.lists(st.tuples(INTEGERS, st.integers(-128, 127)), max_size=6))
+    @example([])
+    @example([(-(2**63), 4), (2**63 - 1, -1)])
+    def test_labels_files(self, rows):
+        t = np.array([r[0] for r in rows], dtype=np.int64)
+        codes = np.array([r[1] for r in rows], dtype=np.int8)
+        eeg_ts = np.unique(t)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "labels.csv"
+            with parse_memo() as memo:
+                write_labels_csv(path, LabeledSamples(np.arange(len(t)), t, codes))
+                raw = path.read_bytes()
+                recalled = memo.recall(LABELS_KIND, raw)
+                hit = _outcome(lambda: read_labels_csv(path, eeg_ts))
+            lines = raw.decode().split("\n")
+            rows = parse_rows(path, lines, [("t", np.int64), ("code", np.int64)])
+            assert [_bits(a) for a in recalled] == [_bits(rows["t"]), _bits(rows["code"])]
+            assert hit == _outcome(lambda: read_labels_csv(path, eeg_ts))
+
+    def test_recalled_arrays_are_read_only_and_shared(self, tmp_path):
+        with parse_memo() as memo:
+            root = write_session_dir(tmp_path / "sess", _toy_session())
+            raw = (root / EEG_NAME).read_bytes()
+            first, again = memo.recall(EEG_NAME, raw), memo.recall(EEG_NAME, raw)
+            assert all(a is b for a, b in zip(first, again))
+            assert not any(a.flags.writeable for a in first)
+            assert memo.recall(JOYSTICK_NAME, raw) is None  # kinds do not mix
+
+    def test_edited_bytes_are_parsed(self, tmp_path):
+        with parse_memo() as memo:
+            root = write_session_dir(tmp_path / "sess", _toy_session())
+            eeg = root / EEG_NAME
+            eeg.write_bytes(eeg.read_bytes().replace(b"\n8000000,", b"\n8000000x,", 1))
+            assert memo.recall(EEG_NAME, eeg.read_bytes()) is None
+            with pytest.raises(DataError, match=f"{EEG_NAME}:3: "):
+                load_session(root)

@@ -7,6 +7,7 @@ entire workspace tree, not just the report.
 
 import ast
 import ctypes
+import functools
 import hashlib
 import json
 import os
@@ -15,11 +16,13 @@ import shutil
 import subprocess
 import sys
 import textwrap
+from contextlib import contextmanager
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from eegdrive import pipeline
+from eegdrive import ingest, pipeline
 from eegdrive.cli import main
 from eegdrive.config import RunConfig, config_from_dict
 from eegdrive.errors import DataError
@@ -785,6 +788,140 @@ class TestExitCodes:
         rc = main(["train"] + base)
         assert rc == 4
         assert "training diverged" in capsys.readouterr().err
+
+
+ONE_SESSION = dict(SMALL, n_sessions=1, horizons_ms=[0, 300], train={"epochs": 1})
+
+
+@pytest.fixture
+def recalls(monkeypatch):
+    """Record every memo run_all opens and the kind of every recall that
+    hits; returns (memos, hits)."""
+    memos, hits = [], []
+    opened, recall = pipeline.parse_memo, ingest.ParseMemo.recall
+
+    @contextmanager
+    def recording():
+        with opened() as memo:
+            memos.append(memo)
+            yield memo
+
+    def spy(self, kind, raw):
+        got = recall(self, kind, raw)
+        if got is not None:
+            hits.append(kind)
+        return got
+
+    monkeypatch.setattr(pipeline, "parse_memo", recording)
+    monkeypatch.setattr(ingest.ParseMemo, "recall", spy)
+    return memos, hits
+
+
+class TestParseMemo:
+    """Within run-all, label and split recall what preprocess and label
+    wrote; the memo lives only for one session's data path."""
+
+    def test_run_all_recalls_each_file_it_wrote(self, tmp_path, recalls):
+        memos, hits = recalls
+        cfg = _write_cfg(tmp_path, ONE_SESSION)
+        assert main(["run-all", "--config", str(cfg), "--out", str(tmp_path / "ws")]) == 0
+        # label recalls the recording and the stream, split the recording
+        # and each labels file
+        assert sorted(hits) == ["eeg.csv", "eeg.csv", "joystick.jsonl",
+                                "labels.csv", "labels.csv"]
+        assert len(memos) == 1 and len(memos[0]) == 0
+        assert ingest._MEMO.get() is None
+
+    def test_stages_never_consult_it(self, tmp_path, recalls, monkeypatch):
+        memos, _ = recalls
+        registered = []
+        monkeypatch.setattr(ingest.ParseMemo, "register", lambda *a: registered.append(a))
+        monkeypatch.setattr(ingest.ParseMemo, "recall", lambda *a: registered.append(a))
+        cfg = _write_cfg(tmp_path, ONE_SESSION)
+        base = ["--config", str(cfg), "--out", str(tmp_path / "ws")]
+        for stage in ("simulate", "preprocess", "label", "split"):
+            assert main([stage] + base) == 0, stage
+        assert memos == [] and registered == []
+
+    def test_a_jobs_2_worker_drops_it(self, tmp_path, recalls, monkeypatch):
+        memos, hits = recalls
+        per_session = pipeline._per_session
+
+        @functools.wraps(per_session)  # the pool pickles it by this name
+        def reporting(args):
+            per_session(args)
+            sizes = [len(m) for m in memos]
+            (tmp_path / f"{args[2]}.json").write_text(json.dumps(
+                [os.getpid(), sizes, len(hits), ingest._MEMO.get() is None]
+            ))
+
+        monkeypatch.setattr(pipeline, "_per_session", reporting)
+        cfg = _write_cfg(tmp_path, dict(ONE_SESSION, n_sessions=2))
+        rc = main(["run-all", "--config", str(cfg), "--out", str(tmp_path / "ws"),
+                   "--jobs", "2"])
+        assert rc == 0
+        for sid in ("synth-0000", "synth-0001"):
+            pid, sizes, n_hits, closed = json.loads((tmp_path / f"{sid}.json").read_text())
+            assert pid != os.getpid()
+            assert sizes[-1] == 0 and closed
+            assert n_hits >= 5
+        assert memos == []  # no memo is opened in this process
+
+    @pytest.mark.parametrize("name", ["eeg.csv", "labels"])
+    def test_a_file_edited_after_its_write_is_parsed(self, tmp_path, recalls, monkeypatch,
+                                                       capsys, name):
+        _, hits = recalls
+        ws = tmp_path / "ws"
+        work = ws / "work" / "synth-0000"
+        eeg, labels = work / "preprocessed" / "eeg.csv", work / "labels" / "labels_300.csv"
+        label = pipeline.stage_label
+
+        def edit_then_label(cfg, ws_, session_id):
+            if name == "eeg.csv":  # line 3's timestamp no longer parses
+                eeg.write_bytes(eeg.read_bytes().replace(EEG_T3, b"\n8000000x,", 1))
+                return label(cfg, ws_, session_id)
+            written = label(cfg, ws_, session_id)
+            raw = bytearray(labels.read_bytes())
+            raw[raw.index(b"\n", len("t_ns,label_code\n")) - 1] = ord("9")  # a code
+            labels.write_bytes(bytes(raw))
+            return written
+
+        monkeypatch.setattr(pipeline, "stage_label", edit_then_label)
+        cfg = _write_cfg(tmp_path, ONE_SESSION)
+        assert main(["run-all", "--config", str(cfg), "--out", str(ws)]) == 3
+        err = capsys.readouterr().err
+        if name == "eeg.csv":
+            assert f"[label] synth-0000: {eeg}:3: could not convert" in err
+            assert "eeg.csv" not in hits
+        else:
+            assert f"[split] synth-0000: {labels}: label codes must lie in [0, 4]" in err
+            # labels_0.csv, read first, is recalled; the edited labels_300.csv is not
+            assert hits.count("labels.csv") == 1 and "eeg.csv" in hits
+
+    def test_non_finite_recording_reads_alike_recalled_or_parsed(
+        self, tmp_path, recalls, monkeypatch, capsys
+    ):
+        _, hits = recalls
+        preprocess = pipeline.preprocess_session
+
+        def with_a_nan(eeg, *args):
+            cleaned, report = preprocess(eeg, *args)
+            x = cleaned.samples.copy()
+            x[2, 10] = np.nan
+            return cleaned.with_samples(x), report
+
+        monkeypatch.setattr(pipeline, "preprocess_session", with_a_nan)
+        cfg = _write_cfg(tmp_path, ONE_SESSION)
+        base = ["--config", str(cfg), "--out", str(tmp_path / "ws")]
+        assert main(["run-all"] + base) == 3
+        recalled = capsys.readouterr().err
+        assert hits == ["eeg.csv"]
+        assert main(["label"] + base) == 3
+        parsed = capsys.readouterr().err
+        assert hits == ["eeg.csv"]
+        eeg = tmp_path / "ws" / "work" / "synth-0000" / "preprocessed" / "eeg.csv"
+        assert recalled == parsed
+        assert f"[label] synth-0000: {eeg}:12: non-finite sample nan in channel F3" in parsed
 
 
 def test_cli_run_imports_no_scipy(tmp_path):

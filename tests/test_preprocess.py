@@ -454,6 +454,37 @@ class TestSimulatedSessions:
         )
         assert report.to_dict()["interpolated"] == ([] if dead is None else [dead])
 
+    #: The cases of the sweep below that also repair a clean motor channel.
+    #: Each settles through the oscillation rule; (107, "C3") is the strict
+    #: xfail above.
+    CLEAN_REPAIRS = [
+        (103, "F8", ["C3"]), (103, "T4", ["C3"]), (103, "T6", ["C3"]),
+        (107, "C3", ["C4"]), (111, "T4", ["C3"]), (116, "F3", ["C3"]),
+    ]
+
+    def test_sweep_repairs_a_clean_channel_in_no_more_cases(self):
+        """Seeds 100-119, each clean and with each of its 16 channels dead:
+        340 cases. Every dead channel is repaired, and no more cases than
+        the known ones also repair a clean channel."""
+        clean_repairs, unrepaired = [], []
+        for seed in range(100, 120):
+            session, _ = generate_session(SynthConfig(duration_s=180.0, rng_seed=seed))
+            rec = session.eeg
+            for dead in (None, *rec.montage.names):
+                x = rec.samples.copy()
+                if dead is not None:
+                    x[rec.montage.names.index(dead)] = 0.0
+                _, report = preprocess_session(
+                    rec.with_samples(x), FilterSpec(), BadChannelCriteria()
+                )
+                repaired = report.to_dict()["interpolated"]
+                if dead is not None and dead not in repaired:
+                    unrepaired.append((seed, dead, repaired))
+                if set(repaired) - {dead}:
+                    clean_repairs.append((seed, dead, sorted(set(repaired) - {dead})))
+        assert unrepaired == []
+        assert len(clean_repairs) <= len(self.CLEAN_REPAIRS), clean_repairs
+
 
 class TestGeometryHelpers:
     @staticmethod

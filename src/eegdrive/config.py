@@ -21,7 +21,7 @@ from pathlib import Path
 from .errors import ConfigError, DataError
 from .ingest import decode_json, non_integers
 from .labels import LabelRule
-from .models import KNOWN_MODELS, TrainConfig
+from .models import KNOWN_MODELS, ShallowConvNet, ShallowConvNetSpec, TrainConfig
 from .preprocess import BadChannelCriteria, FilterSpec
 from .session import HORIZONS_MS
 from .splitting import SplitConfig
@@ -61,6 +61,11 @@ class RunConfig:
             raise ConfigError("seed must fit in an unsigned 64-bit integer")
         if self.n_sessions < 1:
             raise ConfigError("n_sessions must be >= 1")
+        if ShallowConvNet.name in self.models:
+            try:  # the net train builds over split's windows
+                ShallowConvNetSpec().conv_len(self.split.window_len)
+            except ValueError as exc:
+                raise ConfigError(f"split.window_len: {exc}") from exc
 
 
 _NoneType = type(None)

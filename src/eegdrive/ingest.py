@@ -26,7 +26,9 @@ counted only for that row:
   the manifest's sample rate implies.
 
 ``load_session`` reads all three files; ``load_recording`` reads only the
-manifest and the EEG, for a stage that needs no joystick stream.
+manifest and the EEG, for a stage that needs no joystick stream. Both read
+the samples from the file given, by default the directory's own
+``eeg.csv``, so a cleaned ``eeg.csv`` is read with its session's files.
 
 The writers render numeric CSV rows with numpy (``format_rows``), byte for
 byte as Python's ``%d`` and ``%.6f`` would, render the joystick stream in
@@ -34,21 +36,19 @@ one pass, and write each file through a temp file that replaces it only
 once complete (``write_replacing``), as ``write_json`` does.
 
 Inside a ``parse_memo()`` block a file this process has just written is not
-parsed again. ``write_session_dir`` (for ``eeg.csv`` and ``joystick.jsonl``)
-and ``labels.write_labels_csv`` register, under the sha256 of the bytes
-they wrote, a lazy producer of exactly the arrays their reader's parser
-would return for those bytes: for an EEG float, ``%.6f`` read back, that is
+parsed again. ``write_eeg_csv`` and ``labels.write_labels_csv`` store, under
+the sha256 of the bytes they wrote, exactly the arrays their reader's
+parser would return for those bytes, read-only and sharing no memory with
+the writer: for an EEG float, ``%.6f`` read back, that is
 ``copysign(rint(|x| * 1e6) / 1e6, x)``, or ``float("%.6f" % x)`` where
-``format_rows`` hands the value to ``%``. Each reader reads a file's bytes
-once, hashes them and looks the digest up; on a miss it decodes and parses
-them as outside a block. A recalled parse is built on its first recall,
-read-only, and shared with every later reader of the same bytes. Every
-check runs on it as on a parse; the file's lines are decoded only to name
-the line of a fault, so each message is the same either way.
-``pipeline.run_all`` opens one block per session around preprocess, label
-and split, and the entries are dropped when it closes. Outside a block
-nothing is registered or looked up, so the stage-by-stage commands and
-every other reader parse each file from disk.
+``format_rows`` hands the value to ``%``. Each of those readers reads a
+file's bytes once, hashes them and looks the digest up; on a miss it
+decodes and parses them as outside a block. Every check runs on a recalled
+parse as on a parse; the file's lines are decoded only to name the line of
+a fault, so each message is the same either way. ``pipeline.run_all`` opens
+one block per session around preprocess, label and split, and the entries
+are dropped when it closes. Outside a block nothing is stored or looked
+up: the stage-by-stage commands and every other reader parse from disk.
 """
 
 from __future__ import annotations
@@ -125,52 +125,17 @@ class SessionDir:
     reserved_streams: tuple[str, ...] = ()
 
 
-class ParseMemo:
-    """Parses of the files written in one ``parse_memo()`` block, keyed by a
-    reader's kind and the sha256 of the file's bytes.
-
-    An entry starts as the writer's producer, which holds references to
-    the writer's arrays, not copies; those must not change until the block
-    ends. The first recall builds the parse, marks its arrays read-only and
-    lets the producer go; later recalls share that parse.
-    """
-
-    def __init__(self) -> None:
-        # a producer until the first recall, then the parse it built
-        self._entries: dict[tuple[str, bytes], Callable[[], tuple] | tuple] = {}
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def register(self, kind: str, digest: bytes, produce: Callable[[], tuple]) -> None:
-        self._entries[kind, digest] = produce
-
-    def recall(self, kind: str, raw: bytes) -> tuple | None:
-        """The parse registered under ``kind`` for the bytes ``raw``, or None."""
-        if not self._entries:  # nothing to find: no hash
-            return None
-        key = (kind, hashlib.sha256(raw).digest())
-        parsed = self._entries.get(key)
-        if callable(parsed):
-            parsed = tuple(a.view() for a in parsed())
-            for a in parsed:
-                a.setflags(write=False)
-            self._entries[key] = parsed
-        return parsed
-
-    def clear(self) -> None:
-        self._entries.clear()
-
-
-_MEMO: ContextVar[ParseMemo | None] = ContextVar("eegdrive_parse_memo", default=None)
+#: The open ``parse_memo()`` block's parses, keyed by a reader's kind and
+#: the sha256 of the file's bytes.
+_MEMO: ContextVar[dict | None] = ContextVar("eegdrive_parse_memo", default=None)
 
 
 @contextmanager
-def parse_memo() -> Iterator[ParseMemo]:
+def parse_memo() -> Iterator[dict[tuple[str, bytes], tuple]]:
     """A block in which every file written by ``write_recallable`` is
     recalled, not parsed, by a ``RecalledText`` of its unchanged bytes.
     Every entry is dropped when the block ends."""
-    memo = ParseMemo()
+    memo: dict[tuple[str, bytes], tuple] = {}
     token = _MEMO.set(memo)
     try:
         yield memo
@@ -180,22 +145,24 @@ def parse_memo() -> Iterator[ParseMemo]:
 
 
 class RecalledText:
-    """A file's bytes, read once, and the parse a writer registered for
-    them under ``kind`` (``recalled``, None on a miss or outside a
-    ``parse_memo()`` block). Its lines are decoded on first use, so a
-    recalled file is decoded only to place a fault.
+    """A file's bytes, read once, and the parse a writer stored for them
+    under ``kind`` (``recalled``, None on a miss, for a reader that passes
+    no kind or outside a ``parse_memo()`` block). Its lines are decoded on
+    first use, so a recalled file is decoded only to place a fault.
 
     A file that cannot be read is a DataError naming it.
     """
 
-    def __init__(self, path: Path, kind: str):
+    def __init__(self, path: Path, kind: str | None = None):
         self.path = path
         try:
             self.raw = path.read_bytes()
         except OSError as e:
             raise DataError(f"{path}: cannot read: {e}") from e
         memo = _MEMO.get()
-        self.recalled = None if memo is None else memo.recall(kind, self.raw)
+        self.recalled = None
+        if memo and kind is not None:  # an empty memo has nothing to find: no hash
+            self.recalled = memo.get((kind, hashlib.sha256(self.raw).digest()))
 
     @cached_property
     def lines(self) -> list[str]:
@@ -221,14 +188,15 @@ class RecalledText:
 
 
 def write_recallable(
-    path: Path, chunks: Iterable[bytes], kind: str, produce: Callable[[], tuple] | None
+    path: Path, chunks: Iterable[bytes], kind: str, parse: Callable[[], tuple] | None
 ) -> Path:
-    """``write_replacing``; inside a ``parse_memo()`` block, also register
-    ``produce`` under ``kind`` and the sha256 of the bytes written. It must
-    return exactly the arrays that reader's parser returns for those bytes;
-    a writer passes None for bytes that parser would fail on."""
+    """``write_replacing``; inside a ``parse_memo()`` block, also store what
+    ``parse()`` returns, made read-only, under ``kind`` and the sha256 of
+    the bytes written. It must return exactly the arrays that reader's
+    parser returns for those bytes, sharing no memory with the writer's
+    arrays; a writer passes None for bytes that parser would fail on."""
     memo = _MEMO.get()
-    if memo is None or produce is None:
+    if memo is None or parse is None:
         return write_replacing(path, chunks)
     digest = hashlib.sha256()
 
@@ -238,7 +206,10 @@ def write_recallable(
             yield chunk
 
     write_replacing(path, hashed())
-    memo.register(kind, digest.digest(), produce)
+    parsed = parse()
+    for a in parsed:
+        a.setflags(write=False)
+    memo[kind, digest.digest()] = parsed
     return path
 
 
@@ -527,11 +498,8 @@ def _decode_each_line(path: Path, lines: list[str]) -> tuple[list, np.ndarray]:
 
 
 def _parse_joystick_jsonl(path: Path) -> JoystickStream:
-    text = RecalledText(path, JOYSTICK_NAME)
-    if text.recalled is None:
-        t, v = _decode_flat_lines(text.lines) or _decode_each_line(path, text.lines)
-    else:
-        t, v = text.recalled
+    text = RecalledText(path)
+    t, v = _decode_flat_lines(text.lines) or _decode_each_line(path, text.lines)
     if not len(t):
         raise DataError(f"{path}: no joystick samples")
     try:
@@ -545,31 +513,38 @@ def _parse_joystick_jsonl(path: Path) -> JoystickStream:
     return JoystickStream(timestamps, v[:, 0], v[:, 1])
 
 
-def load_recording(path: str | Path) -> tuple[dict, EegRecording]:
-    """Parse and validate the manifest and EEG of one session directory;
-    returns the SessionDir identifier fields and the recording. The joystick
-    stream is neither read nor required."""
-    root = Path(path)
-    for name in (MANIFEST_NAME, EEG_NAME):
-        if not (root / name).is_file():
-            raise DataError(f"{root}: missing {name}")
-    ids, montage, rate_hz = _parse_manifest(root / MANIFEST_NAME)
-    return ids, _parse_eeg_csv(root / EEG_NAME, montage, rate_hz)
+def _existing(path: Path) -> Path:
+    if not path.is_file():
+        raise DataError(f"missing {path}")
+    return path
 
 
-def load_session(path: str | Path) -> SessionDir:
-    """Parse and validate one session directory."""
+def load_recording(
+    path: str | Path, eeg: str | Path | None = None
+) -> tuple[dict, EegRecording]:
+    """Parse and validate the manifest of the session directory ``path`` and
+    the samples file ``eeg``, by default ``path``'s own; returns the
+    SessionDir identifier fields and the recording. The joystick stream is
+    neither read nor required."""
     root = Path(path)
-    ids, eeg = load_recording(root)
-    if not (root / JOYSTICK_NAME).is_file():
-        raise DataError(f"{root}: missing {JOYSTICK_NAME}")
-    joystick = _parse_joystick_jsonl(root / JOYSTICK_NAME)
-    return SessionDir(eeg=eeg, joystick=joystick, **ids)
+    manifest = _existing(root / MANIFEST_NAME)
+    eeg_path = _existing(root / EEG_NAME if eeg is None else Path(eeg))
+    ids, montage, rate_hz = _parse_manifest(manifest)
+    return ids, _parse_eeg_csv(eeg_path, montage, rate_hz)
+
+
+def load_session(path: str | Path, eeg: str | Path | None = None) -> SessionDir:
+    """Parse and validate one session directory, its samples read from
+    ``eeg`` as ``load_recording`` does."""
+    root = Path(path)
+    ids, recording = load_recording(root, eeg)
+    joystick = _parse_joystick_jsonl(_existing(root / JOYSTICK_NAME))
+    return SessionDir(eeg=recording, joystick=joystick, **ids)
 
 
 # --------------------------------------------------------------------------
-# Writers (used by the simulator and by the preprocessing stage, whose
-# output is itself a loadable session directory)
+# Writers (the simulator's session directories and the preprocessing
+# stage's cleaned ``eeg.csv``)
 # --------------------------------------------------------------------------
 
 
@@ -730,6 +705,29 @@ def _json_numbers(values: np.ndarray) -> list[str]:
     return json.dumps(values.tolist())[1:-1].split(", ")
 
 
+def write_eeg_csv(path: str | Path, eeg: EegRecording) -> Path:
+    """Write ``eeg`` as an ``eeg.csv`` file, replacing ``path``; inside a
+    ``parse_memo()`` block, its parse is stored for the next reader."""
+    header = ("timestamp_ns," + ",".join(eeg.montage.names) + "\n").encode()
+    blocks = (
+        slice(start, start + EEG_ROWS_PER_BLOCK)
+        for start in range(0, eeg.n_samples, EEG_ROWS_PER_BLOCK)
+    )
+    # a negative timestamp is not a uint64: its parse fails, so no recall
+    eeg_parse = None if (eeg.timestamps < 0).any() else lambda: (
+        eeg.timestamps.astype(np.uint64), _read_back(eeg.samples).T
+    )
+    return write_recallable(
+        Path(path),
+        itertools.chain(
+            [header],
+            (format_rows([eeg.timestamps[b]], eeg.samples[:, b].T) for b in blocks),
+        ),
+        EEG_NAME,
+        eeg_parse,
+    )
+
+
 def write_session_dir(path: str | Path, session: SessionDir) -> Path:
     """Write a session to disk in the exact on-disk formats parsed above,
     each file through ``write_replacing``."""
@@ -749,38 +747,9 @@ def write_session_dir(path: str | Path, session: SessionDir) -> Path:
         "reserved_streams": list(session.reserved_streams),
     }
     write_replacing(root / MANIFEST_NAME, [(json.dumps(manifest, indent=2) + "\n").encode()])
-
-    header = ("timestamp_ns," + ",".join(montage.names) + "\n").encode()
-    blocks = (
-        slice(start, start + EEG_ROWS_PER_BLOCK)
-        for start in range(0, eeg.n_samples, EEG_ROWS_PER_BLOCK)
-    )
-    # a negative timestamp is not a uint64: its parse fails, so no recall
-    eeg_parse = None if (eeg.timestamps < 0).any() else lambda: (
-        eeg.timestamps.view(np.uint64), _read_back(eeg.samples).T
-    )
-    write_recallable(
-        root / EEG_NAME,
-        itertools.chain(
-            [header],
-            (format_rows([eeg.timestamps[b]], eeg.samples[:, b].T) for b in blocks),
-        ),
-        EEG_NAME,
-        eeg_parse,
-    )
-
+    write_eeg_csv(root / EEG_NAME, eeg)
     joy = session.joystick
     lines = zip(joy.t_ns.tolist(), _json_numbers(joy.v_x), _json_numbers(joy.omega_z))
     text = "".join(f'{{"t_ns": {t}, "vx": {vx}, "wz": {wz}}}\n' for t, vx, wz in lines)
-    write_recallable(root / JOYSTICK_NAME, [text.encode()], JOYSTICK_NAME, lambda: (
-        joy.t_ns, _canonical_nan(np.column_stack([joy.v_x, joy.omega_z]))
-    ))
+    write_replacing(root / JOYSTICK_NAME, [text.encode()])
     return root
-
-
-def _canonical_nan(values: np.ndarray) -> np.ndarray:
-    """``values`` with every NaN made the one NaN that JSON ``NaN`` decodes
-    to, since ``json.dumps`` renders each NaN, whatever its sign or
-    payload, as ``NaN``."""
-    values[np.isnan(values)] = math.nan
-    return values

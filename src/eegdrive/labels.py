@@ -29,7 +29,7 @@ from .session import NS_PER_MS, NS_PER_S, CommandLabel, JoystickStream
 #: Code used in bulk arrays for "no label" (contradictory or unmatched).
 NO_LABEL = -1
 LABELS_HEADER = "t_ns,label_code"
-#: The ``ingest.ParseMemo`` kind of a labels file's parse.
+#: The ``ingest.parse_memo`` kind of a labels file's parse.
 LABELS_KIND = "labels.csv"
 
 
@@ -127,10 +127,9 @@ def write_labels_csv(path: str | Path, labeled: LabeledSamples) -> Path:
     only once the whole file is written. Inside an ``ingest.parse_memo()``
     block, ``read_labels_csv`` recalls these rows rather than parse them."""
     rows = format_rows([labeled.t_ns, labeled.labels])
-    t, codes = labeled.t_ns, labeled.labels
     return write_recallable(
         Path(path), [(LABELS_HEADER + "\n").encode(), rows], LABELS_KIND,
-        lambda: (t, codes.astype(np.int64)),
+        lambda: (labeled.t_ns.copy(), labeled.labels.astype(np.int64)),
     )
 
 

@@ -5,15 +5,19 @@ workspace, and run_all simply calls the stage functions in order. That is
 what makes stage-by-stage execution byte-identical to run-all. Its one
 in-memory shortcut cannot diverge: within a session's ``ingest.parse_memo``
 block, label and split take a file's parse from the memo only when the
-file's bytes are still those its writer registered, and that parse is
-exactly what parsing those bytes gives. ``runs`` owns the run grid: run-all,
-the train and eval commands and the report take their (session, horizon,
-model) runs from it, so the report reads the scores of exactly those runs.
+file's bytes are still those its writer stored it for, and that parse is
+exactly what parsing those bytes gives. Each fact of a session has one
+file: cleaning changes only the samples, so preprocess writes only the
+cleaned ``eeg.csv``, and label and split read it with the session's own
+manifest, label also with the session's own joystick stream. ``runs`` owns
+the run grid: run-all, the train and eval commands and the report take
+their (session, horizon, model) runs from it, so the report reads the
+scores of exactly those runs.
 
 Workspace layout under the output directory:
 
     sessions/<id>/            raw session dirs (simulated or user-supplied)
-    work/<id>/preprocessed/   cleaned recording in session-dir format
+    work/<id>/preprocessed/eeg.csv   cleaned samples, in eeg.csv format
     work/<id>/preprocess_report.json
     work/<id>/labels/labels_<delta>.csv
     work/<id>/windows/<delta>/{train,test}.{f32,json} + split_stats.json
@@ -41,8 +45,8 @@ import numpy as np
 
 from .config import RunConfig, derive_seed
 from .errors import ConfigError, DataError, EegDriveError
-from .ingest import SessionDir, decode_json, load_recording, load_session, non_integers
-from .ingest import parse_memo, write_json, write_replacing, write_session_dir
+from .ingest import EEG_NAME, SessionDir, decode_json, load_recording, load_session
+from .ingest import non_integers, parse_memo, write_eeg_csv, write_json, write_replacing
 from .labels import label_at_horizon, read_labels_csv, write_labels_csv
 from .metrics import confusion_matrix, metrics_from_confusion
 from .models import (
@@ -92,8 +96,8 @@ class Workspace:
     def work_dir(self, session_id: str) -> Path:
         return self.root / WORK_DIR / session_id
 
-    def preprocessed_dir(self, session_id: str) -> Path:
-        return self.work_dir(session_id) / PREPROCESSED_DIR
+    def preprocessed_eeg(self, session_id: str) -> Path:
+        return self.work_dir(session_id) / PREPROCESSED_DIR / EEG_NAME
 
     def preprocess_report(self, session_id: str) -> Path:
         return self.work_dir(session_id) / PREPROCESS_REPORT
@@ -186,14 +190,17 @@ def stage_validate(session_path: Path) -> SessionDir:
 
 
 def stage_preprocess(cfg: RunConfig, ws: Workspace, session_id: str) -> Path:
-    """Clean one session; emits a session-dir copy plus the JSON report."""
+    """Clean one session; emits the cleaned ``eeg.csv`` plus the JSON report.
+    The whole session is loaded, so a malformed joystick stream fails here."""
     with _stage("preprocess", session_id):
-        session = load_session(ws.session_dir(session_id))
-        cleaned, report = preprocess_session(session.eeg, cfg.filters, cfg.bad_channels)
-        out_dir = ws.preprocessed_dir(session_id)
-        write_session_dir(out_dir, dataclasses.replace(session, eeg=cleaned))
+        raw = load_session(ws.session_dir(session_id)).eeg
+        cleaned, report = preprocess_session(raw, cfg.filters, cfg.bad_channels)
+        del raw  # freed before the write builds the memo's parse
+        out = ws.preprocessed_eeg(session_id)
+        out.parent.mkdir(parents=True, exist_ok=True)
+        write_eeg_csv(out, cleaned)
         write_json(ws.preprocess_report(session_id), report.to_dict())
-        return out_dir
+        return out
 
 
 # ------------------------------------------------------------------ label
@@ -203,7 +210,7 @@ def stage_label(cfg: RunConfig, ws: Workspace, session_id: str) -> list[Path]:
     """Label the cleaned recording at every configured horizon under
     ``cfg.label_rule``."""
     with _stage("label", session_id):
-        session = load_session(ws.preprocessed_dir(session_id))
+        session = load_session(ws.session_dir(session_id), ws.preprocessed_eeg(session_id))
         ws.labels_csv(session_id, 0).parent.mkdir(parents=True, exist_ok=True)
         written = []
         for delta in cfg.horizons_ms:
@@ -219,7 +226,7 @@ def stage_label(cfg: RunConfig, ws: Workspace, session_id: str) -> list[Path]:
 
 def stage_split(cfg: RunConfig, ws: Workspace, session_id: str) -> None:
     with _stage("split", session_id):
-        _, eeg = load_recording(ws.preprocessed_dir(session_id))
+        _, eeg = load_recording(ws.session_dir(session_id), ws.preprocessed_eeg(session_id))
         timestamps, samples = eeg.timestamps, eeg.samples.astype(np.float32)
         # one copy of the samples, the float32 one, lives through the loop
         # (and, when the recording was recalled, the memo's read-only one)

@@ -226,6 +226,14 @@ class TestRunConfigRules:
         with pytest.raises(ConfigError, match="n_sessions"):
             config_from_dict({"n_sessions": 0})
 
+    def test_window_leaves_the_shallow_net_a_pool(self):
+        # 47 samples leave 35 conv frames, the default pool's length
+        assert config_from_dict({"split": {"window_len": 47}}).split.window_len == 47
+        with pytest.raises(ConfigError, match="split.window_len: window of 46 samples"):
+            config_from_dict({"split": {"window_len": 46}})
+        linear = config_from_dict({"models": ["linear"], "split": {"window_len": 1}})
+        assert linear.split.window_len == 1
+
 
 class TestDeriveSeed:
     def test_frozen_reference_value(self):

@@ -1,7 +1,9 @@
 """Alignment against an exhaustive oracle, plus session-directory IO."""
 
+import hashlib
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -23,6 +25,7 @@ from eegdrive.ingest import (
     load_session,
     parse_memo,
     parse_rows,
+    write_eeg_csv,
     write_json,
     write_session_dir,
 )
@@ -311,10 +314,25 @@ class TestSessionDirIO:
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
     def test_missing_file(self, tmp_path):
-        root = write_session_dir(tmp_path / "sess", _toy_session())
-        (root / JOYSTICK_NAME).unlink()
-        with pytest.raises(DataError, match=JOYSTICK_NAME):
-            load_session(root)
+        for name in (MANIFEST_NAME, EEG_NAME, JOYSTICK_NAME):
+            root = write_session_dir(tmp_path / name, _toy_session())
+            (root / name).unlink()
+            with pytest.raises(DataError, match=f"^missing {re.escape(str(root / name))}$"):
+                load_session(root)
+
+    def test_samples_read_from_the_file_given(self, tmp_path):
+        sess = _toy_session()
+        root = write_session_dir(tmp_path / "sess", sess)
+        other = tmp_path / "cleaned.csv"
+        write_eeg_csv(other, sess.eeg.with_samples(2 * sess.eeg.samples))
+        (root / EEG_NAME).unlink()  # never consulted
+        back = load_session(root, other)
+        assert np.allclose(back.eeg.samples, 2 * sess.eeg.samples, atol=1e-6)
+        assert np.array_equal(back.joystick.t_ns, sess.joystick.t_ns)
+        _, recording = ingest.load_recording(root, other)
+        assert np.array_equal(recording.samples, back.eeg.samples)
+        with pytest.raises(DataError, match=f"^missing {re.escape(str(tmp_path / 'gone.csv'))}$"):
+            load_session(root, tmp_path / "gone.csv")
 
     def test_manifest_missing_key(self, tmp_path):
         root = write_session_dir(tmp_path / "sess", _toy_session())
@@ -580,6 +598,11 @@ def _bits(a):
     return a.dtype, a.shape, np.ascontiguousarray(a).tobytes()
 
 
+def _recall(memo, kind, raw):
+    """The parse ``memo`` holds under ``kind`` for the bytes ``raw``, or None."""
+    return memo.get((kind, hashlib.sha256(raw).digest()))
+
+
 def _outcome(read):
     """The arrays ``read()`` returns, bit for bit, or the DataError it raises."""
     try:
@@ -593,7 +616,7 @@ def _outcome(read):
 
 
 class TestRecalledParse:
-    """What each writer registers inside a ``parse_memo()`` block equals, bit
+    """What each writer stores inside a ``parse_memo()`` block equals, bit
     for bit, a cold parse of the bytes it wrote, and a reader returns the
     same arrays, or raises the same DataError, on a recall as on a parse."""
 
@@ -612,7 +635,7 @@ class TestRecalledParse:
             with parse_memo() as memo:
                 root = write_session_dir(Path(tmp), sess)
                 raw = (root / EEG_NAME).read_bytes()
-                recalled = memo.recall(EEG_NAME, raw)
+                recalled = _recall(memo, EEG_NAME, raw)
                 hit = _outcome(lambda: load_session(root))
             if (ts < 0).any():  # "-1" is no uint64: the reader must parse and reject it
                 assert recalled is None
@@ -620,29 +643,6 @@ class TestRecalledParse:
                 rows = parse_rows(root / EEG_NAME, raw.decode().split("\n"), ingest._eeg_dtype(3))
                 assert [_bits(a) for a in recalled] == [_bits(rows["t"]), _bits(rows["x"])]
             assert len(memo) == 0
-            assert hit == _outcome(lambda: load_session(root))
-
-    @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(rows=st.lists(st.tuples(INTEGERS, FLOATS, FLOATS), max_size=6))
-    @example([])
-    @example([(0, -0.0, math.nan), (-5, 1e-300, -math.inf)])
-    @example([(0, -math.nan, 0.5)])  # the sign bit set: JSON's NaN has none
-    def test_joystick_streams(self, rows):
-        t = np.array([r[0] for r in rows], dtype=np.int64)
-        v = np.array([r[1:] for r in rows], dtype=np.float64).reshape(len(rows), 2)
-        sess = SessionDir("s01", "sess-a", _toy_session().eeg, JoystickStream(t, v[:, 0], v[:, 1]))
-        with tempfile.TemporaryDirectory() as tmp:
-            with parse_memo() as memo:
-                root = write_session_dir(Path(tmp), sess)
-                raw = (root / JOYSTICK_NAME).read_bytes()
-                recalled = memo.recall(JOYSTICK_NAME, raw)
-                hit = _outcome(lambda: load_session(root))
-            lines = raw.decode().split("\n")
-            cold_t, cold_v = ingest._decode_flat_lines(lines) or ingest._decode_each_line(
-                root / JOYSTICK_NAME, lines
-            )
-            want = [_bits(np.asarray(cold_t, dtype=np.int64)), _bits(cold_v)]
-            assert [_bits(a) for a in recalled] == want
             assert hit == _outcome(lambda: load_session(root))
 
     @settings(max_examples=200, deadline=None, derandomize=True)
@@ -658,27 +658,33 @@ class TestRecalledParse:
             with parse_memo() as memo:
                 write_labels_csv(path, LabeledSamples(np.arange(len(t)), t, codes))
                 raw = path.read_bytes()
-                recalled = memo.recall(LABELS_KIND, raw)
+                recalled = _recall(memo, LABELS_KIND, raw)
                 hit = _outcome(lambda: read_labels_csv(path, eeg_ts))
             lines = raw.decode().split("\n")
             rows = parse_rows(path, lines, [("t", np.int64), ("code", np.int64)])
             assert [_bits(a) for a in recalled] == [_bits(rows["t"]), _bits(rows["code"])]
+            assert not any(np.shares_memory(a, t) or a.flags.writeable for a in recalled)
             assert hit == _outcome(lambda: read_labels_csv(path, eeg_ts))
 
     def test_recalled_arrays_are_read_only_and_shared(self, tmp_path):
+        sess = _toy_session()
         with parse_memo() as memo:
-            root = write_session_dir(tmp_path / "sess", _toy_session())
+            root = write_session_dir(tmp_path / "sess", sess)
             raw = (root / EEG_NAME).read_bytes()
-            first, again = memo.recall(EEG_NAME, raw), memo.recall(EEG_NAME, raw)
+            first, again = _recall(memo, EEG_NAME, raw), _recall(memo, EEG_NAME, raw)
             assert all(a is b for a, b in zip(first, again))
             assert not any(a.flags.writeable for a in first)
-            assert memo.recall(JOYSTICK_NAME, raw) is None  # kinds do not mix
+            # the writer's arrays stay its own
+            written = (sess.eeg.timestamps, sess.eeg.samples)
+            assert not any(np.shares_memory(a, w) for a in first for w in written)
+            assert _recall(memo, LABELS_KIND, raw) is None  # kinds do not mix
+            assert list(memo) == [(EEG_NAME, hashlib.sha256(raw).digest())]
 
     def test_edited_bytes_are_parsed(self, tmp_path):
         with parse_memo() as memo:
             root = write_session_dir(tmp_path / "sess", _toy_session())
             eeg = root / EEG_NAME
             eeg.write_bytes(eeg.read_bytes().replace(b"\n8000000,", b"\n8000000x,", 1))
-            assert memo.recall(EEG_NAME, eeg.read_bytes()) is None
+            assert _recall(memo, EEG_NAME, eeg.read_bytes()) is None
             with pytest.raises(DataError, match=f"{EEG_NAME}:3: "):
                 load_session(root)

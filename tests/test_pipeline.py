@@ -18,6 +18,7 @@ import sys
 import textwrap
 from contextlib import contextmanager
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -66,6 +67,15 @@ def _tree(root):
         if p.is_file():
             out[str(p.relative_to(root))] = hashlib.sha256(p.read_bytes()).hexdigest()
     return out
+
+
+def _preprocessed(ws):
+    """{session id: names of the files in its preprocessed directory}."""
+    return {d.parent.name: sorted(p.name for p in d.iterdir())
+            for d in sorted((ws / "work").glob("*/preprocessed"))}
+
+
+ONLY_EEG = {"synth-0000": ["eeg.csv"], "synth-0001": ["eeg.csv"]}
 
 
 def _blas_threads(n: int | None = None) -> int:
@@ -184,6 +194,9 @@ class TestRunAll:
         for stage in ("simulate", "preprocess", "label", "split", "train", "eval",
                       "report"):
             assert main([stage] + base) == 0, stage
+            if stage == "preprocess":  # cleaning changes only the samples
+                assert _preprocessed(ws) == ONLY_EEG
+        assert _preprocessed(out) == ONLY_EEG
         assert _tree(ws) == _tree(out)
 
     def test_jobs_2_matches_jobs_1(self, tmp_path):
@@ -194,6 +207,7 @@ class TestRunAll:
             ws = tmp_path / f"jobs{jobs}"
             rc = main(["run-all", "--config", str(cfg), "--out", str(ws), "--jobs", jobs])
             assert rc == 0
+            assert _preprocessed(ws) == ONLY_EEG
             trees.append(_tree(ws))
         assert len(trees[0]) > 20
         assert trees[0] == trees[1]
@@ -420,7 +434,7 @@ class TestSubcommands:
         ws = tmp_path / "ws"
         shutil.copytree(out, ws)
         work = ws / "work" / "synth-0000"
-        (work / "preprocessed" / "joystick.jsonl").unlink()
+        (ws / "sessions" / "synth-0000" / "joystick.jsonl").unlink()
         shutil.rmtree(work / "windows")
         rc = main(["split", "--config", str(cfg), "--out", str(ws),
                    "--session", "synth-0000"])
@@ -434,6 +448,17 @@ class TestExitCodes:
         rc = main(["run-all", "--config", str(cfg), "--out", str(tmp_path / "ws")])
         assert rc == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_window_too_short_for_shallow_is_2(self, tmp_path, capsys):
+        doc = {"models": ["shallow"], "horizons_ms": [300], "n_sessions": 1,
+               "synth": {"duration_s": 30.0}, "split": {"window_len": 20}}
+        cfg = _write_cfg(tmp_path, doc)
+        ws = tmp_path / "ws"
+        assert main(["run-all", "--config", str(cfg), "--out", str(ws)]) == 2
+        err = capsys.readouterr().err
+        assert ("config error: split.window_len: window of 20 samples leaves 8 frames "
+                "after the temporal convolution; pooling needs 35") in err
+        assert not ws.exists()
 
     def test_unknown_config_key_is_2(self, tmp_path, capsys):
         cfg = _write_cfg(tmp_path, {"epoch": 5})
@@ -451,7 +476,7 @@ class TestExitCodes:
         ws = tmp_path / "ws"
         base = ["--config", str(cfg), "--out", str(ws)]
         assert main(["simulate"] + base) == 0
-        # stage run out of order: label needs the preprocessed copy
+        # stage run out of order: label needs the cleaned recording
         rc = main(["label"] + base)
         assert rc == 3
         err = capsys.readouterr().err
@@ -795,10 +820,10 @@ ONE_SESSION = dict(SMALL, n_sessions=1, horizons_ms=[0, 300], train={"epochs": 1
 
 @pytest.fixture
 def recalls(monkeypatch):
-    """Record every memo run_all opens and the kind of every recall that
-    hits; returns (memos, hits)."""
+    """Record every memo run_all opens and the kind of every read that
+    recalls its parse; returns (memos, hits)."""
     memos, hits = [], []
-    opened, recall = pipeline.parse_memo, ingest.ParseMemo.recall
+    opened, read = pipeline.parse_memo, ingest.RecalledText.__init__
 
     @contextmanager
     def recording():
@@ -806,14 +831,13 @@ def recalls(monkeypatch):
             memos.append(memo)
             yield memo
 
-    def spy(self, kind, raw):
-        got = recall(self, kind, raw)
-        if got is not None:
+    def spy(self, path, kind=None):
+        read(self, path, kind)
+        if self.recalled is not None:
             hits.append(kind)
-        return got
 
     monkeypatch.setattr(pipeline, "parse_memo", recording)
-    monkeypatch.setattr(ingest.ParseMemo, "recall", spy)
+    monkeypatch.setattr(ingest.RecalledText, "__init__", spy)
     return memos, hits
 
 
@@ -825,23 +849,24 @@ class TestParseMemo:
         memos, hits = recalls
         cfg = _write_cfg(tmp_path, ONE_SESSION)
         assert main(["run-all", "--config", str(cfg), "--out", str(tmp_path / "ws")]) == 0
-        # label recalls the recording and the stream, split the recording
-        # and each labels file
-        assert sorted(hits) == ["eeg.csv", "eeg.csv", "joystick.jsonl",
-                                "labels.csv", "labels.csv"]
+        # label recalls the cleaned recording, split the recording and each
+        # labels file; the joystick stream is always parsed
+        assert sorted(hits) == ["eeg.csv", "eeg.csv", "labels.csv", "labels.csv"]
         assert len(memos) == 1 and len(memos[0]) == 0
         assert ingest._MEMO.get() is None
 
     def test_stages_never_consult_it(self, tmp_path, recalls, monkeypatch):
-        memos, _ = recalls
-        registered = []
-        monkeypatch.setattr(ingest.ParseMemo, "register", lambda *a: registered.append(a))
-        monkeypatch.setattr(ingest.ParseMemo, "recall", lambda *a: registered.append(a))
+        memos, hits = recalls
+        hashed = []  # a writer hashes to store a parse, a reader to look one up
+        sha256 = hashlib.sha256
+        monkeypatch.setattr(ingest, "hashlib", SimpleNamespace(
+            sha256=lambda *a: hashed.append(a) or sha256(*a)
+        ))
         cfg = _write_cfg(tmp_path, ONE_SESSION)
         base = ["--config", str(cfg), "--out", str(tmp_path / "ws")]
         for stage in ("simulate", "preprocess", "label", "split"):
             assert main([stage] + base) == 0, stage
-        assert memos == [] and registered == []
+        assert memos == [] and hits == [] and hashed == []
 
     def test_a_jobs_2_worker_drops_it(self, tmp_path, recalls, monkeypatch):
         memos, hits = recalls
@@ -864,7 +889,7 @@ class TestParseMemo:
             pid, sizes, n_hits, closed = json.loads((tmp_path / f"{sid}.json").read_text())
             assert pid != os.getpid()
             assert sizes[-1] == 0 and closed
-            assert n_hits >= 5
+            assert n_hits >= 4
         assert memos == []  # no memo is opened in this process
 
     @pytest.mark.parametrize("name", ["eeg.csv", "labels"])
@@ -922,6 +947,41 @@ class TestParseMemo:
         eeg = tmp_path / "ws" / "work" / "synth-0000" / "preprocessed" / "eeg.csv"
         assert recalled == parsed
         assert f"[label] synth-0000: {eeg}:12: non-finite sample nan in channel F3" in parsed
+
+
+class TestOneOwnerPerSessionFact:
+    """label and split read the cleaned samples with the session's own
+    manifest, and label with the session's own joystick stream: an edit to
+    either after preprocess reaches them."""
+
+    @pytest.fixture
+    def preprocessed(self, tmp_path):
+        cfg = _write_cfg(tmp_path, ONE_SESSION)
+        ws = tmp_path / "ws"
+        base = ["--config", str(cfg), "--out", str(ws)]
+        for stage in ("simulate", "preprocess"):
+            assert main([stage] + base) == 0, stage
+        return base, ws / "sessions" / "synth-0000", ws / "work" / "synth-0000"
+
+    def test_a_renamed_channel_reaches_label_and_split(self, preprocessed, capsys):
+        base, session, work = preprocessed
+        manifest = session / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        doc["channels"][0]["name"] += "-renamed"
+        manifest.write_text(json.dumps(doc))
+        eeg = work / "preprocessed" / "eeg.csv"
+        for stage in ("label", "split"):
+            assert main([stage] + base) == 3, stage
+            err = capsys.readouterr().err
+            assert f"[{stage}] synth-0000: {eeg}:1: header does not match" in err
+
+    def test_a_broken_joystick_line_reaches_label(self, preprocessed, capsys):
+        base, session, _ = preprocessed
+        joystick = session / "joystick.jsonl"
+        joystick.write_bytes(joystick.read_bytes().replace(JOY_T3, b'"t_ns": true', 1))
+        assert main(["label"] + base) == 3
+        err = capsys.readouterr().err
+        assert f"[label] synth-0000: {joystick}:3: t_ns true is not a JSON integer" in err
 
 
 def test_cli_run_imports_no_scipy(tmp_path):

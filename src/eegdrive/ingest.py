@@ -12,11 +12,10 @@ All three must be UTF-8, and each is decoded once: the manifest by
 other two by ``RecalledText``. The manifest's channels must form a valid
 ``session.Montage`` (the fault names the channel), and the EEG header must
 match that montage exactly. The EEG body is parsed in one bulk call
-(``parse_rows``), and the joystick stream in one ``json.loads`` call when
-every line is one flat object, else one line at a time; both check only
-syntax. ``_check_stream`` then applies every stream rule to the parsed
-columns at once and reports the first broken row as ``path:line``, the line
-counted only for that row:
+(``parse_rows``) and the joystick stream one line at a time; both check
+only syntax. ``_check_stream`` then applies every stream rule to the parsed
+columns at once and reports the first broken row as ``path:line``
+(``raise_first_fault``), the line counted only for that row:
 
 - timestamps are integers in [0, 2^63) and strictly increase;
 - EEG samples are finite;
@@ -26,9 +25,10 @@ counted only for that row:
   the manifest's sample rate implies.
 
 ``load_session`` reads all three files; ``load_recording`` reads only the
-manifest and the EEG, for a stage that needs no joystick stream. Both read
-the samples from the file given, by default the directory's own
-``eeg.csv``, so a cleaned ``eeg.csv`` is read with its session's files.
+manifest and the EEG, for preprocess and split, which use no joystick
+stream, so only label and validate parse it. Both read the samples from
+the file given, by default the directory's own ``eeg.csv``, so a cleaned
+``eeg.csv`` is read with its session's files.
 
 The writers render numeric CSV rows with numpy (``format_rows``), byte for
 byte as Python's ``%d`` and ``%.6f`` would, render the joystick stream in
@@ -122,7 +122,6 @@ class SessionDir:
     session_id: str
     eeg: EegRecording
     joystick: JoystickStream
-    reserved_streams: tuple[str, ...] = ()
 
 
 #: The open ``parse_memo()`` block's parses, keyed by a reader's kind and
@@ -185,6 +184,11 @@ class RecalledText:
         else:
             first = self.raw.partition(b"\n")[0].decode("utf-8")
         return first.rstrip("\r")
+
+    def row_line(self, i: int) -> int:
+        """The file line of row ``i`` of a CSV body: the lines after the
+        header that are not blank, as ``parse_rows`` reads them."""
+        return _file_line(self.lines, i, 2, _is_blank_row)
 
 
 def write_recallable(
@@ -321,11 +325,7 @@ def _parse_manifest(path: Path) -> tuple[dict, Montage, float]:
                 "coordinates, expected 3"
             )
     try:
-        ids = {
-            "subject_id": str(raw["subject_id"]),
-            "session_id": str(raw["session_id"]),
-            "reserved_streams": tuple(str(s) for s in raw.get("reserved_streams", ())),
-        }
+        ids = {"subject_id": str(raw["subject_id"]), "session_id": str(raw["session_id"])}
         rate = float(raw["sample_rate_hz"])
         montage = Montage(tuple(names), positions)
     except (TypeError, ValueError, OverflowError) as e:
@@ -335,6 +335,27 @@ def _parse_manifest(path: Path) -> tuple[dict, Montage, float]:
     if not (rate > 0):
         raise DataError(f"{path}: sample_rate_hz must be positive")
     return ids, montage, rate
+
+
+def rising_rows(ts: np.ndarray) -> np.ndarray:
+    """Per row, whether its timestamp is above the previous row's; the
+    first row is."""
+    rising = np.ones(len(ts), dtype=bool)
+    rising[1:] = ts[1:] > ts[:-1]
+    return rising
+
+
+def raise_first_fault(
+    path: Path, line_of: Callable[[int], int], rules: list[tuple[np.ndarray, Callable]]
+) -> None:
+    """Raise ``path:line: message`` for the earliest row that one of
+    ``rules``, (per-row fault mask, message of a row) pairs, marks; on one
+    row, the rule listed first. ``line_of`` gives the file line of a row,
+    asked only for the row reported."""
+    broken = [(int(np.argmax(bad)), k) for k, (bad, _) in enumerate(rules) if bad.any()]
+    if broken:
+        i, k = min(broken)
+        raise DataError(f"{path}:{line_of(i)}: {rules[k][1](i)}")
 
 
 def _check_stream(
@@ -357,8 +378,6 @@ def _check_stream(
     DRIFT_TOLERANCE of the period that rate implies. Returns the timestamps
     as int64.
     """
-    rising = np.ones(len(ts), dtype=bool)
-    rising[1:] = ts[1:] > ts[:-1]
     nonfinite = ~np.isfinite(values)
     beyond = np.abs(values) > limit
 
@@ -374,18 +393,13 @@ def _check_stream(
         name, v = at(beyond, i)
         return f"{name} value {v} outside [-{limit:g}, {limit:g}]"
 
-    rules = [
+    raise_first_fault(path, line_of, [
         (ts < 0, lambda i: f"negative timestamp {ts[i]}"),
         (ts > MAX_TIMESTAMP_NS, lambda i: f"timestamp {ts[i]} is not below 2^63"),
-        (~rising, lambda i: f"timestamp {ts[i]} does not increase past {ts[i - 1]}"),
+        (~rising_rows(ts), lambda i: f"timestamp {ts[i]} does not increase past {ts[i - 1]}"),
         (nonfinite.any(axis=1), nonfinite_msg),
         (beyond.any(axis=1), beyond_msg),
-    ]
-    # the earliest broken row wins; on one row, the rule listed first
-    broken = [(int(np.argmax(bad)), k) for k, (bad, _) in enumerate(rules) if bad.any()]
-    if broken:
-        i, k = min(broken)
-        raise DataError(f"{path}:{line_of(i)}: {rules[k][1](i)}")
+    ])
     ts = ts.astype(np.int64)
     if rate_hz is not None and len(ts) > 1:
         gap = float(np.median(np.diff(ts)))
@@ -415,14 +429,7 @@ def _parse_eeg_csv(path: Path, montage: Montage, rate_hz: float) -> EegRecording
         ts, samples = text.recalled
     if not len(ts):
         raise DataError(f"{path}: no samples")
-    timestamps = _check_stream(
-        path,
-        lambda i: _file_line(text.lines, i, 2, _is_blank_row),
-        ts,
-        samples,
-        names,
-        rate_hz=rate_hz,
-    )
+    timestamps = _check_stream(path, text.row_line, ts, samples, names, rate_hz=rate_hz)
     return EegRecording(montage, timestamps, samples.T, rate_hz)
 
 
@@ -432,45 +439,11 @@ def _eeg_dtype(n_channels: int) -> np.dtype:
     return np.dtype([("t", np.uint64), ("x", np.float64, (n_channels,))])
 
 
-def _decode_flat_lines(lines: list[str]) -> tuple[list, np.ndarray] | None:
-    """The ``t_ns`` values and (n, 2) ``vx``, ``wz`` floats of a joystick
-    stream, decoded in one ``json.loads`` call; None when any rule fails,
-    for ``_decode_each_line`` to find and report.
-
-    Only a stream whose every non-blank line is one flat object is decoded
-    here: stripped of JSON whitespace, each line starts with its only "{"
-    and ends with its only "}", and no "[" or "]" appears. Joined with a
-    newline, which no JSON string may hold, those lines then decode to
-    exactly the objects that one decode per line would give.
-    """
-    body = [line.strip(" \t\r") for line in lines if not _is_blank_json(line)]
-    text = ",\n".join(body)
-    n = len(body)
-    if not (
-        n
-        and text[0] == "{"
-        and text[-1] == "}"
-        and text.count("},\n{") == n - 1
-        and text.count("{") == text.count("}") == n
-        and "[" not in text
-        and "]" not in text
-    ):
-        return None
-    try:
-        objs = json.loads("[" + text + "]")
-        t = [obj["t_ns"] for obj in objs]
-        axes = [(obj["vx"], obj["wz"]) for obj in objs]
-        numbers = set(map(type, itertools.chain.from_iterable(axes)))
-        if set(map(type, t)) != {int} or not numbers <= {int, float}:
-            return None
-        return t, np.array(axes, dtype=np.float64)
-    except (ValueError, KeyError, OverflowError):
-        return None
-
-
 def _decode_each_line(path: Path, lines: list[str]) -> tuple[list, np.ndarray]:
-    """As ``_decode_flat_lines``, one line at a time: the first line that
-    breaks a rule is reported as ``path:line``."""
+    """The ``t_ns`` values and (n, 2) ``vx``, ``wz`` floats of a joystick
+    stream, decoded one line at a time, blank lines skipped: the first line
+    that is not one JSON object with an integer ``t_ns`` and numeric ``vx``
+    and ``wz`` is reported as ``path:line``."""
     t: list[int] = []
     values: list[list[float]] = []
     for lineno, line in enumerate(lines, start=1):
@@ -499,7 +472,7 @@ def _decode_each_line(path: Path, lines: list[str]) -> tuple[list, np.ndarray]:
 
 def _parse_joystick_jsonl(path: Path) -> JoystickStream:
     text = RecalledText(path)
-    t, v = _decode_flat_lines(text.lines) or _decode_each_line(path, text.lines)
+    t, v = _decode_each_line(path, text.lines)
     if not len(t):
         raise DataError(f"{path}: no joystick samples")
     try:
@@ -744,7 +717,6 @@ def write_session_dir(path: str | Path, session: SessionDir) -> Path:
             {"name": n, "pos": p}
             for n, p in zip(montage.names, montage.positions.tolist())
         ],
-        "reserved_streams": list(session.reserved_streams),
     }
     write_replacing(root / MANIFEST_NAME, [(json.dumps(manifest, indent=2) + "\n").encode()])
     write_eeg_csv(root / EEG_NAME, eeg)

@@ -23,7 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .ingest import RecalledText, align_nearest, format_rows, parse_rows, write_recallable
+from .ingest import RecalledText, align_nearest, format_rows, parse_rows
+from .ingest import raise_first_fault, rising_rows, write_recallable
 from .session import NS_PER_MS, NS_PER_S, CommandLabel, JoystickStream
 
 #: Code used in bulk arrays for "no label" (contradictory or unmatched).
@@ -137,9 +138,13 @@ def read_labels_csv(path: str | Path, eeg_ts: np.ndarray) -> LabeledSamples:
     """Load a labels file back, recovering sample indices from timestamps.
 
     The body parses in one bulk call (``ingest.parse_rows``): a row that is
-    not two integers is reported as ``path:line``. A header-only file holds
-    zero samples. Inside an ``ingest.parse_memo()`` block, the rows of a
-    file written there are recalled, and checked as a parse is.
+    not two integers is reported as ``path:line``. Then, as for a session
+    stream, the earliest row whose timestamp does not increase, whose code
+    is not a ``CommandLabel`` or whose timestamp is not in ``eeg_ts`` is
+    reported as ``path:line``, the line found only for that row. A
+    header-only file holds zero samples. Inside an ``ingest.parse_memo()``
+    block, the rows of a file written there are recalled, and checked as a
+    parse is.
     """
     path = Path(path)
     text = RecalledText(path, LABELS_KIND)
@@ -152,12 +157,13 @@ def read_labels_csv(path: str | Path, eeg_ts: np.ndarray) -> LabeledSamples:
         t_arr, codes = text.recalled
     eeg_ts = np.asarray(eeg_ts, dtype=np.int64)
     pos = np.searchsorted(eeg_ts, t_arr)
-    bad = (pos >= len(eeg_ts)) | (eeg_ts[np.minimum(pos, len(eeg_ts) - 1)] != t_arr)
-    if np.any(bad):
-        i = int(np.nonzero(bad)[0][0])
-        raise DataError(
-            f"{path}: label timestamp {t_arr[i]} not present in the recording"
-        )
-    if len(codes) and (codes.min() < 0 or codes.max() >= len(CommandLabel)):
-        raise DataError(f"{path}: label codes must lie in [0, {len(CommandLabel) - 1}]")
+    absent = (pos >= len(eeg_ts)) | (eeg_ts[np.minimum(pos, len(eeg_ts) - 1)] != t_arr)
+    top = len(CommandLabel) - 1
+    raise_first_fault(path, text.row_line, [
+        (~rising_rows(t_arr),
+         lambda i: f"timestamp {t_arr[i]} does not increase past {t_arr[i - 1]}"),
+        ((codes < 0) | (codes > top),
+         lambda i: f"label codes must lie in [0, {top}], got {codes[i]}"),
+        (absent, lambda i: f"label timestamp {t_arr[i]} not present in the recording"),
+    ])
     return LabeledSamples(indices=pos, t_ns=t_arr, labels=codes)

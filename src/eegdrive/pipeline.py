@@ -9,10 +9,11 @@ file's bytes are still those its writer stored it for, and that parse is
 exactly what parsing those bytes gives. Each fact of a session has one
 file: cleaning changes only the samples, so preprocess writes only the
 cleaned ``eeg.csv``, and label and split read it with the session's own
-manifest, label also with the session's own joystick stream. ``runs`` owns
-the run grid: run-all, the train and eval commands and the report take
-their (session, horizon, model) runs from it, so the report reads the
-scores of exactly those runs.
+manifest, label also with the session's own joystick stream, which no other
+stage reads: preprocess reads the raw recording with its manifest alone.
+``runs`` owns the run grid: run-all, the train and eval commands and the
+report take their (session, horizon, model) runs from it, so the report
+reads the scores of exactly those runs.
 
 Workspace layout under the output directory:
 
@@ -190,10 +191,10 @@ def stage_validate(session_path: Path) -> SessionDir:
 
 
 def stage_preprocess(cfg: RunConfig, ws: Workspace, session_id: str) -> Path:
-    """Clean one session; emits the cleaned ``eeg.csv`` plus the JSON report.
-    The whole session is loaded, so a malformed joystick stream fails here."""
+    """Clean one session's raw recording, read with its manifest alone;
+    emits the cleaned ``eeg.csv`` plus the JSON report."""
     with _stage("preprocess", session_id):
-        raw = load_session(ws.session_dir(session_id)).eeg
+        _, raw = load_recording(ws.session_dir(session_id))
         cleaned, report = preprocess_session(raw, cfg.filters, cfg.bad_channels)
         del raw  # freed before the write builds the memo's parse
         out = ws.preprocessed_eeg(session_id)

@@ -16,6 +16,7 @@ deletes the old sidecar first and writes it last, so an interrupted write
 leaves a blob without a sidecar, which ``read_windows`` rejects. Both
 readers compare the bytes the declared shapes need with the file's size
 (``_check_extent``) before anything is read, allocated or reshaped.
+``read_windows`` also rejects a blob that holds a non-finite value.
 """
 
 from __future__ import annotations
@@ -83,7 +84,9 @@ def write_windows(
 def read_windows(base: str | Path, delta_ms: int) -> tuple[np.ndarray, np.ndarray]:
     """Read a window tensor pair written for horizon ``delta_ms``; returns
     (data, labels). A sidecar written for another horizon, or for no
-    windows, is a DataError."""
+    windows, and a non-finite value in the blob are each a DataError; the
+    blob is checked by its min and max, which NaN propagates to, and the
+    first window holding such a value is found only on a fault."""
     base = Path(base)
     bin_path = base.with_suffix(".f32")
     json_path = base.with_suffix(".json")
@@ -113,7 +116,13 @@ def read_windows(base: str | Path, delta_ms: int) -> tuple[np.ndarray, np.ndarra
     if len(labels) != shape[0]:
         raise DataError(f"{json_path}: {len(labels)} labels for {shape[0]} windows")
     _check_extent(bin_path, bin_path.stat().st_size, 0, [("windows", _DTYPE, shape)])
-    return np.fromfile(bin_path, dtype=_DTYPE).reshape(shape), labels
+    data = np.fromfile(bin_path, dtype=_DTYPE).reshape(shape)
+    if not (np.isfinite(data.min()) and np.isfinite(data.max())):
+        finite = np.isfinite(data.reshape(len(data), -1))
+        i = int(np.argmin(finite.all(axis=1)))
+        value = data[i].ravel()[np.argmin(finite[i])]
+        raise DataError(f"{bin_path}: window {i} holds the non-finite value {value}")
+    return data, labels
 
 
 def write_checkpoint(path: str | Path, header: dict, params: dict[str, np.ndarray]) -> Path:

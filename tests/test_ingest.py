@@ -205,7 +205,6 @@ class TestSessionDirIO:
         root = write_session_dir(tmp_path / "sess", sess)
         back = load_session(root)
         assert (back.subject_id, back.session_id) == (sess.subject_id, sess.session_id)
-        assert back.reserved_streams == sess.reserved_streams
         assert back.eeg.sample_rate_hz == sess.eeg.sample_rate_hz
         assert back.eeg.montage.names == sess.eeg.montage.names
         assert np.array_equal(back.eeg.montage.positions, sess.eeg.montage.positions)

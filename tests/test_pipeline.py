@@ -755,6 +755,50 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"{base}.json: shape must have 3 dims, each at least 1, got [0, 16, 125]" in err
 
+    @pytest.mark.parametrize("command, partition, window, value", [
+        ("eval", "test", None, np.nan),  # every value of the blob
+        ("train", "train", 3, np.nan),
+        ("train", "train", 2, -np.inf),
+    ], ids=["test-all-nan", "train-one-nan", "train-one-inf"])
+    def test_non_finite_window_values_are_3(
+        self, baseline, tmp_path, capsys, command, partition, window, value
+    ):
+        cfg, out = baseline
+        ws = tmp_path / "ws"
+        shutil.copytree(out, ws)
+        base = ws / "work" / "synth-0000" / "windows" / "300" / partition
+        n, channels, samples = json.loads(base.with_suffix(".json").read_text())["shape"]
+        blob = np.fromfile(base.with_suffix(".f32"), dtype="<f4").reshape(n, channels, samples)
+        if window is None:
+            blob[:] = value
+        else:
+            blob[window, 5, 17] = value
+        blob.tofile(base.with_suffix(".f32"))
+        rc = main([command, "--config", str(cfg), "--out", str(ws), "--session", "synth-0000"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert (f"[{command}] synth-0000 delta=300 model=linear: {base}.f32: "
+                f"window {window or 0} holds the non-finite value {np.float32(value)}") in err
+
+    @pytest.mark.parametrize("edit, line, rule", [
+        (lambda rows: rows[:6] + rows[5:], 7, "does not increase past"),
+        (lambda rows: rows[:5] + [rows[6], rows[5]] + rows[7:], 7, "does not increase past"),
+        (lambda rows: rows[:5] + [rows[5].split(",")[0] + ",7"] + rows[6:], 6,
+         "label codes must lie in [0, 4], got 7"),
+        (lambda rows: rows[:5] + [f"{int(rows[5].split(',')[0]) + 1},0"] + rows[6:], 6,
+         "not present in the recording"),
+    ], ids=["duplicate-row", "swapped-rows", "code-7", "missing-timestamp"])
+    def test_broken_labels_row_names_its_line(self, grid, tmp_path, capsys, edit, line, rule):
+        _, cfg, out = grid
+        ws = tmp_path / "ws"
+        shutil.copytree(out, ws)
+        path = ws / "work" / "synth-0000" / "labels" / "labels_0.csv"
+        path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+        rc = main(["split", "--config", str(cfg), "--out", str(ws), "--session", "synth-0000"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert f"[split] synth-0000: {path}:{line}: " in err and rule in err
+
     @pytest.mark.parametrize("command, name", [("eval", "score.json"), ("train", "checkpoint.bin")])
     def test_interrupted_write_keeps_the_old_file(
         self, baseline, tmp_path, monkeypatch, command, name
@@ -919,7 +963,7 @@ class TestParseMemo:
             assert f"[label] synth-0000: {eeg}:3: could not convert" in err
             assert "eeg.csv" not in hits
         else:
-            assert f"[split] synth-0000: {labels}: label codes must lie in [0, 4]" in err
+            assert f"[split] synth-0000: {labels}:2: label codes must lie in [0, 4], got 9" in err
             # labels_0.csv, read first, is recalled; the edited labels_300.csv is not
             assert hits.count("labels.csv") == 1 and "eeg.csv" in hits
 
@@ -983,6 +1027,70 @@ class TestOneOwnerPerSessionFact:
         err = capsys.readouterr().err
         assert f"[label] synth-0000: {joystick}:3: t_ns true is not a JSON integer" in err
 
+    def test_a_broken_joystick_line_fails_run_all_at_label(self, preprocessed, capsys):
+        # preprocess reads no joystick stream, so label is the first to parse it
+        base, session, _ = preprocessed
+        joystick = session / "joystick.jsonl"
+        joystick.write_bytes(joystick.read_bytes().replace(JOY_T3, b'"t_ns": true', 1))
+        assert main(["run-all"] + base) == 3
+        err = capsys.readouterr().err
+        assert f"[label] synth-0000: {joystick}:3: t_ns true is not a JSON integer" in err
+        assert main(["validate", str(session)]) == 3
+        err = capsys.readouterr().err
+        assert f"[validate] {session}: {joystick}:3: t_ns true is not a JSON integer" in err
+
+
+@pytest.fixture
+def reads(monkeypatch):
+    """Record every file opened for reading through ``Path.read_bytes``,
+    ``Path.open`` or ``np.fromfile``; returns the list of paths."""
+    seen = []
+    read_bytes, open_, fromfile = Path.read_bytes, Path.open, np.fromfile
+
+    def spy_read_bytes(self):
+        seen.append(Path(self))
+        return read_bytes(self)
+
+    def spy_open(self, mode="r", *args, **kwargs):
+        if not set("wax+") & set(mode):
+            seen.append(Path(self))
+        return open_(self, mode, *args, **kwargs)
+
+    def spy_fromfile(file, *args, **kwargs):
+        seen.append(Path(file))
+        return fromfile(file, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_bytes", spy_read_bytes)
+    monkeypatch.setattr(Path, "open", spy_open)
+    monkeypatch.setattr(np, "fromfile", spy_fromfile)
+    return seen
+
+
+def test_each_stage_reads_exactly_its_inputs(tmp_path, reads):
+    cfg = _write_cfg(tmp_path, ONE_SESSION)
+    ws = tmp_path / "ws"
+    base = ["--config", str(cfg), "--out", str(ws)]
+    assert main(["simulate"] + base) == 0
+    sess, work = "sessions/synth-0000", "work/synth-0000"
+    recording = {f"{sess}/manifest.json", f"{work}/preprocessed/eeg.csv"}
+    deltas = ONE_SESSION["horizons_ms"]
+    expected = {
+        "preprocess": {f"{sess}/manifest.json", f"{sess}/eeg.csv"},
+        "label": recording | {f"{sess}/joystick.jsonl"},
+        "split": recording | {f"{work}/labels/labels_{d}.csv" for d in deltas},
+        "train": {f"{work}/windows/{d}/{name}" for d in deltas
+                  for name in ("train.json", "train.f32", "split_stats.json")},
+        "eval": {f"{work}/{name}" for d in deltas for name in (
+            f"runs/linear_{d}/checkpoint.bin", f"windows/{d}/test.json", f"windows/{d}/test.f32")},
+        "report": {f"{work}/runs/linear_{d}/score.json" for d in deltas},
+    }
+    got = {}
+    for stage in expected:
+        reads.clear()
+        assert main([stage] + base) == 0, stage
+        got[stage] = {p.relative_to(ws).as_posix() for p in reads if p.is_relative_to(ws)}
+    assert got == expected
+
 
 def test_cli_run_imports_no_scipy(tmp_path):
     """The program filters with numpy alone: a CLI run never loads scipy."""
@@ -1032,10 +1140,10 @@ def _opens_for_writing(call) -> bool:
 
 def test_src_writes_and_decodes_json_in_one_place_each():
     """Every file under src/ is written through ingest.write_replacing, and
-    JSON text is decoded by ingest.decode_json and the two joystick-stream
-    decoders only."""
+    JSON text is decoded by ingest.decode_json and the joystick-stream
+    decoder only."""
     src = Path(__file__).resolve().parents[1] / "src"
-    json_decoders = {"decode_json", "_decode_flat_lines", "_decode_each_line"}
+    json_decoders = {"decode_json", "_decode_each_line"}
     hits = []
     for path in sorted(src.rglob("*.py")):
         for fn, call in _owned_calls(ast.parse(path.read_text())):

@@ -238,6 +238,13 @@ class TestSessionManifest:
         path.write_text(json.dumps(dict(json.loads(path.read_text()), **fields)))
         return root
 
+    def test_extra_keys_are_ignored(self, tmp_path):
+        plain = load_session(self._edited(tmp_path / "plain"))
+        back = load_session(self._edited(tmp_path / "extra", reserved_streams="imu",
+                                         notes={"rig": [1, 2]}))
+        assert (back.subject_id, back.session_id) == (plain.subject_id, plain.session_id)
+        assert back.eeg.montage.names == plain.eeg.montage.names
+
     def test_requires_identifiers(self, tmp_path):
         for key in ("subject_id", "session_id"):
             root = self._edited(tmp_path / key, **{key: ""})
@@ -262,10 +269,9 @@ class TestSessionManifest:
 
     def test_round_trip_keeps_every_fact(self, tmp_path):
         rec = _recording()
-        session = SessionDir("s01", "r01", rec, _joystick(), reserved_streams=("imu",))
+        session = SessionDir("s01", "r01", rec, _joystick())
         back = load_session(write_session_dir(tmp_path / "sess", session))
         assert (back.subject_id, back.session_id) == ("s01", "r01")
-        assert back.reserved_streams == ("imu",)
         assert back.eeg.sample_rate_hz == rec.sample_rate_hz
         assert back.eeg.montage.names == rec.montage.names
         assert np.array_equal(back.eeg.montage.positions, rec.montage.positions)

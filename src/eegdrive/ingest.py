@@ -12,10 +12,14 @@ All three must be UTF-8, and each is decoded once: the manifest by
 other two by ``RecalledText``. The manifest's channels must form a valid
 ``session.Montage`` (the fault names the channel), and the EEG header must
 match that montage exactly. The EEG body is parsed in one bulk call
-(``parse_rows``) and the joystick stream one line at a time; both check
-only syntax. ``_check_stream`` then applies every stream rule to the parsed
-columns at once and reports the first broken row as ``path:line``
-(``raise_first_fault``), the line counted only for that row:
+(``RecalledText.rows``): a pure-ASCII file straight from its bytes, its
+header taken from the first line alone, and any other file, or one that
+bulk parse refuses, by ``parse_rows`` over its decoded lines, which
+places the fault. The joystick stream is decoded one line at a time.
+Both parses check only syntax. ``_check_stream`` then applies every
+stream rule to the parsed columns at once and reports the first broken
+row as ``path:line`` (``raise_first_fault``), the line counted only for
+that row:
 
 - timestamps are integers in [0, 2^63) and strictly increase;
 - EEG samples are finite;
@@ -54,6 +58,7 @@ up: the stage-by-stage commands and every other reader parse from disk.
 from __future__ import annotations
 
 import hashlib
+import io
 import itertools
 import json
 import math
@@ -147,7 +152,8 @@ class RecalledText:
     """A file's bytes, read once, and the parse a writer stored for them
     under ``kind`` (``recalled``, None on a miss, for a reader that passes
     no kind or outside a ``parse_memo()`` block). Its lines are decoded on
-    first use, so a recalled file is decoded only to place a fault.
+    first use, so a recalled or pure-ASCII file is decoded only to place
+    a fault.
 
     A file that cannot be read is a DataError naming it.
     """
@@ -175,15 +181,31 @@ class RecalledText:
             raise DataError(f"{self.path}:{lineno}: not UTF-8: {e}") from e
 
     def header(self) -> str:
-        """The first line less a trailing CR. A parse decodes every line
-        first, so a bad byte anywhere is reported before the header; a
-        recalled file holds its writer's UTF-8, so only its first line is
-        decoded."""
-        if self.recalled is None:
+        """The first line less a trailing CR. A parse of a file that is not
+        pure ASCII decodes every line first, so a bad byte anywhere is
+        reported before the header. A pure-ASCII file cannot hold one, and
+        a recalled file holds its writer's UTF-8, so for either only the
+        first line is decoded."""
+        if self.recalled is None and not self.raw.isascii():
             first = self.lines[0]
         else:
-            first = self.raw.partition(b"\n")[0].decode("utf-8")
+            end = self.raw.find(b"\n")
+            first = self.raw[: end if end >= 0 else None].decode("utf-8")
         return first.rstrip("\r")
+
+    def rows(self, dtype) -> np.ndarray:
+        """The CSV body as ``parse_rows`` parses it. A pure-ASCII file is
+        parsed in one bulk call straight from its bytes, and its lines are
+        never decoded. Any other file, and one whose bulk parse fails,
+        takes ``parse_rows``'s line path, which reports each fault."""
+        if self.raw.isascii():
+            body = io.BytesIO(self.raw)  # shares the bytes: no copy
+            body.readline()  # the header
+            try:
+                return _load_csv(body, dtype)
+            except ValueError:
+                pass
+        return parse_rows(self.path, self.lines, dtype)
 
     def row_line(self, i: int) -> int:
         """The file line of row ``i`` of a CSV body: the lines after the
@@ -244,6 +266,16 @@ def non_integers(values: Iterable, lo: float = -math.inf, hi: float = math.inf) 
     return [v for v in values if type(v) is not int or not lo <= v < hi]
 
 
+def median(a: np.ndarray) -> np.ndarray:
+    """``np.median(a, axis=-1)`` bit for bit when ``a`` holds no NaN: the
+    mean of the middle value, or of the two middle values, of a partition.
+    Unlike ``np.median`` it runs no NaN check, whose first call imports
+    ``numpy.ma``."""
+    n = np.shape(a)[-1]
+    mid = sorted({(n - 1) // 2, n // 2})
+    return np.mean(np.partition(a, mid, axis=-1)[..., mid], axis=-1)
+
+
 def _is_blank_row(line: str) -> bool:
     return line in ("", "\r")
 
@@ -260,6 +292,15 @@ def _file_line(lines: list[str], i: int, first: int, blank: Callable[[str], bool
     return next(itertools.islice(rows, i, None))
 
 
+def _load_csv(body: Iterable, dtype: np.dtype) -> np.ndarray:
+    """``np.loadtxt`` of the comma-separated lines ``body`` into ``dtype``.
+    Lines that are empty or a lone CR are skipped, and an empty body is
+    zero rows, for the caller to judge."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        return np.loadtxt(body, delimiter=",", dtype=dtype, ndmin=1, comments=None)
+
+
 def parse_rows(path: Path, lines: list[str], dtype) -> np.ndarray:
     """Parse the comma-separated body ``lines[1:]`` into a structured array
     of ``dtype`` in one bulk call.
@@ -273,9 +314,6 @@ def parse_rows(path: Path, lines: list[str], dtype) -> np.ndarray:
     dtype = np.dtype(dtype)
     n_fields = sum(math.prod(dtype[name].shape) for name in dtype.names)
 
-    def load(body: list[str]) -> np.ndarray:
-        return np.loadtxt(body, delimiter=",", dtype=dtype, ndmin=1, comments=None)
-
     def fault(line: str, e: ValueError) -> str:
         found = len(line.split(","))
         if found != n_fields:
@@ -283,19 +321,15 @@ def parse_rows(path: Path, lines: list[str], dtype) -> np.ndarray:
         return re.sub(r" at row \d+(, column \d+)?", "", str(e))
 
     body = lines[1:]
-    with warnings.catch_warnings():
-        # an empty body is zero rows, for the caller to judge
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-        try:
-            rows = load(body)
-        except ValueError as bulk:
-            for lineno, line in enumerate(body, start=2):
-                try:
-                    load([line])
-                except ValueError as e:
-                    raise DataError(f"{path}:{lineno}: {fault(line, e)}") from e
-            raise DataError(f"{path}: {bulk}") from bulk
-    return rows
+    try:
+        return _load_csv(body, dtype)
+    except ValueError as bulk:
+        for lineno, line in enumerate(body, start=2):
+            try:
+                _load_csv([line], dtype)
+            except ValueError as e:
+                raise DataError(f"{path}:{lineno}: {fault(line, e)}") from e
+        raise DataError(f"{path}: {bulk}") from bulk
 
 
 def _parse_manifest(path: Path) -> tuple[dict, Montage, float]:
@@ -402,7 +436,7 @@ def _check_stream(
     ])
     ts = ts.astype(np.int64)
     if rate_hz is not None and len(ts) > 1:
-        gap = float(np.median(np.diff(ts)))
+        gap = float(median(np.diff(ts)))
         if not abs(gap * rate_hz / NS_PER_S - 1.0) <= DRIFT_TOLERANCE:
             raise DataError(
                 f"{path}: median sample gap {gap / NS_PER_MS:.3f} ms is not within "
@@ -423,7 +457,7 @@ def _parse_eeg_csv(path: Path, montage: Montage, rate_hz: float) -> EegRecording
             f"  expected: {expected}\n  found:    {header}"
         )
     if text.recalled is None:
-        rows = parse_rows(path, text.lines, _eeg_dtype(len(names)))
+        rows = text.rows(_eeg_dtype(len(names)))
         ts, samples = rows["t"], rows["x"]
     else:
         ts, samples = text.recalled

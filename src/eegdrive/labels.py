@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .ingest import RecalledText, align_nearest, format_rows, parse_rows
+from .ingest import RecalledText, align_nearest, format_rows
 from .ingest import raise_first_fault, rising_rows, write_recallable
 from .session import NS_PER_MS, NS_PER_S, CommandLabel, JoystickStream
 
@@ -137,8 +137,9 @@ def write_labels_csv(path: str | Path, labeled: LabeledSamples) -> Path:
 def read_labels_csv(path: str | Path, eeg_ts: np.ndarray) -> LabeledSamples:
     """Load a labels file back, recovering sample indices from timestamps.
 
-    The body parses in one bulk call (``ingest.parse_rows``): a row that is
-    not two integers is reported as ``path:line``. Then, as for a session
+    The body parses in one bulk call (``ingest.RecalledText.rows``, from
+    the bytes of a pure-ASCII file): a row that is not two integers is
+    reported as ``path:line``. Then, as for a session
     stream, the earliest row whose timestamp does not increase, whose code
     is not a ``CommandLabel`` or whose timestamp is not in ``eeg_ts`` is
     reported as ``path:line``, the line found only for that row. A
@@ -151,7 +152,7 @@ def read_labels_csv(path: str | Path, eeg_ts: np.ndarray) -> LabeledSamples:
     if text.header() != LABELS_HEADER:
         raise DataError(f"{path}:1: expected header {LABELS_HEADER}")
     if text.recalled is None:
-        rows = parse_rows(path, text.lines, [("t", np.int64), ("code", np.int64)])
+        rows = text.rows([("t", np.int64), ("code", np.int64)])
         t_arr, codes = rows["t"], rows["code"]
     else:
         t_arr, codes = text.recalled

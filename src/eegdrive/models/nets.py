@@ -4,18 +4,34 @@ channels, square / mean-pool / log feature extraction, dropout, dense).
 
 Everything here is plain numpy with hand-derived gradients. Convolutions
 are laid out as matrix products: the temporal and spatial stages are both
-linear, so their composition is evaluated as one effective kernel per
-forward pass. Parameters stay separate tensors; the composition is exact.
+linear, so their composition is evaluated as one effective kernel. Each
+model splits a step into four calls, which ``trainer.batch_gradients``
+composes:
 
-The im2col is built from the batch transposed once to time-major
+- ``derive(params)``: what every forward call of one step reads. For the
+  conv net that is the effective kernel, its bias and the mean-pooling
+  matrix, built at the parameters' dtype, so building a net allocates
+  nothing sized by the window;
+- ``forward(derived, x, mask)`` over one chunk of windows, with that
+  chunk's slice of the step's dropout mask (``dropout_mask``);
+- ``backward(derived, cache, labels, class_weights, batch_size)``: the
+  chunk's gradients with respect to what ``derive`` returned, the
+  cross-entropy gradient scaled by the whole batch's size, so the chunks'
+  gradients sum to the batch's;
+- ``fold(params, grads)``: those sums onto the parameters. For the conv net
+  that unfolds the effective-kernel gradient onto the two conv stages, one
+  matrix product each.
+
+``chunk`` is the most windows one forward call takes: ``CHUNK`` for the
+conv net, whose im2col is its largest array, and None, the whole batch,
+for the linear model.
+
+The im2col is built from the chunk transposed once to time-major
 (B, S, C): the K-sample window of conv frame l is then K * C consecutive
 floats, copied in one pass, so its columns run in (k, c) order and the
-effective kernel is laid out (G, K, C) to match. Folding the two stages
-into that kernel, and unfolding its gradient back onto them, are each one
-matrix product. Mean pooling is a matrix product too, by an averaging
-matrix each forward pass builds at the batch's dtype, so building a net
-allocates nothing sized by the window; the backward pass is the product by
-the cached matrix (times the 2 of d(z^2)/dz).
+effective kernel is laid out (G, K, C) to match. Mean pooling is a matrix
+product by the averaging matrix; the backward pass is the product by the
+same matrix (times the 2 of d(z^2)/dz).
 
 Training runs in float32. Passing float64 parameters and inputs switches
 the whole computation to float64, which is what the finite-difference
@@ -33,6 +49,9 @@ from ..ingest import non_integers
 from ..session import N_CLASSES
 
 LOG_FLOOR = 1e-6  # clamp below this before the log nonlinearity
+#: Windows per ShallowConvNet forward and backward call, in training and in
+#: prediction: the working set is one chunk's im2col whatever the batch.
+CHUNK = 32
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -57,13 +76,13 @@ def weighted_ce_from_logprobs(
 
 
 def _ce_dlogits(
-    probs: np.ndarray, labels: np.ndarray, class_weights: np.ndarray
+    probs: np.ndarray, labels: np.ndarray, class_weights: np.ndarray, batch_size: int
 ) -> np.ndarray:
-    """Gradient of the weighted-CE mean with respect to the logits."""
-    n = len(labels)
+    """Gradient, with respect to the logits of the rows ``probs``, of the
+    weighted-CE mean over a batch of ``batch_size`` windows."""
     d = probs.copy()
-    d[np.arange(n), labels] -= 1.0
-    w = np.asarray(class_weights, dtype=d.dtype)[labels] / n
+    d[np.arange(len(labels)), labels] -= 1.0
+    w = np.asarray(class_weights, dtype=d.dtype)[labels] / batch_size
     return d * w[:, None]
 
 
@@ -94,6 +113,7 @@ class LinearSoftmax:
 
     name = "linear"
     spec = None
+    chunk = None
 
     def __init__(self, n_channels: int, n_samples: int):
         self.n_channels = n_channels
@@ -107,29 +127,35 @@ class LinearSoftmax:
         fans = {"w": (self.n_features, N_CLASSES)}
         return _init_params(self.param_shapes(), fans, seed, dtype)
 
+    def derive(self, params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+        return params
+
+    def dropout_mask(self, n: int, key: int, step: int, dtype) -> None:
+        return None
+
     def forward(
-        self,
-        params: dict[str, np.ndarray],
-        x: np.ndarray,
-        train_mode: bool = False,
-        dropout_key: int = 0,
-        step: int = 0,
+        self, derived: dict[str, np.ndarray], x: np.ndarray, mask: None = None
     ) -> tuple[np.ndarray, dict]:
         flat = x.reshape(len(x), -1)
-        logits = flat @ params["w"].T + params["b"]
+        logits = flat @ derived["w"].T + derived["b"]
         logp = log_softmax(logits)
         probs = np.exp(logp)
         return probs, {"flat": flat, "logp": logp, "probs": probs}
 
     def backward(
         self,
-        params: dict[str, np.ndarray],
+        derived: dict[str, np.ndarray],
         cache: dict,
         labels: np.ndarray,
         class_weights: np.ndarray,
+        batch_size: int,
     ) -> dict[str, np.ndarray]:
-        d = _ce_dlogits(cache["probs"], labels, class_weights)
+        d = _ce_dlogits(cache["probs"], labels, class_weights, batch_size)
         return {"w": d.T @ cache["flat"], "b": d.sum(axis=0)}
+
+    def fold(self, params: dict[str, np.ndarray],
+             grads: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+        return grads
 
 
 @dataclass(frozen=True)
@@ -169,6 +195,7 @@ class ShallowConvNet:
     mean pool -> log -> dropout -> affine -> softmax."""
 
     name = "shallow"
+    chunk = CHUNK
 
     def __init__(
         self,
@@ -228,84 +255,106 @@ class ShallowConvNet:
         b_eff = ws.sum(axis=2) @ params["b_temporal"] + params["b_spatial"]
         return w_eff, b_eff
 
-    def forward(
-        self,
-        params: dict[str, np.ndarray],
-        x: np.ndarray,
-        train_mode: bool = False,
-        dropout_key: int = 0,
-        step: int = 0,
-    ) -> tuple[np.ndarray, dict]:
+    def derive(self, params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+        """The effective kernel and bias, the (L, P) mean-pooling matrix at
+        the parameters' dtype, and the dense layer: what every forward
+        call of one step reads."""
         s = self.spec
-        b = len(x)
-        g, l, p = s.n_spatial_filters, self.conv_len, self.n_frames
-        xw = self._windowed(x)
         w_eff, b_eff = self._effective_kernel(params)
-        z = xw @ w_eff.T  # (B * L, G)
-        z += b_eff
-        # (L, P) mean pool: column f holds 1 / pool_len on conv frames
+        # column f holds 1 / pool_len on conv frames
         # [f * pool_stride, f * pool_stride + pool_len)
-        rows = np.arange(l)[:, None]
-        starts = np.arange(p) * s.pool_stride
+        rows = np.arange(self.conv_len)[:, None]
+        starts = np.arange(self.n_frames) * s.pool_stride
         window = (rows >= starts) & (rows < starts + s.pool_len)
-        pool = window * np.asarray(1.0 / s.pool_len, dtype=x.dtype)
+        pool = window * np.asarray(1.0 / s.pool_len, dtype=w_eff.dtype)
+        return {"w_eff": w_eff, "b_eff": b_eff, "pool": pool,
+                "w_dense": params["w_dense"], "b_dense": params["b_dense"]}
+
+    def dropout_mask(self, n: int, key: int, step: int, dtype) -> np.ndarray | None:
+        """The keep-and-rescale mask of a batch of ``n`` windows at
+        ``step``, or None when the spec drops nothing."""
+        s = self.spec
+        if s.dropout_p == 0.0:
+            return None
+        return _dropout_mask((n, s.n_spatial_filters, self.n_frames), s.dropout_p,
+                             key, step, dtype)
+
+    def forward(
+        self, derived: dict[str, np.ndarray], x: np.ndarray, mask: np.ndarray | None = None
+    ) -> tuple[np.ndarray, dict]:
+        b = len(x)
+        g, l = self.spec.n_spatial_filters, self.conv_len
+        xw = self._windowed(x)
+        z = xw @ derived["w_eff"].T  # (B * L, G)
+        z += derived["b_eff"]
+        pool = derived["pool"]
         pooled = (pool.T @ (z * z).reshape(b, l, g)).transpose(0, 2, 1)  # (B, G, P)
         logf = np.log(np.maximum(pooled, LOG_FLOOR))
-        if train_mode and s.dropout_p > 0.0:
-            mask = _dropout_mask((b, g, p), s.dropout_p, dropout_key, step, x.dtype)
-            h = logf * mask
-        else:
-            mask = None
-            h = logf
+        h = logf if mask is None else logf * mask
         flat = h.reshape(b, self.n_features)
-        logits = flat @ params["w_dense"].T + params["b_dense"]
+        logits = flat @ derived["w_dense"].T + derived["b_dense"]
         logp = log_softmax(logits)
         probs = np.exp(logp)
         return probs, {
-            "xw": xw, "z": z, "pool": pool, "pooled": pooled, "mask": mask,
+            "xw": xw, "z": z, "pooled": pooled, "mask": mask,
             "flat": flat, "logp": logp, "probs": probs,
         }
 
     def backward(
         self,
-        params: dict[str, np.ndarray],
+        derived: dict[str, np.ndarray],
         cache: dict,
         labels: np.ndarray,
         class_weights: np.ndarray,
+        batch_size: int,
     ) -> dict[str, np.ndarray]:
-        s = self.spec
+        """Gradients with respect to ``w_eff``, ``b_eff`` and the dense
+        layer; ``fold`` takes their sums over a batch's chunks onto the
+        parameters."""
         z, pooled = cache["z"], cache["pooled"]
         b, g, p = pooled.shape
-        dlogits = _ce_dlogits(cache["probs"], labels, class_weights)
+        dlogits = _ce_dlogits(cache["probs"], labels, class_weights, batch_size)
         grads: dict[str, np.ndarray] = {
             "w_dense": dlogits.T @ cache["flat"],
             "b_dense": dlogits.sum(axis=0),
         }
-        dh = (dlogits @ params["w_dense"]).reshape(b, g, p)
+        dh = (dlogits @ derived["w_dense"]).reshape(b, g, p)
         if cache["mask"] is not None:
             dh = dh * cache["mask"]
         # log(max(u, floor)): zero slope on the clamped flat
         dpooled = dh * (pooled > LOG_FLOOR) / np.maximum(pooled, LOG_FLOOR)
-        pool2 = 2.0 * cache["pool"]  # d(z^2)/dz = 2z
+        pool2 = 2.0 * derived["pool"]  # d(z^2)/dz = 2z
         dsq = pool2 @ dpooled.transpose(0, 2, 1)  # (B, L, G)
         dz = dsq.reshape(z.shape)  # (B * L, G)
         dz *= z
+        grads["w_eff"] = dz.T @ cache["xw"]  # (G, K * C)
+        grads["b_eff"] = np.ones(len(dz), dtype=dz.dtype) @ dz
+        return grads
+
+    def fold(self, params: dict[str, np.ndarray],
+             grads: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+        """Unfold the effective-kernel gradient sums ``grads`` back onto
+        the two conv stages; the dense gradients pass through."""
+        s = self.spec
         f, k, c = s.n_temporal_filters, s.temporal_kernel, self.n_channels
-        dw_eff = (dz.T @ cache["xw"]).reshape(g, k, c)
-        db_eff = np.ones(len(dz), dtype=dz.dtype) @ dz
+        g = s.n_spatial_filters
+        dw_eff = grads["w_eff"].reshape(g, k, c)
+        db_eff = grads["b_eff"]
         wt, ws = params["w_temporal"], params["w_spatial"]
         bt = params["b_temporal"]
-        # Unfold the effective-kernel gradient back onto the two stages.
-        grads["w_spatial"] = (  # (F, K) @ (G, K, C) -> (G, F, C)
-            wt @ dw_eff + db_eff[:, None, None] * bt[None, :, None]
-        )
-        grads["w_temporal"] = (  # (F, G*C) @ (G*C, K)
-            ws.transpose(1, 0, 2).reshape(f, g * c)
-            @ dw_eff.transpose(0, 2, 1).reshape(g * c, k)
-        )
-        grads["b_spatial"] = db_eff
-        grads["b_temporal"] = ws.sum(axis=2).T @ db_eff
-        return grads
+        return {
+            "w_dense": grads["w_dense"],
+            "b_dense": grads["b_dense"],
+            "w_spatial": (  # (F, K) @ (G, K, C) -> (G, F, C)
+                wt @ dw_eff + db_eff[:, None, None] * bt[None, :, None]
+            ),
+            "w_temporal": (  # (F, G*C) @ (G*C, K)
+                ws.transpose(1, 0, 2).reshape(f, g * c)
+                @ dw_eff.transpose(0, 2, 1).reshape(g * c, k)
+            ),
+            "b_spatial": db_eff,
+            "b_temporal": ws.sum(axis=2).T @ db_eff,
+        }
 
 
 KNOWN_MODELS = (LinearSoftmax.name, ShallowConvNet.name)

@@ -5,8 +5,14 @@ same parameters bit for bit. The seed fans out into three independent streams
 (init, shuffling, dropout) so changing the epoch count does not disturb
 initialization, and dropout masks depend only on the global step index.
 
-A step's cache and gradients live for that step only, so the next forward
-never runs beside them and training holds one step's arrays at a time.
+A step works through its batch in chunks of at most ``model.chunk``
+windows (``batch_gradients``): it derives what the forward calls read and
+draws the batch's dropout mask once, runs forward and backward per chunk,
+adds each chunk's gradients into the step's sums, and folds the sums onto
+the parameters once. A chunk's cache dies before the next chunk's forward,
+so a conv-net step holds one chunk's im2col whatever the batch size, and
+``predict`` works through the same chunks. The linear model takes a whole
+batch per call, so its arithmetic is that of one forward and one backward.
 """
 
 from __future__ import annotations
@@ -103,6 +109,44 @@ def _fanout_seed(seed: int) -> tuple[np.random.SeedSequence, np.random.Generator
     return init_ss, np.random.default_rng(shuffle_ss), dropout_key
 
 
+def _chunks(n: int, size: int | None) -> list[slice]:
+    """Consecutive slices of at most ``size`` of ``n`` rows (all of them
+    for None)."""
+    size = size or n
+    return [slice(lo, lo + size) for lo in range(0, n, size)]
+
+
+def batch_gradients(
+    model,
+    params: dict[str, np.ndarray],
+    x: np.ndarray,
+    labels: np.ndarray,
+    class_weights: np.ndarray,
+    mask: np.ndarray | None = None,
+) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """The log-probabilities of the batch ``x`` and the gradients of its
+    weighted-CE mean, under the batch's dropout ``mask`` (None: none).
+
+    Forward and backward run per chunk of ``model.chunk`` windows; each
+    chunk's gradients are added into the first chunk's, in chunk order, and
+    ``model.fold`` takes the sums onto the parameters.
+    """
+    derived = model.derive(params)
+    logps, sums = [], None
+    for part in _chunks(len(x), model.chunk):
+        _, cache = model.forward(derived, x[part], None if mask is None else mask[part])
+        grads = model.backward(derived, cache, labels[part], class_weights, len(x))
+        logps.append(cache["logp"])
+        if sums is None:
+            sums = grads
+        else:
+            for name, g in grads.items():
+                sums[name] += g
+        # free this chunk's arrays before the next forward makes its own
+        del cache, grads
+    return np.concatenate(logps), model.fold(params, sums)
+
+
 def train_model(
     model,
     data: np.ndarray,
@@ -133,20 +177,17 @@ def train_model(
         total = 0.0
         for lo in range(0, n, cfg.batch_size):
             idx = perm[lo : lo + cfg.batch_size]
-            xb = data[idx]
             yb = labels[idx]
-            probs, cache = model.forward(
-                params, xb, train_mode=True, dropout_key=dropout_key, step=step
-            )
-            loss = weighted_ce_from_logprobs(cache["logp"], yb, class_weights)
+            mask = model.dropout_mask(len(idx), dropout_key, step, data.dtype)
+            logp, grads = batch_gradients(model, params, data[idx], yb, weights32, mask)
+            loss = weighted_ce_from_logprobs(logp, yb, class_weights)
             if not np.isfinite(loss):
                 raise TrainingDiverged(
                     f"non-finite loss at epoch {epoch}, step {step}"
                 )
-            grads = model.backward(params, cache, yb, weights32)
             opt.step(params, grads)
-            # free this step's arrays before the next forward makes its own
-            del probs, cache, grads
+            # free this step's arrays before the next step makes its own
+            del mask, logp, grads
             total += loss * len(idx)
             step += 1
         epoch_losses.append(total / n)
@@ -155,13 +196,16 @@ def train_model(
 
 def predict(model, params: dict[str, np.ndarray], data: np.ndarray,
             batch_size: int = 512) -> np.ndarray:
-    """Class codes by highest probability; ties break to the lowest code."""
+    """Class codes by highest probability; ties break to the lowest code.
+
+    Each forward call takes at most ``batch_size`` windows, and at most
+    ``model.chunk`` when the model sets one."""
     data = np.ascontiguousarray(data, dtype=np.float32)
+    derived = model.derive(params)
     out = np.empty(len(data), dtype=np.int64)
-    for lo in range(0, len(data), batch_size):
-        # bind nothing: the batch's cache dies with the returned tuple
-        hi = lo + batch_size
-        out[lo:hi] = model.forward(params, data[lo:hi])[0].argmax(axis=1)
+    for part in _chunks(len(data), min(batch_size, model.chunk or batch_size)):
+        # bind nothing: the chunk's cache dies with the returned tuple
+        out[part] = model.forward(derived, data[part])[0].argmax(axis=1)
     return out
 
 

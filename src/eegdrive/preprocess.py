@@ -1,8 +1,9 @@
 """Offline cleaning: filtering, robust referencing, interpolation, scaling.
 
-The chain applied by ``preprocess_session`` is fixed. Steps 3-5 edit the
-second filter's (C, T) output in place, and the result is wrapped in a
-recording once, at the end:
+The chain applied by ``preprocess_session`` is fixed. Both filters run in
+one padded buffer, and steps 3-5 edit the (C, T) view of that buffer that
+holds the filtered samples, which is wrapped in a recording once, at the
+end:
 
 1. zero-phase Butterworth high-pass,
 2. zero-phase IIR notch at the mains frequency,
@@ -42,10 +43,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
+from .ingest import median
 from .session import EegRecording
 
 # Fractions of windows that must misbehave before a channel is flagged.
 CORRELATION_BAD_WINDOW_FRAC = 0.01
+# Correlation windows whose normalised copies detection holds at once.
+CORRELATION_WINDOWS_PER_BLOCK = 16
 # Bad-channel detections the robust reference runs before it stops.
 MAX_REFERENCE_ITERATIONS = 4
 # Detection criteria, in the row order of a (2, C) verdict.
@@ -167,51 +171,64 @@ def _sos_response(sos: np.ndarray, d: np.ndarray | float) -> np.ndarray | float:
     return h
 
 
-def filter_zero_phase(x: np.ndarray, sos: np.ndarray) -> np.ndarray:
-    """Forward-backward application along the last axis: zero group delay.
+def filter_zero_phase(x: np.ndarray, *cascades: np.ndarray) -> np.ndarray:
+    """Forward-backward application of each cascade of second-order
+    sections in turn, along the last axis: zero group delay.
 
-    Matches ``scipy.signal.sosfiltfilt(sos, x, axis=-1)`` to float64
-    rounding: the signal is padded by an odd extension of 3 x ntaps samples
-    at each end, and each pass starts from the steady state of its first
-    sample.
+    Each cascade matches ``scipy.signal.sosfiltfilt(sos, x, axis=-1)`` to
+    float64 rounding: the signal is padded by an odd extension of
+    3 x ntaps samples at each end, and each pass starts from the steady
+    state of its first sample.
 
-    Both passes run in place in one zero-padded float64 buffer and one
-    spectrum buffer.
+    Every pass runs in place in one zero-padded float64 buffer and one
+    spectrum buffer. The signal keeps its columns in the buffer from
+    cascade to cascade, and the result is the view of the buffer that holds
+    it.
     """
     x = np.asarray(x, dtype=np.float64)
-    ntaps = 2 * len(sos) + 1 - min(int((sos[:, 2] == 0).sum()), int((sos[:, 5] == 0).sum()))
-    edge = 3 * ntaps
     n = x.shape[-1]
-    if n <= edge:
-        raise DataError(
-            f"signal of length {n} too short for zero-phase filtering with "
-            f"{len(sos)} second-order sections: needs more than {edge} samples"
-        )
-    m = n + 2 * edge
-    settle = _settle_length(np.concatenate([np.roots(a) for a in sos[:, 3:]]))
-    nfft = _fft_length(m + settle)  # the circular product's wrap-round decays below eps
-    buf = np.zeros(x.shape[:-1] + (nfft,))
-    y = buf[..., :m]  # the odd extension; the rest of buf stays zero padding
-    np.subtract(2.0 * x[..., :1], x[..., edge:0:-1], out=y[..., :edge])
-    y[..., edge : edge + n] = x
-    np.subtract(2.0 * x[..., -1:], x[..., -2 : -edge - 2 : -1], out=y[..., edge + n :])
-    spectrum = np.empty(x.shape[:-1] + (nfft // 2 + 1,), dtype=np.complex128)
-    response = _sos_response(sos, _rfft_grid(nfft))
-    dc_gain = _sos_response(sos, 0.0)
-    for _ in range(2):
-        # A pass started from the steady state of the first sample is, by
-        # linearity, the pass from rest over y - y[0] plus y[0] times the DC
-        # gain. Each pass ends reversed, so the second runs backward and
-        # leaves y forward again.
-        y0 = y[..., :1].copy()
-        y -= y0
-        np.fft.rfft(buf, out=spectrum)
-        spectrum *= response
-        np.fft.irfft(spectrum, nfft, out=buf)
-        buf[..., m:] = 0.0
-        y += dc_gain * y0
-        y[...] = y[..., ::-1]
-    return y[..., edge:-edge].copy()
+    plans = []  # (edge, nfft, response, dc gain) per cascade, before the buffer
+    for sos in cascades:
+        ntaps = 2 * len(sos) + 1 - min(int((sos[:, 2] == 0).sum()), int((sos[:, 5] == 0).sum()))
+        edge = 3 * ntaps
+        if n <= edge:
+            raise DataError(
+                f"signal of length {n} too short for zero-phase filtering with "
+                f"{len(sos)} second-order sections: needs more than {edge} samples"
+            )
+        settle = _settle_length(np.concatenate([np.roots(a) for a in sos[:, 3:]]))
+        # the circular product's wrap-round decays below eps
+        nfft = _fft_length(n + 2 * edge + settle)
+        plans.append((edge, nfft, _sos_response(sos, _rfft_grid(nfft)), _sos_response(sos, 0.0)))
+    inner = max(edge for edge, *_ in plans)  # the signal's first column
+    width = max(inner - edge + nfft for edge, nfft, *_ in plans)
+    buf = np.zeros(x.shape[:-1] + (width,))
+    out = buf[..., inner : inner + n]
+    out[...] = x
+    spectrum = np.empty(x.shape[:-1] + (width // 2 + 1,), dtype=np.complex128)
+    for edge, nfft, response, dc_gain in plans:
+        m = n + 2 * edge
+        padded = buf[..., inner - edge : inner - edge + nfft]
+        y = padded[..., :m]  # the odd extension; the rest of padded is zeros
+        np.subtract(2.0 * out[..., :1], out[..., edge:0:-1], out=y[..., :edge])
+        np.subtract(2.0 * out[..., -1:], out[..., -2 : -edge - 2 : -1], out=y[..., edge + n :])
+        padded[..., m:] = 0.0
+        spec = spectrum[..., : nfft // 2 + 1]
+        for _ in range(2):
+            # A pass started from the steady state of the first sample is,
+            # by linearity, the pass from rest over y - y[0] plus y[0] times
+            # the DC gain. Each pass ends reversed, so the second runs
+            # backward and leaves y forward again.
+            y0 = y[..., :1].copy()
+            y -= y0
+            np.fft.rfft(padded, out=spec)
+            spec *= response
+            np.fft.irfft(spec, nfft, out=padded)
+            padded[..., m:] = 0.0
+            y += dc_gain * y0
+            for row in y.reshape(-1, m):  # a row's reversed copy at a time
+                row[:] = row[::-1]
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -235,10 +252,12 @@ class BadChannelCriteria:
 
 
 def _robust_std(x: np.ndarray) -> np.ndarray:
-    """MAD-based spread per row."""
-    dev = np.subtract(x, np.median(x, axis=-1, keepdims=True))
-    np.abs(dev, out=dev)
-    return _MAD_SCALE * np.median(dev, axis=-1, overwrite_input=True)
+    """MAD-based spread per row, one row's deviations at a time."""
+    spread = np.empty(len(x))
+    for i, row in enumerate(x):
+        dev = row - median(row)
+        spread[i] = median(np.abs(dev, out=dev))
+    return _MAD_SCALE * spread
 
 
 def _normalized_windows(x: np.ndarray, win: int) -> np.ndarray:
@@ -265,7 +284,10 @@ def detect_bad_channels(x: np.ndarray, fs: float, criteria: BadChannelCriteria) 
       correlation with any other channel falls below ``correlation_min``.
 
     Returns the (2, C) verdict over the rows of the (C, T) array ``x``:
-    row k flags the channels that fail criterion ``REASONS[k]``.
+    row k flags the channels that fail criterion ``REASONS[k]``. The
+    deviations are taken one channel at a time and the correlations
+    ``CORRELATION_WINDOWS_PER_BLOCK`` windows at a time, so no temporary
+    array is the size of ``x``.
     """
     n_ch, n_samp = x.shape
     if n_ch < 4:
@@ -276,21 +298,25 @@ def detect_bad_channels(x: np.ndarray, fs: float, criteria: BadChannelCriteria) 
 
     # Deviation: robust z of per-channel robust amplitude.
     amp = _robust_std(x)
-    med = np.median(amp)
-    denom = _MAD_SCALE * np.median(np.abs(amp - med))
+    med = median(amp)
+    denom = _MAD_SCALE * median(np.abs(amp - med))
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.where(amp == med, 0.0, (amp - med) / denom) if denom == 0 else (amp - med) / denom
     verdict[0] = np.abs(z) > criteria.deviation_z
 
     # Correlation: windowed best absolute correlation against the other channels.
     win = max(2, round(criteria.correlation_window_s * fs))
-    if n_samp >= win:
-        seg = _normalized_windows(x, win)  # (n_win, C, win)
-        r = seg @ seg.transpose(0, 2, 1)  # (n_win, C, C)
-        np.abs(r, out=r)
-        r[:, np.eye(n_ch, dtype=bool)] = -1.0
-        low_counts = (r.max(axis=2) < criteria.correlation_min).sum(axis=0)
-        verdict[1] = low_counts / seg.shape[0] > CORRELATION_BAD_WINDOW_FRAC
+    n_win = n_samp // win
+    if n_win:
+        low_counts = np.zeros(n_ch, dtype=np.int64)
+        block = CORRELATION_WINDOWS_PER_BLOCK * win
+        for lo in range(0, n_win * win, block):
+            seg = _normalized_windows(x[:, lo : lo + block], win)  # (n, C, win)
+            r = seg @ seg.transpose(0, 2, 1)  # (n, C, C)
+            np.abs(r, out=r)
+            r[:, np.eye(n_ch, dtype=bool)] = -1.0
+            low_counts += (r.max(axis=2) < criteria.correlation_min).sum(axis=0)
+        verdict[1] = low_counts / n_win > CORRELATION_BAD_WINDOW_FRAC
 
     return verdict
 
@@ -375,7 +401,9 @@ def interpolate_channels(x: np.ndarray, bad: np.ndarray, positions: np.ndarray) 
     channels (great-circle distance between the unit vectors ``positions``,
     weights 1/d^2); a good channel at the same position takes all the weight.
     """
-    good_idx = np.setdiff1d(np.arange(len(x)), bad)
+    good = np.ones(len(x), dtype=bool)
+    good[bad] = False
+    good_idx = np.flatnonzero(good)
     if len(bad) and len(good_idx) < 3:
         raise DataError(
             f"only {len(good_idx)} good channels left; interpolation needs 3"
@@ -413,8 +441,7 @@ def preprocess_session(
 ) -> tuple[EegRecording, PreprocessReport]:
     """Run the full cleaning chain; returns the cleaned recording and report."""
     fs = rec.sample_rate_hz
-    x = filter_zero_phase(rec.samples, design_highpass(spec, fs))
-    x = filter_zero_phase(x, design_notch(spec, fs))
+    x = filter_zero_phase(rec.samples, design_highpass(spec, fs), design_notch(spec, fs))
     verdicts, detections = robust_average_reference(x, fs, criteria)
     interpolate_channels(x, np.flatnonzero(verdicts[-1].any(axis=0)), rec.montage.positions)
     zscore_channels(x, rec.montage.names)

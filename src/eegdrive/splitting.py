@@ -201,7 +201,9 @@ def check_no_leakage(train: Windows, test: Windows) -> None:
     """Raise if any recording sample appears in both partitions."""
     covered = np.zeros(1 + max(train.src.max(initial=0), test.src.max(initial=0)), dtype=bool)
     covered[train.src] = True
-    overlap = np.unique(test.src[covered[test.src]])
+    in_test = np.zeros_like(covered)
+    in_test[test.src] = True
+    overlap = np.flatnonzero(covered & in_test)
     if len(overlap):
         raise DataError(
             f"train/test leakage: {len(overlap)} shared source samples "

@@ -3,6 +3,7 @@
 import numpy as np
 
 from eegdrive.models.nets import weighted_ce_from_logprobs
+from eegdrive.models.trainer import batch_gradients
 
 
 def gradient_check(
@@ -17,7 +18,9 @@ def gradient_check(
 ) -> dict[str, float]:
     """Central finite differences against the analytic gradients, in float64.
 
-    Every parameter tensor is checked. Tensors with at most 256 entries are
+    Both come from ``batch_gradients``, the chunked step the trainer runs,
+    under the dropout mask of step 0 (with ``train_mode``) or none. Every
+    parameter tensor is checked. Tensors with at most 256 entries are
     probed exhaustively; larger ones on a seeded random subset of entries.
     Returns the relative error per tensor: ||fd - analytic|| / max(norms).
     """
@@ -25,15 +28,13 @@ def gradient_check(
     labels = np.asarray(labels, dtype=np.int64)
     w = np.asarray(class_weights, dtype=np.float64)
     params = model.init_params(np.random.SeedSequence(seed), dtype=np.float64)
+    mask = model.dropout_mask(len(x), seed, 0, np.float64) if train_mode else None
 
     def loss_at() -> float:
-        _, cache = model.forward(params, x, train_mode=train_mode,
-                                 dropout_key=seed, step=0)
-        return weighted_ce_from_logprobs(cache["logp"], labels, w)
+        logp, _ = batch_gradients(model, params, x, labels, w, mask)
+        return weighted_ce_from_logprobs(logp, labels, w)
 
-    _, cache = model.forward(params, x, train_mode=train_mode,
-                             dropout_key=seed, step=0)
-    analytic = model.backward(params, cache, labels, w)
+    _, analytic = batch_gradients(model, params, x, labels, w, mask)
 
     rng = np.random.default_rng(seed)
     errors: dict[str, float] = {}

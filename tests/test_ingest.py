@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from eegdrive import ingest, pipeline
 from eegdrive.errors import DataError
@@ -46,6 +47,7 @@ from eegdrive.models import (
 )
 from eegdrive.report import RunScore, read_run_score, write_run_score
 from eegdrive.session import EegRecording, JoystickStream, synthetic_montage
+from eegdrive.synth import SynthConfig, generate_session
 from eegdrive.tensorfile import read_windows, write_windows
 from tracemem import peak_traced
 
@@ -687,3 +689,94 @@ class TestRecalledParse:
             assert _recall(memo, EEG_NAME, eeg.read_bytes()) is None
             with pytest.raises(DataError, match=f"{EEG_NAME}:3: "):
                 load_session(root)
+
+
+# a body line of a two-channel eeg.csv: a row, a blank or lone-CR line, or
+# text the bulk parse may refuse
+BODY_LINES = st.one_of(
+    st.builds(
+        lambda t, a, b: f"{t},{a!r},{b!r}",
+        st.integers(0, 2**64 - 1),
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.floats(-1e3, 1e3),
+    ),
+    st.sampled_from(["", "\r", "1,2", "1,2,3,4", "x,1,2", "-1,0,0", " 5 , 1.5 ,2"]),
+)
+
+
+class TestBytePath:
+    """``RecalledText.rows`` parses a pure-ASCII file straight from its
+    bytes: the same arrays as ``parse_rows`` over its decoded lines, and any
+    file it cannot parse is left to ``parse_rows``'s line path."""
+
+    DTYPE = ingest._eeg_dtype(2)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(lines=st.lists(BODY_LINES, max_size=8), crlf=st.booleans(), final=st.booleans())
+    @example(lines=["0,1.5,2", "", "\r", "8,3,4"], crlf=True, final=True)
+    def test_bytes_parse_as_lines_do(self, lines, crlf, final):
+        end = "\r\n" if crlf else "\n"
+        text = "timestamp_ns,ch00,ch01" + end + end.join(lines) + (end if final else "")
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / EEG_NAME
+            path.write_bytes(text.encode())
+            read = ingest.RecalledText(path)
+
+            def by_lines():
+                return parse_rows(path, text.split("\n"), self.DTYPE)
+
+            want, got = _rows_or_fault(by_lines), _rows_or_fault(lambda: read.rows(self.DTYPE))
+            assert got == want
+            if not isinstance(want, str):  # parsed from the bytes: no line decoded
+                assert "lines" not in vars(read)
+
+    def test_non_ascii_file_takes_the_line_path(self, tmp_path):
+        path = tmp_path / EEG_NAME
+        path.write_bytes("timestamp_ns,ch00,ché\n0,1,2\n8,3,4\n".encode())
+        read = ingest.RecalledText(path)
+        assert read.header() == "timestamp_ns,ch00,ché"
+        rows = read.rows(self.DTYPE)
+        assert rows["t"].tolist() == [0, 8] and "lines" in vars(read)
+
+    def test_a_bad_byte_is_reported_before_a_wrong_header(self, tmp_path):
+        sess = _toy_session()
+        root = write_session_dir(tmp_path / "sess", sess)
+        eeg = root / EEG_NAME
+        lines = eeg.read_bytes().split(b"\n")
+        lines[0] = lines[0].replace(b"ch00", b"zz00")
+        lines[5] = lines[5].replace(b",", b",\xff", 1)
+        eeg.write_bytes(b"\n".join(lines))
+        with pytest.raises(DataError, match=rf"{EEG_NAME}:6: not UTF-8"):
+            ingest.load_recording(root)
+
+    def test_load_recording_working_set_below_four_recordings(self, tmp_path):
+        # the body parses from the file's bytes; decoding them and splitting
+        # the text into lines first read 5.4x
+        session, _ = generate_session(SynthConfig(duration_s=200.0, rng_seed=3))
+        root = write_session_dir(tmp_path / "sess", session)
+        peak = peak_traced(lambda: ingest.load_recording(root))
+        assert peak < 4 * session.eeg.samples.nbytes
+
+
+def _rows_or_fault(read):
+    """The parsed columns bit for bit, or the DataError's message."""
+    try:
+        rows = read()
+    except DataError as e:
+        return str(e)
+    return [_bits(rows["t"]), _bits(rows["x"])]
+
+
+class TestMedian:
+    """``ingest.median`` is ``np.median`` over the last axis, bit for bit."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(a=arrays(np.float64, array_shapes(max_dims=2, max_side=9),
+                    elements=st.floats(allow_nan=False)))
+    def test_equals_numpy_median_for_floats(self, a):
+        assert _bits(ingest.median(a)) == _bits(np.median(a, axis=-1))
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(a=arrays(np.int64, array_shapes(max_dims=2, max_side=9)))
+    def test_equals_numpy_median_for_integers(self, a):
+        assert _bits(ingest.median(a)) == _bits(np.median(a, axis=-1))

@@ -24,8 +24,8 @@ from eegdrive.models import (
     save_checkpoint,
     train_model,
 )
-from eegdrive.models.nets import LOG_FLOOR, weighted_ce_from_logprobs
-from eegdrive.models.trainer import Adam, _fanout_seed
+from eegdrive.models.nets import CHUNK, LOG_FLOOR, weighted_ce_from_logprobs
+from eegdrive.models.trainer import Adam, _fanout_seed, batch_gradients
 from eegdrive.tensorfile import read_checkpoint, write_checkpoint
 from gradcheck import gradient_check
 from tracemem import peak_traced
@@ -136,7 +136,7 @@ class TestForwardOracles:
         model = ShallowConvNet(n_channels=3, n_samples=n_samples, spec=spec)
         params = model.init_params(seed=7, dtype=np.float64)
         x = np.random.default_rng(8).standard_normal((3, 3, n_samples))
-        probs, _ = model.forward(params, x)
+        probs, _ = model.forward(model.derive(params), x)
         want = oracle_shallow_probs(params, x, spec)
         assert np.allclose(probs, want, atol=1e-9, rtol=0)
 
@@ -175,7 +175,7 @@ class TestForwardOracles:
         model = ShallowConvNet(n_channels=3, n_samples=30, spec=SMALL_SPEC)
         params = model.init_params(seed=1)
         x = np.random.default_rng(2).standard_normal((6, 3, 30)).astype(np.float32)
-        probs, _ = model.forward(params, x)
+        probs, _ = model.forward(model.derive(params), x)
         assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-6)
 
 
@@ -257,7 +257,7 @@ class TestGradients:
         labels = rng.integers(0, 5, size=6)
         w = rng.uniform(0.5, 2.0, size=5)
         probs, cache = model.forward(params, x)
-        grads = model.backward(params, cache, labels, w)
+        grads = model.backward(params, cache, labels, w, len(x))
         want = np.zeros(5)
         for i in range(6):
             for k in range(5):
@@ -274,7 +274,7 @@ class TestGradients:
         probs, cache = model.forward(params, x)
         loss = weighted_ce_from_logprobs(cache["logp"], labels, np.ones(5))
         assert loss <= 1e-8
-        grads = model.backward(params, cache, labels, np.ones(5))
+        grads = model.backward(params, cache, labels, np.ones(5), len(x))
         for name, g in grads.items():
             assert np.linalg.norm(g) <= 1e-8, name
 
@@ -404,7 +404,7 @@ class TestPredict:
         model = ShallowConvNet(3, 30, SMALL_SPEC)
         params = model.init_params(seed=0)
         x = np.random.default_rng(13).standard_normal((71, 3, 30)).astype(np.float32)
-        want, _ = model.forward(params, x)
+        want, _ = model.forward(model.derive(params), x)
         got = predict(model, params, x, batch_size=32)
         assert np.array_equal(got, want.argmax(axis=1))
 
@@ -421,27 +421,37 @@ def _reference_params(model, data, labels, class_weights, cfg, seed):
         perm = shuffle_rng.permutation(len(data))
         for lo in range(0, len(data), cfg.batch_size):
             idx = perm[lo : lo + cfg.batch_size]
-            probs, cache = model.forward(
-                params, data[idx], train_mode=True, dropout_key=dropout_key, step=step
-            )
-            grads = model.backward(params, cache, labels[idx], weights32)
-            opt.step(params, grads)
+            xb, yb = data[idx], labels[idx]
+            mask = model.dropout_mask(len(idx), dropout_key, step, np.float32)
+            derived = model.derive(params)
+            sums = None
+            size = model.chunk or len(idx)
+            for c in range(0, len(idx), size):
+                part = slice(c, c + size)
+                _, cache = model.forward(derived, xb[part],
+                                         None if mask is None else mask[part])
+                grads = model.backward(derived, cache, yb[part], weights32, len(idx))
+                if sums is None:
+                    sums = grads
+                else:
+                    for name, g in grads.items():
+                        sums[name] += g
+            opt.step(params, model.fold(params, sums))
             step += 1
     return params
 
 
 class TestWorkingSet:
-    """A run over several batches peaks within 1.25x of one batch alone, so
-    one batch's arrays are alive at a time. A previous batch's cache kept
-    through the next forward would read about 1.7x (training) and 1.9x
-    (predict)."""
+    """Training and prediction hold one chunk's arrays at a time, so their
+    peak does not grow with the batch or the test set. The conv net's
+    im2col of a whole 128-window batch made a step peak at 17.4 MiB, and
+    ``predict`` built it for up to 512 windows at once."""
 
     N_CHANNELS, N_SAMPLES, BATCH = 16, 125, 128  # the rig's 1 s windows
 
-    def _data(self, seed):
+    def _data(self, seed, n=3 * BATCH):
         rng = np.random.default_rng(seed)
-        data = rng.standard_normal(
-            (3 * self.BATCH, self.N_CHANNELS, self.N_SAMPLES)).astype(np.float32)
+        data = rng.standard_normal((n, self.N_CHANNELS, self.N_SAMPLES)).astype(np.float32)
         return data, rng.integers(0, 5, size=len(data))
 
     def test_training_holds_one_step(self):
@@ -450,11 +460,12 @@ class TestWorkingSet:
         weights = np.linspace(0.5, 1.5, 5)
         cfg = TrainConfig(epochs=1, batch_size=self.BATCH)
         params = model.init_params(0)
-        xb, yb = data[: self.BATCH], labels[: self.BATCH]
+        yb = labels[: self.BATCH]
 
-        def one_step():
-            _, cache = model.forward(params, xb, train_mode=True, dropout_key=1)
-            model.backward(params, cache, yb, weights.astype(np.float32))
+        def one_step():  # the batch's gather, mask, chunks and gradients
+            mask = model.dropout_mask(self.BATCH, 1, 0, np.float32)
+            batch_gradients(model, params, data[np.arange(self.BATCH)], yb,
+                            weights.astype(np.float32), mask)
 
         res = []
         step_peak = peak_traced(one_step)
@@ -465,42 +476,116 @@ class TestWorkingSet:
         for k in want:
             assert np.array_equal(res[0].params[k], want[k]), k
 
-    def test_predict_holds_one_batch(self):
+    def test_training_step_is_bounded(self):
+        # one chunk's im2col, cache and gradients, not the whole batch's
+        data, labels = self._data(23, self.BATCH)
+        model = ShallowConvNet(self.N_CHANNELS, self.N_SAMPLES)
+        params = model.init_params(0)
+        weights = np.linspace(0.5, 1.5, 5).astype(np.float32)
+        mask = model.dropout_mask(self.BATCH, 1, 0, np.float32)
+        peak = peak_traced(lambda: batch_gradients(model, params, data, labels, weights, mask))
+        assert peak <= 9 * 2**20, peak / 2**20
+
+    def test_predict_holds_one_chunk(self):
         data, _ = self._data(22)
         model = ShallowConvNet(self.N_CHANNELS, self.N_SAMPLES)
         params = model.init_params(0)
-        batch_peak = peak_traced(lambda: model.forward(params, data[: self.BATCH]))
-        run_peak = peak_traced(
-            lambda: predict(model, params, data, batch_size=self.BATCH))
-        assert run_peak <= 1.25 * batch_peak, (run_peak, batch_peak)
+        derived = model.derive(params)
+        chunk_peak = peak_traced(lambda: model.forward(derived, data[:CHUNK]))
+        run_peak = peak_traced(lambda: predict(model, params, data))
+        assert run_peak <= 1.25 * chunk_peak, (run_peak, chunk_peak)
+
+    def test_predict_does_not_grow_with_the_test_set(self):
+        data, _ = self._data(24, 1024)
+        model = ShallowConvNet(self.N_CHANNELS, self.N_SAMPLES)
+        params = model.init_params(0)
+        small = peak_traced(lambda: predict(model, params, data[:64]))
+        large = peak_traced(lambda: predict(model, params, data))
+        assert large <= 1.25 * small, (large, small)
+
+
+class TestChunkedStep:
+    """``batch_gradients`` sums per-chunk gradients; in float64 they equal
+    one forward and backward over the whole batch."""
+
+    @pytest.mark.parametrize("dropout_p", [0.0, 0.5], ids=["no-dropout", "dropout"])
+    @pytest.mark.parametrize("n", [CHUNK, 70], ids=["one-chunk", "ragged"])
+    def test_chunks_sum_to_the_whole_batch(self, n, dropout_p):
+        spec = ShallowConvNetSpec(
+            n_temporal_filters=4, temporal_kernel=5, n_spatial_filters=3,
+            pool_len=10, pool_stride=4, dropout_p=dropout_p,
+        )
+        model = ShallowConvNet(3, 30, spec)
+        params = model.init_params(np.random.SeedSequence(4), dtype=np.float64)
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((n, 3, 30))
+        labels = rng.integers(0, 5, size=n)
+        w = rng.uniform(0.5, 2.0, size=5)
+        mask = model.dropout_mask(n, 9, 2, np.float64)
+        assert (mask is None) == (dropout_p == 0.0)
+        derived = model.derive(params)
+        _, cache = model.forward(derived, x, mask)
+        want = model.fold(params, model.backward(derived, cache, labels, w, n))
+        logp, got = batch_gradients(model, params, x, labels, w, mask)
+        assert np.allclose(logp, cache["logp"], atol=1e-12, rtol=0)
+        assert set(got) == set(want) == set(params)
+        for name in want:
+            err = np.linalg.norm(got[name] - want[name]) / max(
+                np.linalg.norm(want[name]), 1e-12)
+            assert err < 1e-10, (name, err)
+
+    def test_linear_takes_the_batch_in_one_call(self):
+        model = LinearSoftmax(n_channels=2, n_samples=6)
+        params = model.init_params(seed=0)
+        rng = np.random.default_rng(6)
+        x = rng.standard_normal((300, 2, 6)).astype(np.float32)
+        labels = rng.integers(0, 5, size=300)
+        w = np.linspace(0.5, 1.5, 5).astype(np.float32)
+        probs, cache = model.forward(params, x)
+        want = model.backward(params, cache, labels, w, len(x))
+        logp, got = batch_gradients(model, params, x, labels, w)
+        assert np.array_equal(logp, cache["logp"])
+        for name in want:
+            assert np.array_equal(got[name], want[name]), name
+
+    def test_gradients_of_several_chunks_match_finite_differences(self):
+        model = ShallowConvNet(n_channels=3, n_samples=30, spec=SMALL_SPEC)
+        rng = np.random.default_rng(14)
+        x = rng.standard_normal((2 * CHUNK + 6, 3, 30))
+        labels = rng.integers(0, 5, size=len(x))
+        errs = gradient_check(model, x, labels, np.full(5, 1.3), seed=3)
+        for name, err in errs.items():
+            assert err < 1e-4, f"{name}: {err}"
 
 
 class TestDropout:
-    def test_mask_is_deterministic_per_step(self):
-        spec = ShallowConvNetSpec(
-            n_temporal_filters=4, temporal_kernel=5, n_spatial_filters=3,
-            pool_len=10, pool_stride=4, dropout_p=0.5,
-        )
-        model = ShallowConvNet(3, 30, spec)
-        params = model.init_params(seed=0)
-        x = np.random.default_rng(2).standard_normal((4, 3, 30)).astype(np.float32)
-        a, _ = model.forward(params, x, train_mode=True, dropout_key=7, step=3)
-        b, _ = model.forward(params, x, train_mode=True, dropout_key=7, step=3)
-        assert np.array_equal(a, b)
-        c, _ = model.forward(params, x, train_mode=True, dropout_key=7, step=4)
-        assert not np.array_equal(a, c)
+    SPEC = ShallowConvNetSpec(
+        n_temporal_filters=4, temporal_kernel=5, n_spatial_filters=3,
+        pool_len=10, pool_stride=4, dropout_p=0.5,
+    )
 
-    def test_eval_mode_ignores_dropout(self):
-        spec = ShallowConvNetSpec(
-            n_temporal_filters=4, temporal_kernel=5, n_spatial_filters=3,
-            pool_len=10, pool_stride=4, dropout_p=0.5,
-        )
-        model = ShallowConvNet(3, 30, spec)
-        params = model.init_params(seed=0)
-        x = np.random.default_rng(3).standard_normal((2, 3, 30)).astype(np.float32)
-        a, _ = model.forward(params, x, train_mode=False, dropout_key=1, step=1)
-        b, _ = model.forward(params, x, train_mode=False, dropout_key=2, step=9)
-        assert np.array_equal(a, b)
+    def test_mask_is_deterministic_per_step(self):
+        model = ShallowConvNet(3, 30, self.SPEC)
+        a = model.dropout_mask(4, 7, 3, np.float32)
+        assert a.shape == (4, 3, model.n_frames)
+        assert np.array_equal(a, model.dropout_mask(4, 7, 3, np.float32))
+        assert not np.array_equal(a, model.dropout_mask(4, 7, 4, np.float32))
+        assert set(np.unique(a).tolist()) <= {0.0, 2.0}
+
+    def test_mask_scales_the_kept_features(self):
+        model = ShallowConvNet(3, 30, self.SPEC)
+        derived = model.derive(model.init_params(seed=0))
+        x = np.random.default_rng(2).standard_normal((4, 3, 30)).astype(np.float32)
+        mask = model.dropout_mask(4, 7, 3, np.float32)
+        _, plain = model.forward(derived, x)
+        _, dropped = model.forward(derived, x, mask)
+        assert np.array_equal(dropped["flat"], (plain["flat"].reshape(mask.shape) * mask)
+                              .reshape(4, -1))
+
+    def test_no_mask_without_dropout(self):
+        model = ShallowConvNet(3, 30, SMALL_SPEC)  # dropout_p 0
+        assert model.dropout_mask(4, 7, 3, np.float32) is None
+        assert LinearSoftmax(3, 30).dropout_mask(4, 7, 3, np.float32) is None
 
 
 class TestClassWeights:
@@ -545,8 +630,8 @@ class TestCheckpoint:
         assert isinstance(back_model, ShallowConvNet)
         assert back_model.spec == SMALL_SPEC
         x = np.random.default_rng(0).standard_normal((2, 3, 30)).astype(np.float32)
-        a, _ = model.forward(params, x)
-        b, _ = back_model.forward(back_params, x)
+        a, _ = model.forward(model.derive(params), x)
+        b, _ = back_model.forward(back_model.derive(back_params), x)
         assert np.array_equal(a, b)
 
     def test_bad_magic(self, tmp_path):

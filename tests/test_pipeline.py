@@ -1093,7 +1093,9 @@ def test_each_stage_reads_exactly_its_inputs(tmp_path, reads):
 
 
 def test_cli_run_imports_no_scipy(tmp_path):
-    """The program filters with numpy alone: a CLI run never loads scipy."""
+    """The program filters with numpy alone: a CLI run never loads scipy.
+    Nor does it load ``numpy.ma``, which ``np.median``'s NaN check and
+    ``np.unique`` import on their first call."""
     doc = dict(SMALL, n_sessions=1)
     cfg = _write_cfg(tmp_path, doc)
     script = textwrap.dedent(f"""
@@ -1101,7 +1103,8 @@ def test_cli_run_imports_no_scipy(tmp_path):
         import eegdrive.cli
         code = eegdrive.cli.main(["run-all", "--config", {str(cfg)!r},
                                   "--out", {str(tmp_path / "ws")!r}])
-        loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+        loaded = sorted(m for m in sys.modules
+                        if m in ("scipy", "numpy.ma") or m.startswith(("scipy.", "numpy.ma.")))
         print(code, loaded)
     """)
     src = str(Path(__file__).resolve().parents[1] / "src")

@@ -12,7 +12,7 @@ All three must be UTF-8, and each is decoded once: the manifest by
 other two by ``RecalledText``. The manifest's channels must form a valid
 ``session.Montage`` (the fault names the channel), and the EEG header must
 match that montage exactly. The EEG body is parsed in one bulk call
-(``RecalledText.rows``): a pure-ASCII file straight from its bytes, its
+(``RecalledText.columns``): a pure-ASCII file straight from its bytes, its
 header taken from the first line alone, and any other file, or one that
 bulk parse refuses, by ``parse_rows`` over its decoded lines, which
 places the fault. The joystick stream is decoded one line at a time.
@@ -34,25 +34,24 @@ stream, so only label and validate parse it. Both read the samples from
 the file given, by default the directory's own ``eeg.csv``, so a cleaned
 ``eeg.csv`` is read with its session's files.
 
-The writers render numeric CSV rows with numpy (``format_rows``), byte for
-byte as Python's ``%d`` and ``%.6f`` would, render the joystick stream in
-one pass, and write each file through a temp file that replaces it only
-once complete (``write_replacing``), as ``write_json`` does.
+The writers render every numeric CSV through ``write_csv``: its header,
+then rows that numpy renders (``format_rows``) byte for byte as Python's
+``%d`` and ``%.6f`` would. The joystick stream is rendered in one pass.
+Each file is written through a temp file that replaces it only once
+complete (``write_replacing``), as ``write_json`` does.
 
-Inside a ``parse_memo()`` block a file this process has just written is not
-parsed again. ``write_eeg_csv`` and ``labels.write_labels_csv`` store, under
-the sha256 of the bytes they wrote, exactly the arrays their reader's
-parser would return for those bytes, read-only and sharing no memory with
-the writer: for an EEG float, ``%.6f`` read back, that is
-``copysign(rint(|x| * 1e6) / 1e6, x)``, or ``float("%.6f" % x)`` where
-``format_rows`` hands the value to ``%``. Each of those readers reads a
-file's bytes once, hashes them and looks the digest up; on a miss it
-decodes and parses them as outside a block. Every check runs on a recalled
-parse as on a parse; the file's lines are decoded only to name the line of
-a fault, so each message is the same either way. ``pipeline.run_all`` opens
-one block per session around preprocess, label and split, and the entries
-are dropped when it closes. Outside a block nothing is stored or looked
-up: the stage-by-stage commands and every other reader parse from disk.
+Inside a ``parse_memo()`` block a CSV this process has just written is not
+parsed again. ``write_csv`` stores, under its row dtype and the sha256 of
+the bytes it wrote, exactly the columns ``RecalledText.columns`` would parse
+from those bytes, read-only and sharing no memory with the writer: for a
+float, ``%.6f`` read back (``_read_back``). ``columns`` hashes a file's
+bytes and looks the digest up; on a miss it parses them as outside a block.
+Every check runs on recalled columns as on parsed ones; the file's lines
+are decoded only to name the line of a fault, so each message is the same
+either way. ``pipeline.run_all`` opens one block per session around
+preprocess, label and split, and the entries are dropped when it closes.
+Outside a block nothing is stored or looked up: the stage-by-stage
+commands and every other reader parse from disk.
 """
 
 from __future__ import annotations
@@ -85,10 +84,11 @@ MAX_TIMESTAMP_NS = 2**63 - 1
 #: Largest fractional difference allowed between the median EEG sample gap
 #: and the period the manifest's sample rate implies.
 DRIFT_TOLERANCE = 0.01
-#: EEG rows rendered per ``format_rows`` call when writing: a block's
-#: temporaries, a few arrays of the block's size, peak at about 1.7 MB for
-#: 16 channels, half the samples of a 200 s recording.
-EEG_ROWS_PER_BLOCK = 1024
+#: Values rendered per ``format_rows`` call when writing a CSV, 1,024 rows
+#: of a 16-channel ``eeg.csv``: a block's temporaries, a few arrays of the
+#: block's size, peak at about 1.7 MB, half the samples of a 200 s
+#: recording.
+CSV_VALUES_PER_BLOCK = 17 * 1024
 
 
 def align_nearest(eeg_ts: np.ndarray, joy_ts: np.ndarray, max_gap_ns: int) -> np.ndarray:
@@ -129,17 +129,17 @@ class SessionDir:
     joystick: JoystickStream
 
 
-#: The open ``parse_memo()`` block's parses, keyed by a reader's kind and
-#: the sha256 of the file's bytes.
+#: The open ``parse_memo()`` block's parses, keyed by a row dtype and the
+#: sha256 of the file's bytes.
 _MEMO: ContextVar[dict | None] = ContextVar("eegdrive_parse_memo", default=None)
 
 
 @contextmanager
-def parse_memo() -> Iterator[dict[tuple[str, bytes], tuple]]:
-    """A block in which every file written by ``write_recallable`` is
-    recalled, not parsed, by a ``RecalledText`` of its unchanged bytes.
-    Every entry is dropped when the block ends."""
-    memo: dict[tuple[str, bytes], tuple] = {}
+def parse_memo() -> Iterator[dict[tuple[np.dtype, bytes], tuple]]:
+    """A block in which every CSV written by ``write_csv`` is recalled, not
+    parsed, by ``RecalledText.columns`` of its unchanged bytes. Every entry
+    is dropped when the block ends."""
+    memo: dict[tuple[np.dtype, bytes], tuple] = {}
     token = _MEMO.set(memo)
     try:
         yield memo
@@ -149,25 +149,18 @@ def parse_memo() -> Iterator[dict[tuple[str, bytes], tuple]]:
 
 
 class RecalledText:
-    """A file's bytes, read once, and the parse a writer stored for them
-    under ``kind`` (``recalled``, None on a miss, for a reader that passes
-    no kind or outside a ``parse_memo()`` block). Its lines are decoded on
-    first use, so a recalled or pure-ASCII file is decoded only to place
-    a fault.
+    """A file's bytes, read once. Its lines are decoded on first use, so a
+    pure-ASCII file is decoded only to place a fault.
 
     A file that cannot be read is a DataError naming it.
     """
 
-    def __init__(self, path: Path, kind: str | None = None):
+    def __init__(self, path: Path):
         self.path = path
         try:
             self.raw = path.read_bytes()
         except OSError as e:
             raise DataError(f"{path}: cannot read: {e}") from e
-        memo = _MEMO.get()
-        self.recalled = None
-        if memo and kind is not None:  # an empty memo has nothing to find: no hash
-            self.recalled = memo.get((kind, hashlib.sha256(self.raw).digest()))
 
     @cached_property
     def lines(self) -> list[str]:
@@ -181,62 +174,47 @@ class RecalledText:
             raise DataError(f"{self.path}:{lineno}: not UTF-8: {e}") from e
 
     def header(self) -> str:
-        """The first line less a trailing CR. A parse of a file that is not
-        pure ASCII decodes every line first, so a bad byte anywhere is
-        reported before the header. A pure-ASCII file cannot hold one, and
-        a recalled file holds its writer's UTF-8, so for either only the
-        first line is decoded."""
-        if self.recalled is None and not self.raw.isascii():
+        """The first line less a trailing CR. A file that is not pure ASCII
+        decodes every line first, so a bad byte anywhere is reported before
+        the header; a pure-ASCII file cannot hold one, so only its first
+        line is decoded."""
+        if not self.raw.isascii():
             first = self.lines[0]
         else:
             end = self.raw.find(b"\n")
             first = self.raw[: end if end >= 0 else None].decode("utf-8")
         return first.rstrip("\r")
 
-    def rows(self, dtype) -> np.ndarray:
-        """The CSV body as ``parse_rows`` parses it. A pure-ASCII file is
-        parsed in one bulk call straight from its bytes, and its lines are
-        never decoded. Any other file, and one whose bulk parse fails,
-        takes ``parse_rows``'s line path, which reports each fault."""
+    def columns(self, dtype) -> tuple[np.ndarray, ...]:
+        """The CSV body's columns, one per field of the row ``dtype``, as
+        ``parse_rows`` parses them. Inside a ``parse_memo()`` block, bytes
+        ``write_csv`` wrote there under ``dtype`` are recalled instead: the
+        read-only columns it stored. Otherwise a pure-ASCII file is parsed
+        in one bulk call straight from its bytes, and its lines are never
+        decoded. Any other file, and one whose bulk parse fails, takes
+        ``parse_rows``'s line path, which reports each fault."""
+        dtype = np.dtype(dtype)
+        memo = _MEMO.get()
+        if memo:  # an empty memo has nothing to find: no hash
+            recalled = memo.get((dtype, hashlib.sha256(self.raw).digest()))
+            if recalled is not None:
+                return recalled
+        rows = None
         if self.raw.isascii():
             body = io.BytesIO(self.raw)  # shares the bytes: no copy
             body.readline()  # the header
             try:
-                return _load_csv(body, dtype)
+                rows = _load_csv(body, dtype)
             except ValueError:
                 pass
-        return parse_rows(self.path, self.lines, dtype)
+        if rows is None:
+            rows = parse_rows(self.path, self.lines, dtype)
+        return tuple(rows[name] for name in dtype.names)
 
     def row_line(self, i: int) -> int:
         """The file line of row ``i`` of a CSV body: the lines after the
         header that are not blank, as ``parse_rows`` reads them."""
         return _file_line(self.lines, i, 2, _is_blank_row)
-
-
-def write_recallable(
-    path: Path, chunks: Iterable[bytes], kind: str, parse: Callable[[], tuple] | None
-) -> Path:
-    """``write_replacing``; inside a ``parse_memo()`` block, also store what
-    ``parse()`` returns, made read-only, under ``kind`` and the sha256 of
-    the bytes written. It must return exactly the arrays that reader's
-    parser returns for those bytes, sharing no memory with the writer's
-    arrays; a writer passes None for bytes that parser would fail on."""
-    memo = _MEMO.get()
-    if memo is None or parse is None:
-        return write_replacing(path, chunks)
-    digest = hashlib.sha256()
-
-    def hashed() -> Iterator[bytes]:
-        for chunk in chunks:
-            digest.update(chunk)
-            yield chunk
-
-    write_replacing(path, hashed())
-    parsed = parse()
-    for a in parsed:
-        a.setflags(write=False)
-    memo[kind, digest.digest()] = parsed
-    return path
 
 
 def decode_json(path: Path, what: str = "", header: bytes | None = None):
@@ -413,7 +391,6 @@ def _check_stream(
     as int64.
     """
     nonfinite = ~np.isfinite(values)
-    beyond = np.abs(values) > limit
 
     def at(mask: np.ndarray, i: int) -> tuple[str, float]:
         c = int(np.argmax(mask[i]))  # first offending column of row i
@@ -427,13 +404,16 @@ def _check_stream(
         name, v = at(beyond, i)
         return f"{name} value {v} outside [-{limit:g}, {limit:g}]"
 
-    raise_first_fault(path, line_of, [
+    rules = [
         (ts < 0, lambda i: f"negative timestamp {ts[i]}"),
         (ts > MAX_TIMESTAMP_NS, lambda i: f"timestamp {ts[i]} is not below 2^63"),
         (~rising_rows(ts), lambda i: f"timestamp {ts[i]} does not increase past {ts[i - 1]}"),
         (nonfinite.any(axis=1), nonfinite_msg),
-        (beyond.any(axis=1), beyond_msg),
-    ])
+    ]
+    if limit < math.inf:  # no finite value is beyond an infinite limit
+        beyond = np.abs(values) > limit
+        rules.append((beyond.any(axis=1), beyond_msg))
+    raise_first_fault(path, line_of, rules)
     ts = ts.astype(np.int64)
     if rate_hz is not None and len(ts) > 1:
         gap = float(median(np.diff(ts)))
@@ -448,7 +428,7 @@ def _check_stream(
 
 def _parse_eeg_csv(path: Path, montage: Montage, rate_hz: float) -> EegRecording:
     names = montage.names
-    text = RecalledText(path, EEG_NAME)
+    text = RecalledText(path)
     expected = "timestamp_ns," + ",".join(names)
     header = text.header()
     if header != expected:
@@ -456,11 +436,7 @@ def _parse_eeg_csv(path: Path, montage: Montage, rate_hz: float) -> EegRecording
             f"{path}:1: header does not match the manifest montage\n"
             f"  expected: {expected}\n  found:    {header}"
         )
-    if text.recalled is None:
-        rows = text.rows(_eeg_dtype(len(names)))
-        ts, samples = rows["t"], rows["x"]
-    else:
-        ts, samples = text.recalled
+    ts, samples = text.columns(_eeg_dtype(len(names)))
     if not len(ts):
         raise DataError(f"{path}: no samples")
     timestamps = _check_stream(path, text.row_line, ts, samples, names, rate_hz=rate_hz)
@@ -712,26 +688,52 @@ def _json_numbers(values: np.ndarray) -> list[str]:
     return json.dumps(values.tolist())[1:-1].split(", ")
 
 
+def write_csv(path: str | Path, header: str, dtype, ints: Sequence[np.ndarray],
+              floats: np.ndarray | None = None) -> Path:
+    """Write the line ``header``, then the rows of ``format_rows(ints,
+    floats)`` in blocks of at most ``CSV_VALUES_PER_BLOCK`` values, replacing
+    ``path``. Inside a ``parse_memo()`` block, also store under ``dtype`` and
+    the sha256 of the bytes the columns ``RecalledText.columns(dtype)``
+    parses from them, read-only and sharing no memory with ``ints`` or
+    ``floats``: each integer column cast to its field's dtype, then the
+    floats read back."""
+    path = Path(path)
+    n, width = len(ints[0]), len(ints) + (0 if floats is None else floats.shape[1])
+    step = max(1, CSV_VALUES_PER_BLOCK // width)
+    blocks = (slice(start, start + step) for start in range(0, n, step))
+    chunks = itertools.chain(
+        [(header + "\n").encode()],
+        (format_rows([c[b] for c in ints], None if floats is None else floats[b])
+         for b in blocks),
+    )
+    memo = _MEMO.get()
+    if memo is None:
+        return write_replacing(path, chunks)
+    digest = hashlib.sha256()
+
+    def hashed() -> Iterator[bytes]:
+        for chunk in chunks:
+            digest.update(chunk)
+            yield chunk
+
+    write_replacing(path, hashed())
+    dtype = np.dtype(dtype)
+    fields = [dtype[name] for name in dtype.names]
+    # a negative value is no unsigned integer: that parse fails, so no recall
+    if not any(f.kind == "u" and (c < 0).any() for f, c in zip(fields, ints)):
+        columns = [c.astype(f) for f, c in zip(fields, ints)]
+        columns += [] if floats is None else [_read_back(floats)]
+        for c in columns:
+            c.setflags(write=False)
+        memo[dtype, digest.digest()] = tuple(columns)
+    return path
+
+
 def write_eeg_csv(path: str | Path, eeg: EegRecording) -> Path:
-    """Write ``eeg`` as an ``eeg.csv`` file, replacing ``path``; inside a
-    ``parse_memo()`` block, its parse is stored for the next reader."""
-    header = ("timestamp_ns," + ",".join(eeg.montage.names) + "\n").encode()
-    blocks = (
-        slice(start, start + EEG_ROWS_PER_BLOCK)
-        for start in range(0, eeg.n_samples, EEG_ROWS_PER_BLOCK)
-    )
-    # a negative timestamp is not a uint64: its parse fails, so no recall
-    eeg_parse = None if (eeg.timestamps < 0).any() else lambda: (
-        eeg.timestamps.astype(np.uint64), _read_back(eeg.samples).T
-    )
-    return write_recallable(
-        Path(path),
-        itertools.chain(
-            [header],
-            (format_rows([eeg.timestamps[b]], eeg.samples[:, b].T) for b in blocks),
-        ),
-        EEG_NAME,
-        eeg_parse,
+    """Write ``eeg`` as an ``eeg.csv`` file, replacing ``path``."""
+    return write_csv(
+        path, "timestamp_ns," + ",".join(eeg.montage.names),
+        _eeg_dtype(eeg.n_channels), [eeg.timestamps], eeg.samples.T,
     )
 
 

@@ -23,15 +23,14 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .ingest import RecalledText, align_nearest, format_rows
-from .ingest import raise_first_fault, rising_rows, write_recallable
+from .ingest import RecalledText, align_nearest, raise_first_fault, rising_rows, write_csv
 from .session import NS_PER_MS, NS_PER_S, CommandLabel, JoystickStream
 
 #: Code used in bulk arrays for "no label" (contradictory or unmatched).
 NO_LABEL = -1
 LABELS_HEADER = "t_ns,label_code"
-#: The ``ingest.parse_memo`` kind of a labels file's parse.
-LABELS_KIND = "labels.csv"
+#: One labels row, as written and as read.
+LABELS_DTYPE = np.dtype([("t", np.int64), ("code", np.int64)])
 
 
 @dataclass(frozen=True)
@@ -125,37 +124,25 @@ def label_at_horizon(
 
 def write_labels_csv(path: str | Path, labeled: LabeledSamples) -> Path:
     """Write one ``t_ns,label_code`` row per sample; ``path`` is replaced
-    only once the whole file is written. Inside an ``ingest.parse_memo()``
-    block, ``read_labels_csv`` recalls these rows rather than parse them."""
-    rows = format_rows([labeled.t_ns, labeled.labels])
-    return write_recallable(
-        Path(path), [(LABELS_HEADER + "\n").encode(), rows], LABELS_KIND,
-        lambda: (labeled.t_ns.copy(), labeled.labels.astype(np.int64)),
-    )
+    only once the whole file is written."""
+    return write_csv(path, LABELS_HEADER, LABELS_DTYPE, [labeled.t_ns, labeled.labels])
 
 
 def read_labels_csv(path: str | Path, eeg_ts: np.ndarray) -> LabeledSamples:
     """Load a labels file back, recovering sample indices from timestamps.
 
-    The body parses in one bulk call (``ingest.RecalledText.rows``, from
-    the bytes of a pure-ASCII file): a row that is not two integers is
-    reported as ``path:line``. Then, as for a session
-    stream, the earliest row whose timestamp does not increase, whose code
-    is not a ``CommandLabel`` or whose timestamp is not in ``eeg_ts`` is
-    reported as ``path:line``, the line found only for that row. A
-    header-only file holds zero samples. Inside an ``ingest.parse_memo()``
-    block, the rows of a file written there are recalled, and checked as a
-    parse is.
+    The body parses in one bulk call (``ingest.RecalledText.columns``): a
+    row that is not two integers is reported as ``path:line``. Then, as for
+    a session stream, the earliest row whose timestamp does not increase,
+    whose code is not a ``CommandLabel`` or whose timestamp is not in
+    ``eeg_ts`` is reported as ``path:line``, the line found only for that
+    row. A header-only file holds zero samples.
     """
     path = Path(path)
-    text = RecalledText(path, LABELS_KIND)
+    text = RecalledText(path)
     if text.header() != LABELS_HEADER:
         raise DataError(f"{path}:1: expected header {LABELS_HEADER}")
-    if text.recalled is None:
-        rows = text.rows([("t", np.int64), ("code", np.int64)])
-        t_arr, codes = rows["t"], rows["code"]
-    else:
-        t_arr, codes = text.recalled
+    t_arr, codes = text.columns(LABELS_DTYPE)
     eeg_ts = np.asarray(eeg_ts, dtype=np.int64)
     pos = np.searchsorted(eeg_ts, t_arr)
     absent = (pos >= len(eeg_ts)) | (eeg_ts[np.minimum(pos, len(eeg_ts) - 1)] != t_arr)

@@ -26,6 +26,9 @@ from ..session import N_CLASSES
 from ..tensorfile import read_checkpoint, write_checkpoint
 from .nets import ShallowConvNetSpec, build_model, weighted_ce_from_logprobs
 
+#: The most windows one ``predict`` forward call takes.
+PREDICT_WINDOWS = 512
+
 
 def compute_class_weights(counts: np.ndarray) -> np.ndarray:
     """Inverse-frequency weights, rescaled so present classes average to 1.
@@ -194,16 +197,15 @@ def train_model(
     return TrainResult(params, epoch_losses)
 
 
-def predict(model, params: dict[str, np.ndarray], data: np.ndarray,
-            batch_size: int = 512) -> np.ndarray:
+def predict(model, params: dict[str, np.ndarray], data: np.ndarray) -> np.ndarray:
     """Class codes by highest probability; ties break to the lowest code.
 
-    Each forward call takes at most ``batch_size`` windows, and at most
+    Each forward call takes at most ``PREDICT_WINDOWS`` windows, and at most
     ``model.chunk`` when the model sets one."""
     data = np.ascontiguousarray(data, dtype=np.float32)
     derived = model.derive(params)
     out = np.empty(len(data), dtype=np.int64)
-    for part in _chunks(len(data), min(batch_size, model.chunk or batch_size)):
+    for part in _chunks(len(data), min(PREDICT_WINDOWS, model.chunk or PREDICT_WINDOWS)):
         # bind nothing: the chunk's cache dies with the returned tuple
         out[part] = model.forward(derived, data[part])[0].argmax(axis=1)
     return out

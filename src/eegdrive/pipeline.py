@@ -4,9 +4,9 @@ Every stage communicates with its neighbours only through files in the
 workspace, and run_all simply calls the stage functions in order. That is
 what makes stage-by-stage execution byte-identical to run-all. Its one
 in-memory shortcut cannot diverge: within a session's ``ingest.parse_memo``
-block, label and split take a file's parse from the memo only when the
-file's bytes are still those its writer stored it for, and that parse is
-exactly what parsing those bytes gives. Each fact of a session has one
+block, ``ingest`` hands label and split the columns its CSV writer stored
+only while a file's bytes are still those it wrote, and they are exactly
+what parsing those bytes gives. Each fact of a session has one
 file: cleaning changes only the samples, so preprocess writes only the
 cleaned ``eeg.csv``, and label and split read it with the session's own
 manifest, label also with the session's own joystick stream, which no other
@@ -196,7 +196,7 @@ def stage_preprocess(cfg: RunConfig, ws: Workspace, session_id: str) -> Path:
     with _stage("preprocess", session_id):
         _, raw = load_recording(ws.session_dir(session_id))
         cleaned, report = preprocess_session(raw, cfg.filters, cfg.bad_channels)
-        del raw  # freed before the write builds the memo's parse
+        del raw  # freed before the write stores its parse
         out = ws.preprocessed_eeg(session_id)
         out.parent.mkdir(parents=True, exist_ok=True)
         write_eeg_csv(out, cleaned)
@@ -230,7 +230,7 @@ def stage_split(cfg: RunConfig, ws: Workspace, session_id: str) -> None:
         _, eeg = load_recording(ws.session_dir(session_id), ws.preprocessed_eeg(session_id))
         timestamps, samples = eeg.timestamps, eeg.samples.astype(np.float32)
         # one copy of the samples, the float32 one, lives through the loop
-        # (and, when the recording was recalled, the memo's read-only one)
+        # (and, when the recording was recalled, the one ingest stored)
         del eeg
         for delta in cfg.horizons_ms:
             labels_path = ws.labels_csv(session_id, delta)
@@ -388,9 +388,9 @@ def stage_report(cfg: RunConfig, ws: Workspace) -> list[Path]:
 def _per_session(args) -> None:
     cfg, root, session_id = args
     ws = Workspace(root)
-    # label and split recall the preprocessed recording and the labels
-    # files this block wrote, while their bytes are unchanged, instead of
-    # parsing them; every entry is dropped when split returns
+    # ingest stores the parse of each CSV this block writes, so label and
+    # split recall the cleaned recording and the labels files while their
+    # bytes are unchanged; every entry is dropped when split returns
     with parse_memo():
         stage_preprocess(cfg, ws, session_id)
         stage_label(cfg, ws, session_id)

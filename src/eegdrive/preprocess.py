@@ -351,10 +351,17 @@ class PreprocessReport:
 
 
 def _good_mean(x: np.ndarray, flagged: np.ndarray) -> np.ndarray:
-    """The (1, T) mean of the channels not flagged."""
-    if flagged.all():
+    """The (1, T) mean of the channels not flagged, bit for bit that of
+    the gathered good rows: a copy of the first good row, the others added
+    in row order, divided once."""
+    good = np.flatnonzero(~flagged)
+    if not len(good):
         raise DataError("all channels flagged bad; cannot build a reference")
-    return x[~flagged].mean(axis=0, keepdims=True)
+    total = x[good[:1]]
+    for i in good[1:]:
+        total += x[i]
+    total /= len(good)
+    return total
 
 
 def robust_average_reference(

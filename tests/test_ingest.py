@@ -16,8 +16,8 @@ from hypothesis.extra.numpy import array_shapes, arrays
 from eegdrive import ingest, pipeline
 from eegdrive.errors import DataError
 from eegdrive.ingest import (
+    CSV_VALUES_PER_BLOCK,
     EEG_NAME,
-    EEG_ROWS_PER_BLOCK,
     JOYSTICK_NAME,
     MANIFEST_NAME,
     SessionDir,
@@ -26,12 +26,14 @@ from eegdrive.ingest import (
     load_session,
     parse_memo,
     parse_rows,
+    write_csv,
     write_eeg_csv,
     write_json,
     write_session_dir,
 )
 from eegdrive.labels import (
-    LABELS_KIND,
+    LABELS_DTYPE,
+    LABELS_HEADER,
     LabeledSamples,
     LabelRule,
     read_labels_csv,
@@ -176,9 +178,10 @@ class TestFormatRows:
 
     def test_a_block_of_recording_rows(self):
         rng = np.random.default_rng(11)
-        ts = 1_700_000_000_000_000_000 + 8_000_000 * np.arange(EEG_ROWS_PER_BLOCK)
+        n = CSV_VALUES_PER_BLOCK // 17  # the rows of a 16-channel block
+        ts = 1_700_000_000_000_000_000 + 8_000_000 * np.arange(n)
         scales = 10.0 ** rng.integers(-7, 10, 16)[:, None]  # 1e9 and up: some rows use %
-        x = rng.standard_normal((16, EEG_ROWS_PER_BLOCK)) * scales
+        x = rng.standard_normal((16, n)) * scales
         assert format_rows([ts], x.T) == percent_rows([ts], x.T)
 
 
@@ -221,10 +224,11 @@ class TestSessionDirIO:
         # the writer formats rows in blocks; this is the per-value loop it
         # replaced, on values at the edges of %.6f rounding, placed on both
         # sides of a block boundary
-        n = 2 * EEG_ROWS_PER_BLOCK + 5
+        block = CSV_VALUES_PER_BLOCK // 3  # rows of a timestamp and two channels
+        n = 2 * block + 5
         samples = np.random.default_rng(4).standard_normal((2, n)) * 100.0
         edges = [-0.0, 4e-7, -4e-7, 5e-7, -5e-7, 1e12, -1e12, 0.1234565]
-        for at in (0, EEG_ROWS_PER_BLOCK - 4, n - len(edges)):
+        for at in (0, block - 4, n - len(edges)):
             samples[0, at : at + len(edges)] = edges
             samples[1, at : at + len(edges)] = edges[::-1]
         ts = np.arange(n, dtype=np.int64)
@@ -260,7 +264,8 @@ class TestSessionDirIO:
             return blocks[-1]
 
         monkeypatch.setattr(ingest, "format_rows", fail_on_the_second_block)
-        sess = _toy_session(n_samples=3 * EEG_ROWS_PER_BLOCK)
+        # three blocks of rows of a timestamp and four channels
+        sess = _toy_session(n_samples=3 * (CSV_VALUES_PER_BLOCK // 5))
         with pytest.raises(RuntimeError, match="injected"):
             write_session_dir(tmp_path / "sess", sess)
         assert len(blocks) == 2
@@ -599,9 +604,10 @@ def _bits(a):
     return a.dtype, a.shape, np.ascontiguousarray(a).tobytes()
 
 
-def _recall(memo, kind, raw):
-    """The parse ``memo`` holds under ``kind`` for the bytes ``raw``, or None."""
-    return memo.get((kind, hashlib.sha256(raw).digest()))
+def _recall(memo, dtype, raw):
+    """The columns ``memo`` holds under the row ``dtype`` for the bytes
+    ``raw``, or None."""
+    return memo.get((np.dtype(dtype), hashlib.sha256(raw).digest()))
 
 
 def _outcome(read):
@@ -616,77 +622,81 @@ def _outcome(read):
     return [_bits(a) for a in (eeg.timestamps, eeg.samples, joy.t_ns, joy.v_x, joy.omega_z)]
 
 
+def _eeg_file(rows):
+    """A three-channel ``eeg.csv`` of (timestamp, samples) ``rows``: its
+    name, ``write_csv``'s arguments and its reader, given the session."""
+    ts = np.array([t for t, _ in rows], dtype=np.int64)
+    # (rows, channels) in column order, as ``write_eeg_csv`` passes samples
+    x = np.asfortranarray(np.array([v for _, v in rows], dtype=np.float64).reshape(-1, 3))
+    header = "timestamp_ns," + ",".join(synthetic_montage(3).names)
+    return EEG_NAME, (header, ingest._eeg_dtype(3), [ts], x), load_session
+
+
+def _labels_file(rows):
+    """A labels file of (timestamp, code) ``rows``, as ``_eeg_file``; its
+    reader's recording holds every timestamp."""
+    t = np.array([r[0] for r in rows], dtype=np.int64)
+    codes = np.array([r[1] for r in rows], dtype=np.int8)
+    eeg_ts = np.unique(t)
+    return "labels.csv", (LABELS_HEADER, LABELS_DTYPE, [t, codes], None), (
+        lambda root: read_labels_csv(root / "labels.csv", eeg_ts)
+    )
+
+
+EEG_ROWS = st.lists(st.tuples(INTEGERS, st.lists(RECALL_FLOATS, min_size=3, max_size=3)),
+                    max_size=6)
+LABELS_ROWS = st.lists(st.tuples(INTEGERS, st.integers(-128, 127)), max_size=6)
+
+
 class TestRecalledParse:
-    """What each writer stores inside a ``parse_memo()`` block equals, bit
+    """What ``write_csv`` stores inside a ``parse_memo()`` block equals, bit
     for bit, a cold parse of the bytes it wrote, and a reader returns the
     same arrays, or raises the same DataError, on a recall as on a parse."""
 
-    @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(rows=st.lists(
-        st.tuples(INTEGERS, st.lists(RECALL_FLOATS, min_size=3, max_size=3)), max_size=6
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(case=st.one_of(EEG_ROWS.map(_eeg_file), LABELS_ROWS.map(_labels_file)))
+    @example(_eeg_file([]))
+    @example(_eeg_file(
+        [(0, [(7 + 0.5) / 1e6, -4e-7, -0.0]), (8_000_000, [math.nan, math.inf, 1e9])]
     ))
-    @example([])
-    @example([(0, [(7 + 0.5) / 1e6, -4e-7, -0.0]), (8_000_000, [math.nan, math.inf, 1e9])])
-    def test_eeg_rows(self, rows):
-        ts = np.array([t for t, _ in rows], dtype=np.int64)
-        x = np.array([v for _, v in rows], dtype=np.float64).reshape(len(rows), 3)
-        joy = _toy_session().joystick
-        sess = SessionDir("s01", "sess-a", EegRecording(synthetic_montage(3), ts, x.T, 125.0), joy)
+    @example(_labels_file([]))
+    @example(_labels_file([(-(2**63), 4), (2**63 - 1, -1)]))
+    def test_write_csv_stores_what_its_reader_parses(self, case):
+        name, args, read = case
+        _, dtype, ints, floats = args
+        other = LABELS_DTYPE if name == EEG_NAME else ingest._eeg_dtype(3)
         with tempfile.TemporaryDirectory() as tmp:
+            root = write_session_dir(Path(tmp), _toy_session(n_channels=3))
+            path = root / name
             with parse_memo() as memo:
-                root = write_session_dir(Path(tmp), sess)
-                raw = (root / EEG_NAME).read_bytes()
-                recalled = _recall(memo, EEG_NAME, raw)
-                hit = _outcome(lambda: load_session(root))
-            if (ts < 0).any():  # "-1" is no uint64: the reader must parse and reject it
-                assert recalled is None
-            else:
-                rows = parse_rows(root / EEG_NAME, raw.decode().split("\n"), ingest._eeg_dtype(3))
-                assert [_bits(a) for a in recalled] == [_bits(rows["t"]), _bits(rows["x"])]
-            assert len(memo) == 0
-            assert hit == _outcome(lambda: load_session(root))
-
-    @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(rows=st.lists(st.tuples(INTEGERS, st.integers(-128, 127)), max_size=6))
-    @example([])
-    @example([(-(2**63), 4), (2**63 - 1, -1)])
-    def test_labels_files(self, rows):
-        t = np.array([r[0] for r in rows], dtype=np.int64)
-        codes = np.array([r[1] for r in rows], dtype=np.int8)
-        eeg_ts = np.unique(t)
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "labels.csv"
-            with parse_memo() as memo:
-                write_labels_csv(path, LabeledSamples(np.arange(len(t)), t, codes))
+                write_csv(path, *args)
                 raw = path.read_bytes()
-                recalled = _recall(memo, LABELS_KIND, raw)
-                hit = _outcome(lambda: read_labels_csv(path, eeg_ts))
-            lines = raw.decode().split("\n")
-            rows = parse_rows(path, lines, [("t", np.int64), ("code", np.int64)])
-            assert [_bits(a) for a in recalled] == [_bits(rows["t"]), _bits(rows["code"])]
-            assert not any(np.shares_memory(a, t) or a.flags.writeable for a in recalled)
-            assert hit == _outcome(lambda: read_labels_csv(path, eeg_ts))
-
-    def test_recalled_arrays_are_read_only_and_shared(self, tmp_path):
-        sess = _toy_session()
-        with parse_memo() as memo:
-            root = write_session_dir(tmp_path / "sess", sess)
-            raw = (root / EEG_NAME).read_bytes()
-            first, again = _recall(memo, EEG_NAME, raw), _recall(memo, EEG_NAME, raw)
-            assert all(a is b for a, b in zip(first, again))
-            assert not any(a.flags.writeable for a in first)
-            # the writer's arrays stay its own
-            written = (sess.eeg.timestamps, sess.eeg.samples)
-            assert not any(np.shares_memory(a, w) for a in first for w in written)
-            assert _recall(memo, LABELS_KIND, raw) is None  # kinds do not mix
-            assert list(memo) == [(EEG_NAME, hashlib.sha256(raw).digest())]
+                stored = _recall(memo, dtype, raw)
+                assert _recall(memo, other, raw) is None  # the dtypes do not mix
+                keys = [] if stored is None else [(dtype, hashlib.sha256(raw).digest())]
+                assert list(memo) == keys
+                hit = _outcome(lambda: read(root))
+                again = None if stored is None else ingest.RecalledText(path).columns(dtype)
+            assert len(memo) == 0
+            if name == EEG_NAME and (ints[0] < 0).any():
+                # "-1" is no uint64: the reader must parse and reject it
+                assert stored is None
+            else:
+                rows = parse_rows(path, raw.decode().split("\n"), dtype)
+                assert [_bits(a) for a in stored] == [_bits(rows[f]) for f in dtype.names]
+                assert again is stored  # every reader shares the one parse
+                # read-only, and the writer's arrays stay its own
+                written = [a for a in (*ints, floats) if a is not None]
+                assert not any(a.flags.writeable for a in stored)
+                assert not any(np.shares_memory(a, w) for a in stored for w in written)
+            assert hit == _outcome(lambda: read(root))
 
     def test_edited_bytes_are_parsed(self, tmp_path):
         with parse_memo() as memo:
             root = write_session_dir(tmp_path / "sess", _toy_session())
             eeg = root / EEG_NAME
             eeg.write_bytes(eeg.read_bytes().replace(b"\n8000000,", b"\n8000000x,", 1))
-            assert _recall(memo, EEG_NAME, eeg.read_bytes()) is None
+            assert _recall(memo, ingest._eeg_dtype(4), eeg.read_bytes()) is None
             with pytest.raises(DataError, match=f"{EEG_NAME}:3: "):
                 load_session(root)
 
@@ -705,7 +715,7 @@ BODY_LINES = st.one_of(
 
 
 class TestBytePath:
-    """``RecalledText.rows`` parses a pure-ASCII file straight from its
+    """``RecalledText.columns`` parses a pure-ASCII file straight from its
     bytes: the same arrays as ``parse_rows`` over its decoded lines, and any
     file it cannot parse is left to ``parse_rows``'s line path."""
 
@@ -723,9 +733,10 @@ class TestBytePath:
             read = ingest.RecalledText(path)
 
             def by_lines():
-                return parse_rows(path, text.split("\n"), self.DTYPE)
+                rows = parse_rows(path, text.split("\n"), self.DTYPE)
+                return rows["t"], rows["x"]
 
-            want, got = _rows_or_fault(by_lines), _rows_or_fault(lambda: read.rows(self.DTYPE))
+            want, got = _rows_or_fault(by_lines), _rows_or_fault(lambda: read.columns(self.DTYPE))
             assert got == want
             if not isinstance(want, str):  # parsed from the bytes: no line decoded
                 assert "lines" not in vars(read)
@@ -735,8 +746,8 @@ class TestBytePath:
         path.write_bytes("timestamp_ns,ch00,ché\n0,1,2\n8,3,4\n".encode())
         read = ingest.RecalledText(path)
         assert read.header() == "timestamp_ns,ch00,ché"
-        rows = read.rows(self.DTYPE)
-        assert rows["t"].tolist() == [0, 8] and "lines" in vars(read)
+        t, _ = read.columns(self.DTYPE)
+        assert t.tolist() == [0, 8] and "lines" in vars(read)
 
     def test_a_bad_byte_is_reported_before_a_wrong_header(self, tmp_path):
         sess = _toy_session()
@@ -749,22 +760,23 @@ class TestBytePath:
         with pytest.raises(DataError, match=rf"{EEG_NAME}:6: not UTF-8"):
             ingest.load_recording(root)
 
-    def test_load_recording_working_set_below_four_recordings(self, tmp_path):
+    def test_load_recording_working_set_below_three_recordings(self, tmp_path):
         # the body parses from the file's bytes; decoding them and splitting
-        # the text into lines first read 5.4x
+        # the text into lines first read 5.4x, and testing the samples
+        # against the EEG's infinite limit 3.6x
         session, _ = generate_session(SynthConfig(duration_s=200.0, rng_seed=3))
         root = write_session_dir(tmp_path / "sess", session)
         peak = peak_traced(lambda: ingest.load_recording(root))
-        assert peak < 4 * session.eeg.samples.nbytes
+        assert peak < 3 * session.eeg.samples.nbytes
 
 
 def _rows_or_fault(read):
     """The parsed columns bit for bit, or the DataError's message."""
     try:
-        rows = read()
+        columns = read()
     except DataError as e:
         return str(e)
-    return [_bits(rows["t"]), _bits(rows["x"])]
+    return [_bits(a) for a in columns]
 
 
 class TestMedian:

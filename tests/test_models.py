@@ -25,7 +25,7 @@ from eegdrive.models import (
     train_model,
 )
 from eegdrive.models.nets import CHUNK, LOG_FLOOR, weighted_ce_from_logprobs
-from eegdrive.models.trainer import Adam, _fanout_seed, batch_gradients
+from eegdrive.models.trainer import PREDICT_WINDOWS, Adam, _fanout_seed, batch_gradients
 from eegdrive.tensorfile import read_checkpoint, write_checkpoint
 from gradcheck import gradient_check
 from tracemem import peak_traced
@@ -396,7 +396,8 @@ class TestPredict:
         params = model.init_params(seed=0)
         x = np.random.default_rng(1).standard_normal((700, 2, 6)).astype(np.float32)
         want, _ = model.forward(params, x)
-        got = predict(model, params, x, batch_size=256)
+        assert PREDICT_WINDOWS < len(x) <= 2 * PREDICT_WINDOWS  # two forward calls
+        got = predict(model, params, x)
         assert np.array_equal(got, want.argmax(axis=1))
 
 
@@ -405,7 +406,7 @@ class TestPredict:
         params = model.init_params(seed=0)
         x = np.random.default_rng(13).standard_normal((71, 3, 30)).astype(np.float32)
         want, _ = model.forward(model.derive(params), x)
-        got = predict(model, params, x, batch_size=32)
+        got = predict(model, params, x)
         assert np.array_equal(got, want.argmax(axis=1))
 
 

@@ -27,6 +27,7 @@ from eegdrive import ingest, pipeline
 from eegdrive.cli import main
 from eegdrive.config import RunConfig, config_from_dict
 from eegdrive.errors import DataError
+from eegdrive.labels import LABELS_DTYPE
 from eegdrive.tensorfile import read_windows
 from widecheckpoint import run_capped, write_wide_checkpoint
 
@@ -867,7 +868,7 @@ def recalls(monkeypatch):
     """Record every memo run_all opens and the kind of every read that
     recalls its parse; returns (memos, hits)."""
     memos, hits = [], []
-    opened, read = pipeline.parse_memo, ingest.RecalledText.__init__
+    opened, columns = pipeline.parse_memo, ingest.RecalledText.columns
 
     @contextmanager
     def recording():
@@ -875,13 +876,15 @@ def recalls(monkeypatch):
             memos.append(memo)
             yield memo
 
-    def spy(self, path, kind=None):
-        read(self, path, kind)
-        if self.recalled is not None:
-            hits.append(kind)
+    def spy(self, dtype):
+        got = columns(self, dtype)
+        memo = ingest._MEMO.get()
+        if memo and any(got is stored for stored in memo.values()):
+            hits.append("labels.csv" if np.dtype(dtype) == LABELS_DTYPE else "eeg.csv")
+        return got
 
     monkeypatch.setattr(pipeline, "parse_memo", recording)
-    monkeypatch.setattr(ingest.RecalledText, "__init__", spy)
+    monkeypatch.setattr(ingest.RecalledText, "columns", spy)
     return memos, hits
 
 
@@ -1179,6 +1182,41 @@ def test_src_switches_on_the_model_in_nets_only():
                 continue
             if found:
                 hits.append(f"{path.relative_to(src)}:{node.lineno}: {ast.unparse(node)[:60]}")
+    assert hits == []
+
+
+def _with_function(tree):
+    """Each node under ``tree`` with the name of the outermost function
+    that holds it, "" at module or class level."""
+    def visit(node, fn):
+        for child in ast.iter_child_nodes(node):
+            is_fn = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            name = fn or (child.name if is_fn else "")
+            yield child, name
+            yield from visit(child, name)
+    return visit(tree, "")
+
+
+def test_src_keeps_the_parse_memo_in_ingest():
+    """ingest owns the parse memo: under src/, only ``ingest.write_csv``
+    calls ``format_rows``, only ingest names ``_MEMO``, and only
+    ``pipeline._per_session`` opens a ``parse_memo()`` block."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    owners = {
+        "format_rows": {("eegdrive/ingest.py", "write_csv")},
+        "parse_memo": {("eegdrive/pipeline.py", "_per_session")},
+    }
+    hits = []
+    for path in sorted(src.rglob("*.py")):
+        rel = path.relative_to(src).as_posix()
+        for node, fn in _with_function(ast.parse(path.read_text())):
+            name = getattr(node, "id", getattr(node, "attr", None))
+            if name == "_MEMO" and rel != "eegdrive/ingest.py":
+                hits.append(f"{rel}:{node.lineno}: names _MEMO")
+            if isinstance(node, ast.Call):
+                called = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if called in owners and (rel, fn) not in owners[called]:
+                    hits.append(f"{rel}:{node.lineno}: {fn or '<module>'} calls {called}")
     assert hits == []
 
 

@@ -282,6 +282,22 @@ class TestReferenceAndRepair:
         want = rec.samples - rec.samples[good].mean(axis=0, keepdims=True)
         assert np.allclose(x, want, atol=1e-12)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_good_mean_equals_the_gathered_mean(self, seed):
+        # the good rows summed in row order and divided once, read from a
+        # view with padded rows, as the filter buffer hands the samples over
+        rng = np.random.default_rng(seed)
+        padded = rng.standard_normal((16, 3000)) * 10.0 ** rng.integers(-3, 4, (16, 1))
+        x = padded[:, 100:-100]
+        masks = [np.zeros(16, bool), np.arange(16) == seed, np.arange(16) != seed,
+                 rng.random(16) < 0.5]
+        for flagged in masks:
+            want = x[~flagged].mean(axis=0, keepdims=True)
+            got = preprocess._good_mean(x, flagged)
+            assert (got.shape, got.tobytes()) == (want.shape, want.tobytes())
+        with pytest.raises(DataError, match="all channels flagged bad"):
+            preprocess._good_mean(x, np.ones(16, bool))
+
     @staticmethod
     def _scripted(monkeypatch, verdicts):
         calls = []

@@ -11,6 +11,9 @@ file: cleaning changes only the samples, so preprocess writes only the
 cleaned ``eeg.csv``, and label and split read it with the session's own
 manifest, label also with the session's own joystick stream, which no other
 stage reads: preprocess reads the raw recording with its manifest alone.
+Split writes each partition's window blob from blocks of
+``splitting.WINDOW_BLOCK`` windows gathered from the float32 recording, so
+it never holds a partition's (n, C, S) tensor.
 ``runs`` owns the run grid: run-all, the train and eval commands and the
 report take their (session, horizon, model) runs from it, so the report
 reads the scores of exactly those runs.
@@ -61,7 +64,7 @@ from .models import (
 from .preprocess import preprocess_session
 from .report import RunScore, clear_report, emit_report, read_run_score, write_run_score
 from .session import N_CLASSES
-from .splitting import build_split, windows_to_arrays
+from .splitting import build_split, window_blocks
 from .synth import write_synthetic_session
 from .tensorfile import read_windows, write_windows
 
@@ -228,9 +231,11 @@ def stage_label(cfg: RunConfig, ws: Workspace, session_id: str) -> list[Path]:
 def stage_split(cfg: RunConfig, ws: Workspace, session_id: str) -> None:
     with _stage("split", session_id):
         _, eeg = load_recording(ws.session_dir(session_id), ws.preprocessed_eeg(session_id))
-        timestamps, samples = eeg.timestamps, eeg.samples.astype(np.float32)
+        timestamps = eeg.timestamps
+        samples = np.ascontiguousarray(eeg.samples, dtype=np.float32)
         # one copy of the samples, the float32 one, lives through the loop
-        # (and, when the recording was recalled, the one ingest stored)
+        # (and, when the recording was recalled, the one ingest stored); it
+        # is C-ordered because np.take copies any other array whole per block
         del eeg
         for delta in cfg.horizons_ms:
             labels_path = ws.labels_csv(session_id, delta)
@@ -252,11 +257,10 @@ def stage_split(cfg: RunConfig, ws: Workspace, session_id: str) -> None:
                         f"(gap_break_ns={cfg.split.gap_break_ns}, "
                         f"n_chunks={cfg.split.n_chunks})"
                     )
-                data, labels = windows_to_arrays(samples, windows)
                 write_windows(
                     ws.windows_base(session_id, delta, partition),
-                    data,
-                    labels.tolist(),
+                    window_blocks(samples, windows),
+                    windows.labels.tolist(),
                     delta,
                     partition,
                 )

@@ -11,8 +11,10 @@ optionally rebalanced by random oversampling with replacement.
 Each partition's windows are one ``Windows`` record of arrays. Its ``src``
 rows are the provenance: row i lists the recording columns window i
 covers, and ``src[i, 0]`` is its start. Windowing, majority labelling and
-oversampling work on those index rows only, and ``windows_to_arrays``
-gathers the sample data once, at write time.
+oversampling work on those index rows only. The sample data is gathered
+once, at write time: ``window_blocks`` hands the blob writer
+``WINDOW_BLOCK`` windows at a time, each gathered by ``windows_to_arrays``,
+so split never builds a whole partition's (n, C, S) tensor.
 
 Train/test windows can never share a source sample: the partitions are
 disjoint index sets and a window only draws from its own partition.
@@ -25,12 +27,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from .errors import DataError
 from .labels import LabeledSamples
 from .session import N_CLASSES
+
+WINDOW_BLOCK = 32  # windows gathered at a time while a partition's blob is written
 
 
 @dataclass(frozen=True)
@@ -133,8 +138,9 @@ class Windows:
     """One partition's windows as arrays; row i describes window i.
 
     ``src[i]`` lists the recording columns window i covers: that is its
-    provenance, used for the leakage check and for the one gather in
-    ``windows_to_arrays``; ``src[i, 0]`` is its start.
+    provenance, used for the leakage check and for the gather in
+    ``windows_to_arrays``, block by block as the blob is written;
+    ``src[i, 0]`` is its start.
     """
 
     src: np.ndarray  # int64 (n, S)
@@ -143,7 +149,7 @@ class Windows:
     def __len__(self) -> int:
         return len(self.labels)
 
-    def take(self, rows: np.ndarray) -> Windows:
+    def take(self, rows: np.ndarray | slice) -> Windows:
         return Windows(self.src[rows], self.labels[rows])
 
 
@@ -211,15 +217,23 @@ def check_no_leakage(train: Windows, test: Windows) -> None:
         )
 
 
-def windows_to_arrays(
-    samples: np.ndarray, windows: Windows
-) -> tuple[np.ndarray, np.ndarray]:
-    """Gather windows from a (C, T) recording matrix into a (n, C, S) float32
-    tensor and an int64 label vector."""
+def windows_to_arrays(samples: np.ndarray, windows: Windows) -> np.ndarray:
+    """Gather windows from a (C, T) recording matrix into a C-contiguous
+    (n, C, S) float32 tensor. ``np.take`` copies a recording that is not
+    C-contiguous whole first, so a caller gathering block by block passes a
+    C-contiguous one."""
     if len(windows) == 0:
         raise DataError("no windows to stack")
-    data = samples.astype(np.float32, copy=False)[:, windows.src]  # (C, n, S)
-    return np.ascontiguousarray(data.transpose(1, 0, 2)), windows.labels.copy()
+    return np.ascontiguousarray(
+        np.take(samples, windows.src, axis=1).transpose(1, 0, 2), dtype=np.float32
+    )
+
+
+def window_blocks(samples: np.ndarray, windows: Windows) -> Iterator[np.ndarray]:
+    """The partition's window tensor as consecutive (m, C, S) float32 blocks of
+    at most ``WINDOW_BLOCK`` windows, each gathered when it is asked for."""
+    for i in range(0, len(windows), WINDOW_BLOCK):
+        yield windows_to_arrays(samples, windows.take(slice(i, i + WINDOW_BLOCK)))
 
 
 def build_split(labeled: LabeledSamples, cfg: SplitConfig, seed: int) -> SplitDataset:

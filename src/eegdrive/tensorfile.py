@@ -11,11 +11,13 @@ little-endian u32, the header as UTF-8 JSON, then the tensors little-endian
 and row-major in the order of the header's ``tensors`` list of ``name``,
 ``shape`` and ``dtype``.
 
-Every file is written through ``ingest.write_replacing``; ``write_windows``
-deletes the old sidecar first and writes it last, so an interrupted write
-leaves a blob without a sidecar, which ``read_windows`` rejects. Both
-readers compare the bytes the declared shapes need with the file's size
-(``_check_extent``) before anything is read, allocated or reshaped.
+Every file is written through ``ingest.write_replacing``. ``write_windows``
+streams the blob from (m, C, S) blocks, so no (n, C, S) tensor of a whole
+partition need exist; it deletes the old sidecar first and writes it last,
+so an interrupted write leaves a blob without a sidecar, which
+``read_windows`` rejects. Both readers compare the bytes the declared
+shapes need with the file's size (``_check_extent``) before anything is
+read, allocated or reshaped.
 ``read_windows`` also rejects a blob that holds a non-finite value.
 """
 
@@ -24,6 +26,7 @@ from __future__ import annotations
 import json
 import math
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -51,32 +54,50 @@ def _check_extent(path: Path, size: int, offset: int, tensors: list) -> None:
 
 def write_windows(
     base: str | Path,
-    data: np.ndarray,
+    blocks: Iterable[np.ndarray],
     labels,
     delta_ms: int,
     partition: str,
 ) -> tuple[Path, Path]:
-    """Write ``<base>.f32``, then ``<base>.json``; returns both paths."""
+    """Write the (m, C, S) window ``blocks`` in order as ``<base>.f32``, then
+    ``<base>.json``; returns both paths. The blocks are consumed one at a
+    time as the blob is written, and the sidecar's shape is that of their
+    concatenation. A block that is not 3-D or whose (C, S) differs from the
+    first block's, no block at all, and a label count other than the
+    window count are each a ValueError raised before the blob is moved into
+    place, so the old blob stays and no temp file is left."""
     base = Path(base)
-    arr = np.ascontiguousarray(data, dtype=_DTYPE)
-    if arr.ndim != 3:
-        raise ValueError(f"window tensor must be 3-D, got shape {arr.shape}")
     labels = [int(v) for v in labels]
-    if len(labels) != arr.shape[0]:
-        raise ValueError(
-            f"{len(labels)} labels for {arr.shape[0]} windows"
-        )
     bin_path = base.with_suffix(".f32")
     json_path = base.with_suffix(".json")
+    shape = []
+
+    def chunks():
+        for block in blocks:
+            arr = np.ascontiguousarray(block, dtype=_DTYPE)
+            if arr.ndim != 3:
+                raise ValueError(f"window block must be 3-D, got shape {arr.shape}")
+            if not shape:
+                shape[:] = [0, *arr.shape[1:]]
+            elif list(arr.shape[1:]) != shape[1:]:
+                raise ValueError(f"window block of shape {arr.shape} after blocks "
+                                 f"of {shape[1]} channels x {shape[2]} samples")
+            shape[0] += len(arr)
+            yield arr.data
+        if not shape:
+            raise ValueError("no window blocks to write")
+        if len(labels) != shape[0]:
+            raise ValueError(f"{len(labels)} labels for {shape[0]} windows")
+
+    json_path.unlink(missing_ok=True)
+    write_replacing(bin_path, chunks())
     sidecar = {
-        "shape": list(arr.shape),
+        "shape": shape,
         "dtype": DTYPE_TAG,
         "labels": labels,
         "delta_ms": int(delta_ms),
         "partition": str(partition),
     }
-    json_path.unlink(missing_ok=True)
-    write_replacing(bin_path, [arr.data])
     write_replacing(json_path, [(json.dumps(sidecar) + "\n").encode()])
     return bin_path, json_path
 

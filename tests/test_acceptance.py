@@ -287,8 +287,8 @@ def test_criterion_04_split_integrity():
                     problems.append(f"trial {trial}: class {code} fraction {frac:.3f}")
 
         for part in (ds.train, ds.test):
-            data, labels = windows_to_arrays(rec.samples, part)
-            for src, slab, label in zip(part.src, data, labels):
+            data = windows_to_arrays(rec.samples, part)
+            for src, slab, label in zip(part.src, data, part.labels):
                 want = _majority_oracle(labeled.labels[src])
                 if int(label) != want:
                     problems.append(f"trial {trial}: majority {int(label)} != {want}")

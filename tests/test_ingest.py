@@ -521,7 +521,7 @@ class TestReadersUnderCorruption:
             tmp_path_factory.mktemp("clean") / "sess", _toy_session(n_samples=30)
         )
         rng = np.random.default_rng(4)
-        write_windows(root / "w", rng.standard_normal((3, 2, 5)), [0, 1, 4], 300, "train")
+        write_windows(root / "w", [rng.standard_normal((3, 2, 5))], [0, 1, 4], 300, "train")
         write_json(root / "split_stats.json",
                    {"delta_ms": 300, "pre_oversample_counts": [3, 1, 0, 2, 4], "n_train": 10})
         confusion = metrics_from_confusion(np.arange(25).reshape(5, 5))

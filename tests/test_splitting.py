@@ -18,8 +18,10 @@ from hypothesis import strategies as st
 from eegdrive.errors import DataError
 from eegdrive.labels import LabeledSamples
 from eegdrive.session import CommandLabel, EegRecording, N_CLASSES, synthetic_montage
+from eegdrive.tensorfile import read_windows, write_windows
 from eegdrive.splitting import (
     _FRAC_DENOM,
+    WINDOW_BLOCK,
     SplitConfig,
     Windows,
     _chunk_train_counts,
@@ -29,8 +31,10 @@ from eegdrive.splitting import (
     majority_label,
     oversample_train,
     stratified_temporal_split,
+    window_blocks,
     windows_to_arrays,
 )
+from tracemem import peak_traced
 
 PERIOD_NS = 8_000_000
 
@@ -315,10 +319,10 @@ class TestScalarOracle:
                 assert len(got) == len(want)
                 if not want:
                     continue
-                data, labels = windows_to_arrays(rec.samples, got)
+                data = windows_to_arrays(rec.samples, got)
                 assert data.tobytes() == np.stack([w.data for w in want]).tobytes()
                 assert data.shape == (len(want), n_channels, cfg.window_len)
-                assert labels.tolist() == [int(w.label) for w in want]
+                assert got.labels.tolist() == [int(w.label) for w in want]
                 starts = rec.timestamps[got.src[:, 0]]
                 assert starts.tolist() == [w.start_t_ns for w in want]
                 assert np.array_equal(
@@ -372,7 +376,7 @@ class TestExtractWindows:
         positions = np.arange(len(labeled))
         wins = extract_windows(labeled, positions, cfg)
         assert len(wins) == (1500 - 125) // cfg.hop + 1
-        data, labels = windows_to_arrays(rec.samples, wins)
+        data, labels = windows_to_arrays(rec.samples, wins), wins.labels
         for i in range(0, len(wins), max(1, len(wins) // 7)):
             src = wins.src[i]
             assert np.array_equal(data[i], rec.samples[:, src].astype(np.float32))
@@ -487,10 +491,10 @@ class TestBuildSplit:
         rec = _recording_for(labeled)
         a = build_split(labeled, SplitConfig(), 4)
         b = build_split(labeled, SplitConfig(), 4)
-        data_a, labels_a = windows_to_arrays(rec.samples, a.train)
-        data_b, labels_b = windows_to_arrays(rec.samples, b.train)
+        data_a = windows_to_arrays(rec.samples, a.train)
+        data_b = windows_to_arrays(rec.samples, b.train)
         assert np.array_equal(data_a, data_b)
-        assert np.array_equal(labels_a, labels_b)
+        assert np.array_equal(a.train.labels, b.train.labels)
 
     def test_check_no_leakage_raises_on_overlap(self):
         w = Windows(np.array([[1, 2, 3, 4]]), np.array([0]))
@@ -520,14 +524,82 @@ class TestBuildSplit:
         labeled = random_labeled(rng, 1500)
         rec = _recording_for(labeled, n_channels=3)
         ds = build_split(labeled, SplitConfig(), 0)
-        data, labels = windows_to_arrays(rec.samples, ds.train)
+        data = windows_to_arrays(rec.samples, ds.train)
         assert data.dtype == np.float32
-        assert labels.dtype == np.int64
+        assert ds.train.labels.dtype == np.int64
         assert data.shape[1:] == (3, 125)
         assert data.flags.c_contiguous
-        assert len(data) == len(labels) == len(ds.train)
+        assert len(data) == len(ds.train.labels) == len(ds.train)
         with pytest.raises(DataError):
             windows_to_arrays(rec.samples, ds.train.take(np.array([], int)))
+        # the blocks split the same tensor, each at most WINDOW_BLOCK windows
+        blocks = list(window_blocks(rec.samples, ds.train))
+        assert [len(b) for b in blocks[:-1]] == [WINDOW_BLOCK] * (len(blocks) - 1)
+        assert 0 < len(blocks[-1]) <= WINDOW_BLOCK
+        for block in blocks:
+            assert block.dtype == np.float32 and block.flags.c_contiguous
+        assert np.concatenate(blocks).tobytes() == data.tobytes()
+
+
+def oracle_blob(samples: np.ndarray, windows: Windows) -> bytes:
+    """The whole-partition gather that the streamed write replaced."""
+    return np.ascontiguousarray(
+        samples.astype(np.float32)[:, windows.src].transpose(1, 0, 2)
+    ).tobytes()
+
+
+def _spaced_windows(rng, n, s=125, hop=62):
+    starts = np.arange(n, dtype=np.int64) * hop
+    return Windows(starts[:, None] + np.arange(s), rng.integers(0, N_CLASSES, size=n))
+
+
+def _write_streamed(base, samples, windows):
+    """Gather and write one partition as ``pipeline.stage_split`` does."""
+    return write_windows(base, window_blocks(samples, windows), windows.labels.tolist(),
+                         300, "train")
+
+
+class TestStreamedBlob:
+    @pytest.mark.parametrize("n", [1, 31, 32, 33, 65])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_blob_equals_the_whole_partition_gather(self, tmp_path, n, dtype):
+        rng = np.random.default_rng(n)
+        windows = _spaced_windows(rng, n)
+        samples = (rng.standard_normal((3, int(windows.src.max()) + 7)) * 30).astype(dtype)
+        bin_path, json_path = _write_streamed(tmp_path / "w", samples, windows)
+        assert bin_path.read_bytes() == oracle_blob(samples, windows)
+        data, labels = read_windows(tmp_path / "w", 300)
+        assert data.shape == (n, 3, 125)
+        assert np.array_equal(labels, windows.labels)
+
+    def test_oversampled_duplicates_straddle_block_edges(self, tmp_path):
+        rng = np.random.default_rng(7)
+        windows = _spaced_windows(rng, 40, s=16, hop=8)
+        labels = np.zeros(40, dtype=np.int64)
+        labels[30] = 1  # its 38 copies follow it: rows 30-68 are one window
+        train = oversample_train(Windows(windows.src, labels), seed=0)
+        assert len(train) == 78
+        edges = np.arange(WINDOW_BLOCK, len(train), WINDOW_BLOCK)
+        assert edges.tolist() == [32, 64]
+        for edge in edges:  # the same window ends one block and starts the next
+            assert np.array_equal(train.src[edge - 1], windows.src[30])
+            assert np.array_equal(train.src[edge], windows.src[30])
+        samples = rng.standard_normal((4, int(windows.src.max()) + 1)).astype(np.float32)
+        bin_path, _ = _write_streamed(tmp_path / "w", samples, train)
+        assert bin_path.read_bytes() == oracle_blob(samples, train)
+
+    def test_working_set_does_not_grow_with_the_partition(self, tmp_path):
+        rng = np.random.default_rng(8)
+
+        def peak(n):
+            windows = _spaced_windows(rng, n)
+            samples = rng.standard_normal((16, int(windows.src.max()) + 1)).astype(np.float32)
+            return peak_traced(lambda: _write_streamed(tmp_path / "w", samples, windows))
+
+        n = 256
+        small, large = peak(n), peak(4 * n)
+        # the whole-partition gather peaked at about twice the blob: 4x here
+        assert large <= 1.25 * small, (small, large)
 
 
 class TestSplitConfig:

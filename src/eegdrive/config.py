@@ -5,6 +5,11 @@ silently dropped misspelling ("epochs" vs "epoch") would change benchmark
 results without any visible error, and a float field must be finite. Every
 field has a default, so `{}` is a valid document and `--print-defaults`
 serves as the single reference for the whole configuration surface.
+
+What the benchmark holds fixed is not configuration but a module constant
+beside the code that reads it: the simulated rig and protocol
+(``synth``), the bad-channel thresholds (``preprocess``), the train share
+of the split (``splitting``) and Adam's constants (``models.trainer``).
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from .errors import ConfigError, DataError
 from .ingest import decode_json, non_integers
 from .labels import LabelRule
 from .models import KNOWN_MODELS, ShallowConvNet, ShallowConvNetSpec, TrainConfig
-from .preprocess import BadChannelCriteria, FilterSpec
+from .preprocess import FilterSpec
 from .session import HORIZONS_MS
 from .splitting import SplitConfig
 from .synth import SynthConfig
@@ -37,7 +42,6 @@ class RunConfig:
     n_sessions: int = 3
     label_rule: LabelRule = field(default_factory=LabelRule)
     filters: FilterSpec = field(default_factory=FilterSpec)
-    bad_channels: BadChannelCriteria = field(default_factory=BadChannelCriteria)
     split: SplitConfig = field(default_factory=SplitConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
     synth: SynthConfig = field(default_factory=SynthConfig)

@@ -327,25 +327,37 @@ def _parse_manifest(path: Path) -> tuple[dict, Montage, float]:
     names, positions = [], []
     for k, ch in enumerate(raw["channels"]):
         try:
-            names.append(str(ch["name"]))
-            positions.append([float(v) for v in ch["pos"]])
-        except (KeyError, TypeError, ValueError, OverflowError) as e:
+            name, pos = ch["name"], ch["pos"]
+        except (KeyError, TypeError) as e:
             raise DataError(f"{path}: channel entry {k} invalid: {e}") from e
-        if len(positions[-1]) != 3:
+        if type(name) is not str:
+            raise DataError(f"{path}: channel entry {k}: name must be a JSON string")
+        if type(pos) is not list or any(type(v) not in (int, float) for v in pos):
+            raise DataError(f"{path}: channel {name!r}: pos must be a list of JSON numbers")
+        try:
+            positions.append([float(v) for v in pos])
+        except OverflowError as e:
+            raise DataError(f"{path}: channel entry {k} invalid: {e}") from e
+        names.append(name)
+        if len(pos) != 3:
             raise DataError(
-                f"{path}: channel {names[-1]!r}: pos has {len(positions[-1])} "
-                "coordinates, expected 3"
+                f"{path}: channel {name!r}: pos has {len(pos)} coordinates, expected 3"
             )
+    ids = {key: raw[key] for key in ("subject_id", "session_id")}
+    for key, value in ids.items():
+        if type(value) is not str:
+            raise DataError(f"{path}: {key} must be a JSON string")
+    if type(raw["sample_rate_hz"]) not in (int, float):
+        raise DataError(f"{path}: sample_rate_hz must be a JSON number")
     try:
-        ids = {"subject_id": str(raw["subject_id"]), "session_id": str(raw["session_id"])}
         rate = float(raw["sample_rate_hz"])
         montage = Montage(tuple(names), positions)
-    except (TypeError, ValueError, OverflowError) as e:
+    except (ValueError, OverflowError) as e:
         raise DataError(f"{path}: {e}") from e
     if not ids["subject_id"] or not ids["session_id"]:
         raise DataError(f"{path}: subject_id and session_id must be non-empty")
-    if not (rate > 0):
-        raise DataError(f"{path}: sample_rate_hz must be positive")
+    if not 0 < rate < math.inf:
+        raise DataError(f"{path}: sample_rate_hz must be positive and finite")
     return ids, montage, rate
 
 

@@ -91,8 +91,8 @@ class LabeledSamples:
     def __len__(self) -> int:
         return len(self.indices)
 
-    def class_counts(self, n_classes: int = len(CommandLabel)) -> np.ndarray:
-        return np.bincount(self.labels, minlength=n_classes)
+    def class_counts(self) -> np.ndarray:
+        return np.bincount(self.labels, minlength=len(CommandLabel))
 
 
 def label_at_horizon(

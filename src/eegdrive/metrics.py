@@ -16,9 +16,7 @@ import numpy as np
 from .session import N_CLASSES
 
 
-def confusion_matrix(
-    y_true: np.ndarray, y_pred: np.ndarray, n_classes: int = N_CLASSES
-) -> np.ndarray:
+def confusion_matrix(y_true: np.ndarray, y_pred: np.ndarray) -> np.ndarray:
     y_true = np.asarray(y_true, dtype=np.int64)
     y_pred = np.asarray(y_pred, dtype=np.int64)
     if y_true.shape != y_pred.shape or y_true.ndim != 1:
@@ -26,9 +24,9 @@ def confusion_matrix(
     if len(y_true) == 0:
         raise ValueError("cannot score an empty label set")
     for name, arr in (("y_true", y_true), ("y_pred", y_pred)):
-        if arr.min() < 0 or arr.max() >= n_classes:
-            raise ValueError(f"{name} contains codes outside [0, {n_classes})")
-    cm = np.zeros((n_classes, n_classes), dtype=np.int64)
+        if arr.min() < 0 or arr.max() >= N_CLASSES:
+            raise ValueError(f"{name} contains codes outside [0, {N_CLASSES})")
+    cm = np.zeros((N_CLASSES, N_CLASSES), dtype=np.int64)
     np.add.at(cm, (y_true, y_pred), 1)
     return cm
 

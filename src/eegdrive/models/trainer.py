@@ -26,6 +26,10 @@ from ..session import N_CLASSES
 from ..tensorfile import read_checkpoint, write_checkpoint
 from .nets import ShallowConvNetSpec, build_model, weighted_ce_from_logprobs
 
+#: Adam's moment decay rates and the term that keeps its denominator positive.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 #: The most windows one ``predict`` forward call takes.
 PREDICT_WINDOWS = 512
 
@@ -50,7 +54,7 @@ def compute_class_weights(counts: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Optimizer settings.
+    """Optimizer settings; Adam's other constants are ``ADAM_*``.
 
     The 150-epoch default keeps a full benchmark run at desk scale; raise it
     for longer schedules. learning_rate 0 is allowed and leaves parameters
@@ -60,19 +64,12 @@ class TrainConfig:
     epochs: int = 150
     batch_size: int = 128
     learning_rate: float = 1e-3
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
 
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be positive")
         if self.learning_rate < 0.0:
             raise ValueError("learning_rate must not be negative")
-        if not (0.0 <= self.adam_beta1 < 1.0 and 0.0 <= self.adam_beta2 < 1.0):
-            raise ValueError("adam betas must lie in [0, 1)")
-        if self.adam_eps <= 0.0:
-            raise ValueError("adam_eps must be positive")
 
 
 class Adam:
@@ -83,20 +80,19 @@ class Adam:
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]):
-        c = self.cfg
         self.t += 1
-        bc1 = 1.0 - c.adam_beta1**self.t
-        bc2 = 1.0 - c.adam_beta2**self.t
+        bc1 = 1.0 - ADAM_BETA1**self.t
+        bc2 = 1.0 - ADAM_BETA2**self.t
         for name in sorted(params):
             g = grads[name]
             m = self.m[name]
             v = self.v[name]
-            m *= c.adam_beta1
-            m += (1.0 - c.adam_beta1) * g
-            v *= c.adam_beta2
-            v += (1.0 - c.adam_beta2) * (g * g)
-            params[name] -= c.learning_rate * (m / bc1) / (
-                np.sqrt(v / bc2) + c.adam_eps
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * (g * g)
+            params[name] -= self.cfg.learning_rate * (m / bc1) / (
+                np.sqrt(v / bc2) + ADAM_EPS
             )
 
 

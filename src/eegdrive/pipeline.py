@@ -198,7 +198,7 @@ def stage_preprocess(cfg: RunConfig, ws: Workspace, session_id: str) -> Path:
     emits the cleaned ``eeg.csv`` plus the JSON report."""
     with _stage("preprocess", session_id):
         _, raw = load_recording(ws.session_dir(session_id))
-        cleaned, report = preprocess_session(raw, cfg.filters, cfg.bad_channels)
+        cleaned, report = preprocess_session(raw, cfg.filters)
         del raw  # freed before the write stores its parse
         out = ws.preprocessed_eeg(session_id)
         out.parent.mkdir(parents=True, exist_ok=True)
@@ -262,7 +262,6 @@ def stage_split(cfg: RunConfig, ws: Workspace, session_id: str) -> None:
                     window_blocks(samples, windows),
                     windows.labels.tolist(),
                     delta,
-                    partition,
                 )
             stats = {
                 "session_id": session_id,

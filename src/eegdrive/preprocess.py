@@ -48,8 +48,14 @@ from .session import EegRecording
 
 # Fractions of windows that must misbehave before a channel is flagged.
 CORRELATION_BAD_WINDOW_FRAC = 0.01
+# A channel's best absolute correlation with any other below this is low.
+CORRELATION_MIN = 0.4
+# Length of the windows the correlation criterion scores.
+CORRELATION_WINDOW_S = 1.0
 # Correlation windows whose normalised copies detection holds at once.
 CORRELATION_WINDOWS_PER_BLOCK = 16
+# Robust z-score of a channel's amplitude beyond which it deviates.
+DEVIATION_Z = 5.0
 # Bad-channel detections the robust reference runs before it stops.
 MAX_REFERENCE_ITERATIONS = 4
 # Detection criteria, in the row order of a (2, C) verdict.
@@ -236,21 +242,6 @@ def filter_zero_phase(x: np.ndarray, *cascades: np.ndarray) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BadChannelCriteria:
-    deviation_z: float = 5.0
-    correlation_min: float = 0.4
-    correlation_window_s: float = 1.0
-
-    def __post_init__(self):
-        if not (self.deviation_z > 0):
-            raise ValueError("deviation_z must be positive")
-        if not (0 < self.correlation_min < 1):
-            raise ValueError("correlation_min must lie in (0, 1)")
-        if not (self.correlation_window_s > 0):
-            raise ValueError("correlation_window_s must be positive")
-
-
 def _robust_std(x: np.ndarray) -> np.ndarray:
     """MAD-based spread per row, one row's deviations at a time."""
     spread = np.empty(len(x))
@@ -275,13 +266,14 @@ def _normalized_windows(x: np.ndarray, win: int) -> np.ndarray:
     return seg
 
 
-def detect_bad_channels(x: np.ndarray, fs: float, criteria: BadChannelCriteria) -> np.ndarray:
+def detect_bad_channels(x: np.ndarray, fs: float) -> np.ndarray:
     """Flag channels by amplitude deviation and flat correlation (PREP).
 
     * deviation: the robust z-score of the channel's MAD amplitude across
-      channels exceeds ``deviation_z`` in magnitude;
-    * correlation: in more than 1% of windows the channel's best absolute
-      correlation with any other channel falls below ``correlation_min``.
+      channels exceeds ``DEVIATION_Z`` in magnitude;
+    * correlation: in more than 1% of ``CORRELATION_WINDOW_S`` windows the
+      channel's best absolute correlation with any other channel falls
+      below ``CORRELATION_MIN``.
 
     Returns the (2, C) verdict over the rows of the (C, T) array ``x``:
     row k flags the channels that fail criterion ``REASONS[k]``. The
@@ -302,10 +294,10 @@ def detect_bad_channels(x: np.ndarray, fs: float, criteria: BadChannelCriteria) 
     denom = _MAD_SCALE * median(np.abs(amp - med))
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.where(amp == med, 0.0, (amp - med) / denom) if denom == 0 else (amp - med) / denom
-    verdict[0] = np.abs(z) > criteria.deviation_z
+    verdict[0] = np.abs(z) > DEVIATION_Z
 
     # Correlation: windowed best absolute correlation against the other channels.
-    win = max(2, round(criteria.correlation_window_s * fs))
+    win = max(2, round(CORRELATION_WINDOW_S * fs))
     n_win = n_samp // win
     if n_win:
         low_counts = np.zeros(n_ch, dtype=np.int64)
@@ -315,7 +307,7 @@ def detect_bad_channels(x: np.ndarray, fs: float, criteria: BadChannelCriteria) 
             r = seg @ seg.transpose(0, 2, 1)  # (n, C, C)
             np.abs(r, out=r)
             r[:, np.eye(n_ch, dtype=bool)] = -1.0
-            low_counts += (r.max(axis=2) < criteria.correlation_min).sum(axis=0)
+            low_counts += (r.max(axis=2) < CORRELATION_MIN).sum(axis=0)
         verdict[1] = low_counts / n_win > CORRELATION_BAD_WINDOW_FRAC
 
     return verdict
@@ -364,9 +356,7 @@ def _good_mean(x: np.ndarray, flagged: np.ndarray) -> np.ndarray:
     return total
 
 
-def robust_average_reference(
-    x: np.ndarray, fs: float, criteria: BadChannelCriteria
-) -> tuple[list[np.ndarray], int]:
+def robust_average_reference(x: np.ndarray, fs: float) -> tuple[list[np.ndarray], int]:
     """Average-reference ``x`` in place, using only channels that test clean.
 
     Iterates {subtract the mean of the currently-good channels, re-detect}
@@ -382,7 +372,7 @@ def robust_average_reference(
     while detections < MAX_REFERENCE_ITERATIONS:
         # the flagged sets referenced against so far, the current one last
         seen = [np.zeros(len(x), dtype=bool)] + [v.any(axis=0) for v in verdicts]
-        verdict = detect_bad_channels(x - _good_mean(x, seen[-1]), fs, criteria)
+        verdict = detect_bad_channels(x - _good_mean(x, seen[-1]), fs)
         detections += 1
         verdicts.append(verdict)
         flagged = verdict.any(axis=0)
@@ -442,14 +432,12 @@ def zscore_channels(x: np.ndarray, names: tuple[str, ...]) -> None:
 
 
 def preprocess_session(
-    rec: EegRecording,
-    spec: FilterSpec,
-    criteria: BadChannelCriteria,
+    rec: EegRecording, spec: FilterSpec
 ) -> tuple[EegRecording, PreprocessReport]:
     """Run the full cleaning chain; returns the cleaned recording and report."""
     fs = rec.sample_rate_hz
     x = filter_zero_phase(rec.samples, design_highpass(spec, fs), design_notch(spec, fs))
-    verdicts, detections = robust_average_reference(x, fs, criteria)
+    verdicts, detections = robust_average_reference(x, fs)
     interpolate_channels(x, np.flatnonzero(verdicts[-1].any(axis=0)), rec.montage.positions)
     zscore_channels(x, rec.montage.names)
     return rec.with_samples(x), PreprocessReport(rec.montage.names, verdicts, detections)

@@ -2,11 +2,12 @@
 
 The split works per class: a class's samples are taken in chronological
 order, cut into a fixed number of contiguous chunks, and the head of every
-chunk goes to train with the tail going to test. One boolean mask over the
-labelled samples marks every head; train and test are its marked and
-unmarked positions, in time order. Each is windowed with a sliding window
-over the partition's own sample sequence, and the train windows are
-optionally rebalanced by random oversampling with replacement.
+chunk, ``TRAIN_FRACTION`` of it, goes to train with the tail going to
+test. One boolean mask over the labelled samples marks every head; train
+and test are its marked and unmarked positions, in time order. Each is
+windowed with a sliding window over the partition's own sample sequence,
+and the train windows are optionally rebalanced by random oversampling
+with replacement.
 
 Each partition's windows are one ``Windows`` record of arrays. Its ``src``
 rows are the provenance: row i lists the recording columns window i
@@ -35,13 +36,13 @@ from .errors import DataError
 from .labels import LabeledSamples
 from .session import N_CLASSES
 
+TRAIN_FRACTION = 0.7  # share of each class's samples that goes to train
 WINDOW_BLOCK = 32  # windows gathered at a time while a partition's blob is written
 
 
 @dataclass(frozen=True)
 class SplitConfig:
     n_chunks: int = 100
-    train_fraction: float = 0.7
     window_len: int = 125
     overlap_fraction: float = 0.5
     oversample: bool = True
@@ -50,8 +51,6 @@ class SplitConfig:
     def __post_init__(self):
         if self.n_chunks < 1:
             raise ValueError("n_chunks must be >= 1")
-        if not (0 < self.train_fraction < 1):
-            raise ValueError("train_fraction must lie in (0, 1)")
         if self.window_len < 1:
             raise ValueError("window_len must be >= 1")
         if not (0 <= self.overlap_fraction < 1):
@@ -99,7 +98,7 @@ def stratified_temporal_split(
     chunks of sizes floor(n/k), the first n mod k chunks one larger. The
     head of every chunk goes to train and the tail to test, with per-chunk
     head lengths from ``_chunk_train_counts`` so the class-level train
-    fraction matches ``cfg.train_fraction`` to within rounding. Both
+    fraction matches ``TRAIN_FRACTION`` to within rounding. Both
     position arrays are in time order.
     """
     if len(labeled) == 0:
@@ -115,7 +114,7 @@ def stratified_temporal_split(
         k = min(cfg.n_chunks, n)
         sizes = np.full(k, n // k)
         sizes[: n % k] += 1
-        head_ends = np.cumsum(sizes) - sizes + _chunk_train_counts(sizes, cfg.train_fraction)
+        head_ends = np.cumsum(sizes) - sizes + _chunk_train_counts(sizes, TRAIN_FRACTION)
         train[pos] = np.arange(n) < np.repeat(head_ends, sizes)
     classed = (labeled.labels >= 0) & (labeled.labels < N_CLASSES)
     return np.flatnonzero(train), np.flatnonzero(classed & ~train)

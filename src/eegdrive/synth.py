@@ -50,6 +50,16 @@ from .session import (
 
 TRUTH_NAME = "truth_labels.csv"
 
+# The simulated rig and protocol: a 16-channel cap, one tone frequency per
+# class code (forward, reverse, left, right, stop), Markov segments of 4 s
+# on average, and a 10 Hz joystick deflected to 0.8 of full scale.
+N_CHANNELS = 16
+CLASS_FREQS_HZ = (30.0, 15.0, 10.0, 20.0, 5.0)
+SEGMENT_LEN_S = 4.0
+JOYSTICK_RATE_HZ = 10.0
+JOYSTICK_MAGNITUDE = 0.8
+TONE_RMS_UV = 10.0  # a tone's RMS amplitude at full envelope; noise scales by snr_db
+
 # background noise variance split: common mode / dipole sources / per-sensor.
 # Common mode dominates real scalp recordings and is what robust average
 # referencing exists to remove; the spatially smooth dipole part keeps
@@ -67,16 +77,9 @@ _WZ_SIGN = (0.0, 0.0, 1.0, -1.0, 0.0)
 class SynthConfig:
     duration_s: float = 240.0
     sample_rate_hz: float = 125.0
-    n_channels: int = 16
-    # tone frequency per class code (forward, reverse, left, right, stop)
-    class_freqs_hz: tuple[float, ...] = (30.0, 15.0, 10.0, 20.0, 5.0)
     snr_db: float = 6.0
-    segment_len_s: float = 4.0
     label_lag_ms: float = 300.0
     rng_seed: int = 0
-    joystick_rate_hz: float = 10.0
-    joystick_magnitude: float = 0.8
-    tone_rms_uv: float = 10.0
     stop_silent: bool = True
     line_noise_amp: float = 0.0  # 50 Hz amplitude as a multiple of tone amplitude
     corrupt_channel: str | None = None
@@ -84,27 +87,16 @@ class SynthConfig:
     schedule: tuple[tuple[float, int], ...] | None = None
 
     def __post_init__(self):
-        if not (self.duration_s > 0 and self.sample_rate_hz > 0
-                and self.joystick_rate_hz > 0):
-            raise ValueError("durations and rates must be positive")
-        if self.n_channels < 4:
-            raise ValueError("n_channels must be >= 4 (cleaning needs context)")
-        if len(self.class_freqs_hz) != N_CLASSES:
-            raise ValueError(f"class_freqs_hz needs {N_CLASSES} entries")
+        if not (self.duration_s > 0 and self.sample_rate_hz > 0):
+            raise ValueError("duration_s and sample_rate_hz must be positive")
         nyquist = self.sample_rate_hz / 2.0
-        for f in self.class_freqs_hz:
+        for f in CLASS_FREQS_HZ:
             if not (0.0 < f < nyquist):
                 raise ValueError(f"class frequency {f} Hz outside (0, {nyquist})")
         if math.isnan(self.snr_db):
             raise ValueError("snr_db must be a number or infinity")
-        if not (self.segment_len_s > 0):
-            raise ValueError("segment_len_s must be positive")
         if self.label_lag_ms < 0:
             raise ValueError("label_lag_ms must be non-negative")
-        if not (0.0 < self.joystick_magnitude <= 1.0):
-            raise ValueError("joystick_magnitude must lie in (0, 1]")
-        if not (self.tone_rms_uv > 0):
-            raise ValueError("tone_rms_uv must be positive")
         if self.line_noise_amp < 0:
             raise ValueError("line_noise_amp must be non-negative")
         # every class must stand a chance of reaching ~n_chunks samples
@@ -121,13 +113,13 @@ class SynthConfig:
     def noise_sigma_uv(self) -> float:
         if math.isinf(self.snr_db):
             return 0.0
-        return self.tone_rms_uv * 10.0 ** (-self.snr_db / 20.0)
+        return TONE_RMS_UV * 10.0 ** (-self.snr_db / 20.0)
 
 
 def _build_schedule(cfg: SynthConfig, horizon_ns: int) -> tuple[list[int], list[int]]:
     """Segment start times (ns, tick-aligned) and class codes covering
     [0, horizon_ns]."""
-    tick_ns = round(NS_PER_S / cfg.joystick_rate_hz)
+    tick_ns = round(NS_PER_S / JOYSTICK_RATE_HZ)
     starts: list[int] = []
     codes: list[int] = []
     if cfg.schedule is not None:
@@ -135,7 +127,7 @@ def _build_schedule(cfg: SynthConfig, horizon_ns: int) -> tuple[list[int], list[
         for length_s, code in cfg.schedule:
             starts.append(t)
             codes.append(int(code))
-            t += max(1, round(length_s * cfg.joystick_rate_hz)) * tick_ns
+            t += max(1, round(length_s * JOYSTICK_RATE_HZ)) * tick_ns
         if t < horizon_ns:
             raise DataError(
                 f"explicit schedule covers {t} ns but {horizon_ns} ns are needed"
@@ -148,8 +140,8 @@ def _build_schedule(cfg: SynthConfig, horizon_ns: int) -> tuple[list[int], list[
     while t <= horizon_ns:
         starts.append(t)
         codes.append(code)
-        dwell_s = cfg.segment_len_s * rng.uniform(0.5, 1.5)
-        t += max(1, round(dwell_s * cfg.joystick_rate_hz)) * tick_ns
+        dwell_s = SEGMENT_LEN_S * rng.uniform(0.5, 1.5)
+        t += max(1, round(dwell_s * JOYSTICK_RATE_HZ)) * tick_ns
         step = int(rng.integers(0, N_CLASSES - 1))
         code = (code + 1 + step) % N_CLASSES  # uniform over the other four
     return starts, codes
@@ -181,10 +173,10 @@ def generate_session(cfg: SynthConfig) -> tuple[SessionDir, LabeledSamples]:
     command at the joystick tick nearest t + lag, as a ``LabeledSamples``
     at delta = the generative lag."""
     period_ns = round(NS_PER_S / cfg.sample_rate_hz)
-    tick_ns = round(NS_PER_S / cfg.joystick_rate_hz)
+    tick_ns = round(NS_PER_S / JOYSTICK_RATE_HZ)
     lag_ns = round(cfg.label_lag_ms * NS_PER_MS)
     n_eeg = round(cfg.duration_s * cfg.sample_rate_hz)
-    n_joy = round(cfg.duration_s * cfg.joystick_rate_hz)
+    n_joy = round(cfg.duration_s * JOYSTICK_RATE_HZ)
 
     eeg_t = np.arange(n_eeg, dtype=np.int64) * period_ns
     joy_t = np.arange(n_joy, dtype=np.int64) * tick_ns
@@ -202,11 +194,11 @@ def generate_session(cfg: SynthConfig) -> tuple[SessionDir, LabeledSamples]:
         labels=_codes_at(starts, seg_codes, nearest_tick * tick_ns),
     )
 
-    montage = synthetic_montage(cfg.n_channels)
+    montage = synthetic_montage(N_CHANNELS)
     names, positions = montage.names, montage.positions
 
     t_sec = eeg_t.astype(np.float64) / NS_PER_S
-    amp = cfg.tone_rms_uv * math.sqrt(2.0)
+    amp = TONE_RMS_UV * math.sqrt(2.0)
     gains = _class_gains(cfg, positions)
 
     # Preparation builds up: over the anticipation interval (the lag before
@@ -223,7 +215,7 @@ def generate_session(cfg: SynthConfig) -> tuple[SessionDir, LabeledSamples]:
     else:
         envelope = np.ones(n_eeg)
 
-    x = np.zeros((cfg.n_channels, n_eeg))
+    x = np.zeros((N_CHANNELS, n_eeg))
     for c in range(N_CLASSES):
         if cfg.stop_silent and c == N_CLASSES - 1:
             continue
@@ -232,7 +224,7 @@ def generate_session(cfg: SynthConfig) -> tuple[SessionDir, LabeledSamples]:
             continue
         tone = np.where(
             mask,
-            amp * envelope * np.sin(2.0 * np.pi * cfg.class_freqs_hz[c] * t_sec),
+            amp * envelope * np.sin(2.0 * np.pi * CLASS_FREQS_HZ[c] * t_sec),
             0.0,
         )
         x += gains[:, c : c + 1] * tone[None, :]
@@ -240,7 +232,7 @@ def generate_session(cfg: SynthConfig) -> tuple[SessionDir, LabeledSamples]:
     sigma = cfg.noise_sigma_uv
     if sigma > 0.0:
         rng = np.random.default_rng(np.random.SeedSequence((cfg.rng_seed, 2)))
-        streams = rng.standard_normal((cfg.n_channels + 4, n_eeg))
+        streams = rng.standard_normal((N_CHANNELS + 4, n_eeg))
         streams /= streams.std(axis=1, keepdims=True)
         common, dipole_src, sensor = streams[0], streams[1:4], streams[4:]
         # position rows are unit vectors, so the dipole mix has unit
@@ -261,9 +253,8 @@ def generate_session(cfg: SynthConfig) -> tuple[SessionDir, LabeledSamples]:
         x[names.index(cfg.corrupt_channel)] = 0.0
 
     joy_codes = _codes_at(starts, seg_codes, joy_t)
-    mag = cfg.joystick_magnitude
-    v_x = mag * np.asarray(_VX_SIGN, dtype=np.float64)[joy_codes]
-    omega_z = mag * np.asarray(_WZ_SIGN, dtype=np.float64)[joy_codes]
+    v_x = JOYSTICK_MAGNITUDE * np.asarray(_VX_SIGN, dtype=np.float64)[joy_codes]
+    omega_z = JOYSTICK_MAGNITUDE * np.asarray(_WZ_SIGN, dtype=np.float64)[joy_codes]
 
     session = SessionDir(
         subject_id="synthetic",

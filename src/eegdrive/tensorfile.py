@@ -6,6 +6,9 @@ with shape (n_windows, n_channels, window_len), plus a JSON sidecar:
     {"shape": [n, C, S], "dtype": "f32le", "labels": [...],
      "delta_ms": 300, "partition": "train"}
 
+where ``partition`` is the name of the pair's base path, ``train`` or
+``test`` in a workspace.
+
 A checkpoint is the magic ``EEGDRIV1``, the header's length as a
 little-endian u32, the header as UTF-8 JSON, then the tensors little-endian
 and row-major in the order of the header's ``tensors`` list of ``name``,
@@ -57,12 +60,11 @@ def write_windows(
     blocks: Iterable[np.ndarray],
     labels,
     delta_ms: int,
-    partition: str,
 ) -> tuple[Path, Path]:
     """Write the (m, C, S) window ``blocks`` in order as ``<base>.f32``, then
-    ``<base>.json``; returns both paths. The blocks are consumed one at a
-    time as the blob is written, and the sidecar's shape is that of their
-    concatenation. A block that is not 3-D or whose (C, S) differs from the
+    ``<base>.json`` for partition ``base.name``; returns both paths. The
+    blocks are consumed one at a time as the blob is written, and the
+    sidecar's shape is that of their concatenation. A block that is not 3-D or whose (C, S) differs from the
     first block's, no block at all, and a label count other than the
     window count are each a ValueError raised before the blob is moved into
     place, so the old blob stays and no temp file is left."""
@@ -96,7 +98,7 @@ def write_windows(
         "dtype": DTYPE_TAG,
         "labels": labels,
         "delta_ms": int(delta_ms),
-        "partition": str(partition),
+        "partition": base.name,
     }
     write_replacing(json_path, [(json.dumps(sidecar) + "\n").encode()])
     return bin_path, json_path
@@ -104,9 +106,9 @@ def write_windows(
 
 def read_windows(base: str | Path, delta_ms: int) -> tuple[np.ndarray, np.ndarray]:
     """Read a window tensor pair written for horizon ``delta_ms``; returns
-    (data, labels). A sidecar written for another horizon, or for no
-    windows, and a non-finite value in the blob are each a DataError; the
-    blob is checked by its min and max, which NaN propagates to, and the
+    (data, labels). A sidecar written for another horizon or partition, or
+    for no windows, and a non-finite value in the blob are each a DataError;
+    the blob is checked by its min and max, which NaN propagates to, and the
     first window holding such a value is found only on a fault."""
     base = Path(base)
     bin_path = base.with_suffix(".f32")
@@ -117,7 +119,8 @@ def read_windows(base: str | Path, delta_ms: int) -> tuple[np.ndarray, np.ndarra
     sidecar = decode_json(json_path, "invalid sidecar")
     try:
         shape, labels = list(sidecar["shape"]), list(sidecar["labels"])
-        stored, dtype = sidecar["delta_ms"], sidecar["dtype"]
+        stored, partition = sidecar["delta_ms"], sidecar["partition"]
+        dtype = sidecar["dtype"]
     except (KeyError, TypeError) as e:
         raise DataError(f"{json_path}: invalid sidecar: {e!r}") from e
     for key, values in (("shape", shape), ("labels", labels), ("delta_ms", [stored])):
@@ -126,6 +129,10 @@ def read_windows(base: str | Path, delta_ms: int) -> tuple[np.ndarray, np.ndarra
             raise DataError(f"{json_path}: {key} must be JSON integers, got {bad[0]!r}")
     if stored != delta_ms:
         raise DataError(f"{json_path}: windows are for delta_ms {stored}, not {delta_ms}")
+    if partition != base.name:
+        raise DataError(
+            f"{json_path}: windows are for partition {partition!r}, not {base.name!r}"
+        )
     bad = non_integers(labels, 0, N_CLASSES)
     if bad:
         raise DataError(f"{json_path}: label {bad[0]} outside [0, {N_CLASSES})")

@@ -1,6 +1,8 @@
 """Alignment against an exhaustive oracle, plus session-directory IO."""
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 import re
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from eegdrive import ingest, pipeline
+from eegdrive.cli import main
 from eegdrive.errors import DataError
 from eegdrive.ingest import (
     CSV_VALUES_PER_BLOCK,
@@ -468,13 +471,14 @@ class TestSessionDirIO:
 #: the recording timestamps the labels file of TestReadersUnderCorruption
 #: is read against
 _LABEL_TS = np.arange(8, dtype=np.int64) * 8_000_000
+_SESSION_FILES = (MANIFEST_NAME, EEG_NAME, JOYSTICK_NAME)
 _WINDOWS = ("w.f32", "w.json")
 _CHECKPOINTS = ("linear.bin", "shallow.bin")
 
 
 def _read(root: Path, name: str):
     """Read ``name`` under ``root`` as its stage does."""
-    if name in (MANIFEST_NAME, EEG_NAME, JOYSTICK_NAME):
+    if name in _SESSION_FILES:
         return load_session(root)
     if name in _WINDOWS:
         return read_windows(root / "w", 300)
@@ -508,6 +512,32 @@ def _pin(name, pinned):
     return example(name=name, mutation="truncate", where=0.0, byte=0, text="", pinned=pinned)
 
 
+def _manifest_edit(old, new):
+    """A pinned input: the manifest with its first ``old`` replaced by ``new``."""
+    return lambda files: {MANIFEST_NAME: files[MANIFEST_NAME].replace(old, new, 1)}
+
+
+def _damaged(files, name, mutation, where, byte, text, pinned):
+    """``files`` with ``pinned(files)`` in place, or else with ``name`` cut
+    at the fraction ``where`` of its bytes, its byte there set to ``byte``,
+    or its line there replaced by ``text``, as ``mutation`` says."""
+    files = dict(files)
+    if pinned is not None:
+        files.update(pinned(files))
+        return files
+    blob = bytearray(files[name])
+    if mutation == "truncate":
+        blob = blob[: int(where * len(blob))]
+    elif mutation == "byte":
+        blob[int(where * len(blob))] = byte
+    else:
+        lines = bytes(blob).split(b"\n")
+        lines[int(where * len(lines))] = text.encode("utf-8")
+        blob = bytearray(b"\n".join(lines))
+    files[name] = bytes(blob)
+    return files
+
+
 _DEEP = "[" * 200_000
 
 
@@ -521,7 +551,7 @@ class TestReadersUnderCorruption:
             tmp_path_factory.mktemp("clean") / "sess", _toy_session(n_samples=30)
         )
         rng = np.random.default_rng(4)
-        write_windows(root / "w", [rng.standard_normal((3, 2, 5))], [0, 1, 4], 300, "train")
+        write_windows(root / "w", [rng.standard_normal((3, 2, 5))], [0, 1, 4], 300)
         write_json(root / "split_stats.json",
                    {"delta_ms": 300, "pre_oversample_counts": [3, 1, 0, 2, 4], "n_train": 10})
         confusion = metrics_from_confusion(np.arange(25).reshape(5, 5))
@@ -543,7 +573,7 @@ class TestReadersUnderCorruption:
         deadline=None,
     )
     @given(
-        name=st.sampled_from([MANIFEST_NAME, EEG_NAME, JOYSTICK_NAME, *_WINDOWS,
+        name=st.sampled_from([*_SESSION_FILES, *_WINDOWS,
                               "split_stats.json", "score.json", *_CHECKPOINTS, "labels.csv"]),
         mutation=st.sampled_from(["truncate", "byte", "line"]),
         where=st.floats(0.0, 1.0, exclude_max=True),
@@ -563,20 +593,7 @@ class TestReadersUnderCorruption:
     @_pin("w.json", lambda files: {"w.f32": b"", "w.json": json.dumps(
         {**json.loads(files["w.json"]), "shape": [0, 10**30, 10**30], "labels": []}).encode()})
     def test_only_data_error_escapes(self, files, name, mutation, where, byte, text, pinned):
-        files = dict(files)
-        if pinned is not None:
-            files.update(pinned(files))
-        else:
-            blob = bytearray(files[name])
-            if mutation == "truncate":
-                blob = blob[: int(where * len(blob))]
-            elif mutation == "byte":
-                blob[int(where * len(blob))] = byte
-            else:
-                lines = bytes(blob).split(b"\n")
-                lines[int(where * len(lines))] = text.encode("utf-8")
-                blob = bytearray(b"\n".join(lines))
-            files[name] = bytes(blob)
+        files = _damaged(files, name, mutation, where, byte, text, pinned)
         with tempfile.TemporaryDirectory() as tmp:
             root = Path(tmp)
             for other, content in files.items():
@@ -585,6 +602,38 @@ class TestReadersUnderCorruption:
                 _read(root, name)
             except DataError:
                 pass
+
+    @seed(20261020)
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(
+        name=st.sampled_from(_SESSION_FILES),
+        mutation=st.sampled_from(["truncate", "byte", "line"]),
+        where=st.floats(0.0, 1.0, exclude_max=True),
+        byte=st.integers(0, 255),
+        text=st.text(max_size=40),
+        pinned=st.none(),
+    )
+    @_pin(JOYSTICK_NAME, lambda files: {JOYSTICK_NAME: b"[]\n" + files[JOYSTICK_NAME]})
+    # values of the wrong JSON type that the manifest reader once converted
+    @_pin(MANIFEST_NAME, _manifest_edit(b"125.0", b'"125"'))
+    @_pin(MANIFEST_NAME, _manifest_edit(b"125.0", b"true"))
+    @_pin(MANIFEST_NAME, _manifest_edit(b'"s01"', b"[1]"))
+    @_pin(MANIFEST_NAME, _manifest_edit(b"0.0,", b"false,"))
+    def test_validate_exits_0_or_3(self, files, name, mutation, where, byte, text, pinned):
+        """The same damage to a session file, through ``eegdrive validate``:
+        the session is reported ok or as a data error, never a traceback."""
+        files = _damaged(files, name, mutation, where, byte, text, pinned)
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            for other in _SESSION_FILES:
+                (Path(tmp) / other).write_bytes(files[other])
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                rc = main(["validate", tmp])
+        if rc == 0:
+            assert out.getvalue().startswith("ok: sess-a: ") and not err.getvalue()
+        else:
+            assert rc == 3 and not out.getvalue()
+            assert err.getvalue().startswith(f"data error: [validate] {tmp}: ")
 
 
 #: EEG samples for the recall property: the format's edges above, plus

@@ -762,10 +762,6 @@ class TestSpecsAndConfigs:
             TrainConfig(epochs=0)
         with pytest.raises(ValueError):
             TrainConfig(learning_rate=-1e-3)
-        with pytest.raises(ValueError):
-            TrainConfig(adam_beta1=1.0)
-        with pytest.raises(ValueError):
-            TrainConfig(adam_eps=0.0)
 
     def test_build_model_rejects_unknown_name(self):
         with pytest.raises(ValueError, match="resnet"):

@@ -330,6 +330,12 @@ class TestSubcommands:
             ({"channels": 5}, "channels must be a list"),
             ({"sample_rate_hz": 128.0}, "median sample gap"),
             ({"sample_rate_hz": 10**400}, "int too large to convert to float"),
+            ({"sample_rate_hz": "125"}, "manifest.json: sample_rate_hz must be a JSON number"),
+            ({"sample_rate_hz": True}, "manifest.json: sample_rate_hz must be a JSON number"),
+            ({"sample_rate_hz": float("inf")},
+             "manifest.json: sample_rate_hz must be positive and finite"),
+            ({"subject_id": [1]}, "manifest.json: subject_id must be a JSON string"),
+            ({"session_id": 0}, "manifest.json: session_id must be a JSON string"),
         ],
     )
     def test_validate_rejects_manifest(self, baseline, tmp_path, capsys, edit, rule):
@@ -367,6 +373,10 @@ class TestSubcommands:
             ("pos", [0.0, 0.0, 1.5], "channel 'C4': |position| = 1.5, expected unit norm"),
             ("pos", [0.6, 0.8], "channel 'C4': pos has 2 coordinates, expected 3"),
             ("pos", [0, 0, 10**400], "channel entry 7 invalid: int too large"),
+            ("pos", [True, False, False], "channel 'C4': pos must be a list of JSON numbers"),
+            ("pos", [0.0, "0.6", 0.8], "channel 'C4': pos must be a list of JSON numbers"),
+            ("pos", "0 0 1", "channel 'C4': pos must be a list of JSON numbers"),
+            ("name", 4, "channel entry 7: name must be a JSON string"),
         ],
     )
     def test_validate_rejects_montage(
@@ -557,17 +567,35 @@ class TestExitCodes:
         ("train", "class_weights", [1, 1, 1, 1, 1]),
         ("filters", "edge_trim_s", 1.0),
         ("synth", "noise_model", "white"),
+        ("bad_channels", "deviation_z", 5.0),
+        ("bad_channels", "correlation_min", 0.4),
+        ("bad_channels", "correlation_window_s", 1.0),
+        ("train", "adam_beta1", 0.9),
+        ("train", "adam_beta2", 0.999),
+        ("train", "adam_eps", 1e-8),
+        ("split", "train_fraction", 0.7),
+        ("synth", "n_channels", 16),
+        ("synth", "class_freqs_hz", [30.0, 15.0, 10.0, 20.0, 5.0]),
+        ("synth", "segment_len_s", 4.0),
+        ("synth", "joystick_rate_hz", 10.0),
+        ("synth", "joystick_magnitude", 0.8),
+        ("synth", "tone_rms_uv", 10.0),
     ])
     def test_removed_seed_knobs_are_2(self, tmp_path, capsys, section, key, value):
-        # the pipeline derives the seeds per session and run, bad-channel
-        # detection draws nothing random, class weights follow the training
-        # split's class counts, the edge trim belongs to label_rule, and the
-        # simulator draws white noise only; a config can set none of them
+        # the pipeline derives the seeds per session and run, class weights
+        # follow the training split's class counts, the edge trim belongs to
+        # label_rule, and the simulator draws white noise only. Bad-channel
+        # detection, Adam, the train share and the simulated rig are module
+        # constants. A config can set none of them, even to its old default.
         doc = dict(SMALL, n_sessions=1, **{section: {**SMALL.get(section, {}), key: value}})
         cfg = _write_cfg(tmp_path, doc)
         rc = main(["run-all", "--config", str(cfg), "--out", str(tmp_path / "ws")])
         assert rc == 2
-        assert f"config.{section}: unknown keys ['{key}']" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        if section == "bad_channels":  # the whole section is gone
+            assert "config: unknown keys ['bad_channels']" in err
+        else:
+            assert f"config.{section}: unknown keys ['{key}']" in err
 
     def test_removed_alignment_section_is_2(self, tmp_path, capsys):
         # the alignment gap is label_rule.max_gap_ms
@@ -592,8 +620,12 @@ class TestExitCodes:
          "windows are for delta_ms 0, not 300"),
         ("train", "train.json", lambda d: {**d, "delta_ms": 0},
          "windows are for delta_ms 0, not 300"),
+        # the train pair copied over the test pair: eval would score train windows
+        ("eval", "test.json", lambda d: {**d, "partition": "train"},
+         "windows are for partition 'train', not 'test'"),
     ], ids=["train-label-negative", "test-label-float", "test-label-9",
-            "stats-missing-counts", "stats-all-zero", "test-delta-0", "train-delta-0"])
+            "stats-missing-counts", "stats-all-zero", "test-delta-0", "train-delta-0",
+            "test-partition-train"])
     def test_bad_window_files_are_3(
         self, baseline, tmp_path, capsys, command, name, edit, rule
     ):

@@ -13,7 +13,6 @@ import pytest
 from eegdrive import preprocess
 from eegdrive.errors import DataError
 from eegdrive.preprocess import (
-    BadChannelCriteria,
     FilterSpec,
     PreprocessReport,
     design_highpass,
@@ -213,7 +212,7 @@ def _good_rows(verdict):
 class TestDetectBadChannels:
     def test_clean_recording_unflagged(self):
         rec = _structured_recording()
-        verdict = detect_bad_channels(rec.samples, FS, BadChannelCriteria())
+        verdict = detect_bad_channels(rec.samples, FS)
         assert verdict.shape == (2, rec.n_channels)
         assert verdict.dtype == bool
         assert not verdict.any()
@@ -222,7 +221,7 @@ class TestDetectBadChannels:
         rec = _structured_recording()
         x = rec.samples.copy()
         x[5] = 0.0
-        verdict = detect_bad_channels(x, FS, BadChannelCriteria())
+        verdict = detect_bad_channels(x, FS)
         assert np.flatnonzero(verdict.any(axis=0)).tolist() == [5]
         assert verdict[preprocess.REASONS.index("correlation"), 5]
 
@@ -230,7 +229,7 @@ class TestDetectBadChannels:
         rec = _structured_recording()
         x = rec.samples.copy()
         x[2] *= 80.0
-        verdict = detect_bad_channels(x, FS, BadChannelCriteria())
+        verdict = detect_bad_channels(x, FS)
         assert verdict.any(axis=0)[2]
         assert verdict[preprocess.REASONS.index("deviation"), 2]
 
@@ -239,7 +238,7 @@ class TestDetectBadChannels:
         x = rec.samples.copy()
         scale = float(np.std(x[7]))
         x[7] = np.random.default_rng(9).standard_normal(x.shape[1]) * scale
-        verdict = detect_bad_channels(x, FS, BadChannelCriteria())
+        verdict = detect_bad_channels(x, FS)
         assert verdict.any(axis=0)[7]
 
     def test_batched_correlation_matches_per_window_loop(self):
@@ -248,35 +247,28 @@ class TestDetectBadChannels:
         x[4] = 0.0
         x[7] = np.random.default_rng(9).standard_normal(x.shape[1]) * float(np.std(x[7]))
         x[9, 1000:1125] = 0.0  # flat in one window of 24, over the 1 % bar
-        criteria = BadChannelCriteria()
         seg = preprocess._normalized_windows(x, round(FS))
         low = np.zeros(rec.n_channels, dtype=np.int64)
         for w in seg:
             r = np.abs(w @ w.T)
             np.fill_diagonal(r, -1.0)
-            low += r.max(axis=1) < criteria.correlation_min
+            low += r.max(axis=1) < preprocess.CORRELATION_MIN
         want = low / len(seg) > preprocess.CORRELATION_BAD_WINDOW_FRAC
-        verdict = detect_bad_channels(x, FS, criteria)
+        verdict = detect_bad_channels(x, FS)
         assert want[[4, 7, 9]].all()
         assert np.array_equal(verdict[preprocess.REASONS.index("correlation")], want)
 
     def test_needs_four_usable_channels(self):
         rec = _structured_recording(n_channels=3)
         with pytest.raises(DataError, match="at least 4"):
-            detect_bad_channels(rec.samples, FS, BadChannelCriteria())
-
-    def test_criteria_validation(self):
-        with pytest.raises(ValueError):
-            BadChannelCriteria(deviation_z=0.0)
-        with pytest.raises(ValueError):
-            BadChannelCriteria(correlation_min=1.0)
+            detect_bad_channels(rec.samples, FS)
 
 
 class TestReferenceAndRepair:
     def test_reference_subtracts_good_channel_mean(self):
         rec = _structured_recording()
         x = rec.samples.copy()
-        verdicts, detections = robust_average_reference(x, FS, BadChannelCriteria())
+        verdicts, detections = robust_average_reference(x, FS)
         assert detections >= 1
         good = _good_rows(verdicts[-1])
         want = rec.samples - rec.samples[good].mean(axis=0, keepdims=True)
@@ -302,7 +294,7 @@ class TestReferenceAndRepair:
     def _scripted(monkeypatch, verdicts):
         calls = []
 
-        def fake(x, fs, criteria):
+        def fake(x, fs):
             calls.append(x)
             return verdicts[len(calls) - 1]
 
@@ -314,7 +306,7 @@ class TestReferenceAndRepair:
         """Reference a copy of the samples; returns it, the verdicts and the
         report the chain would write for them."""
         x = rec.samples.copy()
-        verdicts, detections = robust_average_reference(x, FS, BadChannelCriteria())
+        verdicts, detections = robust_average_reference(x, FS)
         return x, verdicts, PreprocessReport(rec.montage.names, verdicts, detections)
 
     @staticmethod
@@ -409,7 +401,7 @@ class TestReferenceAndRepair:
 class TestPreprocessSession:
     def test_full_chain_report(self):
         rec = _structured_recording()
-        out, report = preprocess_session(rec, FilterSpec(), BadChannelCriteria())
+        out, report = preprocess_session(rec, FilterSpec())
         d = report.to_dict()
         assert d["stages"] == ["highpass", "notch", "robust_reference", "interpolate", "zscore"]
         assert out.n_channels == rec.n_channels
@@ -424,9 +416,7 @@ class TestPreprocessSession:
             np.std(x[7])
         )
         name = rec.montage.names[7]
-        out, report = preprocess_session(
-            rec.with_samples(x), FilterSpec(), BadChannelCriteria()
-        )
+        out, report = preprocess_session(rec.with_samples(x), FilterSpec())
         assert name in report.by_name(report.bad_channels[-1])
         assert name in report.to_dict()["interpolated"]
         # the repaired channel is rebuilt from neighbours and z-scored
@@ -434,7 +424,7 @@ class TestPreprocessSession:
 
     def test_report_round_trips_to_dict(self):
         rec = _structured_recording()
-        _, report = preprocess_session(rec, FilterSpec(), BadChannelCriteria())
+        _, report = preprocess_session(rec, FilterSpec())
         d = report.to_dict()
         assert d["stages"] == list(preprocess.STAGES)
         assert d["reference_iterations"] == report.reference_iterations
@@ -442,8 +432,8 @@ class TestPreprocessSession:
 
     def test_deterministic(self):
         rec = _structured_recording()
-        a, _ = preprocess_session(rec, FilterSpec(), BadChannelCriteria())
-        b, _ = preprocess_session(rec, FilterSpec(), BadChannelCriteria())
+        a, _ = preprocess_session(rec, FilterSpec())
+        b, _ = preprocess_session(rec, FilterSpec())
         assert np.array_equal(a.samples, b.samples)
 
     def test_working_set_at_most_two_and_a_half_recordings(self):
@@ -453,7 +443,7 @@ class TestPreprocessSession:
         # a high-passed copy read ~4.4x
         session, _ = generate_session(SynthConfig(duration_s=180.0, rng_seed=3))
         rec = session.eeg
-        peak = peak_traced(lambda: preprocess_session(rec, FilterSpec(), BadChannelCriteria()))
+        peak = peak_traced(lambda: preprocess_session(rec, FilterSpec()))
         assert peak <= 2.5 * rec.samples.nbytes
 
 
@@ -478,9 +468,7 @@ class TestSimulatedSessions:
         x = rec.samples.copy()
         if dead is not None:
             x[rec.montage.names.index(dead)] = 0.0
-        _, report = preprocess_session(
-            rec.with_samples(x), FilterSpec(), BadChannelCriteria()
-        )
+        _, report = preprocess_session(rec.with_samples(x), FilterSpec())
         assert report.to_dict()["interpolated"] == ([] if dead is None else [dead])
 
     #: The cases of the sweep below that also repair a clean motor channel.
@@ -503,9 +491,7 @@ class TestSimulatedSessions:
                 x = rec.samples.copy()
                 if dead is not None:
                     x[rec.montage.names.index(dead)] = 0.0
-                _, report = preprocess_session(
-                    rec.with_samples(x), FilterSpec(), BadChannelCriteria()
-                )
+                _, report = preprocess_session(rec.with_samples(x), FilterSpec())
                 repaired = report.to_dict()["interpolated"]
                 if dead is not None and dead not in repaired:
                     unrepaired.append((seed, dead, repaired))

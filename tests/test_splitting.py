@@ -555,8 +555,7 @@ def _spaced_windows(rng, n, s=125, hop=62):
 
 def _write_streamed(base, samples, windows):
     """Gather and write one partition as ``pipeline.stage_split`` does."""
-    return write_windows(base, window_blocks(samples, windows), windows.labels.tolist(),
-                         300, "train")
+    return write_windows(base, window_blocks(samples, windows), windows.labels.tolist(), 300)
 
 
 class TestStreamedBlob:
@@ -606,8 +605,6 @@ class TestSplitConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             SplitConfig(n_chunks=0)
-        with pytest.raises(ValueError):
-            SplitConfig(train_fraction=1.0)
         with pytest.raises(ValueError):
             SplitConfig(overlap_fraction=1.0)
         with pytest.raises(ValueError):

@@ -15,6 +15,9 @@ from eegdrive.labels import (
 )
 from eegdrive.session import NS_PER_S
 from eegdrive.synth import (
+    JOYSTICK_MAGNITUDE,
+    JOYSTICK_RATE_HZ,
+    TONE_RMS_UV,
     TRUTH_NAME,
     SynthConfig,
     generate_session,
@@ -67,8 +70,7 @@ class TestPureToneSession:
 
     def test_joystick_holds_forward(self):
         session, _ = generate_session(self.CFG)
-        mag = self.CFG.joystick_magnitude
-        assert np.all(session.joystick.v_x == mag)
+        assert np.all(session.joystick.v_x == JOYSTICK_MAGNITUDE)
         assert np.all(session.joystick.omega_z == 0.0)
 
 
@@ -185,7 +187,7 @@ class TestSchedule:
             session.eeg.timestamps, session.joystick, LabelRule(edge_trim_s=0.0), 300
         )
         # away from the stream tail the quantized truth tick really exists
-        tick_ns = round(NS_PER_S / cfg.joystick_rate_hz)
+        tick_ns = round(NS_PER_S / JOYSTICK_RATE_HZ)
         last_tick = int(session.joystick.t_ns[-1])
         safe = labeled.t_ns + 300_000_000 <= last_tick + tick_ns // 2
         assert safe.sum() > 7000
@@ -206,7 +208,7 @@ class TestArtifacts:
     def test_line_noise_rides_on_every_channel(self):
         cfg = SynthConfig(duration_s=16.0, line_noise_amp=10.0)
         session, _ = generate_session(cfg)
-        amp_50 = 10.0 * cfg.tone_rms_uv * math.sqrt(2.0)
+        amp_50 = 10.0 * TONE_RMS_UV * math.sqrt(2.0)
         for i in range(session.eeg.n_channels):
             p = tone_power(session.eeg.samples[i], 50.0, FS)
             assert p > (0.9 * amp_50) ** 2
@@ -287,15 +289,9 @@ class TestConfigValidation:
         "kwargs",
         [
             {"duration_s": 0.0},
-            {"n_channels": 3},
-            {"class_freqs_hz": (30.0, 15.0)},
-            {"class_freqs_hz": (30.0, 15.0, 10.0, 20.0, 70.0)},
+            {"sample_rate_hz": 50.0},  # the 30 Hz forward tone is above Nyquist
             {"snr_db": float("nan")},
-            {"segment_len_s": 0.0},
             {"label_lag_ms": -1.0},
-            {"joystick_magnitude": 0.0},
-            {"joystick_magnitude": 1.5},
-            {"tone_rms_uv": 0.0},
             {"line_noise_amp": -0.1},
             {"duration_s": 3.0},
             {"schedule": ((0.0, 0),)},

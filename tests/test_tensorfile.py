@@ -20,7 +20,7 @@ def _sample(rng, n=6, c=4, s=25):
 def test_round_trip(tmp_path):
     rng = np.random.default_rng(0)
     data, labels = _sample(rng)
-    write_windows(tmp_path / "train", [data], labels, 300, "train")
+    write_windows(tmp_path / "train", [data], labels, 300)
     back, lab = read_windows(tmp_path / "train", 300)
     assert np.array_equal(back, data)
     assert back.dtype == np.float32
@@ -29,20 +29,20 @@ def test_round_trip(tmp_path):
 
 def test_float64_input_is_stored_as_float32(tmp_path):
     data = np.full((2, 3, 4), 1.0 / 3.0, dtype=np.float64)
-    write_windows(tmp_path / "w", [data], [0, 1], 0, "test")
+    write_windows(tmp_path / "w", [data], [0, 1], 0)
     back, _ = read_windows(tmp_path / "w", 0)
     assert np.array_equal(back, data.astype(np.float32))
 
 
 def test_blob_is_exactly_the_raw_values(tmp_path):
     data = np.arange(24, dtype=np.float32).reshape(2, 3, 4)
-    bin_path, _ = write_windows(tmp_path / "w", [data], [1, 2], 500, "val")
+    bin_path, _ = write_windows(tmp_path / "w", [data], [1, 2], 500)
     assert bin_path.read_bytes() == data.tobytes()
 
 
 def test_sidecar_is_plain_json(tmp_path):
     data = np.zeros((1, 2, 3), dtype=np.float32)
-    _, json_path = write_windows(tmp_path / "w", [data], [4], 700, "test")
+    _, json_path = write_windows(tmp_path / "test", [data], [4], 700)
     sidecar = json.loads(json_path.read_text())
     assert sidecar == {
         "shape": [1, 2, 3],
@@ -58,9 +58,9 @@ def _leaves_the_old_blob(tmp_path, blocks, labels, match):
     leaves the old blob's bytes, no sidecar and no temp file."""
     rng = np.random.default_rng(3)
     data, old_labels = _sample(rng)
-    bin_path, _ = write_windows(tmp_path / "w", [data], old_labels, 300, "train")
+    bin_path, _ = write_windows(tmp_path / "w", [data], old_labels, 300)
     with pytest.raises(ValueError, match=match):
-        write_windows(tmp_path / "w", blocks, labels, 300, "train")
+        write_windows(tmp_path / "w", blocks, labels, 300)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["w.f32"]
     assert bin_path.read_bytes() == data.tobytes()
 
@@ -90,7 +90,7 @@ def test_blocks_are_written_as_one_tensor(tmp_path):
     rng = np.random.default_rng(4)
     data, labels = _sample(rng, n=7)
     blocks = (data[:3], data[3:3], data[3:6], data[6:])  # an empty block is allowed
-    bin_path, json_path = write_windows(tmp_path / "w", iter(blocks), labels, 300, "train")
+    bin_path, json_path = write_windows(tmp_path / "w", iter(blocks), labels, 300)
     assert bin_path.read_bytes() == data.tobytes()
     assert json.loads(json_path.read_text())["shape"] == [7, 4, 25]
     back, lab = read_windows(tmp_path / "w", 300)
@@ -100,7 +100,7 @@ def test_blocks_are_written_as_one_tensor(tmp_path):
 def test_failed_blob_write_leaves_no_sidecar(tmp_path, monkeypatch):
     rng = np.random.default_rng(2)
     data, labels = _sample(rng)
-    bin_path, json_path = write_windows(tmp_path / "w", [data], labels, 300, "train")
+    bin_path, json_path = write_windows(tmp_path / "w", [data], labels, 300)
     old_blob = bin_path.read_bytes()
     replace = os.replace
 
@@ -111,7 +111,7 @@ def test_failed_blob_write_leaves_no_sidecar(tmp_path, monkeypatch):
 
     monkeypatch.setattr(os, "replace", fail_on_the_blob)
     with pytest.raises(OSError, match="injected"):
-        write_windows(tmp_path / "w", [data[:2]], labels[:2], 300, "train")
+        write_windows(tmp_path / "w", [data[:2]], labels[:2], 300)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["w.f32"]
     assert bin_path.read_bytes() == old_blob
     with pytest.raises(DataError, match="missing window tensor file"):
@@ -123,7 +123,7 @@ class TestReadFailures:
     def pair(self, tmp_path):
         rng = np.random.default_rng(1)
         data, labels = _sample(rng)
-        write_windows(tmp_path / "w", [data], labels, 300, "train")
+        write_windows(tmp_path / "w", [data], labels, 300)
         return tmp_path / "w"
 
     def test_missing_blob(self, pair):

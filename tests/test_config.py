@@ -9,6 +9,7 @@ import typing
 
 import pytest
 
+from eegdrive import preprocess, splitting, synth
 from eegdrive.cli import main
 from eegdrive.config import (
     RunConfig,
@@ -19,6 +20,8 @@ from eegdrive.config import (
     load_config,
 )
 from eegdrive.errors import ConfigError
+from eegdrive.models import trainer
+from eegdrive.session import CommandLabel
 from eegdrive.synth import SynthConfig
 
 
@@ -232,6 +235,50 @@ class TestRunConfigRules:
             config_from_dict({"split": {"window_len": 46}})
         linear = config_from_dict({"models": ["linear"], "split": {"window_len": 1}})
         assert linear.split.window_len == 1
+
+
+def _const(module, name, default, rule):
+    return pytest.param(module, name, default, rule, id=f"{module.__name__}.{name}")
+
+
+class TestFixedConstants:
+    """Values the benchmark holds fixed are module constants, not config.
+    No config rule checks them any more, so each is held here to the default
+    it had as a config value, which every workspace file depends on, and to
+    the rule that value was validated by."""
+
+    @pytest.mark.parametrize("module, name, default, rule", [
+        _const(preprocess, "DEVIATION_Z", 5.0, lambda v: v > 0),
+        _const(preprocess, "CORRELATION_MIN", 0.4, lambda v: 0 < v < 1),
+        _const(preprocess, "CORRELATION_WINDOW_S", 1.0, lambda v: v > 0),
+        _const(trainer, "ADAM_BETA1", 0.9, lambda v: 0 <= v < 1),
+        _const(trainer, "ADAM_BETA2", 0.999, lambda v: 0 <= v < 1),
+        _const(trainer, "ADAM_EPS", 1e-8, lambda v: v > 0),
+        _const(splitting, "TRAIN_FRACTION", 0.7, lambda v: 0 < v < 1),
+        _const(synth, "N_CHANNELS", 16, lambda v: v >= 4),  # cleaning needs context
+        _const(synth, "CLASS_FREQS_HZ", (30.0, 15.0, 10.0, 20.0, 5.0),
+               lambda v: len(v) == len(CommandLabel) and min(v) > 0),
+        _const(synth, "SEGMENT_LEN_S", 4.0, lambda v: v > 0),
+        _const(synth, "JOYSTICK_RATE_HZ", 10.0, lambda v: v > 0),
+        _const(synth, "JOYSTICK_MAGNITUDE", 0.8, lambda v: 0 < v <= 1),
+        _const(synth, "TONE_RMS_UV", 10.0, lambda v: v > 0),
+    ])
+    def test_constant_keeps_its_default_and_rule(self, module, name, default, rule):
+        value = getattr(module, name)
+        assert value == default and type(value) is type(default)
+        assert rule(value)
+
+    def test_print_defaults_lists_28_values(self, capsys):
+        assert main(["config", "--print-defaults"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+
+        def leaves(node):
+            if isinstance(node, dict):
+                return sum(leaves(v) for v in node.values())
+            return 1
+
+        assert leaves(doc) == 28
+        assert "bad_channels" not in doc
 
 
 class TestDeriveSeed:

@@ -603,26 +603,11 @@ class TestReadersUnderCorruption:
             except DataError:
                 pass
 
-    @seed(20261020)
-    @settings(derandomize=True, max_examples=300, deadline=None)
-    @given(
-        name=st.sampled_from(_SESSION_FILES),
-        mutation=st.sampled_from(["truncate", "byte", "line"]),
-        where=st.floats(0.0, 1.0, exclude_max=True),
-        byte=st.integers(0, 255),
-        text=st.text(max_size=40),
-        pinned=st.none(),
-    )
-    @_pin(JOYSTICK_NAME, lambda files: {JOYSTICK_NAME: b"[]\n" + files[JOYSTICK_NAME]})
-    # values of the wrong JSON type that the manifest reader once converted
-    @_pin(MANIFEST_NAME, _manifest_edit(b"125.0", b'"125"'))
-    @_pin(MANIFEST_NAME, _manifest_edit(b"125.0", b"true"))
-    @_pin(MANIFEST_NAME, _manifest_edit(b'"s01"', b"[1]"))
-    @_pin(MANIFEST_NAME, _manifest_edit(b"0.0,", b"false,"))
-    def test_validate_exits_0_or_3(self, files, name, mutation, where, byte, text, pinned):
-        """The same damage to a session file, through ``eegdrive validate``:
-        the session is reported ok or as a data error, never a traceback."""
-        files = _damaged(files, name, mutation, where, byte, text, pinned)
+    @staticmethod
+    def _validate(files):
+        """Run ``eegdrive validate`` on the session ``files`` and return its
+        exit code: the session is reported ok or as a data error, never a
+        traceback."""
         out, err = io.StringIO(), io.StringIO()
         with tempfile.TemporaryDirectory() as tmp:
             for other in _SESSION_FILES:
@@ -634,6 +619,33 @@ class TestReadersUnderCorruption:
         else:
             assert rc == 3 and not out.getvalue()
             assert err.getvalue().startswith(f"data error: [validate] {tmp}: ")
+        return rc
+
+    @pytest.mark.parametrize("mutation", ["truncate", "byte", "line"])
+    @pytest.mark.parametrize("name", _SESSION_FILES)
+    @seed(20261020)
+    @settings(derandomize=True, max_examples=34, deadline=None)
+    @given(
+        where=st.floats(0.0, 1.0, exclude_max=True),
+        byte=st.integers(0, 255),
+        text=st.text(max_size=40),
+    )
+    def test_validate_exits_0_or_3(self, files, name, mutation, where, byte, text):
+        """The damage of ``test_only_data_error_escapes`` to a session file,
+        through ``eegdrive validate``."""
+        self._validate(_damaged(files, name, mutation, where, byte, text, None))
+
+    @pytest.mark.parametrize("pinned", [
+        pytest.param(lambda files: {JOYSTICK_NAME: b"[]\n" + files[JOYSTICK_NAME]},
+                     id="joystick-list-line"),
+        # values of the wrong JSON type that the manifest reader once converted
+        pytest.param(_manifest_edit(b"125.0", b'"125"'), id="manifest-rate-string"),
+        pytest.param(_manifest_edit(b"125.0", b"true"), id="manifest-rate-bool"),
+        pytest.param(_manifest_edit(b'"s01"', b"[1]"), id="manifest-id-list"),
+        pytest.param(_manifest_edit(b"0.0,", b"false,"), id="manifest-pos-bool"),
+    ])
+    def test_validate_pinned_damage_exits_3(self, files, pinned):
+        assert self._validate(_damaged(files, None, None, None, None, None, pinned)) == 3
 
 
 #: EEG samples for the recall property: the format's edges above, plus

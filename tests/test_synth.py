@@ -290,6 +290,7 @@ class TestConfigValidation:
         [
             {"duration_s": 0.0},
             {"sample_rate_hz": 50.0},  # the 30 Hz forward tone is above Nyquist
+            {"sample_rate_hz": 60.0},  # and at 60 Hz it sits on Nyquist
             {"snr_db": float("nan")},
             {"label_lag_ms": -1.0},
             {"line_noise_amp": -0.1},

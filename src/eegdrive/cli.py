@@ -70,7 +70,8 @@ def _parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=len(os.sched_getaffinity(0)),
-        help="parallel worker bound (default: the cores this process may use)",
+        help="worker processes; each training step spreads over the usable "
+        "cores divided by this, at least 1 (default: the cores this process may use)",
     )
     cfg = sub.add_parser("config", help="configuration utilities")
     cfg.add_argument(

@@ -431,9 +431,9 @@ def _check_stream(
         gap = float(median(np.diff(ts)))
         if not abs(gap * rate_hz / NS_PER_S - 1.0) <= DRIFT_TOLERANCE:
             raise DataError(
-                f"{path}: median sample gap {gap / NS_PER_MS:.3f} ms is not within "
-                f"{DRIFT_TOLERANCE:.0%} of the {1e3 / rate_hz:.3f} ms period "
-                f"of {rate_hz} Hz"
+                f"{path}: median sample gap {gap / NS_PER_MS:.6g} ms is not within "
+                f"{DRIFT_TOLERANCE:.0%} of the {1e3 / rate_hz:.6g} ms period "
+                f"of {rate_hz:g} Hz"
             )
     return ts
 

@@ -12,8 +12,11 @@ composes:
   conv net that is the effective kernel, its bias and the mean-pooling
   matrix, built at the parameters' dtype, so building a net allocates
   nothing sized by the window;
-- ``forward(derived, x, mask)`` over one chunk of windows, with that
-  chunk's slice of the step's dropout mask (``dropout_mask``);
+- ``forward(derived, x, mask, scratch)`` over one chunk of windows, with
+  that chunk's slice of the step's dropout mask (``dropout_mask``). Given
+  ``scratch``, the buffers of the model's ``scratch(dtype)``, the conv net
+  writes its time-major copy, im2col, ``z`` and ``z^2`` there instead of
+  allocating them; the values are the same;
 - ``backward(derived, cache, labels, class_weights, batch_size)``: the
   chunk's gradients with respect to what ``derive`` returned, the
   cross-entropy gradient scaled by the whole batch's size, so the chunks'
@@ -24,7 +27,7 @@ composes:
 
 ``chunk`` is the most windows one forward call takes: ``CHUNK`` for the
 conv net, whose im2col is its largest array, and None, the whole batch,
-for the linear model.
+for the linear model, which has no scratch buffers.
 
 The im2col is built from the chunk transposed once to time-major
 (B, S, C): the K-sample window of conv frame l is then K * C consecutive
@@ -133,8 +136,12 @@ class LinearSoftmax:
     def dropout_mask(self, n: int, key: int, step: int, dtype) -> None:
         return None
 
+    def scratch(self, dtype) -> None:
+        return None
+
     def forward(
-        self, derived: dict[str, np.ndarray], x: np.ndarray, mask: None = None
+        self, derived: dict[str, np.ndarray], x: np.ndarray, mask: None = None,
+        scratch: None = None,
     ) -> tuple[np.ndarray, dict]:
         flat = x.reshape(len(x), -1)
         logits = flat @ derived["w"].T + derived["b"]
@@ -232,15 +239,19 @@ class ShallowConvNet:
         }
         return _init_params(self.param_shapes(), fans, seed, dtype)
 
-    def _windowed(self, x: np.ndarray) -> np.ndarray:
+    def _windowed(self, x: np.ndarray, out: dict | None = None) -> np.ndarray:
         """(B, C, S) -> contiguous (B * conv_len, K * C), columns in (k, c)
-        order: xw[b * L + l, k * C + c] = x[b, c, l + k]."""
+        order: xw[b * L + l, k * C + c] = x[b, c, l + k]. With ``out``, the
+        time-major copy goes to ``out["xt"]`` and the result to ``out["xw"]``."""
         b, c, n = x.shape
         kc = self.spec.temporal_kernel * c
-        xt = np.ascontiguousarray(x.transpose(0, 2, 1)).reshape(b, n * c)
+        xt = np.empty((b, n, c), dtype=x.dtype) if out is None else out["xt"]
+        np.copyto(xt, x.transpose(0, 2, 1))
         # the window of frame l starts at float l * C of its time-major row
-        xw = sliding_window_view(xt, kc, axis=1)[:, ::c]  # (B, L, K * C)
-        return np.ascontiguousarray(xw).reshape(b * self.conv_len, kc)
+        windows = sliding_window_view(xt.reshape(b, n * c), kc, axis=1)[:, ::c]
+        xw = np.empty((b, self.conv_len, kc), dtype=x.dtype) if out is None else out["xw"]
+        np.copyto(xw, windows)  # (B, L, K * C)
+        return xw.reshape(b * self.conv_len, kc)
 
     def _effective_kernel(self, params) -> tuple[np.ndarray, np.ndarray]:
         """Compose the two conv stages into one (G, K*C) kernel and a bias.
@@ -279,16 +290,43 @@ class ShallowConvNet:
         return _dropout_mask((n, s.n_spatial_filters, self.n_frames), s.dropout_p,
                              key, step, dtype)
 
+    def scratch(self, dtype) -> dict[str, np.ndarray]:
+        """Buffers for one worker's forward and backward calls over up to
+        ``CHUNK`` windows at ``dtype``, each indexed by window first: ``x``,
+        where a caller may gather the chunk's (B, C, S) windows; ``xt``,
+        their time-major copy; ``xw``, the im2col; ``z``; and ``sq``, which
+        holds z^2 in the forward and d(z^2) in the backward. The chunk and its
+        copy are spent before z and z^2 are written, so they take the heads
+        of those two buffers when they fit."""
+        c, n, l = self.n_channels, self.n_samples, self.conv_len
+        z = np.empty((CHUNK, l, self.spec.n_spatial_filters), dtype)
+        sq = np.empty_like(z)
+
+        def head(buf, shape):
+            size = CHUNK * shape[0] * shape[1]
+            if size > buf.size:
+                return np.empty((CHUNK, *shape), dtype)
+            return buf.reshape(-1)[:size].reshape(CHUNK, *shape)
+
+        return {"x": head(z, (c, n)), "xt": head(sq, (n, c)),
+                "xw": np.empty((CHUNK, l, self.spec.temporal_kernel * c), dtype),
+                "z": z, "sq": sq}
+
     def forward(
-        self, derived: dict[str, np.ndarray], x: np.ndarray, mask: np.ndarray | None = None
+        self, derived: dict[str, np.ndarray], x: np.ndarray, mask: np.ndarray | None = None,
+        scratch: dict[str, np.ndarray] | None = None,
     ) -> tuple[np.ndarray, dict]:
         b = len(x)
         g, l = self.spec.n_spatial_filters, self.conv_len
-        xw = self._windowed(x)
-        z = xw @ derived["w_eff"].T  # (B * L, G)
+        # a chunk of b <= CHUNK windows takes the first b windows of each buffer
+        out = None if scratch is None else {k: v[:b] for k, v in scratch.items()}
+        xw = self._windowed(x, out)
+        z = np.matmul(xw, derived["w_eff"].T,  # (B * L, G)
+                      out=None if out is None else out["z"].reshape(b * l, g))
         z += derived["b_eff"]
+        sq = np.multiply(z, z, out=None if out is None else out["sq"].reshape(b * l, g))
         pool = derived["pool"]
-        pooled = (pool.T @ (z * z).reshape(b, l, g)).transpose(0, 2, 1)  # (B, G, P)
+        pooled = (pool.T @ sq.reshape(b, l, g)).transpose(0, 2, 1)  # (B, G, P)
         logf = np.log(np.maximum(pooled, LOG_FLOOR))
         h = logf if mask is None else logf * mask
         flat = h.reshape(b, self.n_features)
@@ -296,7 +334,7 @@ class ShallowConvNet:
         logp = log_softmax(logits)
         probs = np.exp(logp)
         return probs, {
-            "xw": xw, "z": z, "pooled": pooled, "mask": mask,
+            "xw": xw, "z": z, "sq": sq, "pooled": pooled, "mask": mask,
             "flat": flat, "logp": logp, "probs": probs,
         }
 
@@ -324,7 +362,9 @@ class ShallowConvNet:
         # log(max(u, floor)): zero slope on the clamped flat
         dpooled = dh * (pooled > LOG_FLOOR) / np.maximum(pooled, LOG_FLOOR)
         pool2 = 2.0 * derived["pool"]  # d(z^2)/dz = 2z
-        dsq = pool2 @ dpooled.transpose(0, 2, 1)  # (B, L, G)
+        # z^2 is spent: d(z^2) goes over it
+        dsq = np.matmul(pool2, dpooled.transpose(0, 2, 1),  # (B, L, G)
+                        out=cache["sq"].reshape(b, -1, g))
         dz = dsq.reshape(z.shape)  # (B * L, G)
         dz *= z
         grads["w_eff"] = dz.T @ cache["xw"]  # (G, K * C)

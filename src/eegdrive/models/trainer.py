@@ -8,15 +8,28 @@ initialization, and dropout masks depend only on the global step index.
 A step works through its batch in chunks of at most ``model.chunk``
 windows (``batch_gradients``): it derives what the forward calls read and
 draws the batch's dropout mask once, runs forward and backward per chunk,
-adds each chunk's gradients into the step's sums, and folds the sums onto
-the parameters once. A chunk's cache dies before the next chunk's forward,
-so a conv-net step holds one chunk's im2col whatever the batch size, and
-``predict`` works through the same chunks. The linear model takes a whole
-batch per call, so its arithmetic is that of one forward and one backward.
+adds the chunks' gradients into the step's sums in chunk order, and folds
+the sums onto the parameters once. Each chunk gathers its own windows from
+the training set, so no step copies its whole batch.
+
+The chunks of a step are shared by ``StepWorkers``: the calling thread and
+up to ``workers - 1`` helper threads, chunk i on worker i mod W. numpy
+releases the interpreter lock inside its matrix products, and each worker
+runs OpenBLAS on its own single thread, so W workers use W cores. A chunk's
+arithmetic does not depend on the worker that runs it, and the sums are
+taken in chunk order, so every parameter is the same bit for bit for any
+W. Each worker writes its chunk's im2col and conv outputs into its own
+scratch buffers, so a conv-net step holds W chunks' working sets whatever
+the batch size; the helper threads and the buffers live only inside
+``train_model``, so a process forked after training inherits neither.
+``predict`` works through the same chunks on the calling thread. The
+linear model takes a whole batch per call, so it runs one chunk per step
+on one worker.
 """
 
 from __future__ import annotations
 
+from concurrent.futures import wait
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -115,6 +128,49 @@ def _chunks(n: int, size: int | None) -> list[slice]:
     return [slice(lo, lo + size) for lo in range(0, n, size)]
 
 
+class StepWorkers:
+    """The workers that share each training step's chunks: the calling
+    thread and ``n - 1`` helper threads, each with its own
+    ``model.scratch(dtype)`` buffers. Leaving the ``with`` block joins the
+    helper threads and frees the buffers."""
+
+    def __init__(self, model, n: int, dtype):
+        if n < 1:
+            raise ValueError(f"a step needs at least one worker, got {n}")
+        self.scratch = [model.scratch(dtype) for _ in range(n)]
+        self._pool = None
+        if n > 1:
+            # imported on first use: a process that never trains on two
+            # threads (a --jobs worker with one core) imports no thread pool
+            from concurrent.futures import ThreadPoolExecutor
+
+            self._pool = ThreadPoolExecutor(n - 1)
+
+    def __enter__(self) -> StepWorkers:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self._pool is not None:
+            self._pool.shutdown()
+        self.scratch = []
+
+    def map(self, fn, n_items: int) -> list:
+        """``[fn(i, scratch) for i in range(n_items)]``, item i run by worker
+        i mod n with that worker's ``scratch``; worker 0 is the caller."""
+        n = len(self.scratch)
+
+        def share(j):
+            return [fn(i, self.scratch[j]) for i in range(j, n_items, n)]
+
+        helpers = [self._pool.submit(share, j) for j in range(1, min(n, n_items))]
+        try:
+            shares = [share(0)]
+        finally:
+            wait(helpers)  # no helper still writes a buffer once this returns
+        shares += [f.result() for f in helpers]
+        return [shares[i % n][i // n] for i in range(n_items)]
+
+
 def batch_gradients(
     model,
     params: dict[str, np.ndarray],
@@ -122,28 +178,42 @@ def batch_gradients(
     labels: np.ndarray,
     class_weights: np.ndarray,
     mask: np.ndarray | None = None,
+    rows: np.ndarray | None = None,
+    workers: StepWorkers | None = None,
 ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """The log-probabilities of the batch ``x`` and the gradients of its
+    """The log-probabilities of a batch and the gradients of its
     weighted-CE mean, under the batch's dropout ``mask`` (None: none).
 
-    Forward and backward run per chunk of ``model.chunk`` windows; each
-    chunk's gradients are added into the first chunk's, in chunk order, and
-    ``model.fold`` takes the sums onto the parameters.
+    The batch is ``x``, or ``x[rows]`` when ``rows`` is given; then each
+    chunk gathers its own windows. Forward and backward run per chunk of
+    ``model.chunk`` windows on ``workers`` (None: the calling thread, with
+    no scratch buffers); the chunks' gradients are added into the first
+    chunk's in chunk order, whichever worker ran them, and ``model.fold``
+    takes the sums onto the parameters.
     """
     derived = model.derive(params)
-    logps, sums = [], None
-    for part in _chunks(len(x), model.chunk):
-        _, cache = model.forward(derived, x[part], None if mask is None else mask[part])
-        grads = model.backward(derived, cache, labels[part], class_weights, len(x))
-        logps.append(cache["logp"])
-        if sums is None:
-            sums = grads
-        else:
-            for name, g in grads.items():
-                sums[name] += g
-        # free this chunk's arrays before the next forward makes its own
-        del cache, grads
-    return np.concatenate(logps), model.fold(params, sums)
+    n = len(labels)
+    parts = _chunks(n, model.chunk)
+
+    def chunk(i, scratch):
+        part = parts[i]
+        if rows is None:
+            xb = x[part]
+        else:  # mode "clip" writes straight into out; "raise" would buffer it
+            idx = rows[part]
+            xb = np.take(x, idx, axis=0, mode="clip",
+                         out=None if scratch is None else scratch["x"][: len(idx)])
+        _, cache = model.forward(derived, xb, None if mask is None else mask[part], scratch)
+        # only the log-probabilities and gradients outlive the chunk's cache
+        return cache["logp"], model.backward(derived, cache, labels[part], class_weights, n)
+
+    done = ([chunk(i, None) for i in range(len(parts))] if workers is None
+            else workers.map(chunk, len(parts)))
+    sums = done[0][1]
+    for _, grads in done[1:]:
+        for name, g in grads.items():
+            sums[name] += g
+    return np.concatenate([logp for logp, _ in done]), model.fold(params, sums)
 
 
 def train_model(
@@ -153,9 +223,11 @@ def train_model(
     class_weights: np.ndarray,
     cfg: TrainConfig,
     seed: int,
+    workers: int = 1,
 ) -> TrainResult:
     """Train ``model`` from ``seed``, which fans out into the init, shuffle
-    and dropout streams."""
+    and dropout streams. Up to ``workers`` threads share each step's
+    chunks; the result is the same bit for bit for any count."""
     n = len(data)
     if n == 0:
         raise DataError("cannot train on an empty window set")
@@ -171,25 +243,29 @@ def train_model(
 
     epoch_losses: list[float] = []
     step = 0
-    for epoch in range(cfg.epochs):
-        perm = shuffle_rng.permutation(n)
-        total = 0.0
-        for lo in range(0, n, cfg.batch_size):
-            idx = perm[lo : lo + cfg.batch_size]
-            yb = labels[idx]
-            mask = model.dropout_mask(len(idx), dropout_key, step, data.dtype)
-            logp, grads = batch_gradients(model, params, data[idx], yb, weights32, mask)
-            loss = weighted_ce_from_logprobs(logp, yb, class_weights)
-            if not np.isfinite(loss):
-                raise TrainingDiverged(
-                    f"non-finite loss at epoch {epoch}, step {step}"
-                )
-            opt.step(params, grads)
-            # free this step's arrays before the next step makes its own
-            del mask, logp, grads
-            total += loss * len(idx)
-            step += 1
-        epoch_losses.append(total / n)
+    # more workers than a batch has chunks would only idle
+    n_workers = min(workers, len(_chunks(min(n, cfg.batch_size), model.chunk)))
+    with StepWorkers(model, n_workers, data.dtype) as crew:
+        for epoch in range(cfg.epochs):
+            perm = shuffle_rng.permutation(n)
+            total = 0.0
+            for lo in range(0, n, cfg.batch_size):
+                idx = perm[lo : lo + cfg.batch_size]
+                yb = labels[idx]
+                mask = model.dropout_mask(len(idx), dropout_key, step, data.dtype)
+                logp, grads = batch_gradients(model, params, data, yb, weights32, mask,
+                                              rows=idx, workers=crew)
+                loss = weighted_ce_from_logprobs(logp, yb, class_weights)
+                if not np.isfinite(loss):
+                    raise TrainingDiverged(
+                        f"non-finite loss at epoch {epoch}, step {step}"
+                    )
+                opt.step(params, grads)
+                # free this step's arrays before the next step makes its own
+                del mask, logp, grads
+                total += loss * len(idx)
+                step += 1
+            epoch_losses.append(total / n)
     return TrainResult(params, epoch_losses)
 
 

@@ -31,8 +31,11 @@ Workspace layout under the output directory:
 Per-run seeds derive from (global seed, session id, horizon, purpose), so
 adding a session or horizon never disturbs the seeds of unrelated runs.
 
-Parallelism is at the run level (``jobs`` worker processes), never inside a
-matrix product: every process runs numpy's OpenBLAS on one thread.
+Parallelism has two levels, and neither is inside a matrix product:
+every process and thread runs numpy's OpenBLAS on one thread. Runs spread
+over ``jobs`` worker processes, and within a run the chunks of each
+training step spread over ``step_workers(jobs)`` threads, so that jobs x
+threads fill the usable cores. Neither level changes a byte of output.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ import ctypes
 import dataclasses
 import itertools
 import multiprocessing
+import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from pathlib import Path
@@ -142,6 +146,12 @@ def one_blas_thread() -> None:
     if set_threads is not None:
         set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
         set_threads(1)
+
+
+def step_workers(jobs: int) -> int:
+    """Threads per training step when ``jobs`` processes share the cores
+    this process may use: their share, and at least one."""
+    return max(1, len(os.sched_getaffinity(0)) // jobs)
 
 
 def _numpy_blas() -> ctypes.CDLL:
@@ -301,8 +311,11 @@ def _read_split_stats(path: Path) -> np.ndarray:
 
 
 def stage_train(
-    cfg: RunConfig, ws: Workspace, session_id: str, delta_ms: int, model_name: str
+    cfg: RunConfig, ws: Workspace, session_id: str, delta_ms: int, model_name: str,
+    workers: int | None = None,
 ) -> Path:
+    """Train one run; ``workers`` threads share each step (None: one per
+    usable core)."""
     with _stage("train", f"{session_id} delta={delta_ms} model={model_name}"):
         base = ws.windows_base(session_id, delta_ms, "train")
         data, labels = read_windows(base, delta_ms)
@@ -311,7 +324,8 @@ def stage_train(
         n_channels, n_samples = data.shape[1], data.shape[2]
         model = build_model(model_name, n_channels, n_samples)
         seed = derive_seed(cfg.seed, session_id, delta_ms, model_name, "train")
-        result = train_model(model, data, labels, weights, cfg.train, seed)
+        result = train_model(model, data, labels, weights, cfg.train, seed,
+                             workers=step_workers(1) if workers is None else workers)
 
         run_dir = ws.run_dir(session_id, delta_ms, model_name)
         run_dir.mkdir(parents=True, exist_ok=True)
@@ -401,9 +415,9 @@ def _per_session(args) -> None:
 
 
 def _per_run(args) -> None:
-    cfg, root, session_id, delta, model = args
+    cfg, root, session_id, delta, model, workers = args
     ws = Workspace(root)
-    stage_train(cfg, ws, session_id, delta, model)
+    stage_train(cfg, ws, session_id, delta, model, workers)
     stage_eval(cfg, ws, session_id, delta, model)
 
 
@@ -415,7 +429,8 @@ def _map(fn, items, jobs: int) -> None:
         return
     # the pool starts all its workers at once: never more than the work.
     # Forked workers inherit the loaded modules, and any wrappers installed
-    # on their functions (the benchmark's span tracer relies on that).
+    # on their functions (the benchmark's span tracer relies on that). No
+    # thread outlives train_model, so each fork copies a one-thread process.
     with ProcessPoolExecutor(
         max_workers=min(jobs, len(items)),
         mp_context=multiprocessing.get_context("fork"),
@@ -427,7 +442,9 @@ def _map(fn, items, jobs: int) -> None:
 
 def run_all(cfg: RunConfig, out_dir: str | Path, jobs: int = 1) -> list[Path]:
     """simulate (if needed) -> preprocess -> label -> split -> train ->
-    eval per session, then one aggregated report."""
+    eval per session, then one aggregated report. Sessions and runs spread
+    over ``jobs`` processes, and each run trains on ``step_workers(jobs)``
+    threads."""
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
     one_blas_thread()
@@ -436,5 +453,6 @@ def run_all(cfg: RunConfig, out_dir: str | Path, jobs: int = 1) -> list[Path]:
     if not session_ids:
         session_ids = stage_simulate(cfg, ws)
     _map(_per_session, [(cfg, ws.root, sid) for sid in session_ids], jobs)
-    _map(_per_run, [(cfg, ws.root, *run) for run in runs(cfg, session_ids)], jobs)
+    workers = step_workers(jobs)
+    _map(_per_run, [(cfg, ws.root, *run, workers) for run in runs(cfg, session_ids)], jobs)
     return stage_report(cfg, ws)

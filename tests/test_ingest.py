@@ -512,6 +512,16 @@ def _pin(name, pinned):
     return example(name=name, mutation="truncate", where=0.0, byte=0, text="", pinned=pinned)
 
 
+def _wrong_shapes(test):
+    """Pin ``test`` to each workspace JSON document, and the checkpoint
+    header, replaced by well-formed JSON that is not an object."""
+    for raw in ("[]", "3", "null", '"x"'):
+        for name in ("w.json", "split_stats.json", "score.json"):
+            test = _pin(name, lambda files, name=name, raw=raw: {name: raw.encode()})(test)
+        test = _pin("linear.bin", _with_header(lambda h, raw=raw: raw))(test)
+    return test
+
+
 def _manifest_edit(old, new):
     """A pinned input: the manifest with its first ``old`` replaced by ``new``."""
     return lambda files: {MANIFEST_NAME: files[MANIFEST_NAME].replace(old, new, 1)}
@@ -592,6 +602,8 @@ class TestReadersUnderCorruption:
     @_pin("linear.bin", _with_header(lambda h: {**h, "n_channels": 10**5, "n_samples": 10**5}))
     @_pin("w.json", lambda files: {"w.f32": b"", "w.json": json.dumps(
         {**json.loads(files["w.json"]), "shape": [0, 10**30, 10**30], "labels": []}).encode()})
+    # a JSON line of the wrong shape, which the text mutations never draw
+    @_wrong_shapes
     def test_only_data_error_escapes(self, files, name, mutation, where, byte, text, pinned):
         files = _damaged(files, name, mutation, where, byte, text, pinned)
         with tempfile.TemporaryDirectory() as tmp:

@@ -5,12 +5,15 @@ follow the layer definitions one multiply at a time, and the analytic
 gradients against central finite differences in float64.
 """
 
+import dataclasses
 import math
 import textwrap
+import threading
 
 import numpy as np
 import pytest
 
+from eegdrive import pipeline
 from eegdrive.errors import DataError, TrainingDiverged
 from eegdrive.models import (
     LinearSoftmax,
@@ -25,7 +28,9 @@ from eegdrive.models import (
     train_model,
 )
 from eegdrive.models.nets import CHUNK, LOG_FLOOR, weighted_ce_from_logprobs
-from eegdrive.models.trainer import PREDICT_WINDOWS, Adam, _fanout_seed, batch_gradients
+from eegdrive.models.trainer import (
+    PREDICT_WINDOWS, Adam, StepWorkers, _fanout_seed, batch_gradients,
+)
 from eegdrive.tensorfile import read_checkpoint, write_checkpoint
 from gradcheck import gradient_check
 from tracemem import peak_traced
@@ -410,6 +415,18 @@ class TestPredict:
         assert np.array_equal(got, want.argmax(axis=1))
 
 
+def _forward_threads(monkeypatch, model) -> set:
+    """The idents of the threads that call ``model.forward`` from now on."""
+    forward, threads = model.forward, set()
+
+    def spy(*args):
+        threads.add(threading.get_ident())
+        return forward(*args)
+
+    monkeypatch.setattr(model, "forward", spy)
+    return threads
+
+
 def _reference_params(model, data, labels, class_weights, cfg, seed):
     """The training loop's arithmetic, statement for statement: however long
     ``train_model`` keeps a step's arrays, it must reproduce these bit for bit."""
@@ -443,10 +460,10 @@ def _reference_params(model, data, labels, class_weights, cfg, seed):
 
 
 class TestWorkingSet:
-    """Training and prediction hold one chunk's arrays at a time, so their
-    peak does not grow with the batch or the test set. The conv net's
-    im2col of a whole 128-window batch made a step peak at 17.4 MiB, and
-    ``predict`` built it for up to 512 windows at once."""
+    """Training holds one chunk's arrays per worker and prediction one
+    chunk's, so their peak does not grow with the batch or the test set.
+    The conv net's im2col of a whole 128-window batch made a step peak at
+    17.4 MiB, and ``predict`` built it for up to 512 windows at once."""
 
     N_CHANNELS, N_SAMPLES, BATCH = 16, 125, 128  # the rig's 1 s windows
 
@@ -504,6 +521,65 @@ class TestWorkingSet:
         large = peak_traced(lambda: predict(model, params, data))
         assert large <= 1.25 * small, (large, small)
 
+    def test_each_added_worker_holds_one_chunk(self):
+        # a worker's share is its scratch buffers plus one chunk's temporaries
+        data, labels = self._data(26)
+        model = ShallowConvNet(self.N_CHANNELS, self.N_SAMPLES)
+        weights = np.linspace(0.5, 1.5, 5)
+        cfg = TrainConfig(epochs=1, batch_size=self.BATCH)
+        one, two = (
+            peak_traced(lambda: train_model(model, data, labels, weights, cfg, 3, workers=w))
+            for w in (1, 2))
+        scratch = sum(a.nbytes for a in model.scratch(np.float32).values()
+                      if a.base is None)  # x and xt are views into z and sq here
+        assert two - one <= 1.25 * scratch, ((two - one) / 2**20, scratch / 2**20)
+
+    def test_workers_reproduce_the_reference_and_leave_no_thread(self, monkeypatch):
+        data, labels = self._data(27)
+        model = ShallowConvNet(self.N_CHANNELS, self.N_SAMPLES)  # dropout 0.5
+        weights = np.linspace(0.5, 1.5, 5)
+        cfg = TrainConfig(epochs=1, batch_size=self.BATCH)
+        want = _reference_params(model, data, labels, weights, cfg, 3)
+        threads = _forward_threads(monkeypatch, model)
+        before = threading.active_count()
+        for workers in (2, 3, 8):
+            threads.clear()
+            got = train_model(model, data, labels, weights, cfg, 3, workers=workers)
+            # a 128-window batch has four chunks: more workers would idle
+            assert len(threads) == min(workers, 4), workers
+            assert threading.active_count() == before, workers
+            for k in want:
+                assert np.array_equal(got.params[k], want[k]), (workers, k)
+
+    def test_forked_workers_train_after_the_parent_trained(self, tmp_path):
+        # the parent's helper threads are gone before the pool forks, so each
+        # worker can start its own. The workers run OpenBLAS on one thread,
+        # as the parent must for the same bits.
+        pipeline.one_blas_thread()
+        want = _fork_case_params(2)
+        paths = [tmp_path / "two.npz", tmp_path / "one.npz"]
+        pipeline._map(_train_fork_case, [(paths[0], 2), (paths[1], 1)], 2)
+        for path in paths:
+            got = np.load(path)
+            for k in want:
+                assert np.array_equal(got[k], want[k]), (path.name, k)
+
+
+def _fork_case_params(workers):
+    rng = np.random.default_rng(28)
+    data = rng.standard_normal((200, 16, 125)).astype(np.float32)
+    labels = rng.integers(0, 5, size=len(data))
+    result = train_model(ShallowConvNet(16, 125), data, labels, np.ones(5),
+                         TrainConfig(epochs=1), 3, workers=workers)
+    return result.params
+
+
+def _train_fork_case(args):
+    """A pool task: train the fork case on ``workers`` threads and save its
+    parameters to ``path``."""
+    path, workers = args
+    np.savez(path, **_fork_case_params(workers))
+
 
 class TestChunkedStep:
     """``batch_gradients`` sums per-chunk gradients; in float64 they equal
@@ -534,6 +610,34 @@ class TestChunkedStep:
             err = np.linalg.norm(got[name] - want[name]) / max(
                 np.linalg.norm(want[name]), 1e-12)
             assert err < 1e-10, (name, err)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n_workers", [1, 2, 3])
+    @pytest.mark.parametrize("n_channels, n_samples, spec", [
+        # the gathered chunk and its time-major copy fit in z and z^2
+        pytest.param(16, 125, None, id="rig"),
+        # they do not, so they get buffers of their own
+        pytest.param(3, 30, dataclasses.replace(SMALL_SPEC, dropout_p=0.5), id="small"),
+    ])
+    def test_workers_give_the_same_bits(self, n_channels, n_samples, spec, n_workers,
+                                        dtype, monkeypatch):
+        model = ShallowConvNet(n_channels, n_samples, spec)
+        rng = np.random.default_rng(7)
+        data = rng.standard_normal((120, n_channels, n_samples)).astype(dtype)
+        rows = rng.permutation(len(data))[: 3 * CHUNK + 5]  # four chunks, one ragged
+        labels = rng.integers(0, 5, size=len(rows))
+        w = rng.uniform(0.5, 2.0, size=5).astype(dtype)
+        params = model.init_params(np.random.SeedSequence(4), dtype=dtype)
+        mask = model.dropout_mask(len(rows), 9, 2, dtype)
+        want_logp, want = batch_gradients(model, params, data[rows], labels, w, mask)
+        threads = _forward_threads(monkeypatch, model)
+        with StepWorkers(model, n_workers, dtype) as workers:
+            logp, got = batch_gradients(model, params, data, labels, w, mask,
+                                        rows=rows, workers=workers)
+        assert len(threads) == n_workers
+        assert logp.dtype == dtype and np.array_equal(logp, want_logp)
+        for name in want:
+            assert got[name].dtype == dtype and np.array_equal(got[name], want[name]), name
 
     def test_linear_takes_the_batch_in_one_call(self):
         model = LinearSoftmax(n_channels=2, n_samples=6)

@@ -227,6 +227,46 @@ class TestRunAll:
         # 2 sessions, then 2 sessions x 2 horizons: each pool the smaller of 3 and the work
         assert pool_sizes == [2, 3]
 
+    @pytest.mark.parametrize("jobs, workers", [("2", 1), ("1", 2)])
+    def test_runs_train_on_their_share_of_the_cores(self, tmp_path, monkeypatch, jobs,
+                                                    workers):
+        # on 2 cores, each of 2 worker processes trains on 1 thread, and one
+        # process on 2
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        calls = tmp_path / "calls"
+        calls.mkdir()
+        train = pipeline.train_model
+
+        def spy(*args, workers, **kwargs):
+            (calls / f"{os.getpid()}-{args[-1]}").write_text(str(workers))
+            return train(*args, workers=workers, **kwargs)
+
+        monkeypatch.setattr(pipeline, "train_model", spy)
+        cfg = _write_cfg(tmp_path)
+        ws = tmp_path / "ws"
+        assert main(["run-all", "--config", str(cfg), "--out", str(ws), "--jobs", jobs]) == 0
+        seen = {p.name: p.read_text() for p in calls.iterdir()}
+        assert len(seen) == 2 and set(seen.values()) == {str(workers)}
+        forked = {name.split("-")[0] != str(os.getpid()) for name in seen}
+        assert forked == {jobs == "2"}
+
+    def test_the_train_command_trains_on_every_usable_core(self, baseline, tmp_path,
+                                                           monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        seen = []
+        train = pipeline.train_model
+
+        def spy(*args, workers, **kwargs):
+            seen.append(workers)
+            return train(*args, workers=workers, **kwargs)
+
+        monkeypatch.setattr(pipeline, "train_model", spy)
+        cfg, out = baseline
+        ws = tmp_path / "ws"
+        shutil.copytree(out, ws)
+        assert main(["train", "--config", str(cfg), "--out", str(ws)]) == 0
+        assert seen == [3, 3]
+
     def test_pool_workers_run_one_blas_thread(self, tmp_path, two_blas_threads):
         paths = [tmp_path / "a", tmp_path / "b"]
         pipeline._map(_write_blas_threads, paths, 2)
@@ -336,6 +376,10 @@ class TestSubcommands:
              "manifest.json: sample_rate_hz must be positive and finite"),
             ({"subject_id": [1]}, "manifest.json: subject_id must be a JSON string"),
             ({"session_id": 0}, "manifest.json: session_id must be a JSON string"),
+            # the period in full would be 300 digits long: the message ends here
+            pytest.param({"sample_rate_hz": 1e-300},
+                         "eeg.csv: median sample gap 8 ms is not within 1% "
+                         "of the 1e+303 ms period of 1e-300 Hz\n", id="tiny-rate-drift"),
         ],
     )
     def test_validate_rejects_manifest(self, baseline, tmp_path, capsys, edit, rule):
@@ -670,6 +714,29 @@ class TestExitCodes:
         assert main(["report", "--config", str(cfg), "--out", str(ws)]) == 3
         err = capsys.readouterr().err
         assert "[report]" in err and str(path) in err and rule in err
+
+    @pytest.mark.parametrize("doc", [[], 3, None, "x"], ids=["list", "int", "null", "string"])
+    @pytest.mark.parametrize("command, name", [
+        ("train", "windows/300/train.json"),
+        ("train", "windows/300/split_stats.json"),
+        ("eval", "runs/linear_300/checkpoint.bin"),
+        ("report", "runs/linear_300/score.json"),
+    ], ids=["sidecar", "split-stats", "checkpoint-header", "score"])
+    def test_json_of_the_wrong_shape_is_3(self, baseline, tmp_path, capsys, command, name, doc):
+        # a well-formed JSON document that is not the object each reader expects
+        cfg, out = baseline
+        ws = tmp_path / "ws"
+        shutil.copytree(out, ws)
+        path = ws / "work" / "synth-0000" / name
+        raw = json.dumps(doc).encode()
+        if path.suffix == ".bin":  # magic, header length, header, tensors
+            blob = path.read_bytes()
+            n = int.from_bytes(blob[8:12], "little")
+            raw = blob[:8] + len(raw).to_bytes(4, "little") + raw + blob[12 + n :]
+        path.write_bytes(raw)
+        assert main([command, "--config", str(cfg), "--out", str(ws)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: [{command}]") and str(path) in err
 
     def test_misfiled_score_is_3(self, grid, tmp_path, capsys):
         _, cfg, out = grid

@@ -9,6 +9,7 @@ waste a preprocessing run.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import os
 import sys
 from pathlib import Path
@@ -34,6 +35,35 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_DIVERGED = 4
+
+#: Allocations of this many bytes or more never extend the heap.
+MMAP_THRESHOLD = 1 << 20
+#: Free bytes the heap may keep at its top before it gives them back.
+TRIM_THRESHOLD = 64 << 20
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc's mallopt parameters
+
+
+def _map_large_arrays() -> None:
+    """Keep the heap from growing for an allocation of ``MMAP_THRESHOLD``
+    bytes or more, such as a recording-sized array: one that the heap's
+    free memory cannot hold gets a memory mapping of its own, returned to
+    the system when it is freed.
+
+    By default glibc raises that threshold to the size of each mapped
+    block the process frees, so later arrays below it extend the heap, and
+    which freed holes they land in decides the peak resident set: one
+    run-all read 2 MB apart with nothing changed but the length of its
+    workspace path. With the threshold fixed, the heap grows only for
+    small objects; it keeps up to ``TRIM_THRESHOLD`` free bytes rather
+    than fault pages in and out as they churn. Neither setting changes a
+    computed value. Does nothing without glibc's ``mallopt``.
+    """
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is None:
+        return
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, TRIM_THRESHOLD)
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -106,6 +136,7 @@ def _sessions(ws: Workspace, args) -> list[str]:
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     one_blas_thread()
+    _map_large_arrays()
     try:
         if args.command == "config":
             if args.print_defaults:

@@ -22,14 +22,15 @@ W. Each worker writes its chunk's im2col and conv outputs into its own
 scratch buffers, so a conv-net step holds W chunks' working sets whatever
 the batch size; the helper threads and the buffers live only inside
 ``train_model``, so a process forked after training inherits neither.
-``predict`` works through the same chunks on the calling thread. The
-linear model takes a whole batch per call, so it runs one chunk per step
-on one worker.
+``concurrent.futures`` is imported when the first helper thread starts, so
+a step on one worker loads no thread pool. ``predict`` works through the
+same chunks on the calling thread, every chunk in one set of scratch
+buffers. The linear model takes a whole batch per call, so it runs one
+chunk per step on one worker.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import wait
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -141,7 +142,8 @@ class StepWorkers:
         self._pool = None
         if n > 1:
             # imported on first use: a process that never trains on two
-            # threads (a --jobs worker with one core) imports no thread pool
+            # threads (a --jobs worker with one core, or a linear-only run)
+            # imports no thread pool
             from concurrent.futures import ThreadPoolExecutor
 
             self._pool = ThreadPoolExecutor(n - 1)
@@ -161,6 +163,10 @@ class StepWorkers:
 
         def share(j):
             return [fn(i, self.scratch[j]) for i in range(j, n_items, n)]
+
+        if self._pool is None:
+            return share(0)
+        from concurrent.futures import wait  # loaded with the pool
 
         helpers = [self._pool.submit(share, j) for j in range(1, min(n, n_items))]
         try:
@@ -273,13 +279,15 @@ def predict(model, params: dict[str, np.ndarray], data: np.ndarray) -> np.ndarra
     """Class codes by highest probability; ties break to the lowest code.
 
     Each forward call takes at most ``PREDICT_WINDOWS`` windows, and at most
-    ``model.chunk`` when the model sets one."""
+    ``model.chunk`` when the model sets one; every call writes into the same
+    ``model.scratch`` buffers."""
     data = np.ascontiguousarray(data, dtype=np.float32)
     derived = model.derive(params)
+    scratch = model.scratch(data.dtype)
     out = np.empty(len(data), dtype=np.int64)
     for part in _chunks(len(data), min(PREDICT_WINDOWS, model.chunk or PREDICT_WINDOWS)):
         # bind nothing: the chunk's cache dies with the returned tuple
-        out[part] = model.forward(derived, data[part])[0].argmax(axis=1)
+        out[part] = model.forward(derived, data[part], None, scratch)[0].argmax(axis=1)
     return out
 
 

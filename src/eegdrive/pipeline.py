@@ -10,7 +10,8 @@ what parsing those bytes gives. Each fact of a session has one
 file: cleaning changes only the samples, so preprocess writes only the
 cleaned ``eeg.csv``, and label and split read it with the session's own
 manifest, label also with the session's own joystick stream, which no other
-stage reads: preprocess reads the raw recording with its manifest alone.
+stage reads: preprocess reads the raw recording with its manifest alone,
+and lets it go as soon as the filter returns.
 Split writes each partition's window blob from blocks of
 ``splitting.WINDOW_BLOCK`` windows gathered from the float32 recording, so
 it never holds a partition's (n, C, S) tensor.
@@ -36,6 +37,10 @@ every process and thread runs numpy's OpenBLAS on one thread. Runs spread
 over ``jobs`` worker processes, and within a run the chunks of each
 training step spread over ``step_workers(jobs)`` threads, so that jobs x
 threads fill the usable cores. Neither level changes a byte of output.
+Each level imports its machinery when it first starts: ``multiprocessing``
+and ``concurrent.futures`` load only when ``_fork_pool`` forks a pool or a
+training step starts a helper thread, so a ``--jobs 1`` run of the linear
+model loads neither.
 """
 
 from __future__ import annotations
@@ -43,9 +48,7 @@ from __future__ import annotations
 import ctypes
 import dataclasses
 import itertools
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -207,9 +210,11 @@ def stage_preprocess(cfg: RunConfig, ws: Workspace, session_id: str) -> Path:
     """Clean one session's raw recording, read with its manifest alone;
     emits the cleaned ``eeg.csv`` plus the JSON report."""
     with _stage("preprocess", session_id):
-        _, raw = load_recording(ws.session_dir(session_id))
-        cleaned, report = preprocess_session(raw, cfg.filters)
-        del raw  # freed before the write stores its parse
+        # the only reference to the raw recording is passed on, so it is
+        # freed as soon as the filter returns
+        cleaned, report = preprocess_session(
+            load_recording(ws.session_dir(session_id))[1], cfg.filters
+        )
         out = ws.preprocessed_eeg(session_id)
         out.parent.mkdir(parents=True, exist_ok=True)
         write_eeg_csv(out, cleaned)
@@ -421,6 +426,21 @@ def _per_run(args) -> None:
     stage_eval(cfg, ws, session_id, delta, model)
 
 
+def _fork_pool(max_workers: int, initializer):
+    """A pool of ``max_workers`` forked processes, each running
+    ``initializer`` first. ``multiprocessing`` and ``concurrent.futures``
+    are imported here, so a process that never forks a pool loads
+    neither."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(
+        max_workers=max_workers,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=initializer,
+    )
+
+
 def _map(fn, items, jobs: int) -> None:
     items = list(items)
     if jobs <= 1 or len(items) <= 1:
@@ -431,11 +451,7 @@ def _map(fn, items, jobs: int) -> None:
     # Forked workers inherit the loaded modules, and any wrappers installed
     # on their functions (the benchmark's span tracer relies on that). No
     # thread outlives train_model, so each fork copies a one-thread process.
-    with ProcessPoolExecutor(
-        max_workers=min(jobs, len(items)),
-        mp_context=multiprocessing.get_context("fork"),
-        initializer=one_blas_thread,
-    ) as pool:
+    with _fork_pool(min(jobs, len(items)), one_blas_thread) as pool:
         # list() propagates the first worker exception
         list(pool.map(fn, items))
 

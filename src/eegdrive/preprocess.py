@@ -52,6 +52,9 @@ CORRELATION_BAD_WINDOW_FRAC = 0.01
 CORRELATION_MIN = 0.4
 # Length of the windows the correlation criterion scores.
 CORRELATION_WINDOW_S = 1.0
+# Rows that each filter pass transforms at once; the spectrum buffer holds
+# this many rows.
+FILTER_ROWS_PER_BLOCK = 4
 # Correlation windows whose normalised copies detection holds at once.
 CORRELATION_WINDOWS_PER_BLOCK = 16
 # Robust z-score of a channel's amplitude beyond which it deviates.
@@ -186,10 +189,11 @@ def filter_zero_phase(x: np.ndarray, *cascades: np.ndarray) -> np.ndarray:
     3 x ntaps samples at each end, and each pass starts from the steady
     state of its first sample.
 
-    Every pass runs in place in one zero-padded float64 buffer and one
-    spectrum buffer. The signal keeps its columns in the buffer from
-    cascade to cascade, and the result is the view of the buffer that holds
-    it.
+    Every pass runs in place in one zero-padded float64 buffer. Rows go
+    through all cascades ``FILTER_ROWS_PER_BLOCK`` at a time, so the
+    spectrum buffer holds one block's rows. The signal keeps its columns in
+    the buffer from cascade to cascade, and the result is the view of the
+    buffer that holds it.
     """
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[-1]
@@ -211,29 +215,35 @@ def filter_zero_phase(x: np.ndarray, *cascades: np.ndarray) -> np.ndarray:
     buf = np.zeros(x.shape[:-1] + (width,))
     out = buf[..., inner : inner + n]
     out[...] = x
-    spectrum = np.empty(x.shape[:-1] + (width // 2 + 1,), dtype=np.complex128)
-    for edge, nfft, response, dc_gain in plans:
-        m = n + 2 * edge
-        padded = buf[..., inner - edge : inner - edge + nfft]
-        y = padded[..., :m]  # the odd extension; the rest of padded is zeros
-        np.subtract(2.0 * out[..., :1], out[..., edge:0:-1], out=y[..., :edge])
-        np.subtract(2.0 * out[..., -1:], out[..., -2 : -edge - 2 : -1], out=y[..., edge + n :])
-        padded[..., m:] = 0.0
-        spec = spectrum[..., : nfft // 2 + 1]
-        for _ in range(2):
-            # A pass started from the steady state of the first sample is,
-            # by linearity, the pass from rest over y - y[0] plus y[0] times
-            # the DC gain. Each pass ends reversed, so the second runs
-            # backward and leaves y forward again.
-            y0 = y[..., :1].copy()
-            y -= y0
-            np.fft.rfft(padded, out=spec)
-            spec *= response
-            np.fft.irfft(spec, nfft, out=padded)
-            padded[..., m:] = 0.0
-            y += dc_gain * y0
-            for row in y.reshape(-1, m):  # a row's reversed copy at a time
-                row[:] = row[::-1]
+    rows = buf.reshape(-1, width)
+    spectrum = np.empty((min(len(rows), FILTER_ROWS_PER_BLOCK), width // 2 + 1),
+                        dtype=np.complex128)
+    for lo in range(0, len(rows), FILTER_ROWS_PER_BLOCK):
+        block = rows[lo : lo + FILTER_ROWS_PER_BLOCK]
+        signal = block[:, inner : inner + n]
+        for edge, nfft, response, dc_gain in plans:
+            m = n + 2 * edge
+            padded = block[:, inner - edge : inner - edge + nfft]
+            y = padded[:, :m]  # the odd extension; the rest of padded is zeros
+            np.subtract(2.0 * signal[:, :1], signal[:, edge:0:-1], out=y[:, :edge])
+            np.subtract(2.0 * signal[:, -1:], signal[:, -2 : -edge - 2 : -1],
+                        out=y[:, edge + n :])
+            padded[:, m:] = 0.0
+            spec = spectrum[: len(block), : nfft // 2 + 1]
+            for _ in range(2):
+                # A pass started from the steady state of the first sample
+                # is, by linearity, the pass from rest over y - y[0] plus
+                # y[0] times the DC gain. Each pass ends reversed, so the
+                # second runs backward and leaves y forward again.
+                y0 = y[:, :1].copy()
+                y -= y0
+                np.fft.rfft(padded, out=spec)
+                spec *= response
+                np.fft.irfft(spec, nfft, out=padded)
+                padded[:, m:] = 0.0
+                y += dc_gain * y0
+                for row in y:  # a row's reversed copy at a time
+                    row[:] = row[::-1]
     return out
 
 
@@ -242,17 +252,21 @@ def filter_zero_phase(x: np.ndarray, *cascades: np.ndarray) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 
-def _robust_std(x: np.ndarray) -> np.ndarray:
-    """MAD-based spread per row, one row's deviations at a time."""
+def _robust_std(x: np.ndarray, reference: np.ndarray) -> np.ndarray:
+    """MAD-based spread per row of ``x - reference``, one row's deviations
+    at a time."""
     spread = np.empty(len(x))
     for i, row in enumerate(x):
-        dev = row - median(row)
+        dev = row - reference
+        dev -= median(dev)
         spread[i] = median(np.abs(dev, out=dev))
     return _MAD_SCALE * spread
 
 
-def _normalized_windows(x: np.ndarray, win: int) -> np.ndarray:
-    """Reshape (C, T) into (n_win, C, win) rows normalised to zero mean, unit norm.
+def _normalized_windows(x: np.ndarray, win: int,
+                        reference: np.ndarray | float = 0.0) -> np.ndarray:
+    """Reshape (C, T) ``x - reference``, for a (T,) ``reference``, into
+    (n_win, C, win) rows normalised to zero mean, unit norm.
 
     Zero-variance rows come back as all zeros, so their correlation with
     anything is 0 by convention rather than NaN.
@@ -260,13 +274,15 @@ def _normalized_windows(x: np.ndarray, win: int) -> np.ndarray:
     n_ch, t = x.shape
     n_win = t // win
     seg = x[:, : n_win * win].reshape(n_ch, n_win, win).transpose(1, 0, 2).copy()
+    seg -= np.broadcast_to(reference, (t,))[: n_win * win].reshape(n_win, 1, win)
     seg -= seg.mean(axis=2, keepdims=True)
     norm = np.linalg.norm(seg, axis=2, keepdims=True)
     np.divide(seg, norm, out=seg, where=norm > 0)
     return seg
 
 
-def detect_bad_channels(x: np.ndarray, fs: float) -> np.ndarray:
+def detect_bad_channels(x: np.ndarray, fs: float,
+                        reference: np.ndarray | float = 0.0) -> np.ndarray:
     """Flag channels by amplitude deviation and flat correlation (PREP).
 
     * deviation: the robust z-score of the channel's MAD amplitude across
@@ -275,13 +291,15 @@ def detect_bad_channels(x: np.ndarray, fs: float) -> np.ndarray:
       channel's best absolute correlation with any other channel falls
       below ``CORRELATION_MIN``.
 
-    Returns the (2, C) verdict over the rows of the (C, T) array ``x``:
-    row k flags the channels that fail criterion ``REASONS[k]``. The
-    deviations are taken one channel at a time and the correlations
-    ``CORRELATION_WINDOWS_PER_BLOCK`` windows at a time, so no temporary
-    array is the size of ``x``.
+    Returns the (2, C) verdict over the rows of the (C, T) array
+    ``x - reference``, for a (1, T) ``reference`` row: row k flags the
+    channels that fail criterion ``REASONS[k]``. The referenced samples
+    are taken one channel at a time for the deviations and
+    ``CORRELATION_WINDOWS_PER_BLOCK`` windows at a time for the
+    correlations, so no temporary array is the size of ``x``.
     """
     n_ch, n_samp = x.shape
+    reference = np.broadcast_to(reference, (1, n_samp))[0]
     if n_ch < 4:
         raise DataError(
             f"only {n_ch} channels, need at least 4 for bad-channel detection"
@@ -289,7 +307,7 @@ def detect_bad_channels(x: np.ndarray, fs: float) -> np.ndarray:
     verdict = np.zeros((len(REASONS), n_ch), dtype=bool)
 
     # Deviation: robust z of per-channel robust amplitude.
-    amp = _robust_std(x)
+    amp = _robust_std(x, reference)
     med = median(amp)
     denom = _MAD_SCALE * median(np.abs(amp - med))
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -303,7 +321,8 @@ def detect_bad_channels(x: np.ndarray, fs: float) -> np.ndarray:
         low_counts = np.zeros(n_ch, dtype=np.int64)
         block = CORRELATION_WINDOWS_PER_BLOCK * win
         for lo in range(0, n_win * win, block):
-            seg = _normalized_windows(x[:, lo : lo + block], win)  # (n, C, win)
+            seg = _normalized_windows(x[:, lo : lo + block], win,
+                                      reference[lo : lo + block])  # (n, C, win)
             r = seg @ seg.transpose(0, 2, 1)  # (n, C, C)
             np.abs(r, out=r)
             r[:, np.eye(n_ch, dtype=bool)] = -1.0
@@ -372,7 +391,7 @@ def robust_average_reference(x: np.ndarray, fs: float) -> tuple[list[np.ndarray]
     while detections < MAX_REFERENCE_ITERATIONS:
         # the flagged sets referenced against so far, the current one last
         seen = [np.zeros(len(x), dtype=bool)] + [v.any(axis=0) for v in verdicts]
-        verdict = detect_bad_channels(x - _good_mean(x, seen[-1]), fs)
+        verdict = detect_bad_channels(x, fs, _good_mean(x, seen[-1]))
         detections += 1
         verdicts.append(verdict)
         flagged = verdict.any(axis=0)
@@ -419,25 +438,29 @@ def interpolate_channels(x: np.ndarray, bad: np.ndarray, positions: np.ndarray) 
 
 
 def zscore_channels(x: np.ndarray, names: tuple[str, ...]) -> None:
-    """Standardise each row of ``x`` in place to zero mean, unit population variance."""
-    mean = x.mean(axis=1, keepdims=True)
-    var = x.var(axis=1, keepdims=True)  # 1/N convention
-    flat = np.nonzero(var[:, 0] == 0)[0]
-    if len(flat):
-        raise DataError(
-            f"channel {names[int(flat[0])]} has zero variance; cannot z-score"
-        )
-    x -= mean
-    x /= np.sqrt(var)
+    """Standardise each row of ``x`` in place to zero mean, unit population
+    variance, one row's deviations at a time."""
+    moments = [(row.mean(), row.var()) for row in x]  # 1/N convention
+    flat = [i for i, (_, var) in enumerate(moments) if var == 0]
+    if flat:
+        raise DataError(f"channel {names[flat[0]]} has zero variance; cannot z-score")
+    for row, (mean, var) in zip(x, moments):
+        row -= mean
+        row /= np.sqrt(var)
 
 
 def preprocess_session(
     rec: EegRecording, spec: FilterSpec
 ) -> tuple[EegRecording, PreprocessReport]:
-    """Run the full cleaning chain; returns the cleaned recording and report."""
-    fs = rec.sample_rate_hz
+    """Run the full cleaning chain; returns the cleaned recording and report.
+
+    ``rec`` is let go as soon as the filter returns, so a caller that
+    passes its only reference frees the raw samples there."""
+    fs, montage, timestamps = rec.sample_rate_hz, rec.montage, rec.timestamps
     x = filter_zero_phase(rec.samples, design_highpass(spec, fs), design_notch(spec, fs))
+    del rec
     verdicts, detections = robust_average_reference(x, fs)
-    interpolate_channels(x, np.flatnonzero(verdicts[-1].any(axis=0)), rec.montage.positions)
-    zscore_channels(x, rec.montage.names)
-    return rec.with_samples(x), PreprocessReport(rec.montage.names, verdicts, detections)
+    interpolate_channels(x, np.flatnonzero(verdicts[-1].any(axis=0)), montage.positions)
+    zscore_channels(x, montage.names)
+    return (EegRecording(montage, timestamps, x, fs),
+            PreprocessReport(montage.names, verdicts, detections))

@@ -26,6 +26,12 @@ Layout choices that the rest of the pipeline depends on:
   and an energy gap leaves the class-conditional mean at zero too, so
   neither gives the affine baseline a mean difference to read; only a model
   that squares its input, like the conv net, decodes them.
+
+The recording is built in its own (C, T) buffer: the noise streams are
+drawn one row at a time from one Generator and normalised in place, the
+dipole mix is the buffer, and each channel's tone sum is added to its row.
+No other array holds more than a few rows, and every sample has the bits
+of the sum of whole (C, T) tone and noise terms.
 """
 
 from __future__ import annotations
@@ -168,6 +174,14 @@ def _class_gains(cfg: SynthConfig, positions: np.ndarray) -> np.ndarray:
     return positions @ dirs
 
 
+def _draw_unit_stream(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` with the next standard normal draws of ``rng``, divided
+    by their population deviation; returns ``out``."""
+    rng.standard_normal(out=out)
+    out /= out.std()
+    return out
+
+
 def generate_session(cfg: SynthConfig) -> tuple[SessionDir, LabeledSamples]:
     """One session plus its ground truth: every EEG sample labelled with the
     command at the joystick tick nearest t + lag, as a ``LabeledSamples``
@@ -215,33 +229,49 @@ def generate_session(cfg: SynthConfig) -> tuple[SessionDir, LabeledSamples]:
     else:
         envelope = np.ones(n_eeg)
 
-    x = np.zeros((N_CHANNELS, n_eeg))
+    # x holds the noise, built in place, and then each channel's tone sum
+    # is added to its row: every element sees the same operations on the
+    # same operands, in the same order, as the tones' sum plus the noise
+    # built from whole (C, T) arrays, and so gets the same bits
+    sigma = cfg.noise_sigma_uv
+    if sigma > 0.0:
+        rng = np.random.default_rng(np.random.SeedSequence((cfg.rng_seed, 2)))
+        # the streams come in row order: the common term, the three dipole
+        # sources, then one per channel, each drawn into its row
+        streams = np.empty((4, n_eeg))
+        for stream in streams:
+            _draw_unit_stream(rng, stream)
+        # position rows are unit vectors, so the dipole mix has unit
+        # variance on every channel and the fractions add to one
+        x = positions @ streams[1:]
+        x *= math.sqrt(NOISE_DIPOLE_FRAC)
+        x += math.sqrt(NOISE_COMMON_FRAC) * streams[0]
+        del streams
+    else:
+        x = np.zeros((N_CHANNELS, n_eeg))
+
+    # each class's tone, zero where another command is intended
+    tones = []
     for c in range(N_CLASSES):
         if cfg.stop_silent and c == N_CLASSES - 1:
             continue
         mask = intent == c
-        if not mask.any():
-            continue
-        tone = np.where(
-            mask,
-            amp * envelope * np.sin(2.0 * np.pi * CLASS_FREQS_HZ[c] * t_sec),
-            0.0,
-        )
-        x += gains[:, c : c + 1] * tone[None, :]
+        if mask.any():
+            wave = amp * envelope * np.sin(2.0 * np.pi * CLASS_FREQS_HZ[c] * t_sec)
+            wave[~mask] = 0.0
+            tones.append((c, wave))
+    del intent, envelope  # spent: the tones carry them
 
-    sigma = cfg.noise_sigma_uv
-    if sigma > 0.0:
-        rng = np.random.default_rng(np.random.SeedSequence((cfg.rng_seed, 2)))
-        streams = rng.standard_normal((N_CHANNELS + 4, n_eeg))
-        streams /= streams.std(axis=1, keepdims=True)
-        common, dipole_src, sensor = streams[0], streams[1:4], streams[4:]
-        # position rows are unit vectors, so the dipole mix has unit
-        # variance on every channel and the fractions add to one
-        x += sigma * (
-            math.sqrt(NOISE_COMMON_FRAC) * common[None, :]
-            + math.sqrt(NOISE_DIPOLE_FRAC) * (positions @ dipole_src)
-            + math.sqrt(NOISE_SENSOR_FRAC) * sensor
-        )
+    term, tone_sum = np.empty((2, n_eeg))  # term: a sensor stream, then each tone's
+    for ch, row in enumerate(x):
+        if sigma > 0.0:
+            row += np.multiply(math.sqrt(NOISE_SENSOR_FRAC), _draw_unit_stream(rng, term),
+                               out=term)
+            row *= sigma
+        tone_sum[:] = 0.0
+        for c, wave in tones:
+            tone_sum += np.multiply(gains[ch, c], wave, out=term)
+        row += tone_sum
 
     if cfg.line_noise_amp > 0.0:
         x += (cfg.line_noise_amp * amp) * np.sin(2.0 * np.pi * 50.0 * t_sec)[None, :]

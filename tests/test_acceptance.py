@@ -352,6 +352,7 @@ def test_criterion_05_gradient_checks():
 # -------------------------------------------------------------- criterion 6
 
 
+@pytest.mark.slow
 def test_criterion_06_end_to_end_benchmark(full_bench):
     out, elapsed = full_bench
     means = _summary_means(out)
@@ -376,6 +377,7 @@ def test_criterion_06_end_to_end_benchmark(full_bench):
 # -------------------------------------------------------------- criterion 7
 
 
+@pytest.mark.slow
 def test_criterion_07_horizon_sensitivity(full_bench):
     out, _ = full_bench
     means = _summary_means(out)

@@ -28,7 +28,11 @@ from eegdrive.cli import main
 from eegdrive.config import RunConfig, config_from_dict
 from eegdrive.errors import DataError
 from eegdrive.labels import LABELS_DTYPE
+from eegdrive.models import load_checkpoint
+from eegdrive.models.nets import CHUNK
+from eegdrive.splitting import WINDOW_BLOCK
 from eegdrive.tensorfile import read_windows
+from tracemem import peak_traced
 from widecheckpoint import run_capped, write_wide_checkpoint
 
 SMALL = {
@@ -115,7 +119,7 @@ def pool_sizes(monkeypatch):
     sizes = []
 
     class Recorder:
-        def __init__(self, max_workers, mp_context, initializer):
+        def __init__(self, max_workers, initializer):
             sizes.append(max_workers)
             initializer()
 
@@ -128,7 +132,7 @@ def pool_sizes(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", Recorder)
+    monkeypatch.setattr(pipeline, "_fork_pool", Recorder)
     return sizes
 
 
@@ -151,6 +155,55 @@ def grid(tmp_path_factory):
     out = root / "ws"
     assert main(["run-all", "--config", str(cfg), "--out", str(out)]) == 0
     return doc, cfg, out
+
+
+@pytest.fixture(scope="module")
+def two_minutes(tmp_path_factory):
+    """A run-all of one 120 s session, both models at 300 ms, one epoch:
+    its test partition holds more than two conv-net chunks."""
+    root = tmp_path_factory.mktemp("two_minutes")
+    doc = dict(SMALL, models=["linear", "shallow"], n_sessions=1,
+               synth={"duration_s": 120.0}, train={"epochs": 1})
+    out = root / "ws"
+    assert main(["run-all", "--config", str(_write_cfg(root, doc)), "--out", str(out)]) == 0
+    return config_from_dict(doc), pipeline.Workspace(out), "synth-0000"
+
+
+class TestStageWorkingSets:
+    """Traced peaks of the stage commands, stated in the session's float64
+    recording or in the stage's blocks and chunks."""
+
+    def test_preprocess_at_most_three_recordings(self, two_minutes):
+        # the raw recording goes as soon as the filter returns: the peak is
+        # the raw samples beside the filter's buffer (~2.8x), just above
+        # parsing them; the raw recording beside the whole cleaning chain's
+        # working set read 3.7x
+        cfg, ws, sid = two_minutes
+        n_bytes = ingest.load_recording(ws.session_dir(sid))[1].samples.nbytes
+        peak = peak_traced(lambda: pipeline.stage_preprocess(cfg, ws, sid))
+        assert peak <= 3 * n_bytes, peak / n_bytes
+
+    def test_split_holds_its_read_and_one_block(self, two_minutes):
+        # beyond reading the cleaned recording, at most one block of windows
+        # at a time; gathering a whole partition would not fit
+        cfg, ws, sid = two_minutes
+        read = peak_traced(lambda: ingest.load_recording(ws.session_dir(sid),
+                                                         ws.preprocessed_eeg(sid)))
+        block = WINDOW_BLOCK * 16 * cfg.split.window_len * 4  # float32, 16 channels
+        peak = peak_traced(lambda: pipeline.stage_split(cfg, ws, sid))
+        assert peak <= read + block, ((peak - read) / block)
+
+    def test_eval_holds_its_test_set_and_one_chunk(self, two_minutes):
+        # the conv net's forward call over one chunk, with its own im2col,
+        # is the unit; beyond the test windows read whole, eval holds one
+        cfg, ws, sid = two_minutes
+        data, _ = read_windows(ws.windows_base(sid, 300, "test"), 300)
+        assert len(data) > 2 * CHUNK
+        net, params, _ = load_checkpoint(ws.run_dir(sid, 300, "shallow") / "checkpoint.bin")
+        derived = net.derive(params)
+        chunk = peak_traced(lambda: net.forward(derived, data[:CHUNK]))
+        peak = peak_traced(lambda: pipeline.stage_eval(cfg, ws, sid, 300, "shallow"))
+        assert peak <= data.nbytes + 1.25 * chunk, ((peak - data.nbytes) / chunk)
 
 
 class TestRunAll:
@@ -1194,13 +1247,22 @@ def test_each_stage_reads_exactly_its_inputs(tmp_path, reads):
     assert got == expected
 
 
+def _fresh_python(script: str) -> list[str]:
+    """The lines ``script`` prints, run in a new interpreter on this src/."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", textwrap.dedent(script)], env=env,
+                          capture_output=True, text=True, timeout=300,
+                          check=True).stdout.splitlines()
+
+
 def test_cli_run_imports_no_scipy(tmp_path):
     """The program filters with numpy alone: a CLI run never loads scipy.
     Nor does it load ``numpy.ma``, which ``np.median``'s NaN check and
     ``np.unique`` import on their first call."""
     doc = dict(SMALL, n_sessions=1)
     cfg = _write_cfg(tmp_path, doc)
-    script = textwrap.dedent(f"""
+    out = _fresh_python(f"""
         import sys
         import eegdrive.cli
         code = eegdrive.cli.main(["run-all", "--config", {str(cfg)!r},
@@ -1209,11 +1271,63 @@ def test_cli_run_imports_no_scipy(tmp_path):
                         if m in ("scipy", "numpy.ma") or m.startswith(("scipy.", "numpy.ma.")))
         print(code, loaded)
     """)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                         text=True, timeout=300, check=True).stdout
-    assert out.splitlines()[-1] == "0 []"
+    assert out[-1] == "0 []"
+
+
+def test_cli_run_at_one_job_imports_no_process_pool(tmp_path):
+    """``import eegdrive.cli`` loads neither ``multiprocessing`` nor
+    ``concurrent.futures``, and a linear-only run-all at ``--jobs 1`` loads
+    neither: it forks no pool, and each step runs on one thread. A run-all
+    at ``--jobs 2`` then forks its pool."""
+    cfg = _write_cfg(tmp_path)
+    out = _fresh_python(f"""
+        import sys
+        import eegdrive.cli
+
+        def pools():
+            return sorted(m for m in sys.modules
+                          if m.split(".")[0] in ("multiprocessing", "concurrent"))
+
+        print("pools:", pools())
+        for jobs in ("1", "2"):
+            code = eegdrive.cli.main(["run-all", "--config", {str(cfg)!r}, "--jobs", jobs,
+                                      "--out", {str(tmp_path)!r} + "/ws" + jobs])
+            print("pools:", code, pools())
+    """)
+    after_import, one_job, two_jobs = [line for line in out if line.startswith("pools:")]
+    assert (after_import, one_job) == ("pools: []", "pools: 0 []")
+    assert two_jobs.startswith("pools: 0 [") and "'multiprocessing'" in two_jobs
+
+
+@pytest.mark.parametrize("after_cli", [False, True])
+def test_cli_maps_recording_sized_arrays(after_cli):
+    """Once the CLI runs, the heap does not grow for an array of
+    ``MMAP_THRESHOLD`` bytes or more: it gets a mapping of its own, also
+    after a larger block was freed, which by default makes glibc carve it
+    from the heap."""
+    if not hasattr(ctypes.CDLL(None), "mallinfo2"):
+        pytest.skip("no glibc mallinfo2 to read the mapped bytes")
+    out = _fresh_python(f"""
+        import ctypes
+        import numpy as np
+        from eegdrive import cli
+
+        class Mallinfo2(ctypes.Structure):
+            _fields_ = [(name, ctypes.c_size_t) for name in (
+                "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks",
+                "fsmblks", "uordblks", "fordblks", "keepcost")]
+
+        mallinfo2 = ctypes.CDLL(None).mallinfo2
+        mallinfo2.argtypes, mallinfo2.restype = [], Mallinfo2
+        if {after_cli}:
+            assert cli.main(["config"]) == 0
+        larger = np.ones(8 * cli.MMAP_THRESHOLD, np.uint8)
+        del larger
+        before = mallinfo2().hblkhd
+        array = np.ones(2 * cli.MMAP_THRESHOLD, np.uint8)
+        print("mapped:", mallinfo2().hblkhd - before >= array.nbytes)
+    """)
+    assert out[-1] == f"mapped: {after_cli}"
 
 
 def _owned_calls(tree):

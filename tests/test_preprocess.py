@@ -148,12 +148,13 @@ class TestFilters:
             filter_zero_phase(filter_zero_phase(x, notch), hp).tobytes())
 
     @pytest.mark.parametrize("design", [design_highpass, design_notch])
-    def test_working_set_below_four_recordings(self, design):
-        # both passes share one padded buffer and one spectrum; holding the
-        # extension, spectrum, output and reversed copy at once would read ~5.6x
+    def test_working_set_below_two_recordings(self, design):
+        # both passes share one padded buffer and the spectrum of one block
+        # of rows (~1.6x); a spectrum of every row read ~2.4x, and holding
+        # the extension, spectrum, output and reversed copy at once ~5.6x
         x = np.random.default_rng(3).standard_normal((16, 15000))
         sos = design(FilterSpec(), FS)
-        assert peak_traced(lambda: filter_zero_phase(x, sos)) < 4 * x.nbytes
+        assert peak_traced(lambda: filter_zero_phase(x, sos)) < 2 * x.nbytes
 
     def test_too_short_signal_rejected(self):
         # the odd extension is 3 x ntaps samples: 15 for the order-4 high-pass
@@ -294,7 +295,7 @@ class TestReferenceAndRepair:
     def _scripted(monkeypatch, verdicts):
         calls = []
 
-        def fake(x, fs):
+        def fake(x, fs, reference):
             calls.append(x)
             return verdicts[len(calls) - 1]
 
@@ -436,15 +437,16 @@ class TestPreprocessSession:
         b, _ = preprocess_session(rec, FilterSpec())
         assert np.array_equal(a.samples, b.samples)
 
-    def test_working_set_at_most_two_and_a_half_recordings(self):
+    def test_working_set_at_most_one_and_seven_tenths_recordings(self):
         # both filters run in one padded buffer whose interior the later
-        # steps edit (~1.1x), beside one spectrum or one referenced copy
-        # and a block of detection temporaries (~2.4x); the notch pass over
-        # a high-passed copy read ~4.4x
+        # steps edit (~1.1x), beside one block's spectrum, and detection
+        # reads the (1, T) reference row (~1.6x); a spectrum of every row
+        # or a referenced (C, T) copy read ~2.4x, and the notch pass over a
+        # high-passed copy ~4.4x
         session, _ = generate_session(SynthConfig(duration_s=180.0, rng_seed=3))
         rec = session.eeg
         peak = peak_traced(lambda: preprocess_session(rec, FilterSpec()))
-        assert peak <= 2.5 * rec.samples.nbytes
+        assert peak <= 1.7 * rec.samples.nbytes
 
 
 class TestSimulatedSessions:

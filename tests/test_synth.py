@@ -1,5 +1,6 @@
 """Generator invariants: schedule, tones, anticipation ramp, determinism."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -24,6 +25,7 @@ from eegdrive.synth import (
     write_synthetic_session,
 )
 from tones import tone_power
+from tracemem import peak_traced
 
 FS = 125.0
 CLASS_FREQS = (30.0, 15.0, 10.0, 20.0, 5.0)
@@ -257,6 +259,56 @@ class TestDeterminism:
         assert len(truth) == 1250
         assert np.array_equal(truth.t_ns, session.eeg.timestamps)
         assert np.array_equal(truth.indices, np.arange(1250))
+
+
+#: sha256 of every file of a written session, pinned from the simulator
+#: that summed the tones and the noise as whole (C, T) arrays. The in-place
+#: build must write the same bytes: the synthetic data is fixed.
+PINNED = {
+    "markov": (SynthConfig(rng_seed=29), {
+        "eeg.csv": "fee24f1a684a03de9e57aefaec9fd999a242f1126cfebd8ad2ae37a8e231106a",
+        "joystick.jsonl": "76fd0861b11387fabfd46b5bcbc527a5415b0eb6c564bbfbdf0909ef1e3e20fc",
+        "manifest.json": "2a788aee0196d0aedd1f623cd1464d4295a4e864f76f7eb138837020a0da5126",
+        TRUTH_NAME: "5223787d450bd5ff2f4f52abfb782959438c8f09170b3b54f4d1572ae20de174",
+    }),
+    # every tone sounds, O2 is dead
+    "schedule-corrupt": (SynthConfig(
+        duration_s=30.0, rng_seed=11, stop_silent=False, corrupt_channel="O2",
+        schedule=((6.0, 0), (5.0, 2), (7.0, 1), (4.0, 3), (5.0, 4), (8.0, 0)),
+    ), {
+        "eeg.csv": "e3ff504cd5dcc59be6429926ff4f9a4ceacc3db9de391327f4c46461e36334c1",
+        "joystick.jsonl": "f0b102c1f414ee1f4c737d975a881a8214bae6a7f7c5d2d439d292be9e717379",
+        "manifest.json": "3fdc853ebe4ae4202304636b2e3254ae1ae4940d8d4cb0f7465c554cf1284274",
+        TRUTH_NAME: "b1ecf8711e426cbb322b5e3f880b2a700228c0e8c2655e3a5dd1f8fbe5271dee",
+    }),
+    # no noise stream (sigma 0), mains hum, and no ramp
+    "noiseless-mains": (SynthConfig(
+        duration_s=20.0, rng_seed=3, snr_db=math.inf, line_noise_amp=0.5, label_lag_ms=0.0,
+    ), {
+        "eeg.csv": "57a34223736b5c98162c4da10457a8e74d2fb8d0e63dcfaae8bb4f170c1dfb83",
+        "joystick.jsonl": "98b7b225bfa427ae118e1bad8463a77f1852dbe08b52330107428e46498bac8a",
+        "manifest.json": "6b46f38cb50f34db5433020b95642dd32d5f3ad2d63ed0fb877de11159108a63",
+        TRUTH_NAME: "7ea4de32e516af73392103d12ae79ddca97ccef838114a3dc6b8297498f8236f",
+    }),
+}
+
+
+class TestInPlaceBuild:
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_written_files_match_their_pinned_digests(self, tmp_path, name):
+        cfg, digests = PINNED[name]
+        root = write_synthetic_session(tmp_path / name, cfg)
+        got = {f: hashlib.sha256((root / f).read_bytes()).hexdigest() for f in digests}
+        assert got == digests
+
+    @pytest.mark.parametrize("duration_s", [120.0, 200.0])
+    def test_working_set_at_most_two_and_a_fifth_recordings(self, duration_s):
+        # the recording is the noise buffer, and the tones and streams are
+        # rows beside it (~2.0x); the whole (C + 4, T) stream draw and the
+        # (C, T) noise and tone terms beside the recording read 4.8x
+        cfg = SynthConfig(duration_s=duration_s, rng_seed=5)
+        n_bytes = generate_session(cfg)[0].eeg.samples.nbytes
+        assert peak_traced(lambda: generate_session(cfg)) <= 2.2 * n_bytes
 
 
 class TestTruthCsv:

@@ -634,11 +634,14 @@ def format_rows(ints: Sequence[np.ndarray], floats: np.ndarray | None = None) ->
     if odd_rows.any():  # rendered as zeros here, then replaced
         rounded[odd] = 0.0
         rendered = [np.maximum(c, 0) for c in given]
+    # each value-sized array is dropped once spent, so a block holds few
+    # at a time
     units = rounded.astype(np.int64)
+    del rounded, odd
     whole = units // 10**6
-    fraction = units - 10**6 * whole
-    high = fraction // 1000
-    low = fraction - 1000 * high
+    units -= 10**6 * whole  # the fraction's millionths
+    high = units // 1000
+    units -= 1000 * high  # the fraction's last three digits
 
     # a row: each integer's cells, then per float the integer part's cells
     # (the first shifted a byte to make room for the sign), "." and three
@@ -648,6 +651,7 @@ def format_rows(ints: Sequence[np.ndarray], floats: np.ndarray | None = None) ->
     lead = [cell for column in columns for cell in column]
     last = np.cumsum([len(column) for column in columns])
     whole_cells = _digit_cells(whole)
+    del whole
     whole_cells[0] = (whole_cells[0] << 8) | np.signbit(x) * np.uint32(ord("-"))
     per_float = len(whole_cells) + 2
     cells = np.empty((n, len(lead) + x.shape[1] * per_float), "<u4")
@@ -657,7 +661,8 @@ def format_rows(ints: Sequence[np.ndarray], floats: np.ndarray | None = None) ->
     for k, cell in enumerate(whole_cells):
         fields[:, :, k] = cell
     fields[:, :, -2] = _POINT_GROUPS[high]
-    fields[:, :, -1] = _GROUPS[low]
+    fields[:, :, -1] = _GROUPS[units]
+    del whole_cells, high, units
     text = cells.view(np.uint8)
     text[:, 4 * last - 1] = ord(",")
     text[:, 4 * len(lead) :].reshape(n, x.shape[1], 4 * per_float)[:, :, -1] = ord(",")
@@ -708,36 +713,43 @@ def write_csv(path: str | Path, header: str, dtype, ints: Sequence[np.ndarray],
     the sha256 of the bytes the columns ``RecalledText.columns(dtype)``
     parses from them, read-only and sharing no memory with ``ints`` or
     ``floats``: each integer column cast to its field's dtype, then the
-    floats read back."""
+    floats read back, block by block as each is formatted, into one array
+    laid out as ``floats``."""
     path = Path(path)
     n, width = len(ints[0]), len(ints) + (0 if floats is None else floats.shape[1])
     step = max(1, CSV_VALUES_PER_BLOCK // width)
-    blocks = (slice(start, start + step) for start in range(0, n, step))
-    chunks = itertools.chain(
-        [(header + "\n").encode()],
-        (format_rows([c[b] for c in ints], None if floats is None else floats[b])
-         for b in blocks),
-    )
     memo = _MEMO.get()
-    if memo is None:
-        return write_replacing(path, chunks)
+    dtype = np.dtype(dtype)
+    fields = [dtype[name] for name in dtype.names]
+    # a negative value is no unsigned integer: that parse fails, so no recall
+    recall = memo is not None and not any(
+        f.kind == "u" and (c < 0).any() for f, c in zip(fields, ints))
+    read_back = np.empty_like(floats) if recall and floats is not None else None
+
+    def chunks() -> Iterator[bytes]:
+        yield (header + "\n").encode()
+        for start in range(0, n, step):
+            rows = slice(start, start + step)
+            block = None if floats is None else floats[rows]
+            if read_back is not None:
+                read_back[rows] = _read_back(block)
+            yield format_rows([c[rows] for c in ints], block)
+
+    if not recall:
+        return write_replacing(path, chunks())
     digest = hashlib.sha256()
 
     def hashed() -> Iterator[bytes]:
-        for chunk in chunks:
+        for chunk in chunks():
             digest.update(chunk)
             yield chunk
 
     write_replacing(path, hashed())
-    dtype = np.dtype(dtype)
-    fields = [dtype[name] for name in dtype.names]
-    # a negative value is no unsigned integer: that parse fails, so no recall
-    if not any(f.kind == "u" and (c < 0).any() for f, c in zip(fields, ints)):
-        columns = [c.astype(f) for f, c in zip(fields, ints)]
-        columns += [] if floats is None else [_read_back(floats)]
-        for c in columns:
-            c.setflags(write=False)
-        memo[dtype, digest.digest()] = tuple(columns)
+    columns = [c.astype(f) for f, c in zip(fields, ints)]
+    columns += [] if read_back is None else [read_back]
+    for c in columns:
+        c.setflags(write=False)
+    memo[dtype, digest.digest()] = tuple(columns)
     return path
 
 

@@ -15,8 +15,8 @@ composes:
 - ``forward(derived, x, mask, scratch)`` over one chunk of windows, with
   that chunk's slice of the step's dropout mask (``dropout_mask``). Given
   ``scratch``, the buffers of the model's ``scratch(dtype)``, the conv net
-  writes its time-major copy, im2col, ``z`` and ``z^2`` there instead of
-  allocating them; the values are the same;
+  writes its time-major copy, ``z`` and ``z^2`` there instead of allocating
+  them; the values are the same;
 - ``backward(derived, cache, labels, class_weights, batch_size)``: the
   chunk's gradients with respect to what ``derive`` returned, the
   cross-entropy gradient scaled by the whole batch's size, so the chunks'
@@ -26,15 +26,24 @@ composes:
   matrix product each.
 
 ``chunk`` is the most windows one forward call takes: ``CHUNK`` for the
-conv net, whose im2col is its largest array, and None, the whole batch,
-for the linear model, which has no scratch buffers.
+conv net, whose ``z`` and ``z^2`` are its largest arrays, and None, the
+whole batch, for the linear model, which has no scratch buffers.
 
-The im2col is built from the chunk transposed once to time-major
-(B, S, C): the K-sample window of conv frame l is then K * C consecutive
-floats, copied in one pass, so its columns run in (k, c) order and the
-effective kernel is laid out (G, K, C) to match. Mean pooling is a matrix
-product by the averaging matrix; the backward pass is the product by the
-same matrix (times the 2 of d(z^2)/dz).
+The conv net convolves with no im2col (unrolled) copy. The chunk is
+transposed once to time-major (B, S, C) and read as one run of B * S * C
+floats, where the K * C inputs of frame f, numbered across the chunk's
+windows, are floats [f * C, f * C + K * C), in (k, c) order; the effective
+kernel is laid out (G, K, C) to match. The frames f = r (mod K) therefore
+tile that run without overlap: for each residue r their inputs are one
+contiguous (m_r, K * C) reshape, and K matrix products fill the rows
+r, r + K, ... of the (B * S, G) output ``z``, whose row stride BLAS takes
+as it is. The effective-kernel gradient is the sum over r of the same
+products transposed. A window's last K - 1 frames straddle into the next
+window (the chunk's last K - 1 run past its end, and are set to zero
+before the bias). The (S, P) mean-pooling matrix has zero rows for every
+frame l >= S - K + 1, so straddling frames reach no feature, and their
+d(z^2), the product by the same matrix (times the 2 of d(z^2)/dz), is
+zero: they add nothing to any gradient.
 
 Training runs in float32. Passing float64 parameters and inputs switches
 the whole computation to float64, which is what the finite-difference
@@ -46,14 +55,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from ..ingest import non_integers
 from ..session import N_CLASSES
 
 LOG_FLOOR = 1e-6  # clamp below this before the log nonlinearity
 #: Windows per ShallowConvNet forward and backward call, in training and in
-#: prediction: the working set is one chunk's im2col whatever the batch.
+#: prediction: the working set is one chunk's conv outputs whatever the batch.
 CHUNK = 32
 
 
@@ -239,19 +247,21 @@ class ShallowConvNet:
         }
         return _init_params(self.param_shapes(), fans, seed, dtype)
 
-    def _windowed(self, x: np.ndarray, out: dict | None = None) -> np.ndarray:
-        """(B, C, S) -> contiguous (B * conv_len, K * C), columns in (k, c)
-        order: xw[b * L + l, k * C + c] = x[b, c, l + k]. With ``out``, the
-        time-major copy goes to ``out["xt"]`` and the result to ``out["xw"]``."""
-        b, c, n = x.shape
-        kc = self.spec.temporal_kernel * c
-        xt = np.empty((b, n, c), dtype=x.dtype) if out is None else out["xt"]
-        np.copyto(xt, x.transpose(0, 2, 1))
-        # the window of frame l starts at float l * C of its time-major row
-        windows = sliding_window_view(xt.reshape(b, n * c), kc, axis=1)[:, ::c]
-        xw = np.empty((b, self.conv_len, kc), dtype=x.dtype) if out is None else out["xw"]
-        np.copyto(xw, windows)  # (B, L, K * C)
-        return xw.reshape(b * self.conv_len, kc)
+    def _residue_classes(self, xt: np.ndarray) -> list[tuple[slice, np.ndarray]]:
+        """Per residue r < K, the frames f = r (mod K) of the time-major
+        chunk ``xt`` (B, S, C) whose inputs lie inside it: their rows of
+        the (B * S, G) conv output, and their inputs as a contiguous view
+        (m_r, K * C) with A[j, k * C + c] = xt.flat[(r + j * K + k) * C + c],
+        which is x[b, c, l + k] for frame r + j * K = b * S + l."""
+        c, k = self.n_channels, self.spec.temporal_kernel
+        flat = xt.reshape(-1)
+        n = len(flat) // c - k + 1  # the frames whose K samples end in the chunk
+        classes = []
+        for r in range(k):
+            rows = slice(r, n, k)
+            m = len(range(r, n, k))
+            classes.append((rows, flat[r * c : (r + m * k) * c].reshape(m, k * c)))
+        return classes
 
     def _effective_kernel(self, params) -> tuple[np.ndarray, np.ndarray]:
         """Compose the two conv stages into one (G, K*C) kernel and a bias.
@@ -267,14 +277,15 @@ class ShallowConvNet:
         return w_eff, b_eff
 
     def derive(self, params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-        """The effective kernel and bias, the (L, P) mean-pooling matrix at
+        """The effective kernel and bias, the (S, P) mean-pooling matrix at
         the parameters' dtype, and the dense layer: what every forward
         call of one step reads."""
         s = self.spec
         w_eff, b_eff = self._effective_kernel(params)
         # column f holds 1 / pool_len on conv frames
-        # [f * pool_stride, f * pool_stride + pool_len)
-        rows = np.arange(self.conv_len)[:, None]
+        # [f * pool_stride, f * pool_stride + pool_len), all below conv_len:
+        # the rows of the straddling frames l >= conv_len are zero
+        rows = np.arange(self.n_samples)[:, None]
         starts = np.arange(self.n_frames) * s.pool_stride
         window = (rows >= starts) & (rows < starts + s.pool_len)
         pool = window * np.asarray(1.0 / s.pool_len, dtype=w_eff.dtype)
@@ -294,47 +305,47 @@ class ShallowConvNet:
         """Buffers for one worker's forward and backward calls over up to
         ``CHUNK`` windows at ``dtype``, each indexed by window first: ``x``,
         where a caller may gather the chunk's (B, C, S) windows; ``xt``,
-        their time-major copy; ``xw``, the im2col; ``z``; and ``sq``, which
-        holds z^2 in the forward and d(z^2) in the backward. The chunk and its
-        copy are spent before z and z^2 are written, so they take the heads
-        of those two buffers when they fit."""
-        c, n, l = self.n_channels, self.n_samples, self.conv_len
-        z = np.empty((CHUNK, l, self.spec.n_spatial_filters), dtype)
-        sq = np.empty_like(z)
-
-        def head(buf, shape):
-            size = CHUNK * shape[0] * shape[1]
-            if size > buf.size:
-                return np.empty((CHUNK, *shape), dtype)
-            return buf.reshape(-1)[:size].reshape(CHUNK, *shape)
-
-        return {"x": head(z, (c, n)), "xt": head(sq, (n, c)),
-                "xw": np.empty((CHUNK, l, self.spec.temporal_kernel * c), dtype),
-                "z": z, "sq": sq}
+        their time-major copy, which the backward call reads again; ``z``,
+        (B, S, G); and ``sq``, which holds z^2 in the forward and d(z^2) in
+        the backward. The chunk is spent once copied, before ``z`` is
+        written, so it takes the head of ``z`` when it fits."""
+        c, n, g = self.n_channels, self.n_samples, self.spec.n_spatial_filters
+        z = np.empty((CHUNK, n, g), dtype)
+        x = (z.reshape(-1)[: CHUNK * c * n].reshape(CHUNK, c, n) if c <= g
+             else np.empty((CHUNK, c, n), dtype))
+        return {"x": x, "xt": np.empty((CHUNK, n, c), dtype), "z": z,
+                "sq": np.empty_like(z)}
 
     def forward(
         self, derived: dict[str, np.ndarray], x: np.ndarray, mask: np.ndarray | None = None,
         scratch: dict[str, np.ndarray] | None = None,
     ) -> tuple[np.ndarray, dict]:
-        b = len(x)
-        g, l = self.spec.n_spatial_filters, self.conv_len
+        b, c, n = x.shape
+        g, k = self.spec.n_spatial_filters, self.spec.temporal_kernel
+        w_eff = derived["w_eff"]
         # a chunk of b <= CHUNK windows takes the first b windows of each buffer
-        out = None if scratch is None else {k: v[:b] for k, v in scratch.items()}
-        xw = self._windowed(x, out)
-        z = np.matmul(xw, derived["w_eff"].T,  # (B * L, G)
-                      out=None if out is None else out["z"].reshape(b * l, g))
+        out = None if scratch is None else {name: v[:b] for name, v in scratch.items()}
+        xt = np.empty((b, n, c), x.dtype) if out is None else out["xt"]
+        np.copyto(xt, x.transpose(0, 2, 1))
+        z = (np.empty((b * n, g), np.result_type(x, w_eff)) if out is None
+             else out["z"].reshape(b * n, g))
+        classes = self._residue_classes(xt)  # the backward call reads them again
+        for rows, a in classes:
+            np.matmul(a, w_eff.T, out=z[rows])
+        z[b * n - k + 1 :] = 0.0  # frames past the chunk's end: no inputs
         z += derived["b_eff"]
-        sq = np.multiply(z, z, out=None if out is None else out["sq"].reshape(b * l, g))
-        pool = derived["pool"]
-        pooled = (pool.T @ sq.reshape(b, l, g)).transpose(0, 2, 1)  # (B, G, P)
-        logf = np.log(np.maximum(pooled, LOG_FLOOR))
-        h = logf if mask is None else logf * mask
+        sq = np.multiply(z, z, out=None if out is None else out["sq"].reshape(b * n, g))
+        pooled = (derived["pool"].T @ sq.reshape(b, n, g)).transpose(0, 2, 1)  # (B, G, P)
+        np.maximum(pooled, LOG_FLOOR, out=pooled)  # the clamp the backward reads
+        h = np.log(pooled, order="C")
+        if mask is not None:
+            h *= mask
         flat = h.reshape(b, self.n_features)
         logits = flat @ derived["w_dense"].T + derived["b_dense"]
         logp = log_softmax(logits)
         probs = np.exp(logp)
         return probs, {
-            "xw": xw, "z": z, "sq": sq, "pooled": pooled, "mask": mask,
+            "classes": classes, "z": z, "sq": sq, "pooled": pooled, "mask": mask,
             "flat": flat, "logp": logp, "probs": probs,
         }
 
@@ -356,18 +367,23 @@ class ShallowConvNet:
             "w_dense": dlogits.T @ cache["flat"],
             "b_dense": dlogits.sum(axis=0),
         }
-        dh = (dlogits @ derived["w_dense"]).reshape(b, g, p)
+        dpooled = (dlogits @ derived["w_dense"]).reshape(b, g, p)
         if cache["mask"] is not None:
-            dh = dh * cache["mask"]
-        # log(max(u, floor)): zero slope on the clamped flat
-        dpooled = dh * (pooled > LOG_FLOOR) / np.maximum(pooled, LOG_FLOOR)
+            dpooled *= cache["mask"]
+        # log(max(u, floor)): zero slope on the clamped flat; ``pooled``
+        # holds max(u, floor), above the floor exactly where u is
+        dpooled *= pooled > LOG_FLOOR
+        dpooled /= pooled
         pool2 = 2.0 * derived["pool"]  # d(z^2)/dz = 2z
         # z^2 is spent: d(z^2) goes over it
-        dsq = np.matmul(pool2, dpooled.transpose(0, 2, 1),  # (B, L, G)
+        dsq = np.matmul(pool2, dpooled.transpose(0, 2, 1),  # (B, S, G)
                         out=cache["sq"].reshape(b, -1, g))
-        dz = dsq.reshape(z.shape)  # (B * L, G)
+        dz = dsq.reshape(z.shape)  # (B * S, G), zero on straddling frames
         dz *= z
-        grads["w_eff"] = dz.T @ cache["xw"]  # (G, K * C)
+        (rows, a), *rest = cache["classes"]
+        grads["w_eff"] = dz[rows].T @ a  # (G, K * C), summed over the residues
+        for rows, a in rest:
+            grads["w_eff"] += dz[rows].T @ a
         grads["b_eff"] = np.ones(len(dz), dtype=dz.dtype) @ dz
         return grads
 

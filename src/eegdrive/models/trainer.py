@@ -18,9 +18,10 @@ releases the interpreter lock inside its matrix products, and each worker
 runs OpenBLAS on its own single thread, so W workers use W cores. A chunk's
 arithmetic does not depend on the worker that runs it, and the sums are
 taken in chunk order, so every parameter is the same bit for bit for any
-W. Each worker writes its chunk's im2col and conv outputs into its own
-scratch buffers, so a conv-net step holds W chunks' working sets whatever
-the batch size; the helper threads and the buffers live only inside
+W. Each worker writes its chunk's time-major copy and conv outputs into
+its own scratch buffers, so a conv-net step holds W chunks' working sets
+whatever the batch size. Each helper is a thread of its own, so a step's
+W shares run at once; the helper threads and the buffers live only inside
 ``train_model``, so a process forked after training inherits neither.
 ``concurrent.futures`` is imported when the first helper thread starts, so
 a step on one worker loads no thread pool. ``predict`` works through the
@@ -139,21 +140,24 @@ class StepWorkers:
         if n < 1:
             raise ValueError(f"a step needs at least one worker, got {n}")
         self.scratch = [model.scratch(dtype) for _ in range(n)]
-        self._pool = None
+        self._helpers = []
         if n > 1:
             # imported on first use: a process that never trains on two
             # threads (a --jobs worker with one core, or a linear-only run)
             # imports no thread pool
             from concurrent.futures import ThreadPoolExecutor
 
-            self._pool = ThreadPoolExecutor(n - 1)
+            # one single-thread pool per helper: a shared pool hands a
+            # share to whichever thread is idle, so a helper done early
+            # could run the next helper's share too, one after the other
+            self._helpers = [ThreadPoolExecutor(1) for _ in range(n - 1)]
 
     def __enter__(self) -> StepWorkers:
         return self
 
     def __exit__(self, *exc) -> None:
-        if self._pool is not None:
-            self._pool.shutdown()
+        for helper in self._helpers:
+            helper.shutdown()
         self.scratch = []
 
     def map(self, fn, n_items: int) -> list:
@@ -164,16 +168,17 @@ class StepWorkers:
         def share(j):
             return [fn(i, self.scratch[j]) for i in range(j, n_items, n)]
 
-        if self._pool is None:
+        if not self._helpers:
             return share(0)
         from concurrent.futures import wait  # loaded with the pool
 
-        helpers = [self._pool.submit(share, j) for j in range(1, min(n, n_items))]
+        running = [helper.submit(share, j)
+                   for j, helper in enumerate(self._helpers, 1) if j < n_items]
         try:
             shares = [share(0)]
         finally:
-            wait(helpers)  # no helper still writes a buffer once this returns
-        shares += [f.result() for f in helpers]
+            wait(running)  # no helper still writes a buffer once this returns
+        shares += [f.result() for f in running]
         return [shares[i % n][i // n] for i in range(n_items)]
 
 

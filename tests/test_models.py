@@ -145,19 +145,58 @@ class TestForwardOracles:
         want = oracle_shallow_probs(params, x, spec)
         assert np.allclose(probs, want, atol=1e-9, rtol=0)
 
-    def test_im2col_layout_is_time_major(self):
+    def test_residue_class_layout_is_time_major(self):
         # K = 5 and C = 3 differ, so a (c, k) column order cannot pass
         b, c, n = 2, 3, 30
         model = ShallowConvNet(n_channels=c, n_samples=n, spec=SMALL_SPEC)
         k, l = SMALL_SPEC.temporal_kernel, model.conv_len
         x = np.random.default_rng(9).standard_normal((b, c, n))
-        xw = model._windowed(x)
-        assert xw.shape == (b * l, k * c) and xw.flags.c_contiguous
-        for bi in range(b):
-            for li in range(l):
+        xt = np.ascontiguousarray(x.transpose(0, 2, 1))
+        classes = model._residue_classes(xt)
+        assert len(classes) == k
+        seen = []
+        for r, (rows, a) in enumerate(classes):
+            frames = list(range(b * n))[rows]
+            # every frame whose K samples end inside the chunk, each once
+            assert frames == list(range(r, b * n - k + 1, k)), r
+            assert a.shape == (len(frames), k * c) and np.shares_memory(a, xt)
+            seen += frames
+            for m, f in enumerate(frames):
+                bi, li = divmod(f, n)
+                if li >= l:  # straddles into window bi + 1
+                    continue
                 for ki in range(k):
                     for ci in range(c):
-                        assert xw[bi * l + li, ki * c + ci] == x[bi, ci, li + ki]
+                        assert a[m, ki * c + ci] == x[bi, ci, li + ki], (r, m, ki, ci)
+        assert sorted(seen) == list(range(b * n - k + 1))
+
+    def test_straddling_frames_get_zero_gradient(self):
+        # float64, against the valid frames' im2col built here, with scratch
+        # buffers full of NaN: no straddling frame reaches a value
+        b, c, n = 3, 3, 30
+        model = ShallowConvNet(n_channels=c, n_samples=n, spec=SMALL_SPEC)
+        k, l = SMALL_SPEC.temporal_kernel, model.conv_len
+        params = model.init_params(seed=12, dtype=np.float64)
+        rng = np.random.default_rng(13)
+        x = rng.standard_normal((b, c, n))
+        labels = rng.integers(0, 5, size=b)
+        w = rng.uniform(0.5, 2.0, size=5)
+        derived = model.derive(params)
+        scratch = model.scratch(np.float64)
+        for buf in scratch.values():
+            buf.fill(np.nan)
+        want_probs, _ = model.forward(derived, x)
+        probs, cache = model.forward(derived, x, None, scratch)
+        assert np.array_equal(probs, want_probs)
+        grads = model.backward(derived, cache, labels, w, b)
+        dz = cache["sq"].reshape(b, n, -1)  # d(z^2) * z, written over z^2
+        assert not dz[:, l:].any() and dz[:, :l].all()
+        dz = dz[:, :l]
+        cols = np.stack([x[:, :, i : i + k].transpose(0, 2, 1).reshape(b, k * c)
+                         for i in range(l)], axis=1)  # (B, L, K * C)
+        assert np.allclose(grads["w_eff"], np.einsum("blg,blj->gj", dz, cols),
+                           atol=1e-12, rtol=0)
+        assert np.allclose(grads["b_eff"], dz.sum(axis=(0, 1)), atol=1e-12, rtol=0)
 
     def test_effective_kernel_composes_both_stages(self):
         model = ShallowConvNet(n_channels=3, n_samples=30, spec=SMALL_SPEC)
@@ -495,7 +534,8 @@ class TestWorkingSet:
             assert np.array_equal(res[0].params[k], want[k]), k
 
     def test_training_step_is_bounded(self):
-        # one chunk's im2col, cache and gradients, not the whole batch's
+        # one chunk's time-major copy, conv outputs, cache and gradients,
+        # not the whole batch's
         data, labels = self._data(23, self.BATCH)
         model = ShallowConvNet(self.N_CHANNELS, self.N_SAMPLES)
         params = model.init_params(0)
@@ -527,11 +567,14 @@ class TestWorkingSet:
         model = ShallowConvNet(self.N_CHANNELS, self.N_SAMPLES)
         weights = np.linspace(0.5, 1.5, 5)
         cfg = TrainConfig(epochs=1, batch_size=self.BATCH)
+        # a process's first training step on threads also imports the
+        # thread pool: that is no part of the working set
+        train_model(model, data, labels, weights, cfg, 3, workers=2)
         one, two = (
             peak_traced(lambda: train_model(model, data, labels, weights, cfg, 3, workers=w))
             for w in (1, 2))
         scratch = sum(a.nbytes for a in model.scratch(np.float32).values()
-                      if a.base is None)  # x and xt are views into z and sq here
+                      if a.base is None)  # x is a view into z here
         assert two - one <= 1.25 * scratch, ((two - one) / 2**20, scratch / 2**20)
 
     def test_workers_reproduce_the_reference_and_leave_no_thread(self, monkeypatch):
@@ -614,9 +657,8 @@ class TestChunkedStep:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("n_workers", [1, 2, 3])
     @pytest.mark.parametrize("n_channels, n_samples, spec", [
-        # the gathered chunk and its time-major copy fit in z and z^2
+        # in both the gathered chunk fits in the head of z (C <= G)
         pytest.param(16, 125, None, id="rig"),
-        # they do not, so they get buffers of their own
         pytest.param(3, 30, dataclasses.replace(SMALL_SPEC, dropout_p=0.5), id="small"),
     ])
     def test_workers_give_the_same_bits(self, n_channels, n_samples, spec, n_workers,
@@ -638,6 +680,26 @@ class TestChunkedStep:
         assert logp.dtype == dtype and np.array_equal(logp, want_logp)
         for name in want:
             assert got[name].dtype == dtype and np.array_equal(got[name], want[name]), name
+
+    def test_a_chunk_wider_than_z_gets_its_own_buffer(self):
+        # C = 3 > G = 2: the gathered chunk cannot take the head of z
+        spec = dataclasses.replace(SMALL_SPEC, n_spatial_filters=2, dropout_p=0.5)
+        model = ShallowConvNet(3, 30, spec)
+        rng = np.random.default_rng(8)
+        data = rng.standard_normal((80, 3, 30))
+        rows = rng.permutation(len(data))[: CHUNK + 7]
+        labels = rng.integers(0, 5, size=len(rows))
+        w = rng.uniform(0.5, 2.0, size=5)
+        params = model.init_params(np.random.SeedSequence(4), dtype=np.float64)
+        mask = model.dropout_mask(len(rows), 9, 2, np.float64)
+        want_logp, want = batch_gradients(model, params, data[rows], labels, w, mask)
+        with StepWorkers(model, 1, np.float64) as workers:
+            assert workers.scratch[0]["x"].base is None
+            logp, got = batch_gradients(model, params, data, labels, w, mask,
+                                        rows=rows, workers=workers)
+        assert np.array_equal(logp, want_logp)
+        for name in want:
+            assert np.array_equal(got[name], want[name]), name
 
     def test_linear_takes_the_batch_in_one_call(self):
         model = LinearSoftmax(n_channels=2, n_samples=6)

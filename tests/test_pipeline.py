@@ -16,7 +16,7 @@ import shutil
 import subprocess
 import sys
 import textwrap
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -29,7 +29,7 @@ from eegdrive.config import RunConfig, config_from_dict
 from eegdrive.errors import DataError
 from eegdrive.labels import LABELS_DTYPE
 from eegdrive.models import load_checkpoint
-from eegdrive.models.nets import CHUNK
+from eegdrive.models.nets import CHUNK, ShallowConvNet
 from eegdrive.splitting import WINDOW_BLOCK
 from eegdrive.tensorfile import read_windows
 from tracemem import peak_traced
@@ -173,14 +173,22 @@ class TestStageWorkingSets:
     """Traced peaks of the stage commands, stated in the session's float64
     recording or in the stage's blocks and chunks."""
 
-    def test_preprocess_at_most_three_recordings(self, two_minutes):
+    @pytest.mark.parametrize("memo", [False, True], ids=["alone", "in-memo"])
+    def test_preprocess_at_most_three_recordings(self, two_minutes, memo):
         # the raw recording goes as soon as the filter returns: the peak is
         # the raw samples beside the filter's buffer (~2.8x), just above
         # parsing them; the raw recording beside the whole cleaning chain's
-        # working set read 3.7x
+        # working set read 3.7x. Inside run-all's parse memo the cleaned
+        # samples are also read back for the memo, one block at a time:
+        # reading them back whole read 3.66x
         cfg, ws, sid = two_minutes
         n_bytes = ingest.load_recording(ws.session_dir(sid))[1].samples.nbytes
-        peak = peak_traced(lambda: pipeline.stage_preprocess(cfg, ws, sid))
+
+        def stage():
+            with ingest.parse_memo() if memo else nullcontext():
+                pipeline.stage_preprocess(cfg, ws, sid)
+
+        peak = peak_traced(stage)
         assert peak <= 3 * n_bytes, peak / n_bytes
 
     def test_split_holds_its_read_and_one_block(self, two_minutes):
@@ -193,9 +201,31 @@ class TestStageWorkingSets:
         peak = peak_traced(lambda: pipeline.stage_split(cfg, ws, sid))
         assert peak <= read + block, ((peak - read) / block)
 
+    def test_train_holds_its_windows_and_one_chunk_per_worker(self, two_minutes):
+        # beyond the train windows read whole and the step's own state (the
+        # parameters, Adam's two moments and the batch's dropout mask), each
+        # of the step's workers holds one chunk's x, time-major copy, z and
+        # z^2 (with 25 % for its temporaries); an im2col per worker would
+        # not fit
+        cfg, ws, sid = two_minutes
+        data, _ = read_windows(ws.windows_base(sid, 300, "train"), 300)
+        _, c, s = data.shape
+        model = ShallowConvNet(c, s)
+        state = (3 * sum(p.nbytes for p in model.init_params(0).values())
+                 + model.dropout_mask(cfg.train.batch_size, 0, 0, np.float32).nbytes)
+        chunk = 4 * CHUNK * s * (2 * c + 2 * model.spec.n_spatial_filters)  # float32
+        workers = pipeline.step_workers(1)
+        # a process's first training step on threads also imports the
+        # thread pool: that is no part of the working set
+        pipeline.stage_train(cfg, ws, sid, 300, "shallow")
+        peak = peak_traced(lambda: pipeline.stage_train(cfg, ws, sid, 300, "shallow"))
+        assert peak <= data.nbytes + state + workers * 1.25 * chunk, (
+            (peak - data.nbytes - state) / chunk, workers)
+
     def test_eval_holds_its_test_set_and_one_chunk(self, two_minutes):
-        # the conv net's forward call over one chunk, with its own im2col,
-        # is the unit; beyond the test windows read whole, eval holds one
+        # the conv net's forward call over one chunk, with its time-major
+        # copy, z and z^2, is the unit; beyond the test windows read whole,
+        # eval holds one
         cfg, ws, sid = two_minutes
         data, _ = read_windows(ws.windows_base(sid, 300, "test"), 300)
         assert len(data) > 2 * CHUNK

@@ -17,10 +17,10 @@ from pathlib import Path
 from .config import RunConfig, default_config_json, load_config
 from .errors import ConfigError, DataError, TrainingDiverged
 from .pipeline import (
-    Workspace,
     one_blas_thread,
     run_all,
     runs,
+    select_sessions,
     stage_eval,
     stage_label,
     stage_preprocess,
@@ -120,19 +120,6 @@ def _load(args) -> RunConfig:
     return cfg
 
 
-def _sessions(ws: Workspace, args) -> list[str]:
-    wanted = getattr(args, "session", None)
-    known = ws.session_ids()
-    if not wanted:
-        if not known:
-            raise DataError(f"no sessions under {ws.sessions_root()}")
-        return known
-    missing = sorted(set(wanted) - set(known))
-    if missing:
-        raise DataError(f"unknown session ids {missing}; have {known}")
-    return sorted(set(wanted))
-
-
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     one_blas_thread()
@@ -153,36 +140,32 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_OK
 
         cfg = _load(args)
-        ws = Workspace(args.out)
 
         if args.command == "simulate":
-            ids = stage_simulate(cfg, ws)
+            ids = stage_simulate(cfg, args.out)
             print(f"wrote {len(ids)} sessions: {', '.join(ids)}")
         elif args.command == "preprocess":
-            for sid in _sessions(ws, args):
-                stage_preprocess(cfg, ws, sid)
+            for sid in select_sessions(args.out, args.session):
+                stage_preprocess(cfg, args.out, sid)
                 print(f"preprocessed {sid}")
         elif args.command == "label":
-            for sid in _sessions(ws, args):
-                stage_label(cfg, ws, sid)
+            for sid in select_sessions(args.out, args.session):
+                stage_label(cfg, args.out, sid)
                 print(f"labelled {sid} at horizons {list(cfg.horizons_ms)}")
         elif args.command == "split":
-            for sid in _sessions(ws, args):
-                stage_split(cfg, ws, sid)
+            for sid in select_sessions(args.out, args.session):
+                stage_split(cfg, args.out, sid)
                 print(f"split {sid}")
         elif args.command == "train":
-            for sid, delta, model in runs(cfg, _sessions(ws, args)):
-                stage_train(cfg, ws, sid, delta, model)
+            for sid, delta, model in runs(cfg, select_sessions(args.out, args.session)):
+                stage_train(cfg, args.out, (sid, delta, model))
                 print(f"trained {model} {sid} delta={delta}")
         elif args.command == "eval":
-            for sid, delta, model in runs(cfg, _sessions(ws, args)):
-                score = stage_eval(cfg, ws, sid, delta, model)
-                print(
-                    f"eval {model} {sid} delta={delta} "
-                    f"macro_f1={score.result.macro_f1:.4f}"
-                )
+            for sid, delta, model in runs(cfg, select_sessions(args.out, args.session)):
+                score = stage_eval(cfg, args.out, (sid, delta, model))
+                print(f"eval {model} {sid} delta={delta} macro_f1={score.result.macro_f1:.4f}")
         elif args.command == "report":
-            for path in stage_report(cfg, ws):
+            for path in stage_report(cfg, args.out):
                 print(f"wrote {path}")
         elif args.command == "run-all":
             for path in run_all(cfg, args.out, jobs=args.jobs):

@@ -6,12 +6,14 @@ what makes stage-by-stage execution byte-identical to run-all. Its one
 in-memory shortcut cannot diverge: within a session's ``ingest.parse_memo``
 block, ``ingest`` hands label and split the columns its CSV writer stored
 only while a file's bytes are still those it wrote, and they are exactly
-what parsing those bytes gives. Each fact of a session has one
-file: cleaning changes only the samples, so preprocess writes only the
-cleaned ``eeg.csv``, and label and split read it with the session's own
-manifest, label also with the session's own joystick stream, which no other
-stage reads: preprocess reads the raw recording with its manifest alone,
-and lets it go as soon as the filter returns.
+what parsing those bytes gives.
+
+``STAGE_FILES`` is the workspace layout: for each stage, the paths it reads
+and writes for one subject, a session or a run, by role. Every stage, run-all
+and the CLI take their workspace paths from it. Each fact of a session has
+one file: cleaning changes only the samples, so preprocess writes only the
+cleaned ``eeg.csv``, which later stages read with the session's own manifest,
+and only label reads the joystick stream.
 Split writes each partition's window blob from blocks of
 ``splitting.WINDOW_BLOCK`` windows gathered from the float32 recording, so
 it never holds a partition's (n, C, S) tensor.
@@ -19,28 +21,18 @@ it never holds a partition's (n, C, S) tensor.
 report take their (session, horizon, model) runs from it, so the report
 reads the scores of exactly those runs.
 
-Workspace layout under the output directory:
-
-    sessions/<id>/            raw session dirs (simulated or user-supplied)
-    work/<id>/preprocessed/eeg.csv   cleaned samples, in eeg.csv format
-    work/<id>/preprocess_report.json
-    work/<id>/labels/labels_<delta>.csv
-    work/<id>/windows/<delta>/{train,test}.{f32,json} + split_stats.json
-    work/<id>/runs/<model>_<delta>/{checkpoint.bin,loss.csv,score.json}
-    report/                   metrics.csv, summary.csv, confusions, SVG
-
 Per-run seeds derive from (global seed, session id, horizon, purpose), so
 adding a session or horizon never disturbs the seeds of unrelated runs.
 
 Parallelism has two levels, and neither is inside a matrix product:
 every process and thread runs numpy's OpenBLAS on one thread. Runs spread
 over ``jobs`` worker processes, and within a run the chunks of each
-training step spread over ``step_workers(jobs)`` threads, so that jobs x
-threads fill the usable cores. Neither level changes a byte of output.
-Each level imports its machinery when it first starts: ``multiprocessing``
-and ``concurrent.futures`` load only when ``_fork_pool`` forks a pool or a
-training step starts a helper thread, so a ``--jobs 1`` run of the linear
-model loads neither.
+training step spread over ``step_workers`` of the processes the runs
+occupy, so that processes x threads fill the usable cores. Neither level
+changes a byte of output. Each level imports its machinery when it first
+starts: ``multiprocessing`` and ``concurrent.futures`` load only when
+``_fork_pool`` forks a pool or a training step starts a helper thread, so
+a ``--jobs 1`` run of the linear model loads neither.
 """
 
 from __future__ import annotations
@@ -51,6 +43,7 @@ import itertools
 import os
 from contextlib import contextmanager
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -73,68 +66,126 @@ from .report import RunScore, clear_report, emit_report, read_run_score, write_r
 from .session import N_CLASSES
 from .splitting import build_split, window_blocks
 from .synth import write_synthetic_session
-from .tensorfile import read_windows, write_windows
-
-SESSIONS_DIR = "sessions"
-WORK_DIR = "work"
-REPORT_DIR = "report"
-PREPROCESSED_DIR = "preprocessed"
-PREPROCESS_REPORT = "preprocess_report.json"
-SPLIT_STATS = "split_stats.json"
-CHECKPOINT_FILE = "checkpoint.bin"
-LOSS_FILE = "loss.csv"
-SCORE_FILE = "score.json"
-
-
-class Workspace:
-    """Path arithmetic for one output directory."""
-
-    def __init__(self, root: str | Path):
-        self.root = Path(root)
-
-    def sessions_root(self) -> Path:
-        return self.root / SESSIONS_DIR
-
-    def session_dir(self, session_id: str) -> Path:
-        return self.sessions_root() / session_id
-
-    def session_ids(self) -> list[str]:
-        root = self.sessions_root()
-        if not root.is_dir():
-            return []
-        return sorted(p.name for p in root.iterdir() if p.is_dir())
-
-    def work_dir(self, session_id: str) -> Path:
-        return self.root / WORK_DIR / session_id
-
-    def preprocessed_eeg(self, session_id: str) -> Path:
-        return self.work_dir(session_id) / PREPROCESSED_DIR / EEG_NAME
-
-    def preprocess_report(self, session_id: str) -> Path:
-        return self.work_dir(session_id) / PREPROCESS_REPORT
-
-    def labels_csv(self, session_id: str, delta_ms: int) -> Path:
-        return self.work_dir(session_id) / "labels" / f"labels_{delta_ms}.csv"
-
-    def windows_dir(self, session_id: str, delta_ms: int) -> Path:
-        return self.work_dir(session_id) / "windows" / str(delta_ms)
-
-    def windows_base(self, session_id: str, delta_ms: int, partition: str) -> Path:
-        return self.windows_dir(session_id, delta_ms) / partition
-
-    def split_stats(self, session_id: str, delta_ms: int) -> Path:
-        return self.windows_dir(session_id, delta_ms) / SPLIT_STATS
-
-    def run_dir(self, session_id: str, delta_ms: int, model: str) -> Path:
-        return self.work_dir(session_id) / "runs" / f"{model}_{delta_ms}"
-
-    def report_dir(self) -> Path:
-        return self.root / REPORT_DIR
+from .tensorfile import read_windows, window_files, write_windows
 
 
 def runs(cfg: RunConfig, session_ids: list[str]) -> list[tuple[str, int, str]]:
     """The (session, horizon, model) runs of ``cfg``, session-major."""
     return list(itertools.product(session_ids, cfg.horizons_ms, cfg.models))
+
+
+# -------------------------------------------------------------------- table
+
+
+class StageFiles(NamedTuple):
+    """One stage's workspace paths for one subject, by role: a name, a
+    (name, horizon) pair for a file of each horizon, or the run whose score
+    report reads. A directory stands for the files its writer names
+    (``ingest`` a session's, ``report`` the report's), and a window pair's
+    base path for ``tensorfile.window_files``."""
+
+    inputs: dict
+    outputs: dict
+
+    def make_parents(self) -> dict:
+        """Create the directories the outputs go in; returns the outputs."""
+        for path in self.outputs.values():
+            path.parent.mkdir(parents=True, exist_ok=True)
+        return self.outputs
+
+
+def _sessions(root: Path) -> Path:
+    return Path(root) / "sessions"
+
+
+def _work(root: Path, session_id: str) -> Path:
+    return Path(root) / "work" / session_id
+
+
+def _simulate_files(cfg: RunConfig, root: Path, session_id: str) -> StageFiles:
+    return StageFiles({}, {"session": _sessions(root) / session_id})
+
+
+def _preprocess_files(cfg: RunConfig, root: Path, session_id: str) -> StageFiles:
+    work = _work(root, session_id)
+    return StageFiles(_simulate_files(cfg, root, session_id).outputs, {
+        "cleaned": work / "preprocessed" / EEG_NAME, "report": work / "preprocess_report.json"})
+
+
+def _label_files(cfg: RunConfig, root: Path, session_id: str) -> StageFiles:
+    preprocess = _preprocess_files(cfg, root, session_id)
+    labels = _work(root, session_id) / "labels"
+    return StageFiles({**preprocess.inputs, "cleaned": preprocess.outputs["cleaned"]},
+                      {("labels", d): labels / f"labels_{d}.csv" for d in cfg.horizons_ms})
+
+
+def _split_horizon(root: Path, session_id: str, delta: int) -> dict:
+    """The files split writes for one horizon, by name."""
+    windows = _work(root, session_id) / "windows" / str(delta)
+    return {"train": windows / "train", "test": windows / "test",
+            "stats": windows / "split_stats.json"}
+
+
+def _split_files(cfg: RunConfig, root: Path, session_id: str) -> StageFiles:
+    label = _label_files(cfg, root, session_id)
+    return StageFiles({**label.inputs, **label.outputs}, {
+        (name, d): path for d in cfg.horizons_ms
+        for name, path in _split_horizon(root, session_id, d).items()})
+
+
+def _train_files(cfg: RunConfig, root: Path, run: tuple[str, int, str]) -> StageFiles:
+    session_id, delta, model = run
+    split = _split_horizon(root, session_id, delta)
+    out = _work(root, session_id) / "runs" / f"{model}_{delta}"
+    return StageFiles({"windows": split["train"], "stats": split["stats"]},
+                      {"checkpoint": out / "checkpoint.bin", "loss": out / "loss.csv"})
+
+
+def _eval_files(cfg: RunConfig, root: Path, run: tuple[str, int, str]) -> StageFiles:
+    checkpoint = _train_files(cfg, root, run).outputs["checkpoint"]
+    return StageFiles({"checkpoint": checkpoint, "windows": _split_horizon(root, *run[:2])["test"]},
+                      {"score": checkpoint.with_name("score.json")})
+
+
+def _report_files(cfg: RunConfig, root: Path, session_ids: list[str]) -> StageFiles:
+    scores = {run: _eval_files(cfg, root, run).outputs["score"] for run in runs(cfg, session_ids)}
+    return StageFiles(scores, {"report": Path(root) / "report"})
+
+
+#: stage -> its paths as a function of (config, workspace root, subject).
+#: The subject is a session id, a ``runs`` entry for train and eval, and the
+#: session ids for report.
+STAGE_FILES = {
+    "simulate": _simulate_files,
+    "preprocess": _preprocess_files,
+    "label": _label_files,
+    "split": _split_files,
+    "train": _train_files,
+    "eval": _eval_files,
+    "report": _report_files,
+}
+
+
+def session_ids(root: Path) -> list[str]:
+    """The ids of the workspace's session directories, sorted."""
+    sessions = _sessions(root)
+    if not sessions.is_dir():
+        return []
+    return sorted(p.name for p in sessions.iterdir() if p.is_dir())
+
+
+def select_sessions(root: Path, wanted: list[str] | None = None) -> list[str]:
+    """The sessions ``wanted``, by default every one in the workspace; an
+    unknown id, or no session at all, is a DataError."""
+    known = session_ids(root)
+    if not wanted:
+        if not known:
+            raise DataError(f"no sessions under {_sessions(root)}")
+        return known
+    missing = sorted(set(wanted) - set(known))
+    if missing:
+        raise DataError(f"unknown session ids {missing}; have {known}")
+    return sorted(set(wanted))
 
 
 def one_blas_thread() -> None:
@@ -176,21 +227,19 @@ def _stage(stage: str, detail: str):
 # ---------------------------------------------------------------- simulate
 
 
-def stage_simulate(cfg: RunConfig, ws: Workspace) -> list[str]:
-    """Generate cfg.n_sessions synthetic sessions into sessions/.
+def stage_simulate(cfg: RunConfig, root: Path) -> list[str]:
+    """Generate cfg.n_sessions synthetic sessions into the workspace.
 
     Session i uses rng_seed = cfg.synth.rng_seed + i so a config pins the
     whole batch; the simulator names each session after its seed.
     """
-    ws.sessions_root().mkdir(parents=True, exist_ok=True)
     ids = []
     for i in range(cfg.n_sessions):
         seed = cfg.synth.rng_seed + i
         session_id = f"synth-{seed:04d}"
+        out = STAGE_FILES["simulate"](cfg, root, session_id).make_parents()
         with _stage("simulate", session_id):
-            write_synthetic_session(
-                ws.session_dir(session_id), dataclasses.replace(cfg.synth, rng_seed=seed)
-            )
+            write_synthetic_session(out["session"], dataclasses.replace(cfg.synth, rng_seed=seed))
         ids.append(session_id)
     return ids
 
@@ -206,63 +255,57 @@ def stage_validate(session_path: Path) -> SessionDir:
 # -------------------------------------------------------------- preprocess
 
 
-def stage_preprocess(cfg: RunConfig, ws: Workspace, session_id: str) -> Path:
+def stage_preprocess(cfg: RunConfig, root: Path, session_id: str) -> None:
     """Clean one session's raw recording, read with its manifest alone;
     emits the cleaned ``eeg.csv`` plus the JSON report."""
+    files = STAGE_FILES["preprocess"](cfg, root, session_id)
     with _stage("preprocess", session_id):
         # the only reference to the raw recording is passed on, so it is
         # freed as soon as the filter returns
-        cleaned, report = preprocess_session(
-            load_recording(ws.session_dir(session_id))[1], cfg.filters
-        )
-        out = ws.preprocessed_eeg(session_id)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        write_eeg_csv(out, cleaned)
-        write_json(ws.preprocess_report(session_id), report.to_dict())
-        return out
+        cleaned, report = preprocess_session(load_recording(files.inputs["session"])[1],
+                                             cfg.filters)
+        out = files.make_parents()
+        write_eeg_csv(out["cleaned"], cleaned)
+        write_json(out["report"], report.to_dict())
 
 
 # ------------------------------------------------------------------ label
 
 
-def stage_label(cfg: RunConfig, ws: Workspace, session_id: str) -> list[Path]:
+def stage_label(cfg: RunConfig, root: Path, session_id: str) -> None:
     """Label the cleaned recording at every configured horizon under
     ``cfg.label_rule``."""
+    files = STAGE_FILES["label"](cfg, root, session_id)
     with _stage("label", session_id):
-        session = load_session(ws.session_dir(session_id), ws.preprocessed_eeg(session_id))
-        ws.labels_csv(session_id, 0).parent.mkdir(parents=True, exist_ok=True)
-        written = []
+        session = load_session(files.inputs["session"], files.inputs["cleaned"])
+        out = files.make_parents()
         for delta in cfg.horizons_ms:
             labelled = label_at_horizon(
-                session.eeg.timestamps, session.joystick, cfg.label_rule, delta
-            )
-            written.append(write_labels_csv(ws.labels_csv(session_id, delta), labelled))
-        return written
+                session.eeg.timestamps, session.joystick, cfg.label_rule, delta)
+            write_labels_csv(out["labels", delta], labelled)
 
 
 # ------------------------------------------------------------------ split
 
 
-def stage_split(cfg: RunConfig, ws: Workspace, session_id: str) -> None:
+def stage_split(cfg: RunConfig, root: Path, session_id: str) -> None:
+    files = STAGE_FILES["split"](cfg, root, session_id)
     with _stage("split", session_id):
-        _, eeg = load_recording(ws.session_dir(session_id), ws.preprocessed_eeg(session_id))
+        _, eeg = load_recording(files.inputs["session"], files.inputs["cleaned"])
         timestamps = eeg.timestamps
         samples = np.ascontiguousarray(eeg.samples, dtype=np.float32)
         # one copy of the samples, the float32 one, lives through the loop
         # (and, when the recording was recalled, the one ingest stored); it
         # is C-ordered because np.take copies any other array whole per block
         del eeg
+        out = files.make_parents()
         for delta in cfg.horizons_ms:
-            labels_path = ws.labels_csv(session_id, delta)
+            labels_path = files.inputs["labels", delta]
             if not labels_path.is_file():
                 raise DataError(f"missing labels file {labels_path}; run label first")
             labelled = read_labels_csv(labels_path, timestamps)
-            ds = build_split(
-                labelled, cfg.split, derive_seed(cfg.seed, session_id, delta, "split")
-            )
-            out_dir = ws.windows_dir(session_id, delta)
-            out_dir.mkdir(parents=True, exist_ok=True)
-            stats_path = ws.split_stats(session_id, delta)
+            ds = build_split(labelled, cfg.split, derive_seed(cfg.seed, session_id, delta, "split"))
+            stats_path = out["stats", delta]
             stats_path.unlink(missing_ok=True)  # written last, so never stale
             for partition, windows in (("train", ds.train), ("test", ds.test)):
                 if len(windows) == 0:
@@ -272,12 +315,8 @@ def stage_split(cfg: RunConfig, ws: Workspace, session_id: str) -> None:
                         f"(gap_break_ns={cfg.split.gap_break_ns}, "
                         f"n_chunks={cfg.split.n_chunks})"
                     )
-                write_windows(
-                    ws.windows_base(session_id, delta, partition),
-                    window_blocks(samples, windows),
-                    windows.labels.tolist(),
-                    delta,
-                )
+                write_windows(out[partition, delta], window_blocks(samples, windows),
+                              windows.labels.tolist(), delta)
             stats = {
                 "session_id": session_id,
                 "delta_ms": delta,
@@ -285,12 +324,8 @@ def stage_split(cfg: RunConfig, ws: Workspace, session_id: str) -> None:
                 "absent_classes": [int(v) for v in ds.absent_classes],
                 "n_train": len(ds.train),
                 "n_test": len(ds.test),
-                "train_histogram": np.bincount(
-                    ds.train.labels, minlength=N_CLASSES
-                ).tolist(),
-                "test_histogram": np.bincount(
-                    ds.test.labels, minlength=N_CLASSES
-                ).tolist(),
+                "train_histogram": np.bincount(ds.train.labels, minlength=N_CLASSES).tolist(),
+                "test_histogram": np.bincount(ds.test.labels, minlength=N_CLASSES).tolist(),
             }
             write_json(stats_path, stats)
 
@@ -315,16 +350,15 @@ def _read_split_stats(path: Path) -> np.ndarray:
     return np.asarray(counts, dtype=np.int64)
 
 
-def stage_train(
-    cfg: RunConfig, ws: Workspace, session_id: str, delta_ms: int, model_name: str,
-    workers: int | None = None,
-) -> Path:
+def stage_train(cfg: RunConfig, root: Path, run: tuple[str, int, str],
+                workers: int | None = None) -> None:
     """Train one run; ``workers`` threads share each step (None: one per
     usable core)."""
+    files = STAGE_FILES["train"](cfg, root, run)
+    session_id, delta_ms, model_name = run
     with _stage("train", f"{session_id} delta={delta_ms} model={model_name}"):
-        base = ws.windows_base(session_id, delta_ms, "train")
-        data, labels = read_windows(base, delta_ms)
-        counts = _read_split_stats(ws.split_stats(session_id, delta_ms))
+        data, labels = read_windows(files.inputs["windows"], delta_ms)
+        counts = _read_split_stats(files.inputs["stats"])
         weights = compute_class_weights(counts)
         n_channels, n_samples = data.shape[1], data.shape[2]
         model = build_model(model_name, n_channels, n_samples)
@@ -332,76 +366,59 @@ def stage_train(
         result = train_model(model, data, labels, weights, cfg.train, seed,
                              workers=step_workers(1) if workers is None else workers)
 
-        run_dir = ws.run_dir(session_id, delta_ms, model_name)
-        run_dir.mkdir(parents=True, exist_ok=True)
-        ckpt = run_dir / CHECKPOINT_FILE
-        save_checkpoint(
-            ckpt,
-            model,
-            result.params,
-            extra={
-                "session_id": session_id,
-                "delta_ms": delta_ms,
-                "model": model_name,
-                "rng_seed": seed,
-            },
-        )
+        out = files.make_parents()
+        save_checkpoint(out["checkpoint"], model, result.params, extra={
+            "session_id": session_id, "delta_ms": delta_ms, "model": model_name, "rng_seed": seed,
+        })
         loss_lines = ["epoch,mean_loss"]
         loss_lines += [
             f"{i},{format(loss, '.12g')}" for i, loss in enumerate(result.epoch_losses)
         ]
-        write_replacing(run_dir / LOSS_FILE, [("\n".join(loss_lines) + "\n").encode()])
-        return ckpt
+        write_replacing(out["loss"], [("\n".join(loss_lines) + "\n").encode()])
 
 
 # ------------------------------------------------------------------- eval
 
 
-def stage_eval(
-    cfg: RunConfig, ws: Workspace, session_id: str, delta_ms: int, model_name: str
-) -> RunScore:
+def stage_eval(cfg: RunConfig, root: Path, run: tuple[str, int, str]) -> RunScore:
+    files = STAGE_FILES["eval"](cfg, root, run)
+    session_id, delta_ms, model_name = run
     with _stage("eval", f"{session_id} delta={delta_ms} model={model_name}"):
-        run_dir = ws.run_dir(session_id, delta_ms, model_name)
-        ckpt = run_dir / CHECKPOINT_FILE
+        ckpt, base = files.inputs["checkpoint"], files.inputs["windows"]
         model, params, _header = load_checkpoint(ckpt)
-        base = ws.windows_base(session_id, delta_ms, "test")
         data, labels = read_windows(base, delta_ms)
         if data.shape[1:] != (model.n_channels, model.n_samples):
-            raise DataError(f"{base}.json: windows of {data.shape[1]} channels x "
+            raise DataError(f"{window_files(base)[1]}: windows of {data.shape[1]} channels x "
                             f"{data.shape[2]} samples do not fit {ckpt}")
         pred = predict(model, params, data)
         result = metrics_from_confusion(confusion_matrix(labels, pred))
-        score = RunScore(
-            model=model_name, horizon_ms=delta_ms, run_id=session_id, result=result
-        )
-        write_run_score(run_dir / SCORE_FILE, score)
+        score = RunScore(model=model_name, horizon_ms=delta_ms, run_id=session_id, result=result)
+        write_run_score(files.make_parents()["score"], score)
         return score
 
 
 # ----------------------------------------------------------------- report
 
 
-def _read_score(ws: Workspace, session_id: str, delta_ms: int, model_name: str) -> RunScore:
-    """The score stored for one run; a score of another run is a DataError."""
-    path = ws.run_dir(session_id, delta_ms, model_name) / SCORE_FILE
+def _read_score(path: Path, run: tuple[str, int, str]) -> RunScore:
+    """The score stored at ``path`` for ``run``; another run's is a DataError."""
     if not path.is_file():
         raise DataError(f"{path}: no score; run eval for this model at this horizon first")
     score = read_run_score(path)
-    if (score.run_id, score.horizon_ms, score.model) != (session_id, delta_ms, model_name):
+    if (score.run_id, score.horizon_ms, score.model) != run:
         raise DataError(f"{path}: holds the score of {score.model} {score.run_id} "
                         f"delta={score.horizon_ms}, not of this run")
     return score
 
 
-def stage_report(cfg: RunConfig, ws: Workspace) -> list[Path]:
+def stage_report(cfg: RunConfig, root: Path) -> list[Path]:
     """Report every configured run of every session in the workspace."""
-    with _stage("report", str(ws.report_dir())):
-        clear_report(ws.report_dir())
-        session_ids = ws.session_ids()
-        if not session_ids:
-            raise DataError(f"no sessions under {ws.sessions_root()}")
-        scores = [_read_score(ws, *run) for run in runs(cfg, session_ids)]
-        return emit_report(scores, ws.report_dir())
+    files = STAGE_FILES["report"](cfg, root, session_ids(root))
+    with _stage("report", str(files.outputs["report"])):
+        clear_report(files.outputs["report"])
+        select_sessions(root)  # a workspace without sessions is a DataError
+        scores = [_read_score(path, run) for run, path in files.inputs.items()]
+        return emit_report(scores, files.make_parents()["report"])
 
 
 # ---------------------------------------------------------------- run-all
@@ -409,21 +426,19 @@ def stage_report(cfg: RunConfig, ws: Workspace) -> list[Path]:
 
 def _per_session(args) -> None:
     cfg, root, session_id = args
-    ws = Workspace(root)
     # ingest stores the parse of each CSV this block writes, so label and
     # split recall the cleaned recording and the labels files while their
     # bytes are unchanged; every entry is dropped when split returns
     with parse_memo():
-        stage_preprocess(cfg, ws, session_id)
-        stage_label(cfg, ws, session_id)
-        stage_split(cfg, ws, session_id)
+        stage_preprocess(cfg, root, session_id)
+        stage_label(cfg, root, session_id)
+        stage_split(cfg, root, session_id)
 
 
 def _per_run(args) -> None:
-    cfg, root, session_id, delta, model, workers = args
-    ws = Workspace(root)
-    stage_train(cfg, ws, session_id, delta, model, workers)
-    stage_eval(cfg, ws, session_id, delta, model)
+    cfg, root, run, workers = args
+    stage_train(cfg, root, run, workers)
+    stage_eval(cfg, root, run)
 
 
 def _fork_pool(max_workers: int, initializer):
@@ -459,16 +474,15 @@ def _map(fn, items, jobs: int) -> None:
 def run_all(cfg: RunConfig, out_dir: str | Path, jobs: int = 1) -> list[Path]:
     """simulate (if needed) -> preprocess -> label -> split -> train ->
     eval per session, then one aggregated report. Sessions and runs spread
-    over ``jobs`` processes, and each run trains on ``step_workers(jobs)``
-    threads."""
+    over ``jobs`` processes, and each run trains on its process's share of
+    the cores: ``step_workers`` of the processes that the runs occupy."""
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
     one_blas_thread()
-    ws = Workspace(out_dir)
-    session_ids = ws.session_ids()
-    if not session_ids:
-        session_ids = stage_simulate(cfg, ws)
-    _map(_per_session, [(cfg, ws.root, sid) for sid in session_ids], jobs)
-    workers = step_workers(jobs)
-    _map(_per_run, [(cfg, ws.root, *run, workers) for run in runs(cfg, session_ids)], jobs)
-    return stage_report(cfg, ws)
+    root = Path(out_dir)
+    ids = session_ids(root) or stage_simulate(cfg, root)
+    _map(_per_session, [(cfg, root, sid) for sid in ids], jobs)
+    grid = runs(cfg, ids)
+    workers = step_workers(min(jobs, len(grid)))
+    _map(_per_run, [(cfg, root, run, workers) for run in grid], jobs)
+    return stage_report(cfg, root)

@@ -232,9 +232,13 @@ def write_f1_svg(path: Path, runs: list[RunScore]) -> None:
     write_replacing(path, [("\n".join(parts) + "\n").encode()])
 
 
+#: the report's files besides the confusion CSVs, each with its writer
+_WRITERS = {METRICS_CSV: write_metrics_csv, SUMMARY_CSV: write_summary_csv, F1_SVG: write_f1_svg}
+
+
 def clear_report(out_dir: Path) -> None:
     """Remove every file a report writes in ``out_dir``, any cell's confusion CSV included."""
-    for path in [out_dir / METRICS_CSV, out_dir / SUMMARY_CSV, out_dir / F1_SVG,
+    for path in [*(out_dir / name for name in _WRITERS),
                  *out_dir.glob(confusion_csv_name("*", "*"))]:
         path.unlink(missing_ok=True)
 
@@ -244,13 +248,7 @@ def emit_report(runs: list[RunScore], out_dir: Path) -> list[Path]:
     out_dir = Path(out_dir)
     clear_report(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    written = [
-        out_dir / METRICS_CSV,
-        out_dir / SUMMARY_CSV,
-        out_dir / F1_SVG,
-    ]
-    write_metrics_csv(written[0], runs)
-    write_summary_csv(written[1], runs)
-    write_f1_svg(written[2], runs)
-    written.extend(write_confusion_csvs(out_dir, runs))
-    return written
+    written = [out_dir / name for name in _WRITERS]
+    for path, write in zip(written, _WRITERS.values()):
+        write(path, runs)
+    return written + write_confusion_csvs(out_dir, runs)

@@ -55,6 +55,11 @@ def _check_extent(path: Path, size: int, offset: int, tensors: list) -> None:
         raise DataError(f"{path}: {problem}: {counts} end at byte {end}, the file at {size}")
 
 
+def window_files(base: str | Path) -> tuple[Path, Path]:
+    """The blob and the sidecar of the window pair at ``base``."""
+    return Path(base).with_suffix(".f32"), Path(base).with_suffix(".json")
+
+
 def write_windows(
     base: str | Path,
     blocks: Iterable[np.ndarray],
@@ -70,8 +75,7 @@ def write_windows(
     place, so the old blob stays and no temp file is left."""
     base = Path(base)
     labels = [int(v) for v in labels]
-    bin_path = base.with_suffix(".f32")
-    json_path = base.with_suffix(".json")
+    bin_path, json_path = window_files(base)
     shape = []
 
     def chunks():
@@ -111,8 +115,7 @@ def read_windows(base: str | Path, delta_ms: int) -> tuple[np.ndarray, np.ndarra
     the blob is checked by its min and max, which NaN propagates to, and the
     first window holding such a value is found only on a fault."""
     base = Path(base)
-    bin_path = base.with_suffix(".f32")
-    json_path = base.with_suffix(".json")
+    bin_path, json_path = window_files(base)
     for p in (bin_path, json_path):
         if not p.is_file():
             raise DataError(f"missing window tensor file {p}")

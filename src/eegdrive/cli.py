@@ -163,7 +163,10 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "eval":
             for sid, delta, model in runs(cfg, select_sessions(args.out, args.session)):
                 score = stage_eval(cfg, args.out, (sid, delta, model))
-                print(f"eval {model} {sid} delta={delta} macro_f1={score.result.macro_f1:.4f}")
+                print(
+                    f"eval {model} {sid} delta={delta} "
+                    f"macro_f1={score.result.macro_f1:.4f}"
+                )
         elif args.command == "report":
             for path in stage_report(cfg, args.out):
                 print(f"wrote {path}")

@@ -12,8 +12,7 @@ what parsing those bytes gives.
 and writes for one subject, a session or a run, by role. Every stage, run-all
 and the CLI take their workspace paths from it. Each fact of a session has
 one file: cleaning changes only the samples, so preprocess writes only the
-cleaned ``eeg.csv``, which later stages read with the session's own manifest,
-and only label reads the joystick stream.
+cleaned ``eeg.csv``, which later stages read with the session's own manifest.
 Split writes each partition's window blob from blocks of
 ``splitting.WINDOW_BLOCK`` windows gathered from the float32 recording, so
 it never holds a partition's (n, C, S) tensor.
@@ -49,7 +48,8 @@ import numpy as np
 
 from .config import RunConfig, derive_seed
 from .errors import ConfigError, DataError, EegDriveError
-from .ingest import EEG_NAME, SessionDir, decode_json, load_recording, load_session
+from .ingest import EEG_NAME, JOYSTICK_NAME, MANIFEST_NAME, SessionDir, decode_json
+from .ingest import load_recording, load_session
 from .ingest import non_integers, parse_memo, write_eeg_csv, write_json, write_replacing
 from .labels import label_at_horizon, read_labels_csv, write_labels_csv
 from .metrics import confusion_matrix, metrics_from_confusion
@@ -65,7 +65,7 @@ from .preprocess import preprocess_session
 from .report import RunScore, clear_report, emit_report, read_run_score, write_run_score
 from .session import N_CLASSES
 from .splitting import build_split, window_blocks
-from .synth import write_synthetic_session
+from .synth import TRUTH_NAME, write_synthetic_session
 from .tensorfile import read_windows, window_files, write_windows
 
 
@@ -80,9 +80,8 @@ def runs(cfg: RunConfig, session_ids: list[str]) -> list[tuple[str, int, str]]:
 class StageFiles(NamedTuple):
     """One stage's workspace paths for one subject, by role: a name, a
     (name, horizon) pair for a file of each horizon, or the run whose score
-    report reads. A directory stands for the files its writer names
-    (``ingest`` a session's, ``report`` the report's), and a window pair's
-    base path for ``tensorfile.window_files``."""
+    report reads. ``report/`` stands for the files ``report`` names, and a
+    window pair's base path for ``tensorfile.window_files``."""
 
     inputs: dict
     outputs: dict
@@ -103,20 +102,25 @@ def _work(root: Path, session_id: str) -> Path:
 
 
 def _simulate_files(cfg: RunConfig, root: Path, session_id: str) -> StageFiles:
-    return StageFiles({}, {"session": _sessions(root) / session_id})
+    session = _sessions(root) / session_id
+    return StageFiles({}, {"manifest": session / MANIFEST_NAME, "raw": session / EEG_NAME,
+                           "joystick": session / JOYSTICK_NAME, "truth": session / TRUTH_NAME})
 
 
 def _preprocess_files(cfg: RunConfig, root: Path, session_id: str) -> StageFiles:
+    session = _simulate_files(cfg, root, session_id).outputs
     work = _work(root, session_id)
-    return StageFiles(_simulate_files(cfg, root, session_id).outputs, {
+    return StageFiles({"manifest": session["manifest"], "raw": session["raw"]}, {
         "cleaned": work / "preprocessed" / EEG_NAME, "report": work / "preprocess_report.json"})
 
 
 def _label_files(cfg: RunConfig, root: Path, session_id: str) -> StageFiles:
-    preprocess = _preprocess_files(cfg, root, session_id)
+    session = _simulate_files(cfg, root, session_id).outputs
+    cleaned = _preprocess_files(cfg, root, session_id).outputs["cleaned"]
     labels = _work(root, session_id) / "labels"
-    return StageFiles({**preprocess.inputs, "cleaned": preprocess.outputs["cleaned"]},
-                      {("labels", d): labels / f"labels_{d}.csv" for d in cfg.horizons_ms})
+    return StageFiles(
+        {"manifest": session["manifest"], "cleaned": cleaned, "joystick": session["joystick"]},
+        {("labels", d): labels / f"labels_{d}.csv" for d in cfg.horizons_ms})
 
 
 def _split_horizon(root: Path, session_id: str, delta: int) -> dict:
@@ -128,7 +132,8 @@ def _split_horizon(root: Path, session_id: str, delta: int) -> dict:
 
 def _split_files(cfg: RunConfig, root: Path, session_id: str) -> StageFiles:
     label = _label_files(cfg, root, session_id)
-    return StageFiles({**label.inputs, **label.outputs}, {
+    recording = {role: label.inputs[role] for role in ("manifest", "cleaned")}
+    return StageFiles({**recording, **label.outputs}, {
         (name, d): path for d in cfg.horizons_ms
         for name, path in _split_horizon(root, session_id, d).items()})
 
@@ -233,13 +238,17 @@ def stage_simulate(cfg: RunConfig, root: Path) -> list[str]:
     Session i uses rng_seed = cfg.synth.rng_seed + i so a config pins the
     whole batch; the simulator names each session after its seed.
     """
+    _sessions(root).mkdir(parents=True, exist_ok=True)
     ids = []
     for i in range(cfg.n_sessions):
         seed = cfg.synth.rng_seed + i
         session_id = f"synth-{seed:04d}"
-        out = STAGE_FILES["simulate"](cfg, root, session_id).make_parents()
+        out = STAGE_FILES["simulate"](cfg, root, session_id).outputs
         with _stage("simulate", session_id):
-            write_synthetic_session(out["session"], dataclasses.replace(cfg.synth, rng_seed=seed))
+            # the simulator's writer makes the session directory
+            write_synthetic_session(
+                out["manifest"].parent, dataclasses.replace(cfg.synth, rng_seed=seed)
+            )
         ids.append(session_id)
     return ids
 
@@ -262,8 +271,9 @@ def stage_preprocess(cfg: RunConfig, root: Path, session_id: str) -> None:
     with _stage("preprocess", session_id):
         # the only reference to the raw recording is passed on, so it is
         # freed as soon as the filter returns
-        cleaned, report = preprocess_session(load_recording(files.inputs["session"])[1],
-                                             cfg.filters)
+        cleaned, report = preprocess_session(
+            load_recording(files.inputs["manifest"].parent, files.inputs["raw"])[1], cfg.filters
+        )
         out = files.make_parents()
         write_eeg_csv(out["cleaned"], cleaned)
         write_json(out["report"], report.to_dict())
@@ -277,11 +287,13 @@ def stage_label(cfg: RunConfig, root: Path, session_id: str) -> None:
     ``cfg.label_rule``."""
     files = STAGE_FILES["label"](cfg, root, session_id)
     with _stage("label", session_id):
-        session = load_session(files.inputs["session"], files.inputs["cleaned"])
+        # ingest reads the joystick stream at the path the table declares
+        session = load_session(files.inputs["manifest"].parent, files.inputs["cleaned"])
         out = files.make_parents()
         for delta in cfg.horizons_ms:
             labelled = label_at_horizon(
-                session.eeg.timestamps, session.joystick, cfg.label_rule, delta)
+                session.eeg.timestamps, session.joystick, cfg.label_rule, delta
+            )
             write_labels_csv(out["labels", delta], labelled)
 
 
@@ -291,21 +303,24 @@ def stage_label(cfg: RunConfig, root: Path, session_id: str) -> None:
 def stage_split(cfg: RunConfig, root: Path, session_id: str) -> None:
     files = STAGE_FILES["split"](cfg, root, session_id)
     with _stage("split", session_id):
-        _, eeg = load_recording(files.inputs["session"], files.inputs["cleaned"])
+        _, eeg = load_recording(files.inputs["manifest"].parent, files.inputs["cleaned"])
         timestamps = eeg.timestamps
         samples = np.ascontiguousarray(eeg.samples, dtype=np.float32)
         # one copy of the samples, the float32 one, lives through the loop
         # (and, when the recording was recalled, the one ingest stored); it
         # is C-ordered because np.take copies any other array whole per block
         del eeg
-        out = files.make_parents()
+        out = files.outputs
         for delta in cfg.horizons_ms:
             labels_path = files.inputs["labels", delta]
             if not labels_path.is_file():
                 raise DataError(f"missing labels file {labels_path}; run label first")
             labelled = read_labels_csv(labels_path, timestamps)
-            ds = build_split(labelled, cfg.split, derive_seed(cfg.seed, session_id, delta, "split"))
+            ds = build_split(
+                labelled, cfg.split, derive_seed(cfg.seed, session_id, delta, "split")
+            )
             stats_path = out["stats", delta]
+            stats_path.parent.mkdir(parents=True, exist_ok=True)
             stats_path.unlink(missing_ok=True)  # written last, so never stale
             for partition, windows in (("train", ds.train), ("test", ds.test)):
                 if len(windows) == 0:
@@ -315,8 +330,12 @@ def stage_split(cfg: RunConfig, root: Path, session_id: str) -> None:
                         f"(gap_break_ns={cfg.split.gap_break_ns}, "
                         f"n_chunks={cfg.split.n_chunks})"
                     )
-                write_windows(out[partition, delta], window_blocks(samples, windows),
-                              windows.labels.tolist(), delta)
+                write_windows(
+                    out[partition, delta],
+                    window_blocks(samples, windows),
+                    windows.labels.tolist(),
+                    delta,
+                )
             stats = {
                 "session_id": session_id,
                 "delta_ms": delta,
@@ -324,8 +343,12 @@ def stage_split(cfg: RunConfig, root: Path, session_id: str) -> None:
                 "absent_classes": [int(v) for v in ds.absent_classes],
                 "n_train": len(ds.train),
                 "n_test": len(ds.test),
-                "train_histogram": np.bincount(ds.train.labels, minlength=N_CLASSES).tolist(),
-                "test_histogram": np.bincount(ds.test.labels, minlength=N_CLASSES).tolist(),
+                "train_histogram": np.bincount(
+                    ds.train.labels, minlength=N_CLASSES
+                ).tolist(),
+                "test_histogram": np.bincount(
+                    ds.test.labels, minlength=N_CLASSES
+                ).tolist(),
             }
             write_json(stats_path, stats)
 
@@ -350,8 +373,9 @@ def _read_split_stats(path: Path) -> np.ndarray:
     return np.asarray(counts, dtype=np.int64)
 
 
-def stage_train(cfg: RunConfig, root: Path, run: tuple[str, int, str],
-                workers: int | None = None) -> None:
+def stage_train(
+    cfg: RunConfig, root: Path, run: tuple[str, int, str], workers: int | None = None
+) -> None:
     """Train one run; ``workers`` threads share each step (None: one per
     usable core)."""
     files = STAGE_FILES["train"](cfg, root, run)
@@ -367,9 +391,17 @@ def stage_train(cfg: RunConfig, root: Path, run: tuple[str, int, str],
                              workers=step_workers(1) if workers is None else workers)
 
         out = files.make_parents()
-        save_checkpoint(out["checkpoint"], model, result.params, extra={
-            "session_id": session_id, "delta_ms": delta_ms, "model": model_name, "rng_seed": seed,
-        })
+        save_checkpoint(
+            out["checkpoint"],
+            model,
+            result.params,
+            extra={
+                "session_id": session_id,
+                "delta_ms": delta_ms,
+                "model": model_name,
+                "rng_seed": seed,
+            },
+        )
         loss_lines = ["epoch,mean_loss"]
         loss_lines += [
             f"{i},{format(loss, '.12g')}" for i, loss in enumerate(result.epoch_losses)
@@ -392,7 +424,9 @@ def stage_eval(cfg: RunConfig, root: Path, run: tuple[str, int, str]) -> RunScor
                             f"{data.shape[2]} samples do not fit {ckpt}")
         pred = predict(model, params, data)
         result = metrics_from_confusion(confusion_matrix(labels, pred))
-        score = RunScore(model=model_name, horizon_ms=delta_ms, run_id=session_id, result=result)
+        score = RunScore(
+            model=model_name, horizon_ms=delta_ms, run_id=session_id, result=result
+        )
         write_run_score(files.make_parents()["score"], score)
         return score
 
@@ -413,10 +447,10 @@ def _read_score(path: Path, run: tuple[str, int, str]) -> RunScore:
 
 def stage_report(cfg: RunConfig, root: Path) -> list[Path]:
     """Report every configured run of every session in the workspace."""
-    files = STAGE_FILES["report"](cfg, root, session_ids(root))
-    with _stage("report", str(files.outputs["report"])):
-        clear_report(files.outputs["report"])
-        select_sessions(root)  # a workspace without sessions is a DataError
+    out = STAGE_FILES["report"](cfg, root, []).outputs["report"]
+    with _stage("report", str(out)):
+        clear_report(out)
+        files = STAGE_FILES["report"](cfg, root, select_sessions(root))
         scores = [_read_score(path, run) for run, path in files.inputs.items()]
         return emit_report(scores, files.make_parents()["report"])
 

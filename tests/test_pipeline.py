@@ -182,8 +182,8 @@ class TestStageWorkingSets:
         # samples are also read back for the memo, one block at a time:
         # reading them back whole read 3.66x
         cfg, ws, sid = two_minutes
-        raw = pipeline.STAGE_FILES["preprocess"](cfg, ws, sid).inputs["session"]
-        n_bytes = ingest.load_recording(raw)[1].samples.nbytes
+        files = pipeline.STAGE_FILES["preprocess"](cfg, ws, sid).inputs
+        n_bytes = ingest.load_recording(files["manifest"].parent)[1].samples.nbytes
 
         def stage():
             with ingest.parse_memo() if memo else nullcontext():
@@ -197,7 +197,8 @@ class TestStageWorkingSets:
         # at a time; gathering a whole partition would not fit
         cfg, ws, sid = two_minutes
         files = pipeline.STAGE_FILES["split"](cfg, ws, sid).inputs
-        read = peak_traced(lambda: ingest.load_recording(files["session"], files["cleaned"]))
+        read = peak_traced(lambda: ingest.load_recording(files["manifest"].parent,
+                                                         files["cleaned"]))
         block = WINDOW_BLOCK * 16 * cfg.split.window_len * 4  # float32, 16 channels
         peak = peak_traced(lambda: pipeline.stage_split(cfg, ws, sid))
         assert peak <= read + block, ((peak - read) / block)
@@ -588,19 +589,17 @@ class TestSubcommands:
             "confusion_linear_0.csv", "f1_vs_horizon.svg", "metrics.csv", "summary.csv"
         ]
 
-    @pytest.mark.parametrize("stage, outputs", [("preprocess", "preprocessed"),
-                                                ("split", "windows")])
-    def test_reads_no_joystick_stream(self, baseline, tmp_path, stage, outputs):
+    def test_split_reads_no_joystick_stream(self, baseline, tmp_path):
         cfg, out = baseline
         ws = tmp_path / "ws"
         shutil.copytree(out, ws)
         work = ws / "work" / "synth-0000"
         (ws / "sessions" / "synth-0000" / "joystick.jsonl").unlink()
-        shutil.rmtree(work / outputs)
-        rc = main([stage, "--config", str(cfg), "--out", str(ws),
+        shutil.rmtree(work / "windows")
+        rc = main(["split", "--config", str(cfg), "--out", str(ws),
                    "--session", "synth-0000"])
         assert rc == 0
-        assert _tree(work) == _tree(out / "work" / "synth-0000")
+        assert _tree(work / "windows") == _tree(out / "work" / "synth-0000" / "windows")
 
 
 class TestExitCodes:
@@ -1316,7 +1315,8 @@ def _declared(cfg, ws, stage, side):
 
 def _covers(declared, path):
     """Whether ``path`` is one of the files a declared path stands for: the
-    path itself, a file under it, or a file of the window pair at it."""
+    path itself, a file under it (``report/``), or a file of the window pair
+    at it."""
     return path == declared or declared in path.parents or path in window_files(declared)
 
 

@@ -8,21 +8,3 @@ chain verifiable end to end.
 """
 
 __version__ = "0.1.0"
-
-from .errors import ConfigError, DataError, EegDriveError, TrainingDiverged
-from .session import (
-    HORIZONS_MS,
-    N_CLASSES,
-    CommandLabel,
-)
-
-__all__ = [
-    "ConfigError",
-    "DataError",
-    "EegDriveError",
-    "TrainingDiverged",
-    "HORIZONS_MS",
-    "N_CLASSES",
-    "CommandLabel",
-    "__version__",
-]

@@ -16,20 +16,9 @@ from pathlib import Path
 
 from .config import RunConfig, default_config_json, load_config
 from .errors import ConfigError, DataError, TrainingDiverged
-from .pipeline import (
-    one_blas_thread,
-    run_all,
-    runs,
-    select_sessions,
-    stage_eval,
-    stage_label,
-    stage_preprocess,
-    stage_report,
-    stage_simulate,
-    stage_split,
-    stage_train,
-    stage_validate,
-)
+from . import pipeline
+from .pipeline import describe, one_blas_thread, run_all, stage_report, stage_simulate
+from .pipeline import stage_validate, subjects
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -41,6 +30,15 @@ MMAP_THRESHOLD = 1 << 20
 #: Free bytes the heap may keep at its top before it gives them back.
 TRIM_THRESHOLD = 64 << 20
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc's mallopt parameters
+
+#: The commands that run one stage on each of its subjects, with their help.
+PER_SUBJECT = {
+    "preprocess": "filter, re-reference, interpolate",
+    "label": "emit per-horizon label files",
+    "split": "window and split labelled data",
+    "train": "train configured models",
+    "eval": "score checkpoints on test windows",
+}
 
 
 def _map_large_arrays() -> None:
@@ -88,11 +86,8 @@ def _parser() -> argparse.ArgumentParser:
     common(sub.add_parser("simulate", help="generate synthetic sessions"))
     val = sub.add_parser("validate", help="check session files against the format")
     val.add_argument("path", type=Path, help="session directory")
-    common(sub.add_parser("preprocess", help="filter, re-reference, interpolate"), True)
-    common(sub.add_parser("label", help="emit per-horizon label files"), True)
-    common(sub.add_parser("split", help="window and split labelled data"), True)
-    common(sub.add_parser("train", help="train configured models"), True)
-    common(sub.add_parser("eval", help="score checkpoints on test windows"), True)
+    for name, text in PER_SUBJECT.items():
+        common(sub.add_parser(name, help=text), True)
     common(sub.add_parser("report", help="aggregate scores into report files"))
     run = sub.add_parser("run-all", help="full pipeline plus report")
     common(run)
@@ -144,29 +139,11 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "simulate":
             ids = stage_simulate(cfg, args.out)
             print(f"wrote {len(ids)} sessions: {', '.join(ids)}")
-        elif args.command == "preprocess":
-            for sid in select_sessions(args.out, args.session):
-                stage_preprocess(cfg, args.out, sid)
-                print(f"preprocessed {sid}")
-        elif args.command == "label":
-            for sid in select_sessions(args.out, args.session):
-                stage_label(cfg, args.out, sid)
-                print(f"labelled {sid} at horizons {list(cfg.horizons_ms)}")
-        elif args.command == "split":
-            for sid in select_sessions(args.out, args.session):
-                stage_split(cfg, args.out, sid)
-                print(f"split {sid}")
-        elif args.command == "train":
-            for sid, delta, model in runs(cfg, select_sessions(args.out, args.session)):
-                stage_train(cfg, args.out, (sid, delta, model))
-                print(f"trained {model} {sid} delta={delta}")
-        elif args.command == "eval":
-            for sid, delta, model in runs(cfg, select_sessions(args.out, args.session)):
-                score = stage_eval(cfg, args.out, (sid, delta, model))
-                print(
-                    f"eval {model} {sid} delta={delta} "
-                    f"macro_f1={score.result.macro_f1:.4f}"
-                )
+        elif args.command in PER_SUBJECT:
+            for subject in subjects(args.command, cfg, args.out, args.session):
+                # looked up per call, so a wrapper installed on the module runs
+                getattr(pipeline, f"stage_{args.command}")(cfg, args.out, subject)
+                print(f"{args.command} {describe(subject)}")
         elif args.command == "report":
             for path in stage_report(cfg, args.out):
                 print(f"wrote {path}")

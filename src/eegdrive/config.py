@@ -26,7 +26,8 @@ from pathlib import Path
 from .errors import ConfigError, DataError
 from .ingest import decode_json, non_integers
 from .labels import LabelRule
-from .models import KNOWN_MODELS, ShallowConvNet, ShallowConvNetSpec, TrainConfig
+from .models.nets import KNOWN_MODELS, ShallowConvNet, ShallowConvNetSpec
+from .models.trainer import TrainConfig
 from .preprocess import FilterSpec
 from .session import HORIZONS_MS
 from .splitting import SplitConfig

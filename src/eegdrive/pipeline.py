@@ -18,7 +18,8 @@ Split writes each partition's window blob from blocks of
 it never holds a partition's (n, C, S) tensor.
 ``runs`` owns the run grid: run-all, the train and eval commands and the
 report take their (session, horizon, model) runs from it, so the report
-reads the scores of exactly those runs.
+reads the scores of exactly those runs. ``subjects`` says which sessions or
+runs each stage command runs on, and ``describe`` how errors name them.
 
 Per-run seeds derive from (global seed, session id, horizon, purpose), so
 adding a session or horizon never disturbs the seeds of unrelated runs.
@@ -53,19 +54,14 @@ from .ingest import load_recording, load_session
 from .ingest import non_integers, parse_memo, write_eeg_csv, write_json, write_replacing
 from .labels import label_at_horizon, read_labels_csv, write_labels_csv
 from .metrics import confusion_matrix, metrics_from_confusion
-from .models import (
-    build_model,
-    compute_class_weights,
-    load_checkpoint,
-    predict,
-    save_checkpoint,
-    train_model,
-)
+from .models.nets import build_model
+from .models.trainer import compute_class_weights, load_checkpoint, predict
+from .models.trainer import save_checkpoint, train_model
 from .preprocess import preprocess_session
 from .report import RunScore, clear_report, emit_report, read_run_score, write_run_score
 from .session import N_CLASSES
 from .splitting import build_split, window_blocks
-from .synth import TRUTH_NAME, write_synthetic_session
+from .synth import TRUTH_NAME, SynthConfig, simulated_session_id, write_synthetic_session
 from .tensorfile import read_windows, window_files, write_windows
 
 
@@ -193,6 +189,35 @@ def select_sessions(root: Path, wanted: list[str] | None = None) -> list[str]:
     return sorted(set(wanted))
 
 
+def _simulated(cfg: RunConfig) -> list[SynthConfig]:
+    """The simulator's config of each session simulate writes: session i
+    uses rng_seed = cfg.synth.rng_seed + i, so a config pins the whole batch."""
+    first = cfg.synth.rng_seed
+    return [dataclasses.replace(cfg.synth, rng_seed=first + i) for i in range(cfg.n_sessions)]
+
+
+def subjects(stage: str, cfg: RunConfig, root: Path, wanted: list[str] | None = None) -> list:
+    """The subjects the ``stage`` command runs on in the workspace at
+    ``root``: the sessions simulate writes; the sessions ``wanted`` (default
+    every one) for preprocess, label and split, and their ``runs`` for train
+    and eval; for report, one subject, the ids of every session."""
+    if stage == "simulate":
+        return [simulated_session_id(synth) for synth in _simulated(cfg)]
+    ids = select_sessions(root, wanted)
+    if stage in ("train", "eval"):
+        return runs(cfg, ids)
+    return [ids] if stage == "report" else ids
+
+
+def describe(subject: str | tuple[str, int, str]) -> str:
+    """A session id, or a run as ``<id> delta=<d> model=<m>``: how errors
+    and the CLI name a subject."""
+    if isinstance(subject, str):
+        return subject
+    session_id, delta, model = subject
+    return f"{session_id} delta={delta} model={model}"
+
+
 def one_blas_thread() -> None:
     """Run numpy's bundled OpenBLAS on one thread in this process.
 
@@ -220,12 +245,12 @@ def _numpy_blas() -> ctypes.CDLL:
 
 
 @contextmanager
-def _stage(stage: str, detail: str):
+def _stage(stage: str, subject: str | tuple[str, int, str]):
     """Error context: re-raise this package's errors with stage and subject."""
     try:
         yield
     except EegDriveError as exc:
-        exc.args = (f"[{stage}] {detail}: {exc}",)
+        exc.args = (f"[{stage}] {describe(subject)}: {exc}",)
         raise
 
 
@@ -233,22 +258,16 @@ def _stage(stage: str, detail: str):
 
 
 def stage_simulate(cfg: RunConfig, root: Path) -> list[str]:
-    """Generate cfg.n_sessions synthetic sessions into the workspace.
-
-    Session i uses rng_seed = cfg.synth.rng_seed + i so a config pins the
-    whole batch; the simulator names each session after its seed.
-    """
+    """Generate cfg.n_sessions synthetic sessions into the workspace; the
+    simulator names each session after its seed."""
     _sessions(root).mkdir(parents=True, exist_ok=True)
     ids = []
-    for i in range(cfg.n_sessions):
-        seed = cfg.synth.rng_seed + i
-        session_id = f"synth-{seed:04d}"
+    for synth in _simulated(cfg):
+        session_id = simulated_session_id(synth)
         out = STAGE_FILES["simulate"](cfg, root, session_id).outputs
         with _stage("simulate", session_id):
             # the simulator's writer makes the session directory
-            write_synthetic_session(
-                out["manifest"].parent, dataclasses.replace(cfg.synth, rng_seed=seed)
-            )
+            write_synthetic_session(out["manifest"].parent, synth)
         ids.append(session_id)
     return ids
 
@@ -380,7 +399,7 @@ def stage_train(
     usable core)."""
     files = STAGE_FILES["train"](cfg, root, run)
     session_id, delta_ms, model_name = run
-    with _stage("train", f"{session_id} delta={delta_ms} model={model_name}"):
+    with _stage("train", run):
         data, labels = read_windows(files.inputs["windows"], delta_ms)
         counts = _read_split_stats(files.inputs["stats"])
         weights = compute_class_weights(counts)
@@ -415,7 +434,7 @@ def stage_train(
 def stage_eval(cfg: RunConfig, root: Path, run: tuple[str, int, str]) -> RunScore:
     files = STAGE_FILES["eval"](cfg, root, run)
     session_id, delta_ms, model_name = run
-    with _stage("eval", f"{session_id} delta={delta_ms} model={model_name}"):
+    with _stage("eval", run):
         ckpt, base = files.inputs["checkpoint"], files.inputs["windows"]
         model, params, _header = load_checkpoint(ckpt)
         data, labels = read_windows(base, delta_ms)
@@ -447,10 +466,13 @@ def _read_score(path: Path, run: tuple[str, int, str]) -> RunScore:
 
 def stage_report(cfg: RunConfig, root: Path) -> list[Path]:
     """Report every configured run of every session in the workspace."""
-    out = STAGE_FILES["report"](cfg, root, []).outputs["report"]
+    ids = session_ids(root)
+    files = STAGE_FILES["report"](cfg, root, ids)
+    out = files.outputs["report"]
     with _stage("report", str(out)):
-        clear_report(out)
-        files = STAGE_FILES["report"](cfg, root, select_sessions(root))
+        clear_report(out)  # first, so that a failed report leaves none
+        if not ids:
+            raise DataError(f"no sessions under {_sessions(root)}")
         scores = [_read_score(path, run) for run, path in files.inputs.items()]
         return emit_report(scores, files.make_parents()["report"])
 

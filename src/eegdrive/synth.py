@@ -182,6 +182,11 @@ def _draw_unit_stream(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
     return out
 
 
+def simulated_session_id(cfg: SynthConfig) -> str:
+    """The id of the session ``cfg`` simulates, named after its seed."""
+    return f"synth-{cfg.rng_seed:04d}"
+
+
 def generate_session(cfg: SynthConfig) -> tuple[SessionDir, LabeledSamples]:
     """One session plus its ground truth: every EEG sample labelled with the
     command at the joystick tick nearest t + lag, as a ``LabeledSamples``
@@ -288,7 +293,7 @@ def generate_session(cfg: SynthConfig) -> tuple[SessionDir, LabeledSamples]:
 
     session = SessionDir(
         subject_id="synthetic",
-        session_id=f"synth-{cfg.rng_seed:04d}",
+        session_id=simulated_session_id(cfg),
         eeg=EegRecording(montage, eeg_t, x, cfg.sample_rate_hz),
         joystick=JoystickStream(joy_t, v_x, omega_z),
     )

@@ -36,7 +36,7 @@ from eegdrive.config import RunConfig, config_from_dict
 from eegdrive.ingest import align_nearest
 from eegdrive.labels import NO_LABEL, LabeledSamples, LabelRule, classify_commands
 from eegdrive.metrics import confusion_matrix, metrics_from_confusion
-from eegdrive.models import build_model
+from eegdrive.models.nets import build_model
 from eegdrive.pipeline import run_all
 from eegdrive.preprocess import (
     FilterSpec,

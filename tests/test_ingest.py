@@ -43,13 +43,8 @@ from eegdrive.labels import (
     write_labels_csv,
 )
 from eegdrive.metrics import metrics_from_confusion
-from eegdrive.models import (
-    LinearSoftmax,
-    ShallowConvNet,
-    ShallowConvNetSpec,
-    load_checkpoint,
-    save_checkpoint,
-)
+from eegdrive.models.nets import LinearSoftmax, ShallowConvNet, ShallowConvNetSpec
+from eegdrive.models.trainer import load_checkpoint, save_checkpoint
 from eegdrive.report import RunScore, read_run_score, write_run_score
 from eegdrive.session import EegRecording, JoystickStream, synthetic_montage
 from eegdrive.synth import SynthConfig, generate_session

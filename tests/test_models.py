@@ -15,21 +15,27 @@ import pytest
 
 from eegdrive import pipeline
 from eegdrive.errors import DataError, TrainingDiverged
-from eegdrive.models import (
+from eegdrive.models.nets import (
+    CHUNK,
+    LOG_FLOOR,
     LinearSoftmax,
     ShallowConvNet,
     ShallowConvNetSpec,
-    TrainConfig,
     build_model,
+    weighted_ce_from_logprobs,
+)
+from eegdrive.models.trainer import (
+    PREDICT_WINDOWS,
+    Adam,
+    StepWorkers,
+    TrainConfig,
+    _fanout_seed,
+    batch_gradients,
     compute_class_weights,
     load_checkpoint,
     predict,
     save_checkpoint,
     train_model,
-)
-from eegdrive.models.nets import CHUNK, LOG_FLOOR, weighted_ce_from_logprobs
-from eegdrive.models.trainer import (
-    PREDICT_WINDOWS, Adam, StepWorkers, _fanout_seed, batch_gradients,
 )
 from eegdrive.tensorfile import read_checkpoint, write_checkpoint
 from gradcheck import gradient_check
@@ -885,7 +891,7 @@ class TestCheckpoint:
         write_wide_checkpoint(path)
         assert path.stat().st_size == WIDE_SIZE
         done = run_capped(textwrap.dedent(f"""
-            from eegdrive.models import load_checkpoint
+            from eegdrive.models.trainer import load_checkpoint
             from tracemem import peak_traced
             print(peak_traced(lambda: load_checkpoint({str(path)!r})))
         """))

@@ -28,8 +28,8 @@ from eegdrive.cli import main
 from eegdrive.config import RunConfig, config_from_dict
 from eegdrive.errors import DataError
 from eegdrive.labels import LABELS_DTYPE
-from eegdrive.models import load_checkpoint
 from eegdrive.models.nets import CHUNK, ShallowConvNet
+from eegdrive.models.trainer import load_checkpoint
 from eegdrive.splitting import WINDOW_BLOCK
 from eegdrive.tensorfile import read_windows, window_files
 from tracemem import peak_traced
@@ -554,24 +554,32 @@ class TestSubcommands:
         doc = json.loads(capsys.readouterr().out)
         assert config_from_dict(doc) == RunConfig()
 
-    def test_simulate_then_preprocess_selected_session(self, tmp_path, capsys):
-        cfg = _write_cfg(tmp_path)
-        ws = tmp_path / "ws"
-        base = ["--config", str(cfg), "--out", str(ws)]
-        assert main(["simulate"] + base) == 0
-        rc = main(["preprocess"] + base + ["--session", "synth-0001"])
-        assert rc == 0
-        assert (ws / "work" / "synth-0001" / "preprocessed").is_dir()
-        assert not (ws / "work" / "synth-0000").exists()
+    def test_each_simulated_session_is_named_in_its_manifest(self, baseline):
+        _, out = baseline
+        ids = pipeline.subjects("simulate", config_from_dict(SMALL), out)
+        assert ids == pipeline.session_ids(out) == ["synth-0000", "synth-0001"]
+        for session_id in ids:
+            manifest = json.loads((out / "sessions" / session_id / "manifest.json").read_text())
+            assert manifest["session_id"] == session_id
 
-    def test_unknown_session_id(self, tmp_path, capsys):
-        cfg = _write_cfg(tmp_path)
+    @pytest.mark.parametrize("command", ["preprocess", "label", "split", "train", "eval"])
+    def test_session_restricts_the_command(self, baseline, tmp_path, capsys, replaced, command):
+        """With --session, a command writes under that session's work
+        directory only and prints one line per subject; an unknown id writes
+        nothing and exits 3."""
+        cfg, out = baseline
         ws = tmp_path / "ws"
-        base = ["--config", str(cfg), "--out", str(ws)]
-        assert main(["simulate"] + base) == 0
-        rc = main(["preprocess"] + base + ["--session", "synth-9999"])
-        assert rc == 3
-        assert "unknown session ids" in capsys.readouterr().err
+        shutil.copytree(out, ws)
+        base = [command, "--config", str(cfg), "--out", str(ws), "--session"]
+        assert main(base + ["synth-0001"]) == 0
+        assert replaced and all(ws / "work" / "synth-0001" in p.parents for p in replaced)
+        done = pipeline.subjects(command, config_from_dict(SMALL), ws, ["synth-0001"])
+        assert capsys.readouterr().out.splitlines() == [
+            f"{command} {pipeline.describe(subject)}" for subject in done]
+        replaced.clear()
+        assert main(base + ["synth-9999"]) == 3
+        assert replaced == []
+        assert "unknown session ids ['synth-9999']" in capsys.readouterr().err
 
     def test_report_covers_the_configured_runs_only(self, grid, tmp_path):
         doc, _, out = grid
@@ -1300,16 +1308,13 @@ def replaced(monkeypatch):
     return seen
 
 
-STAGES = ["simulate", "preprocess", "label", "split", "train", "eval", "report"]
+STAGES = list(pipeline.STAGE_FILES)
 
 
 def _declared(cfg, ws, stage, side):
     """Every path the stage table declares on ``side`` ("inputs" or
     "outputs") for the subjects the stage command covers in ``ws``."""
-    ids = pipeline.session_ids(ws)
-    subjects = {"train": pipeline.runs(cfg, ids), "eval": pipeline.runs(cfg, ids),
-                "report": [ids]}.get(stage, ids)
-    return [path for subject in subjects
+    return [path for subject in pipeline.subjects(stage, cfg, ws)
             for path in getattr(pipeline.STAGE_FILES[stage](cfg, ws, subject), side).values()]
 
 
@@ -1405,6 +1410,40 @@ def test_cli_run_at_one_job_imports_no_process_pool(tmp_path):
     after_import, one_job, two_jobs = [line for line in out if line.startswith("pools:")]
     assert (after_import, one_job) == ("pools: []", "pools: 0 []")
     assert two_jobs.startswith("pools: 0 [") and "'multiprocessing'" in two_jobs
+
+
+def test_every_traced_span_fires(tmp_path):
+    """``benchmark/tracing.py`` wraps its targets from outside, as module
+    and class attributes, so each must be called through the attribute it
+    replaces. Under its tracer a run-all records at least one span of every
+    target, both models' ``trainer.train_model`` included, and each
+    per-subject command records its stage's span."""
+    doc = dict(SMALL, n_sessions=1, synth={"duration_s": 60.0},
+               models=["linear", "shallow"], train={"epochs": 1})
+    cfg = _write_cfg(tmp_path, doc)
+    bench = Path(__file__).resolve().parents[1] / "benchmark"
+    out = _fresh_python(f"""
+        import sys
+        sys.path.insert(0, {str(bench)!r})
+        import eegdrive.cli
+        from tracing import TARGETS, Tracer
+
+        tracer = Tracer({str(tmp_path / "trace")!r})
+        tracer.install()
+        base = ["--config", {str(cfg)!r}, "--out", {str(tmp_path / "ws")!r}]
+        code = eegdrive.cli.main(["run-all", "--jobs", "1"] + base)
+        names = {{name for _, _, name, _ in TARGETS if isinstance(name, str)}}
+        names |= {{"trainer.train_model.linear", "trainer.train_model.shallow"}}
+        print("missing:", code, sorted(names - {{s["name"] for s in tracer.spans}}))
+        for command in eegdrive.cli.PER_SUBJECT:
+            tracer.spans.clear()
+            code = eegdrive.cli.main([command] + base)
+            spans = [s for s in tracer.spans if s["name"] == "pipeline.stage_" + command]
+            print("stage:", command, code, len(spans) > 0)
+    """)
+    assert [line for line in out if line.startswith("missing:")] == ["missing: 0 []"]
+    assert [line for line in out if line.startswith("stage:")] == [
+        f"stage: {command} 0 True" for command in ("preprocess", "label", "split", "train", "eval")]
 
 
 @pytest.mark.parametrize("after_cli", [False, True])
@@ -1585,14 +1624,13 @@ def test_workspace_ignores_the_blas_environment(tmp_path):
     doc = dict(SMALL, models=["linear", "shallow"], train={"epochs": 2})
     cfg = _write_cfg(tmp_path, doc)
     src = str(Path(__file__).resolve().parents[1] / "src")
-    stages = ["simulate", "preprocess", "label", "split", "train", "eval", "report"]
     trees = []
     for threads, commands in [
         (None, [["run-all", "--jobs", "1"]]),
         ("1", [["run-all", "--jobs", "1"]]),
         ("2", [["run-all", "--jobs", "1"]]),
         ("2", [["run-all", "--jobs", "2"]]),
-        ("2", [[stage] for stage in stages]),
+        ("2", [[stage] for stage in STAGES]),
     ]:
         env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
